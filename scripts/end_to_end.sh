@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
 # Full pipeline demo: synthesize data, train, tokenize, generate corpora
 # and prompts, evaluate a mock response file, and export analyses.
+# Runs from a checkout: the package is imported from <repo>/src.
 set -euo pipefail
+
+REPO="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+export PYTHONPATH="$REPO/src${PYTHONPATH:+:$PYTHONPATH}"
+sogtok() { python3 -m sogtok.cli "$@"; }
 
 OUT="${1:-/tmp/sogtok-demo}"
 SEED=7
 
-python3 scripts/make_synthetic_data.py --out "$OUT/data" --seed $SEED
+python3 "$REPO/scripts/make_synthetic_data.py" --out "$OUT/data" --seed $SEED
 
 sogtok train --data "$OUT/data/molecules.jsonl" --out "$OUT/model" \
     --k 16 --seed $SEED --warmup-epochs 15 --epochs 20 \

@@ -61,6 +61,7 @@ from .train import (
     format_token_table,
     format_training_log,
     graph_embedding,
+    tokens_from_embedding,
     train,
 )
 
@@ -165,10 +166,13 @@ def _read_node_list(path) -> list[tuple[str, int]]:
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValidationError(f"node list line {line_no}: expected 'graph_id index'")
-        out.append((parts[0], int(parts[1])))
+        try:
+            gid, index = line.split()
+            out.append((gid, int(index)))
+        except ValueError:
+            raise ValidationError(
+                f"node list line {line_no}: expected 'graph_id index', got {line.strip()!r}"
+            ) from None
     return out
 
 
@@ -225,13 +229,17 @@ def cmd_gen_corpus(cfg: dict) -> None:
         if kind not in ("knn", "simjudge", "descmatch"):
             raise ValidationError(f"unknown corpus kind {kind!r}")
     records = []
-    need_assignments = "simjudge" in kinds or "descmatch" in kinds
-    if need_assignments:
-        assignments = {g.id: assign_token(g, model, embedder) for g in graphs}
+    assignments, global_rows = {}, []
+    if "simjudge" in kinds or "descmatch" in kinds:
+        # one embedding per graph gives its token and its simjudge row (a copy, so h is freed)
+        for g in graphs:
+            h = graph_embedding(g, model, embedder)
+            assignments[g.id] = tokens_from_embedding(g.id, h, model.codebook)
+            global_rows.append(h[-1].copy())
     if "knn" in kinds:
         records.extend(gen_knn_records(model.codebook, k=cfg["knn_k"]))
     if "simjudge" in kinds:
-        embeddings = np.vstack([graph_embedding(g, model, embedder)[-1] for g in graphs])
+        embeddings = np.vstack(global_rows)
         thresholds = SimilarityThresholds(tau_pos=cfg["tau_pos"], tau_neg=cfg["tau_neg"])
         budget = cfg["pairs"] if cfg["pairs"] is not None else 4 * model.k
         records.extend(
@@ -312,9 +320,12 @@ def _load_responses(path) -> list[dict]:
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        if "id" not in obj or "text" not in obj:
-            raise ValidationError(f"response line {line_no}: need 'id' and 'text'")
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            raise ValidationError(f"response line {line_no}: not valid JSON ({exc})") from exc
+        if not isinstance(obj, dict) or not isinstance(obj.get("text"), str) or "id" not in obj:
+            raise ValidationError(f"response line {line_no}: need 'id' and a string 'text'")
         rows.append(obj)
     return rows
 

@@ -116,11 +116,6 @@ class DegenerateCodebook(ValidationError):
     pass
 
 
-class InsufficientPairs(SogtokError):
-    """Raised only when a class cannot be filled at all; partial output is
-    normally returned together with a warning instead."""
-
-
 class GraphTooLargeForDescription(ValidationError):
     pass
 

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import cosine_matrix
 from .errors import DegenerateLabels, LengthMismatch, ValidationError
 from .graph import Graph, permute
-from .model import Codebook, TokenizerModel, quantize
-from .train import assign_token, graph_embedding
+from .model import Codebook, TokenizerModel
+from .train import assign_token, graph_embedding, tokens_from_embedding
 
 POSITIVE_DEFAULT = ("yes", "true", "active", "approved")
 NEGATIVE_DEFAULT = ("no", "false", "inactive", "rejected", "not approved")
@@ -208,16 +209,10 @@ def codebook_correlation(cb: Codebook, first_m: int) -> tuple[np.ndarray, list[i
     """
     if first_m < 1 or first_m > cb.k:
         raise ValidationError(f"first_m must be in [1, K]; got {first_m}")
-    block = cb.entries[:first_m]
-    norms = np.linalg.norm(block, axis=1)
-    zero_rows = [int(i) for i in np.flatnonzero(norms == 0.0)]
-    safe = np.where(norms == 0.0, 1.0, norms)
-    unit = block / safe[:, None]
-    sims = unit @ unit.T
+    sims, zero_rows = cosine_matrix(cb.entries[:first_m])
     np.fill_diagonal(sims, 1.0)
-    for i in zero_rows:
-        sims[i, :] = 0.0
-        sims[:, i] = 0.0
+    sims[zero_rows, :] = 0.0
+    sims[:, zero_rows] = 0.0
     return sims, zero_rows
 
 
@@ -239,8 +234,9 @@ def export_embeddings(model: TokenizerModel, graphs: list[Graph], path, embedder
     rows = []
     for g in graphs:
         h = graph_embedding(g, model, embedder)
-        sel = quantize(h[-1:], model.codebook)
-        rows.append((g.id, int(sel.indices[0]), h[-1]))
+        # the global row alone: quantizing the node rows too would be wasted work
+        token = tokens_from_embedding(g.id, h[-1:], model.codebook).graph_token
+        rows.append((g.id, token.index, h[-1]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_embedding_csv(rows, model.enc.d))
 

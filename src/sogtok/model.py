@@ -21,6 +21,7 @@ from .errors import CheckpointError, DimensionMismatch, NoForwardState, Validati
 
 CHECKPOINT_MAGIC = b"SOGTOK1"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_DIMS = ("d_s", "d_h", "d", "d_r", "K")
 
 
 @dataclass
@@ -95,8 +96,9 @@ def normalized_adjacency(a: np.ndarray) -> np.ndarray:
     return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def encode(anorm: np.ndarray, x: np.ndarray, enc: EncoderParams) -> np.ndarray:
-    """Two-layer graph convolution: Anorm . relu(Anorm . X . W1) . W2."""
+def encode(anorm: np.ndarray, x: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
+    """Two-layer GCN h = Anorm . relu(Anorm . X . W1) . W2 (Kipf & Welling).
+    Returns h and the pre-activation z1 = Anorm . X . W1 that backward() needs."""
     if x.shape[0] != anorm.shape[0]:
         raise DimensionMismatch(
             f"feature rows {x.shape[0]} != adjacency size {anorm.shape[0]}"
@@ -104,20 +106,25 @@ def encode(anorm: np.ndarray, x: np.ndarray, enc: EncoderParams) -> np.ndarray:
     if x.shape[1] != enc.d_s:
         raise DimensionMismatch(f"feature dim {x.shape[1]} != encoder d_s {enc.d_s}")
     z1 = anorm @ x @ enc.w1
-    z2 = np.maximum(z1, 0.0)
-    return anorm @ z2 @ enc.w2
+    return anorm @ np.maximum(z1, 0.0) @ enc.w2, z1
 
 
-def quantize(h: np.ndarray, cb: Codebook, chunk: int = 64) -> QuantizedSelection:
-    """Per-row nearest codebook entry by Euclidean distance, lowest index
-    winning ties."""
+def nearest(rows: np.ndarray, entries: np.ndarray, chunk: int = 64) -> np.ndarray:
+    """Index of each row's nearest entry by Euclidean distance, lowest index
+    winning ties. Works in row chunks, so memory is chunk x K x d."""
+    indices = np.empty(rows.shape[0], dtype=np.int64)
+    for start in range(0, rows.shape[0], chunk):
+        block = rows[start : start + chunk]
+        d2 = ((block[:, None, :] - entries[None, :, :]) ** 2).sum(axis=2)
+        indices[start : start + chunk] = d2.argmin(axis=1)
+    return indices
+
+
+def quantize(h: np.ndarray, cb: Codebook) -> QuantizedSelection:
+    """Per-row nearest codebook entry; quantized rows are exact copies."""
     if h.shape[1] != cb.d:
         raise DimensionMismatch(f"latent dim {h.shape[1]} != codebook dim {cb.d}")
-    indices = np.empty(h.shape[0], dtype=np.int64)
-    for start in range(0, h.shape[0], chunk):
-        block = h[start : start + chunk]
-        d2 = ((block[:, None, :] - cb.entries[None, :, :]) ** 2).sum(axis=2)
-        indices[start : start + chunk] = d2.argmin(axis=1)
+    indices = nearest(h, cb.entries)
     return QuantizedSelection(indices=indices, quantized=cb.entries[indices].copy())
 
 
@@ -137,14 +144,15 @@ def compute_loss(
     a_target: np.ndarray,
     a_rec: np.ndarray,
     h: np.ndarray,
-    sel: QuantizedSelection,
+    sel: QuantizedSelection | None,
     beta: float,
 ) -> LossBreakdown:
+    """Three-term loss; sel=None (warm-up) zeroes the quantization terms."""
     if a_target.shape != a_rec.shape:
         raise DimensionMismatch("adjacency shapes differ")
     recon = float(((a_target - a_rec) ** 2).sum())
     # update and commitment share the forward value; their gradients differ
-    gap = float(((h - sel.quantized) ** 2).sum())
+    gap = 0.0 if sel is None else float(((h - sel.quantized) ** 2).sum())
     return LossBreakdown(reconstruction=recon, update=gap, commitment=gap, beta=beta)
 
 
@@ -155,8 +163,7 @@ class ForwardState:
     a_target: np.ndarray
     anorm: np.ndarray
     x: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
+    z1: np.ndarray  # pre-activation of the first layer
     h: np.ndarray
     sel: QuantizedSelection | None  # None during warm-up (no quantization)
     xhat: np.ndarray
@@ -171,45 +178,23 @@ class Gradients:
     wd: np.ndarray
     codebook: np.ndarray | None  # None when no codebook participates
 
-    def __iadd__(self, other: "Gradients") -> "Gradients":
-        self.w1 += other.w1
-        self.w2 += other.w2
-        self.wd += other.wd
-        if self.codebook is not None and other.codebook is not None:
-            self.codebook += other.codebook
-        return self
-
-    def scale(self, factor: float) -> None:
-        self.w1 *= factor
-        self.w2 *= factor
-        self.wd *= factor
-        if self.codebook is not None:
-            self.codebook *= factor
-
 
 def forward(
     a_target: np.ndarray,
+    anorm: np.ndarray,
     x: np.ndarray,
     enc: EncoderParams,
     dec: DecoderParams,
     cb: Codebook | None,
     beta: float,
 ) -> ForwardState:
-    """Full pass. With cb=None the decoder reads the continuous embeddings
-    (warm-up reconstruction pretraining); quantization terms are zero."""
-    anorm = normalized_adjacency(a_target)
-    z1 = anorm @ x @ enc.w1
-    z2 = np.maximum(z1, 0.0)
-    h = anorm @ z2 @ enc.w2
-    if cb is None:
-        xhat, a_rec = decode_and_reconstruct(h, dec)
-        recon = float(((a_target - a_rec) ** 2).sum())
-        loss = LossBreakdown(reconstruction=recon, update=0.0, commitment=0.0, beta=beta)
-        return ForwardState(a_target, anorm, x, z1, z2, h, None, xhat, a_rec, loss)
-    sel = quantize(h, cb)
-    xhat, a_rec = decode_and_reconstruct(sel.quantized, dec)
+    """Full pass on anorm = normalized_adjacency(a_target). With cb=None (warm-up
+    pretraining) the decoder reads h itself and the quantization terms are zero."""
+    h, z1 = encode(anorm, x, enc)
+    sel = None if cb is None else quantize(h, cb)
+    xhat, a_rec = decode_and_reconstruct(h if sel is None else sel.quantized, dec)
     loss = compute_loss(a_target, a_rec, h, sel, beta)
-    return ForwardState(a_target, anorm, x, z1, z2, h, sel, xhat, a_rec, loss)
+    return ForwardState(a_target, anorm, x, z1, h, sel, xhat, a_rec, loss)
 
 
 def backward(
@@ -240,22 +225,13 @@ def backward(
         dcb = np.zeros_like(cb.entries)
         np.add.at(dcb, state.sel.indices, 2.0 * (state.sel.quantized - state.h))
 
-    s2 = state.anorm @ state.z2
+    s2 = state.anorm @ np.maximum(state.z1, 0.0)
     dw2 = s2.T @ dh
     dz2 = (state.anorm @ dh) @ enc.w2.T
     dz1 = dz2 * (state.z1 > 0.0)
     s1 = state.anorm @ state.x
     dw1 = s1.T @ dz1
     return Gradients(w1=dw1, w2=dw2, wd=dwd, codebook=dcb)
-
-
-def zero_gradients(enc: EncoderParams, dec: DecoderParams, cb: Codebook | None) -> Gradients:
-    return Gradients(
-        w1=np.zeros_like(enc.w1),
-        w2=np.zeros_like(enc.w2),
-        wd=np.zeros_like(dec.wd),
-        codebook=None if cb is None else np.zeros_like(cb.entries),
-    )
 
 
 class Adam:
@@ -340,16 +316,39 @@ def save_checkpoint(model: TokenizerModel, path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _read_header(fh) -> dict:
+    """Magic, length field and JSON header; CheckpointError on any defect."""
+    magic = fh.read(len(CHECKPOINT_MAGIC))
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"bad magic {magic!r}; not a tokenizer checkpoint")
+    length = fh.read(4)
+    hlen = struct.unpack("<I", length)[0] if len(length) == 4 else 0
+    blob = fh.read(hlen)
+    if len(length) != 4 or len(blob) != hlen:
+        raise CheckpointError("truncated checkpoint header")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
+    missing = [key for key in (*CHECKPOINT_DIMS, "beta", "strategy", "seed") if key not in header]
+    if missing:
+        raise CheckpointError(f"checkpoint header lacks {', '.join(missing)}")
+    if not all(type(header[key]) is int and header[key] > 0 for key in CHECKPOINT_DIMS):
+        raise CheckpointError("checkpoint dimensions must be positive integers")
+    strategy = header["strategy"]
+    if not isinstance(strategy, dict) or not {"kind", "seed"} <= strategy.keys():
+        raise CheckpointError("checkpoint strategy needs 'kind' and 'seed'")
+    return header
+
+
 def load_checkpoint(path) -> TokenizerModel:
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad magic {magic!r}; not a tokenizer checkpoint")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
-        d_s, d_h, d, d_r, k = (header[key] for key in ("d_s", "d_h", "d", "d_r", "K"))
+        header = _read_header(fh)
+        d_s, d_h, d, d_r, k = (header[key] for key in CHECKPOINT_DIMS)
 
         def read_block(rows: int, cols: int) -> np.ndarray:
             raw = fh.read(rows * cols * 8)

@@ -30,12 +30,13 @@ from .model import (
     EncoderParams,
     TokenizerModel,
     backward,
+    encode,
     forward,
     init_params,
+    nearest,
     normalized_adjacency,
     quantize,
     save_checkpoint,
-    zero_gradients,
 )
 
 TOKEN_RE = re.compile(r"^<SOG_(\d+)>$")
@@ -90,6 +91,8 @@ class TrainConfig:
             raise ValidationError("beta must be positive")
         if self.global_share is not None and not (0.0 < self.global_share < 1.0):
             raise ValidationError("global_share must be in (0, 1) or None")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValidationError(f"batch size must be >= 1 or None, got {self.batch_size}")
 
     @property
     def hidden(self) -> int:
@@ -106,11 +109,13 @@ class PreparedGraph:
     x: np.ndarray  # attribute embeddings, global row last
 
 
-def prepare_graph(g: Graph, strategy: ImportanceStrategy, embedder) -> PreparedGraph:
+def prepare_graph(
+    g: Graph, strategy: ImportanceStrategy, embedder, include_global: bool = True
+) -> PreparedGraph:
+    """Encoder inputs of g; the virtual global node is appended unless include_global=False."""
     attrs = assign_attributes(g, strategy)
-    x = embed_attributes(attrs, embedder, include_global=True)
-    aug = augment_with_global_node(g)
-    a_target = build_adjacency(aug)
+    x = embed_attributes(attrs, embedder, include_global=include_global)
+    a_target = build_adjacency(augment_with_global_node(g) if include_global else g)
     return PreparedGraph(graph=g, a_target=a_target, anorm=normalized_adjacency(a_target), x=x)
 
 
@@ -144,8 +149,7 @@ def kmeans(rows: np.ndarray, k: int, rng: np.random.Generator, iters: int = 20) 
         pad = rows.mean(axis=0) + rng.normal(0.0, 0.1, size=(k - n, d))
         centers = np.vstack([rows.copy(), pad])
     for _ in range(iters):
-        d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = d2.argmin(axis=1)
+        assign = nearest(rows, centers)
         for j in range(k):
             members = rows[assign == j]
             if len(members) > 0:
@@ -189,7 +193,7 @@ def train(
         sums = np.zeros(3)  # recon, gap, total
         selected: set[int] = set()
         for pg in prepared:
-            state = forward(pg.a_target, pg.x, enc, dec, cb, cfg.beta)
+            state = forward(pg.a_target, pg.anorm, pg.x, enc, dec, cb, cfg.beta)
             sums += (state.loss.reconstruction, state.loss.update, state.loss.total)
             if state.sel is not None:
                 selected.update(state.sel.indices.tolist())
@@ -208,16 +212,15 @@ def train(
 
     def update_pass(cb: Codebook | None, opt: Adam, params: dict) -> None:
         for batch in _minibatches(len(prepared), cfg.batch_size, rng):
-            grads = zero_gradients(enc, dec, cb)
+            sums = {name: np.zeros_like(p) for name, p in params.items()}
             for idx in batch:
                 pg = prepared[idx]
-                state = forward(pg.a_target, pg.x, enc, dec, cb, cfg.beta)
-                grads += backward(state, enc, dec, cb, cfg.straight_through)
-            grads.scale(1.0 / len(batch))
-            gdict = {"w1": grads.w1, "w2": grads.w2, "wd": grads.wd}
-            if "codebook" in params:
-                gdict["codebook"] = grads.codebook
-            opt.step(params, gdict)
+                state = forward(pg.a_target, pg.anorm, pg.x, enc, dec, cb, cfg.beta)
+                grads = backward(state, enc, dec, cb, cfg.straight_through)
+                for name, total in sums.items():
+                    total += getattr(grads, name)
+            factor = 1.0 / len(batch)
+            opt.step(params, {name: total * factor for name, total in sums.items()})
 
     def snapshot(epoch: int, cb: Codebook | None) -> None:
         if checkpoint_dir is None:
@@ -246,8 +249,7 @@ def train(
     if cfg.warmup_epochs > 0:
         full, node_rows, global_rows = [], [], []
         for pg in prepared:
-            z1 = pg.anorm @ pg.x @ enc.w1
-            h = pg.anorm @ np.maximum(z1, 0.0) @ enc.w2
+            h, _ = encode(pg.anorm, pg.x, enc)
             full.append(h)
             node_rows.append(h[:-1])
             global_rows.append(h[-1:])
@@ -291,39 +293,35 @@ def graph_embedding(g: Graph, model: TokenizerModel, embedder=None) -> np.ndarra
     """Continuous latent rows for the augmented graph; global row last."""
     if embedder is None:
         embedder = HashingEmbedder(dim=model.d_s)
-    attrs = assign_attributes(g, model.strategy)
-    x = embed_attributes(attrs, embedder, include_global=True)
-    aug = augment_with_global_node(g)
-    anorm = normalized_adjacency(build_adjacency(aug))
-    z1 = anorm @ x @ model.enc.w1
-    return anorm @ np.maximum(z1, 0.0) @ model.enc.w2
+    pg = prepare_graph(g, model.strategy, embedder)
+    return encode(pg.anorm, pg.x, model.enc)[0]
 
 
-def assign_token(g: Graph, model: TokenizerModel, embedder=None) -> TokenAssignment:
-    """Tokenize a whole graph: the global-node row picks the graph token."""
-    h = graph_embedding(g, model, embedder)
-    sel = quantize(h, model.codebook)
+def tokens_from_embedding(graph_id: str, h: np.ndarray, cb: Codebook) -> TokenAssignment:
+    """Tokens of graph_embedding() rows; the last (global-node) row is the graph token."""
+    sel = quantize(h, cb)
     return TokenAssignment(
-        graph_id=g.id,
+        graph_id=graph_id,
         graph_token=StructuralToken(index=int(sel.indices[-1])),
         node_tokens=tuple(StructuralToken(index=int(i)) for i in sel.indices[:-1]),
     )
 
 
+def assign_token(g: Graph, model: TokenizerModel, embedder=None) -> TokenAssignment:
+    """Tokenize a whole graph: the global-node row picks the graph token."""
+    return tokens_from_embedding(g.id, graph_embedding(g, model, embedder), model.codebook)
+
+
 def assign_node_tokens(
     g: Graph, center: int, model: TokenizerModel, hops: int = 2, embedder=None
 ) -> StructuralToken:
-    """Tokenize the center node of its ego-graph (no global node added)."""
+    """Tokenize the center node, ego index 0, of its ego-graph (no global node added)."""
     if embedder is None:
         embedder = HashingEmbedder(dim=model.d_s)
     sub, _ = ego_graph(g, center, hops)
-    attrs = assign_attributes(sub, model.strategy)
-    x = embed_attributes(attrs, embedder, include_global=False)
-    anorm = normalized_adjacency(build_adjacency(sub))
-    z1 = anorm @ x @ model.enc.w1
-    h = anorm @ np.maximum(z1, 0.0) @ model.enc.w2
-    sel = quantize(h, model.codebook)
-    return StructuralToken(index=int(sel.indices[0]))  # center is ego index 0
+    pg = prepare_graph(sub, model.strategy, embedder, include_global=False)
+    h, _ = encode(pg.anorm, pg.x, model.enc)
+    return StructuralToken(index=int(nearest(h[:1], model.codebook.entries)[0]))
 
 
 def format_token_table(assignments: list[TokenAssignment]) -> str:

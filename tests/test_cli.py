@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -273,3 +276,50 @@ def test_unknown_flag_exits_2(dataset):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--data", str(dataset), "--nonsense", "x"])
     assert exc.value.code == 2
+
+
+def _run_cli(*argv):
+    """The CLI in a fresh interpreter, so stderr shows any traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "sogtok.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def _assert_validation_exit(proc, needle):
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert needle in proc.stderr
+
+
+def test_batch_size_zero_exit_2(dataset, tmp_path):
+    proc = _run_cli("train", "--data", dataset, "--out", tmp_path / "x", "--seed", "1",
+                    "--batch-size", "0")
+    _assert_validation_exit(proc, "batch size")
+
+
+def test_node_list_non_integer_index_exit_2(dataset, trained, tmp_path):
+    nodes_file = tmp_path / "nodes.txt"
+    nodes_file.write_text("cycle_000 0\ncycle_000 first\n")
+    proc = _run_cli("tokenize", "--data", dataset, "--checkpoint", trained / "model.sogtok",
+                    "--out", tmp_path / "t", "--node-level", "--nodes", nodes_file)
+    _assert_validation_exit(proc, "node list line 2")
+
+
+def test_malformed_responses_exit_2(tmp_path):
+    data = tmp_path / "labeled.jsonl"
+    rows = [json.dumps({"id": f"g{i}", "nodes": [{}], "edges": [], "label": i % 2}) for i in range(2)]
+    data.write_text("\n".join(rows) + "\n")
+    responses = tmp_path / "responses.jsonl"
+    good = json.dumps({"id": "g0", "text": "True"})
+    cases = (
+        ([good, '{"id": "g1", "text": '], 2),  # cut-off JSON
+        (['["g0", "True"]'], 1),  # not an object
+        (['{"id": "g0", "text": 1}'], 1),  # text not a string
+    )
+    for body, line_no in cases:
+        responses.write_text("\n".join(body) + "\n")
+        proc = _run_cli("eval", "--responses", responses, "--data", data, "--out", tmp_path / "e")
+        _assert_validation_exit(proc, f"response line {line_no}")

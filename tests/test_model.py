@@ -1,9 +1,14 @@
+import json
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sogtok.errors import CheckpointError, DimensionMismatch, ValidationError
 from sogtok.attributes import ImportanceStrategy
 from sogtok.model import (
+    CHECKPOINT_MAGIC,
     Adam,
     Codebook,
     DecoderParams,
@@ -16,10 +21,12 @@ from sogtok.model import (
     forward,
     init_params,
     load_checkpoint,
+    nearest,
     normalized_adjacency,
     quantize,
     save_checkpoint,
 )
+from sogtok.train import kmeans
 
 
 def random_symmetric_adjacency(n, rng, p=0.4):
@@ -45,14 +52,14 @@ def test_encode_zero_features():
     rng = np.random.default_rng(0)
     enc, _ = init_params(4, 4, 3, 2, rng)
     a = random_symmetric_adjacency(5, rng)
-    h = encode(normalized_adjacency(a), np.zeros((5, 4)), enc)
+    h, _ = encode(normalized_adjacency(a), np.zeros((5, 4)), enc)
     assert np.array_equal(h, np.zeros((5, 3)))
 
 
 def test_encode_identity_weights_single_node():
     enc = EncoderParams(w1=np.eye(3), w2=np.eye(3))
     x = np.array([[-1.0, 0.5, 2.0]])
-    h = encode(np.array([[1.0]]), x, enc)
+    h, _ = encode(np.array([[1.0]]), x, enc)
     assert np.array_equal(h, np.maximum(x, 0.0))
 
 
@@ -61,8 +68,8 @@ def test_encode_output_layer_linear():
     enc, _ = init_params(4, 4, 3, 2, rng)
     a = normalized_adjacency(random_symmetric_adjacency(5, rng))
     x = rng.normal(size=(5, 4))
-    h1 = encode(a, x, enc)
-    h2 = encode(a, x, EncoderParams(w1=enc.w1, w2=2.0 * enc.w2))
+    h1, _ = encode(a, x, enc)
+    h2, _ = encode(a, x, EncoderParams(w1=enc.w1, w2=2.0 * enc.w2))
     assert np.allclose(h2, 2.0 * h1)
 
 
@@ -86,6 +93,71 @@ def test_quantize_tie_lowest_index():
     cb = Codebook(entries=np.array([[1.0, 0.0], [-1.0, 0.0]]))
     sel = quantize(np.array([[0.0, 0.0]]), cb)
     assert sel.indices.tolist() == [0]
+
+
+def _brute_force_nearest(rows, entries):
+    """Python loop over every (row, entry) pair; the lowest index wins ties."""
+    out = []
+    for row in rows.tolist():
+        dists = [sum((r - c) ** 2 for r, c in zip(row, entry)) for entry in entries.tolist()]
+        out.append(min(range(len(dists)), key=lambda j: (dists[j], j)))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_nearest_matches_brute_force_with_ties(chunk):
+    # half-integer coordinates keep every distance exact, so ties are real
+    rng = np.random.default_rng(41)
+    entries = rng.integers(-3, 4, size=(12, 5)).astype(float)
+    entries[7] = entries[2]  # duplicate entry: index 2 must win
+    entries[11] = entries[4]
+    pairs = [(0, 1), (2, 5), (3, 9), (6, 10)]
+    midpoints = np.array([(entries[a] + entries[b]) / 2.0 for a, b in pairs])
+    rows = np.vstack(
+        [rng.integers(-3, 4, size=(60, 5)).astype(float), entries, midpoints]
+    )
+    expected = _brute_force_nearest(rows, entries)
+    assert nearest(rows, entries, chunk=chunk).tolist() == expected
+    assert 7 not in expected and 11 not in expected
+    # each duplicated entry's own row maps to the first copy
+    assert expected[60 + 7] == 2 and expected[60 + 11] == 4
+
+
+def test_nearest_equidistant_row_lowest_index():
+    entries = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]])
+    assert nearest(np.zeros((3, 2)), entries).tolist() == [0, 0, 0]
+    assert nearest(np.array([[0.5, 0.5]]), entries).tolist() == [0]
+
+
+def test_kmeans_matches_one_shot_search():
+    """Chunked search gives the same centers, bit for bit, as searching all
+    rows in one broadcast."""
+    rows = np.random.default_rng(8).normal(size=(300, 8))
+
+    def one_shot(rows, k, rng, iters=20):
+        centers = rows[rng.choice(len(rows), size=k, replace=False)].copy()
+        for _ in range(iters):
+            d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            assign = d2.argmin(axis=1)
+            for j in range(k):
+                if (assign == j).any():
+                    centers[j] = rows[assign == j].mean(axis=0)
+        return centers
+
+    got = kmeans(rows, 16, np.random.default_rng(4))
+    assert got.tobytes() == one_shot(rows, 16, np.random.default_rng(4)).tobytes()
+
+
+def test_kmeans_memory_bounded():
+    # one rows x K x d float64 array here would take 500 MB
+    rows = np.random.default_rng(9).normal(size=(4000, 64))
+    tracemalloc.start()
+    try:
+        kmeans(rows, 256, np.random.default_rng(0), iters=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_quantize_matches_exhaustive_scan():
@@ -162,7 +234,7 @@ def _gradient_instance(seed, n=6, d_s=8, d_h=8, d=4, d_r=4, k=4, beta=0.25):
     x = rng.normal(size=(n, d_s))
     enc, dec = init_params(d_s, d_h, d, d_r, rng)
     cb = Codebook(entries=rng.normal(size=(k, d)))
-    state = forward(a, x, enc, dec, cb, beta)
+    state = forward(a, normalized_adjacency(a), x, enc, dec, cb, beta)
     if np.abs(state.z1).min() < 1e-3:
         return None
     return a, x, enc, dec, cb, state
@@ -240,7 +312,7 @@ def test_backward_warmup_pure_autoencoder():
     a = random_symmetric_adjacency(6, rng)
     x = rng.normal(size=(6, 8))
     enc, dec = init_params(8, 8, 4, 3, rng)
-    state = forward(a, x, enc, dec, None, 0.25)
+    state = forward(a, normalized_adjacency(a), x, enc, dec, None, 0.25)
     assert np.abs(state.z1).min() > 1e-3
     grads = backward(state, enc, dec, None)
     assert grads.codebook is None
@@ -275,7 +347,7 @@ def test_zero_loss_zero_gradients():
     dec = DecoderParams(wd=np.zeros((2, 2)))
     cb = Codebook(entries=np.vstack([np.zeros(2), np.ones(2)]))
     a = np.zeros((3, 3))
-    state = forward(a, np.zeros((3, 2)), enc, dec, cb, 0.25)
+    state = forward(a, normalized_adjacency(a), np.zeros((3, 2)), enc, dec, cb, 0.25)
     assert state.loss.total == 0.0
     grads = backward(state, enc, dec, cb)
     assert not grads.w1.any() and not grads.w2.any() and not grads.wd.any()
@@ -288,7 +360,7 @@ def test_unselected_entry_zero_gradient():
     a = random_symmetric_adjacency(5, rng)
     x = rng.normal(size=(5, 6))
     enc, dec = init_params(6, 6, 4, 3, rng)
-    state = forward(a, x, enc, dec, cb, 0.25)
+    state = forward(a, normalized_adjacency(a), x, enc, dec, cb, 0.25)
     assert 3 not in state.sel.indices
     grads = backward(state, enc, dec, cb)
     assert not grads.codebook[3].any()
@@ -363,6 +435,72 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def _small_checkpoint(tmp_path) -> bytes:
+    rng = np.random.default_rng(12)
+    enc, dec = init_params(2, 2, 2, 2, rng)
+    model = TokenizerModel(
+        enc=enc,
+        dec=dec,
+        codebook=Codebook(entries=rng.normal(size=(2, 2))),
+        beta=0.25,
+        strategy=ImportanceStrategy("degree", seed=0),
+        seed=12,
+    )
+    path = tmp_path / "small.sogtok"
+    save_checkpoint(model, path)
+    return path.read_bytes()
+
+
+def test_checkpoint_truncated_at_every_offset(tmp_path):
+    blob = _small_checkpoint(tmp_path)
+    cut = tmp_path / "cut.sogtok"
+    for offset in range(len(blob)):
+        cut.write_bytes(blob[:offset])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(cut)
+
+
+def _split_checkpoint(blob: bytes) -> tuple[dict, bytes]:
+    """Header dict and the array payload that follows it."""
+    start = len(CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack("<I", blob[start : start + 4])
+    return json.loads(blob[start + 4 : start + 4 + hlen]), blob[start + 4 + hlen :]
+
+
+def _with_header(raw: bytes, payload: bytes = b"") -> bytes:
+    return CHECKPOINT_MAGIC + struct.pack("<I", len(raw)) + raw + payload
+
+
+def test_checkpoint_unreadable_header(tmp_path):
+    _, payload = _split_checkpoint(_small_checkpoint(tmp_path))
+    path = tmp_path / "bad.sogtok"
+    for raw in (b"\xff\xfe\x00", b"{not json", b"[1, 2]", b"null"):
+        path.write_bytes(_with_header(raw, payload))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "key", ["version", "d_s", "d_h", "d", "d_r", "K", "beta", "strategy", "seed"]
+)
+def test_checkpoint_missing_header_key(tmp_path, key):
+    header, payload = _split_checkpoint(_small_checkpoint(tmp_path))
+    del header[key]
+    path = tmp_path / "missing.sogtok"
+    path.write_bytes(_with_header(json.dumps(header).encode(), payload))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_bad_header_values(tmp_path):
+    header, payload = _split_checkpoint(_small_checkpoint(tmp_path))
+    path = tmp_path / "values.sogtok"
+    for key, value in (("K", -1), ("d", "2"), ("strategy", {"kind": "degree"})):
+        path.write_bytes(_with_header(json.dumps({**header, key: value}).encode(), payload))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
 
 def test_codebook_validation():

@@ -69,6 +69,13 @@ def test_config_validation():
         TrainConfig(global_share=1.5)
 
 
+def test_config_rejects_batch_size_below_one():
+    for size in (0, -3):
+        with pytest.raises(ValidationError, match="batch size"):
+            TrainConfig(batch_size=size)
+    assert TrainConfig(batch_size=1).batch_size == 1
+
+
 def test_zero_epochs_returns_initialization():
     graphs = [cycle_graph(5, "c5")]
     cfg = TrainConfig(k=4, warmup_epochs=0, joint_epochs=0, seed=9, d_s=16, d=8, d_r=4)
