@@ -284,7 +284,12 @@ def load_embedding_table(text: str, dim: int) -> TableEmbedder:
         if "\t" not in line:
             raise ValidationError(f"embedding table line {line_no}: missing tab separator")
         key, _, values = line.partition("\t")
-        vec = np.array([float(x) for x in values.split(",")], dtype=np.float64)
+        try:
+            vec = np.array([float(x) for x in values.split(",")], dtype=np.float64)
+        except ValueError:
+            raise ValidationError(
+                f"embedding table line {line_no}: non-numeric value in {values.strip()!r}"
+            ) from None
         if vec.shape != (dim,):
             raise DimensionMismatch(
                 f"embedding table line {line_no}: dimension {vec.shape[0]} != configured {dim}"

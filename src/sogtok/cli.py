@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -57,11 +58,10 @@ from .train import (
     TrainConfig,
     assign_node_tokens,
     assign_token,
-    export_token_table,
     format_token_table,
     format_training_log,
     graph_embedding,
-    tokens_from_embedding,
+    graph_token,
     train,
 )
 
@@ -97,6 +97,9 @@ def _resolve(args, command: str, defaults: dict) -> dict:
                 f"manifest is for {manifest['command']!r}, not {command!r}"
             )
         cfg = dict(manifest["config"])
+        missing = [key for key in defaults if key not in cfg]
+        if missing:
+            raise ValidationError(f"manifest {args.from_manifest}: config lacks {missing[0]!r}")
         if args.out is not None:
             cfg["out"] = str(args.out)
         return cfg
@@ -212,8 +215,8 @@ def cmd_tokenize(cfg: dict) -> None:
                 assignments = list(pool.map(lambda g: assign_token(g, model, embedder), graphs))
         else:
             assignments = [assign_token(g, model, embedder) for g in graphs]
-        export_token_table(assignments, out / "tokens.tsv")
         written = out / "tokens.tsv"
+        written.write_text(format_token_table(assignments), encoding="utf-8")
     manifest = build_manifest("tokenize", cfg, cfg.get("seed"), [cfg["data"], cfg["checkpoint"]])
     write_manifest(manifest, out / "manifest.json")
     print(f"wrote {written}")
@@ -229,12 +232,12 @@ def cmd_gen_corpus(cfg: dict) -> None:
         if kind not in ("knn", "simjudge", "descmatch"):
             raise ValidationError(f"unknown corpus kind {kind!r}")
     records = []
-    assignments, global_rows = {}, []
+    tokens, global_rows = {}, []
     if "simjudge" in kinds or "descmatch" in kinds:
         # one embedding per graph gives its token and its simjudge row (a copy, so h is freed)
         for g in graphs:
             h = graph_embedding(g, model, embedder)
-            assignments[g.id] = tokens_from_embedding(g.id, h, model.codebook)
+            tokens[g.id] = graph_token(h, model.codebook)
             global_rows.append(h[-1].copy())
     if "knn" in kinds:
         records.extend(gen_knn_records(model.codebook, k=cfg["knn_k"]))
@@ -245,7 +248,7 @@ def cmd_gen_corpus(cfg: dict) -> None:
         records.extend(
             gen_simjudge_records(
                 ids=[g.id for g in graphs],
-                tokens=[assignments[g.id].graph_token for g in graphs],
+                tokens=[tokens[g.id] for g in graphs],
                 embeddings=embeddings,
                 thresholds=thresholds,
                 budget=budget,
@@ -253,7 +256,7 @@ def cmd_gen_corpus(cfg: dict) -> None:
             )
         )
     if "descmatch" in kinds:
-        records.extend(gen_descmatch_records(graphs, assignments, model.strategy))
+        records.extend(gen_descmatch_records(graphs, tokens, model.strategy))
     out = _outdir(cfg)
     write_corpus(records, out / "corpus.jsonl")
     manifest = build_manifest("gen-corpus", cfg, seed, [cfg["data"], cfg["checkpoint"]])
@@ -262,8 +265,11 @@ def cmd_gen_corpus(cfg: dict) -> None:
 
 
 def _assign_splits(graphs: list[Graph], ratio: str, seed: int) -> dict[str, str]:
-    parts = [float(x) for x in ratio.split(":")]
-    if len(parts) != 3 or min(parts) < 0 or sum(parts) <= 0:
+    try:
+        parts = [float(x) for x in ratio.split(":")]
+    except ValueError:
+        parts = []
+    if len(parts) != 3 or not all(0 <= p < math.inf for p in parts) or sum(parts) <= 0:
         raise ValidationError(f"bad split ratio {ratio!r}; expected like 8:1:1")
     weights = np.array(parts) / sum(parts)
     ids = sorted(g.id for g in graphs)
@@ -382,11 +388,17 @@ def cmd_stats(cfg: dict) -> None:
     m = min(cfg["corr_first"], model.k)
     sims, zero_rows = codebook_correlation(model.codebook, m)
     (out / "correlation.csv").write_text(format_csv_matrix(sims), encoding="utf-8")
-    export_embeddings(model, graphs, out / "embeddings.csv", embedder)
+    # one embedding per graph gives its embeddings.csv row and the token
+    # that the scaffold check reads
+    rows = []
+    for g in graphs:
+        h = graph_embedding(g, model, embedder)
+        rows.append((g.id, graph_token(h, model.codebook).index, h[-1].copy()))
+    export_embeddings(rows, model.enc.d, out / "embeddings.csv")
     perm_rate = permutation_consistency(model, graphs, trials=cfg["trials"], seed=seed, embedder=embedder)
     scaffolds = [murcko_scaffold(g) for g in graphs]
     buckets = group_scaffolds(scaffolds)
-    tokens = [assign_token(g, model, embedder).graph_token.index for g in graphs]
+    tokens = [token for _, token, _ in rows]
     try:
         sc = scaffold_consistency(tokens, buckets, shuffles=100, seed=seed)
         scaffold_part = {

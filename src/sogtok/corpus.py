@@ -24,7 +24,7 @@ from .errors import (
 )
 from .graph import Graph
 from .model import Codebook
-from .train import StructuralToken, TokenAssignment, parse_token
+from .train import StructuralToken, parse_token
 
 KINDS = ("descmatch", "knn", "simjudge")
 
@@ -248,20 +248,20 @@ def parse_description(question: str) -> tuple[int | None, list[tuple[str, str]]]
 
 def gen_descmatch_records(
     graphs: list[Graph],
-    assignments: dict[str, TokenAssignment],
+    tokens: dict[str, StructuralToken],
     strategy: ImportanceStrategy,
     split: str = "train",
 ) -> list[QARecord]:
     records = []
     for g in graphs:
-        if g.id not in assignments:
-            raise ValidationError(f"graph {g.id!r} has no token assignment")
+        if g.id not in tokens:
+            raise ValidationError(f"graph {g.id!r} has no graph token")
         question, _ = describe_graph(g, strategy)
         records.append(
             QARecord(
                 kind="descmatch",
                 question=question,
-                answer=assignments[g.id].graph_token.surface,
+                answer=tokens[g.id].surface,
                 provenance=f"graph:{g.id}",
                 split=split,
             )

@@ -1,9 +1,8 @@
 """Parsers for the external graph sources.
 
-Three formats:
+Two formats:
   * graph file: one JSON object per line with fields id, nodes, edges,
     optional label, optional smiles
-  * edge list: header line ``n=<count>`` then one ``i j`` pair per line
   * label CSV: ``id,label`` rows joined onto graphs by id
 """
 
@@ -116,34 +115,6 @@ def write_graph_file(graphs: list[Graph], path) -> None:
             if g.graph_text is not None:
                 obj["smiles"] = g.graph_text
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
-def parse_edge_list(text: str, graph_id: str = "edgelist") -> Graph:
-    """Header ``n=<count>`` then one ``i j`` pair per line."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].strip().startswith("n="):
-        raise GraphFileSyntaxError(1, 1, "expected header 'n=<count>'")
-    try:
-        n = int(lines[0].strip()[2:])
-    except ValueError as exc:
-        raise GraphFileSyntaxError(1, 3, "node count is not an integer") from exc
-    edges = []
-    for line_no, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphFileSyntaxError(line_no, 1, "expected 'i j' pair")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFileSyntaxError(line_no, 1, "endpoints must be integers") from exc
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphFileSemanticError(line_no, f"edge ({i},{j}) out of range for n={n}")
-        edges.append((i, j))
-    nodes = tuple(NodeRecord(index=k) for k in range(n))
-    try:
-        return Graph(id=graph_id, nodes=nodes, edges=tuple(edges))
-    except ValidationError as exc:
-        raise GraphFileSemanticError(1, str(exc)) from exc
 
 
 def parse_label_csv(text: str) -> dict[str, int]:

@@ -12,6 +12,8 @@ import json
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .errors import ValidationError
+
 TOOL_VERSION = "0.1.0"
 
 
@@ -41,4 +43,15 @@ def write_manifest(manifest: dict, path) -> None:
 
 
 def read_manifest(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """A manifest object with a string `command` and an object `config`."""
+    try:
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"manifest {path}: not valid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"manifest {path}: not a JSON object")
+    if not isinstance(manifest.get("command"), str):
+        raise ValidationError(f"manifest {path}: missing or non-string 'command'")
+    if not isinstance(manifest.get("config"), dict):
+        raise ValidationError(f"manifest {path}: missing or non-object 'config'")
+    return manifest

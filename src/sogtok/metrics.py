@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .corpus import cosine_matrix
 from .errors import DegenerateLabels, LengthMismatch, ValidationError
 from .graph import Graph, permute
 from .model import Codebook, TokenizerModel
-from .train import assign_token, graph_embedding, tokens_from_embedding
+from .train import graph_embedding, graph_token
 
 POSITIVE_DEFAULT = ("yes", "true", "active", "approved")
 NEGATIVE_DEFAULT = ("no", "false", "inactive", "rejected", "not approved")
@@ -143,14 +144,17 @@ def permutation_consistency(
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     rng = np.random.default_rng(seed)
+
+    def token(graph: Graph):
+        return graph_token(graph_embedding(graph, model, embedder), model.codebook)
+
     hits = total = 0
     for g in graphs:
-        base = assign_token(g, model, embedder).graph_token
+        base = token(g)
         for _ in range(trials):
             perm = rng.permutation(g.n).tolist()
-            relabeled = permute(g, perm)
             total += 1
-            if assign_token(relabeled, model, embedder).graph_token == base:
+            if token(permute(g, perm)) == base:
                 hits += 1
     return hits / total
 
@@ -221,24 +225,12 @@ def format_csv_matrix(mat: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_embedding_csv(rows: list[tuple[str, int, np.ndarray]], d: int) -> str:
-    header = "id,token," + ",".join(f"e{i}" for i in range(d))
-    lines = [header]
+def export_embeddings(rows: list[tuple[str, int, np.ndarray]], d: int, path) -> None:
+    """embeddings.csv: id, graph token index and global-node row per graph."""
+    lines = ["id,token," + ",".join(f"e{i}" for i in range(d))]
     for gid, token, vec in rows:
         lines.append(f"{gid},{token}," + ",".join(f"{x:.9g}" for x in vec))
-    return "\n".join(lines) + "\n"
-
-
-def export_embeddings(model: TokenizerModel, graphs: list[Graph], path, embedder=None) -> None:
-    """Global-node embedding and token index per graph, as CSV."""
-    rows = []
-    for g in graphs:
-        h = graph_embedding(g, model, embedder)
-        # the global row alone: quantizing the node rows too would be wasted work
-        token = tokens_from_embedding(g.id, h[-1:], model.codebook).graph_token
-        rows.append((g.id, token.index, h[-1]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_embedding_csv(rows, model.enc.d))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def aggregate_runs(values) -> tuple[float, float]:

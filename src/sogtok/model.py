@@ -202,7 +202,6 @@ def backward(
     enc: EncoderParams,
     dec: DecoderParams,
     cb: Codebook | None,
-    straight_through: bool = True,
 ) -> Gradients:
     """Analytic gradients of the three-term loss for one forward state."""
     if state is None:
@@ -219,9 +218,8 @@ def backward(
     else:
         dwd = state.sel.quantized.T @ dxhat
         dq_recon = dxhat @ dec.wd.T
-        dh = 2.0 * beta * (state.h - state.sel.quantized)
-        if straight_through:
-            dh = dh + dq_recon
+        # straight-through: the reconstruction gradient at q passes to h
+        dh = 2.0 * beta * (state.h - state.sel.quantized) + dq_recon
         dcb = np.zeros_like(cb.entries)
         np.add.at(dcb, state.sel.indices, 2.0 * (state.sel.quantized - state.h))
 

@@ -73,7 +73,6 @@ class TrainConfig:
     d_h: int | None = None  # defaults to d_s
     d: int = 64
     d_r: int = 16
-    straight_through: bool = True
     batch_size: int | None = None  # None = full batch
     # None: one k-means over all gathered rows. A float in (0, 1): stratified
     # init, reserving that share of entries for the pooled (global-node) rows,
@@ -216,7 +215,7 @@ def train(
             for idx in batch:
                 pg = prepared[idx]
                 state = forward(pg.a_target, pg.anorm, pg.x, enc, dec, cb, cfg.beta)
-                grads = backward(state, enc, dec, cb, cfg.straight_through)
+                grads = backward(state, enc, dec, cb)
                 for name, total in sums.items():
                     total += getattr(grads, name)
             factor = 1.0 / len(batch)
@@ -297,19 +296,22 @@ def graph_embedding(g: Graph, model: TokenizerModel, embedder=None) -> np.ndarra
     return encode(pg.anorm, pg.x, model.enc)[0]
 
 
-def tokens_from_embedding(graph_id: str, h: np.ndarray, cb: Codebook) -> TokenAssignment:
-    """Tokens of graph_embedding() rows; the last (global-node) row is the graph token."""
-    sel = quantize(h, cb)
-    return TokenAssignment(
-        graph_id=graph_id,
-        graph_token=StructuralToken(index=int(sel.indices[-1])),
-        node_tokens=tuple(StructuralToken(index=int(i)) for i in sel.indices[:-1]),
-    )
+def graph_token(h: np.ndarray, cb: Codebook) -> StructuralToken:
+    """A graph's <SOG_k>: the entry nearest its global-node row, the last
+    row of graph_embedding()."""
+    return StructuralToken(index=int(nearest(h[-1:], cb.entries)[0]))
 
 
 def assign_token(g: Graph, model: TokenizerModel, embedder=None) -> TokenAssignment:
-    """Tokenize a whole graph: the global-node row picks the graph token."""
-    return tokens_from_embedding(g.id, graph_embedding(g, model, embedder), model.codebook)
+    """Graph token and node tokens for the token table; the only caller that
+    quantizes node rows. All rows go through one search, so the last row's
+    entry is the graph_token() of the same embedding."""
+    indices = quantize(graph_embedding(g, model, embedder), model.codebook).indices
+    return TokenAssignment(
+        graph_id=g.id,
+        graph_token=StructuralToken(index=int(indices[-1])),
+        node_tokens=tuple(StructuralToken(index=int(i)) for i in indices[:-1]),
+    )
 
 
 def assign_node_tokens(
@@ -331,8 +333,3 @@ def format_token_table(assignments: list[TokenAssignment]) -> str:
         node_part = ",".join(str(t.index) for t in a.node_tokens)
         lines.append(f"{a.graph_id}\t{a.graph_token.surface}\t{node_part}")
     return "\n".join(lines) + "\n"
-
-
-def export_token_table(assignments: list[TokenAssignment], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_token_table(assignments))

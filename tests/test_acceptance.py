@@ -230,8 +230,8 @@ def test_06_corpus_fidelity(family_setup, scaffold_setup):
         else:
             assert cos < thresholds.tau_neg
 
-    assignments = {g.id: assign_token(g, model, EMBEDDER) for g in graphs}
-    desc_records = gen_descmatch_records(graphs, assignments, model.strategy)
+    graph_tokens = {g.id: assign_token(g, model, EMBEDDER).graph_token for g in graphs}
+    desc_records = gen_descmatch_records(graphs, graph_tokens, model.strategy)
     records.extend(desc_records)
     by_id = {g.id: g for g in graphs}
     for r in desc_records:
@@ -240,7 +240,7 @@ def test_06_corpus_fidelity(family_setup, scaffold_setup):
         _, pairs = parse_description(r.question)
         recovered = {tuple(sorted((name_map[a], name_map[b]))) for a, b in pairs}
         assert recovered == set(g.edges), f"descmatch round-trip failed for {g.id}"
-        assert r.answer == assignments[g.id].graph_token.surface
+        assert r.answer == graph_tokens[g.id].surface
 
     assert len(records) >= 500, f"sample has {len(records)} records"
     report(6, f"corpus-fidelity ({len(records)} records verified)")

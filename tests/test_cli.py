@@ -323,3 +323,65 @@ def test_malformed_responses_exit_2(tmp_path):
         responses.write_text("\n".join(body) + "\n")
         proc = _run_cli("eval", "--responses", responses, "--data", data, "--out", tmp_path / "e")
         _assert_validation_exit(proc, f"response line {line_no}")
+
+
+def _assert_one_line_error(proc, needle):
+    _assert_validation_exit(proc, needle)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_embed_table_non_numeric_exit_2(dataset, trained, tmp_path):
+    table = tmp_path / "table.tsv"
+    table.write_text("anchor node\t" + ",".join(["0.5"] * 15 + ["x"]) + "\n")
+    proc = _run_cli("tokenize", "--data", dataset, "--checkpoint", trained / "model.sogtok",
+                    "--out", tmp_path / "t", "--embed-table", table)
+    _assert_one_line_error(proc, "embedding table line 1")
+
+
+def test_manifest_not_json_exit_2(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"command": "train", "config": ')
+    proc = _run_cli("train", "--from-manifest", manifest)
+    _assert_one_line_error(proc, "not valid JSON")
+
+
+def test_manifest_without_config_exit_2(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "train", "seed": 1}))
+    proc = _run_cli("train", "--from-manifest", manifest)
+    _assert_one_line_error(proc, "'config'")
+    manifest.write_text(json.dumps({"command": "train", "config": {"seed": 1}}))
+    proc = _run_cli("train", "--from-manifest", manifest)
+    _assert_one_line_error(proc, "config lacks 'data'")
+
+
+def test_split_ratio_non_numeric_exit_2(trained, tmp_path):
+    mols = tmp_path / "mols.jsonl"
+    mols.write_text("\n".join(json.dumps({"id": f"m{i}", "smiles": "CCO", "label": i % 2})
+                              for i in range(3)) + "\n")
+    for ratio in ("8:x:1", "nan:1:1"):
+        proc = _run_cli("gen-prompts", "--data", mols, "--checkpoint", trained / "model.sogtok",
+                        "--out", tmp_path / "p", "--seed", "5", "--task", "BBBP_p_np",
+                        "--split-ratio", ratio)
+        _assert_one_line_error(proc, f"split ratio {ratio!r}")
+
+
+@pytest.mark.filterwarnings("ignore:simjudge pair shortfall")
+def test_graph_token_same_in_tokens_corpus_and_embeddings(dataset, trained, tmp_path):
+    """tokenize, gen-corpus (descmatch) and stats give each graph one token."""
+    ckpt = str(trained / "model.sogtok")
+    common = ["--data", str(dataset), "--checkpoint", ckpt]
+    assert main(["tokenize", *common, "--out", str(tmp_path / "tok")]) == 0
+    assert main(["gen-corpus", *common, "--out", str(tmp_path / "corpus"), "--seed", "5",
+                 "--kinds", "descmatch"]) == 0
+    assert main(["stats", *common, "--out", str(tmp_path / "stats"), "--seed", "9",
+                 "--corr-first", "4", "--trials", "1"]) == 0
+    rows = (tmp_path / "tok" / "tokens.tsv").read_text().splitlines()[1:]
+    expected = {r.split("\t")[0]: r.split("\t")[1] for r in rows}
+    assert len(expected) == 18
+    records = [json.loads(ln) for ln in (tmp_path / "corpus" / "corpus.jsonl").read_text().splitlines()]
+    descmatch = {r["provenance"][len("graph:"):]: r["answer"] for r in records}
+    assert descmatch == expected
+    emb = (tmp_path / "stats" / "embeddings.csv").read_text().splitlines()[1:]
+    assert {ln.split(",")[0]: f"<SOG_{ln.split(',')[1]}>" for ln in emb} == expected

@@ -19,7 +19,7 @@ from sogtok.corpus import (
 )
 from sogtok.errors import DegenerateCodebook, ValidationError
 from sogtok.model import Codebook
-from sogtok.train import StructuralToken, TokenAssignment
+from sogtok.train import StructuralToken
 
 from conftest import make_graph
 
@@ -189,18 +189,12 @@ def test_description_roundtrip():
 
 def test_descmatch_records():
     g = make_graph(3, [(0, 1), (0, 2)], gid="star")
-    assignments = {
-        "star": TokenAssignment(
-            graph_id="star",
-            graph_token=StructuralToken(7),
-            node_tokens=(StructuralToken(0),) * 3,
-        )
-    }
-    records = gen_descmatch_records([g], assignments, ImportanceStrategy())
+    tokens = {"star": StructuralToken(7)}
+    records = gen_descmatch_records([g], tokens, ImportanceStrategy())
     assert records[0].answer == "<SOG_7>"
     assert records[0].provenance == "graph:star"
     with pytest.raises(ValidationError):
-        gen_descmatch_records([make_graph(2, [(0, 1)], gid="other")], assignments, ImportanceStrategy())
+        gen_descmatch_records([make_graph(2, [(0, 1)], gid="other")], tokens, ImportanceStrategy())
 
 
 def test_corpus_write_grouped_and_deterministic(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 from sogtok.errors import GraphFileSemanticError, GraphFileSyntaxError
 from sogtok.ingest import (
     join_labels,
-    parse_edge_list,
     parse_graph_file,
     parse_label_csv,
     write_graph_file,
@@ -85,18 +84,6 @@ def test_roundtrip_write_read(tmp_path):
     write_graph_file(graphs, path)
     back = parse_graph_file(path.read_bytes())
     assert back == graphs
-
-
-def test_edge_list():
-    g = parse_edge_list("n=3\n0 1\n1 2\n")
-    assert g.n == 3 and g.edges == ((0, 1), (1, 2))
-
-
-def test_edge_list_errors():
-    with pytest.raises(GraphFileSyntaxError):
-        parse_edge_list("3\n0 1\n")
-    with pytest.raises(GraphFileSemanticError):
-        parse_edge_list("n=2\n0 5\n")
 
 
 def test_label_csv_and_join():

@@ -257,7 +257,7 @@ def finite_difference_check(seed, beta=0.25, eps=1e-5):
     if instance is None:
         return None
     a, x, enc, dec, cb, state = instance
-    grads = backward(state, enc, dec, cb, straight_through=True)
+    grads = backward(state, enc, dec, cb)
     h0 = state.h.copy()
     idx0 = state.sel.indices.copy()
     q0 = state.sel.quantized.copy()

@@ -5,16 +5,23 @@ from sogtok.attributes import HashingEmbedder, ImportanceStrategy
 from sogtok.errors import EmptyDataset, ValidationError
 from sogtok.graph import permute
 from sogtok.model import load_checkpoint, save_checkpoint
-from sogtok.synthetic import cycle_graph, family_dataset, star_graph, strict_ranking_graphs
+from sogtok.synthetic import (
+    cycle_graph,
+    family_dataset,
+    random_connected_graph,
+    star_graph,
+    strict_ranking_graphs,
+)
 from sogtok.train import (
     StructuralToken,
     TokenAssignment,
     TrainConfig,
     assign_node_tokens,
     assign_token,
-    export_token_table,
     format_token_table,
     format_training_log,
+    graph_embedding,
+    graph_token,
     parse_token,
     train,
 )
@@ -138,6 +145,32 @@ def test_assign_token_internal_consistency(tiny_model):
     assert assign_token(g, model).graph_token.index == int(sel.indices[-1])
 
 
+def _brute_force_nearest(row, entries) -> int:
+    """Nearest entry by a plain Python scan; the lowest index wins ties."""
+    best, best_d = 0, float("inf")
+    for j, entry in enumerate(entries):
+        dist = sum((float(a) - float(b)) ** 2 for a, b in zip(row, entry))
+        if dist < best_d:
+            best, best_d = j, dist
+    return best
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_graph_token_matches_assign_token_and_brute_force(tiny_model, n):
+    """Graph sizes straddle the 64-row chunk of model.nearest."""
+    model, _, _ = tiny_model
+    rng = np.random.default_rng(n)
+    g = random_connected_graph(n, 0.05, rng, gid=f"r{n}")
+    h = graph_embedding(g, model)
+    token = graph_token(h, model.codebook)
+    assignment = assign_token(g, model)
+    assert token == assignment.graph_token
+    assert token.index == _brute_force_nearest(h[-1], model.codebook.entries)
+    assert [t.index for t in assignment.node_tokens] == [
+        _brute_force_nearest(row, model.codebook.entries) for row in h[:-1]
+    ]
+
+
 def test_strict_graph_relabeling_same_token(tiny_model):
     model, _, _ = tiny_model
     rng = np.random.default_rng(2)
@@ -194,7 +227,7 @@ def test_export_token_table(tmp_path, tiny_model):
     model, _, graphs = tiny_model
     assignments = [assign_token(g, model) for g in graphs]
     out = tmp_path / "tokens.tsv"
-    export_token_table(assignments, out)
+    out.write_text(format_token_table(assignments), encoding="utf-8")
     lines = out.read_text().splitlines()
     assert lines[0] == "id\tgraph_token\tnode_tokens"
     assert len(lines) == len(graphs) + 1
@@ -203,13 +236,13 @@ def test_export_token_table(tmp_path, tiny_model):
     assert "<SOG_" in lines[1]
     # deterministic re-export
     out2 = tmp_path / "tokens2.tsv"
-    export_token_table(assignments, out2)
+    out2.write_text(format_token_table(assignments), encoding="utf-8")
     assert out.read_bytes() == out2.read_bytes()
 
 
 def test_empty_token_table(tmp_path):
     out = tmp_path / "empty.tsv"
-    export_token_table([], out)
+    out.write_text(format_token_table([]), encoding="utf-8")
     assert out.read_text() == "id\tgraph_token\tnode_tokens\n"
 
 
