@@ -3,6 +3,8 @@
 Subcommands: train, tokenize, gen-corpus, gen-prompts, eval, stats.
 Every subcommand writes a run manifest; --from-manifest replays a previous
 run's resolved configuration and reproduces its outputs byte-for-byte.
+Each setting is declared once, in SETTINGS; its flag is --<name with
+dashes>, and replayed values are checked against the declaration.
 
 Exit codes: 0 success, 1 I/O failure, 2 config/validation error,
 3 numerical failure.
@@ -17,10 +19,11 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .attributes import HashingEmbedder, ImportanceStrategy, load_embedding_table
+from .attributes import STRATEGY_KINDS, HashingEmbedder, ImportanceStrategy, load_embedding_table
 from .corpus import (
     SimilarityThresholds,
     gen_descmatch_records,
@@ -52,7 +55,7 @@ from .metrics import (
     score_from_parse,
 )
 from .model import TokenizerModel, load_checkpoint, save_checkpoint
-from .prompts import balance_split, load_template, render_prompt, write_prompt_files
+from .prompts import BALANCE_POLICIES, balance_split, load_template, render_prompt, write_prompt_files
 from .scaffold import group_scaffolds, murcko_scaffold
 from .train import (
     TrainConfig,
@@ -64,9 +67,6 @@ from .train import (
     graph_token,
     train,
 )
-
-ANCHOR_CHOICES = ("degree", "pagerank", "betweenness", "random")
-BALANCE_CHOICES = ("none", "1:1", "1:5")
 
 
 def _load_graphs(path, size_cap: int) -> list[Graph]:
@@ -84,41 +84,6 @@ def _make_embedder(model: TokenizerModel, embed_table_path):
     return load_embedding_table(text, dim=model.d_s)
 
 
-def _strategy_from_cfg(cfg: dict) -> ImportanceStrategy:
-    return ImportanceStrategy(kind=cfg["anchor"], seed=cfg["anchor_seed"])
-
-
-def _resolve(args, command: str, defaults: dict) -> dict:
-    """Materialize the full config dict, replaying a manifest if given."""
-    if args.from_manifest:
-        manifest = read_manifest(args.from_manifest)
-        if manifest["command"] != command:
-            raise ValidationError(
-                f"manifest is for {manifest['command']!r}, not {command!r}"
-            )
-        cfg = dict(manifest["config"])
-        missing = [key for key in defaults if key not in cfg]
-        if missing:
-            raise ValidationError(f"manifest {args.from_manifest}: config lacks {missing[0]!r}")
-        if args.out is not None:
-            cfg["out"] = str(args.out)
-        return cfg
-    cfg = dict(defaults)
-    for key in defaults:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            cfg[key] = value
-    if cfg.get("out") is None:
-        raise ValidationError("--out is required")
-    return cfg
-
-
-def _require_seed(cfg: dict) -> int:
-    if cfg.get("seed") is None:
-        raise ValidationError("--seed is required (or replay with --from-manifest)")
-    return int(cfg["seed"])
-
-
 def _outdir(cfg: dict) -> Path:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -134,9 +99,8 @@ def _embeddable(manifest: dict) -> dict:
 
 
 def cmd_train(cfg: dict) -> None:
-    seed = _require_seed(cfg)
+    seed = cfg["seed"]
     graphs = _load_graphs(cfg["data"], cfg["size_cap"])
-    strategy = _strategy_from_cfg(cfg)
     tc = TrainConfig(
         k=cfg["k"],
         beta=cfg["beta"],
@@ -145,7 +109,7 @@ def cmd_train(cfg: dict) -> None:
         lr_warmup=cfg["lr_warmup"],
         lr_gcn=cfg["lr_gcn"],
         lr_codebook=cfg["lr_codebook"],
-        strategy=strategy,
+        strategy=ImportanceStrategy(kind=cfg["anchor"], seed=cfg["anchor_seed"]),
         seed=seed,
         d_s=cfg["d_s"],
         d_h=cfg["d_h"],
@@ -182,12 +146,12 @@ def _read_node_list(path) -> list[tuple[str, int]]:
 def cmd_tokenize(cfg: dict) -> None:
     model = load_checkpoint(cfg["checkpoint"])
     graphs = _load_graphs(cfg["data"], cfg["size_cap"])
-    embedder = _make_embedder(model, cfg.get("embed_table"))
+    embedder = _make_embedder(model, cfg["embed_table"])
     out = _outdir(cfg)
     jobs = max(1, int(cfg["jobs"]))
     if cfg["node_level"]:
         by_id = {g.id: g for g in graphs}
-        if cfg.get("nodes"):
+        if cfg["nodes"]:
             wanted = _read_node_list(cfg["nodes"])
         else:
             wanted = [(g.id, v) for g in graphs for v in range(g.n)]
@@ -217,16 +181,16 @@ def cmd_tokenize(cfg: dict) -> None:
             assignments = [assign_token(g, model, embedder) for g in graphs]
         written = out / "tokens.tsv"
         written.write_text(format_token_table(assignments), encoding="utf-8")
-    manifest = build_manifest("tokenize", cfg, cfg.get("seed"), [cfg["data"], cfg["checkpoint"]])
+    manifest = build_manifest("tokenize", cfg, None, [cfg["data"], cfg["checkpoint"]])
     write_manifest(manifest, out / "manifest.json")
     print(f"wrote {written}")
 
 
 def cmd_gen_corpus(cfg: dict) -> None:
-    seed = _require_seed(cfg)
+    seed = cfg["seed"]
     model = load_checkpoint(cfg["checkpoint"])
     graphs = _load_graphs(cfg["data"], cfg["size_cap"])
-    embedder = _make_embedder(model, cfg.get("embed_table"))
+    embedder = _make_embedder(model, cfg["embed_table"])
     kinds = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]
     for kind in kinds:
         if kind not in ("knn", "simjudge", "descmatch"):
@@ -289,13 +253,13 @@ def _assign_splits(graphs: list[Graph], ratio: str, seed: int) -> dict[str, str]
 
 
 def cmd_gen_prompts(cfg: dict) -> None:
-    seed = _require_seed(cfg)
+    seed = cfg["seed"]
     model = load_checkpoint(cfg["checkpoint"])
     graphs = _load_graphs(cfg["data"], cfg["size_cap"])
-    if cfg.get("labels"):
+    if cfg["labels"]:
         labels = parse_label_csv(Path(cfg["labels"]).read_text(encoding="utf-8"))
         graphs = join_labels(graphs, labels)
-    embedder = _make_embedder(model, cfg.get("embed_table"))
+    embedder = _make_embedder(model, cfg["embed_table"])
     tmpl = load_template(cfg["task"])
     split_of = _assign_splits(graphs, cfg["split_ratio"], seed)
     records = []
@@ -350,7 +314,7 @@ def cmd_eval(cfg: dict) -> None:
     responses = _load_responses(cfg["responses"])
     graphs = _load_graphs(cfg["data"], cfg["size_cap"])
     labels_by_id = {g.id: g.label for g in graphs}
-    tmpl = load_template(cfg["task"]) if cfg.get("task") else None
+    tmpl = load_template(cfg["task"]) if cfg["task"] else None
     pos_set, neg_set = _phrase_sets(tmpl)
     preds, labels, scores = [], [], []
     used_explicit_scores = all("score" in r for r in responses)
@@ -365,7 +329,7 @@ def cmd_eval(cfg: dict) -> None:
     auc = auc_roc(scores, labels)
     report = accuracy_and_f1(preds, labels, classes=(1,))
     counts = report.counts[1]
-    task_name = cfg.get("task") or "unnamed"
+    task_name = cfg["task"] or "unnamed"
     rows = [
         "task,auc,accuracy,micro_f1,tp,fp,tn,fn,score_source",
         f"{task_name},{auc:.9g},{report.accuracy:.9g},{report.micro_f1:.9g},"
@@ -374,16 +338,16 @@ def cmd_eval(cfg: dict) -> None:
     ]
     out = _outdir(cfg)
     (out / "metrics.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    manifest = build_manifest("eval", cfg, cfg.get("seed"), [cfg["responses"], cfg["data"]])
+    manifest = build_manifest("eval", cfg, None, [cfg["responses"], cfg["data"]])
     write_manifest(manifest, out / "manifest.json")
     print(f"auc={auc:.4f} accuracy={report.accuracy:.4f} micro_f1={report.micro_f1:.4f}")
 
 
 def cmd_stats(cfg: dict) -> None:
-    seed = _require_seed(cfg)
+    seed = cfg["seed"]
     model = load_checkpoint(cfg["checkpoint"])
     graphs = _load_graphs(cfg["data"], cfg["size_cap"])
-    embedder = _make_embedder(model, cfg.get("embed_table"))
+    embedder = _make_embedder(model, cfg["embed_table"])
     out = _outdir(cfg)
     m = min(cfg["corr_first"], model.k)
     sims, zero_rows = codebook_correlation(model.codebook, m)
@@ -423,139 +387,143 @@ def cmd_stats(cfg: dict) -> None:
     print(f"permutation_consistency={perm_rate:.3f}; wrote {out / 'stats_report.json'}")
 
 
-TRAIN_DEFAULTS = {
-    "data": None, "out": None, "k": 256, "beta": 0.25, "seed": None,
-    "anchor": "degree", "anchor_seed": 0, "warmup_epochs": 10, "epochs": 50,
-    "lr_warmup": 1e-2, "lr_gcn": 5e-2, "lr_codebook": 0.5,
-    "d_s": 64, "d_h": None, "d": 64, "d_r": 16, "batch_size": None,
-    "global_share": None, "size_cap": 512, "jobs": 1,
-}
-TOKENIZE_DEFAULTS = {
-    "data": None, "out": None, "checkpoint": None, "node_level": False,
-    "hops": 2, "nodes": None, "embed_table": None, "size_cap": 512, "jobs": 1,
-}
-CORPUS_DEFAULTS = {
-    "data": None, "out": None, "checkpoint": None, "seed": None,
-    "kinds": "knn,simjudge,descmatch", "knn_k": 5, "tau_pos": 0.8,
-    "tau_neg": 0.2, "pairs": None, "embed_table": None, "size_cap": 512, "jobs": 1,
-}
-PROMPTS_DEFAULTS = {
-    "data": None, "out": None, "checkpoint": None, "seed": None, "task": None,
-    "labels": None, "balance": "none", "split_ratio": "8:1:1",
-    "embed_table": None, "size_cap": 512, "jobs": 1,
-}
-EVAL_DEFAULTS = {
-    "responses": None, "data": None, "out": None, "task": None,
-    "size_cap": 512, "seed": None, "jobs": 1,
-}
-STATS_DEFAULTS = {
-    "data": None, "out": None, "checkpoint": None, "seed": None,
-    "corr_first": 50, "trials": 10, "embed_table": None, "size_cap": 512, "jobs": 1,
+class Setting(NamedTuple):
+    """One config key; its flag is always --<name with dashes>."""
+
+    name: str
+    type: type = str
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+
+
+_tc = TrainConfig()  # the train defaults are declared in train.py only
+
+SETTINGS = {s.name: s for s in (
+    Setting("data"), Setting("checkpoint"), Setting("responses"), Setting("embed_table"),
+    Setting("out", help="output directory"),
+    Setting("size_cap", int, 512, help="max nodes per graph"),
+    Setting("jobs", int, 1, help="parallel workers for per-graph work"),
+    Setting("seed", int),
+    # train
+    Setting("k", int, _tc.k), Setting("beta", float, _tc.beta),
+    Setting("anchor", str, _tc.strategy.kind, STRATEGY_KINDS),
+    Setting("anchor_seed", int, _tc.strategy.seed),
+    Setting("warmup_epochs", int, _tc.warmup_epochs), Setting("epochs", int, _tc.joint_epochs),
+    Setting("lr_warmup", float, _tc.lr_warmup), Setting("lr_gcn", float, _tc.lr_gcn),
+    Setting("lr_codebook", float, _tc.lr_codebook),
+    Setting("d_s", int, _tc.d_s), Setting("d_h", int, _tc.d_h),
+    Setting("d", int, _tc.d), Setting("d_r", int, _tc.d_r),
+    Setting("batch_size", int, _tc.batch_size), Setting("global_share", float, _tc.global_share),
+    # tokenize
+    Setting("node_level", bool, False), Setting("hops", int, 2),
+    Setting("nodes", help="node list file: 'graph_id index' per line"),
+    # gen-corpus
+    Setting("kinds", str, "knn,simjudge,descmatch"), Setting("knn_k", int, 5),
+    Setting("tau_pos", float, 0.8), Setting("tau_neg", float, 0.2), Setting("pairs", int),
+    # gen-prompts and eval
+    Setting("task"), Setting("labels", help="optional id,label CSV to join"),
+    Setting("balance", str, "none", BALANCE_POLICIES), Setting("split_ratio", str, "8:1:1"),
+    # stats
+    Setting("corr_first", int, 50), Setting("trials", int, 10),
+)}
+
+# subcommand -> (handler, help, required settings, other settings); every
+# subcommand also takes out, size_cap and jobs. Entries are read by
+# unpacking, because perfbench's tracer rebuilds them as plain tuples.
+COMMANDS = {
+    "train": (
+        cmd_train, "train the structural tokenizer", ("data", "seed"),
+        ("k", "beta", "anchor", "anchor_seed", "warmup_epochs", "epochs", "lr_warmup",
+         "lr_gcn", "lr_codebook", "d_s", "d_h", "d", "d_r", "batch_size", "global_share"),
+    ),
+    "tokenize": (
+        cmd_tokenize, "assign structural tokens", ("data", "checkpoint"),
+        ("node_level", "hops", "nodes", "embed_table"),
+    ),
+    "gen-corpus": (
+        cmd_gen_corpus, "generate hybrid structure QA corpora", ("data", "checkpoint", "seed"),
+        ("kinds", "knn_k", "tau_pos", "tau_neg", "pairs", "embed_table"),
+    ),
+    "gen-prompts": (
+        cmd_gen_prompts, "emit downstream prompt files", ("data", "checkpoint", "task", "seed"),
+        ("labels", "balance", "split_ratio", "embed_table"),
+    ),
+    "eval": (
+        cmd_eval, "score LLM responses against labels", ("responses", "data"), ("task",),
+    ),
+    "stats": (
+        cmd_stats, "export analyses: correlation, embeddings, consistency",
+        ("data", "checkpoint", "seed"), ("corr_first", "trials", "embed_table"),
+    ),
 }
 
 
-def _add_common(sp):
-    sp.add_argument("--out", help="output directory")
-    sp.add_argument("--from-manifest", help="replay a previous run's manifest")
-    sp.add_argument("--size-cap", type=int, dest="size_cap", help="max nodes per graph")
-    sp.add_argument("--jobs", type=int, help="parallel workers for per-graph work")
+def _settings(command: str) -> list[Setting]:
+    *_, required, other = COMMANDS[command]
+    return [SETTINGS[name] for name in (*required, *other, "out", "size_cap", "jobs")]
+
+
+def _fits(setting: Setting, value) -> bool:
+    """None where the default is None, or a value of the declared type within
+    the choices. An int passes where a float is declared; a bool passes only
+    as a bool."""
+    if value is None:
+        return setting.default is None
+    if isinstance(value, bool) != (setting.type is bool):
+        return False
+    kinds = (int, float) if setting.type is float else setting.type
+    return isinstance(value, kinds) and (setting.choices is None or value in setting.choices)
+
+
+def _resolve(args) -> dict:
+    """The full config of args.command: the flags and the table's defaults,
+    or the values of a replayed manifest, each checked against the table."""
+    settings = _settings(args.command)
+    if not args.from_manifest:
+        return {s.name: getattr(args, s.name) for s in settings}
+    manifest = read_manifest(args.from_manifest)
+    if manifest["command"] != args.command:
+        raise ValidationError(f"manifest is for {manifest['command']!r}, not {args.command!r}")
+    config, cfg = manifest["config"], {}
+    for s in settings:
+        if s.name not in config:
+            raise ValidationError(f"manifest {args.from_manifest}: config lacks {s.name!r}")
+        if not _fits(s, config[s.name]):
+            expected = s.choices or s.type.__name__
+            raise ValidationError(
+                f"manifest config {s.name!r}: bad value {config[s.name]!r}, expected {expected}"
+            )
+        cfg[s.name] = config[s.name]
+    if args.out is not None:
+        cfg["out"] = str(args.out)
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sogtok", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train the structural tokenizer")
-    p.add_argument("--data")
-    p.add_argument("--k", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--anchor", choices=ANCHOR_CHOICES)
-    p.add_argument("--anchor-seed", type=int, dest="anchor_seed")
-    p.add_argument("--warmup-epochs", type=int, dest="warmup_epochs")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr-warmup", type=float, dest="lr_warmup")
-    p.add_argument("--lr-gcn", type=float, dest="lr_gcn")
-    p.add_argument("--lr-codebook", type=float, dest="lr_codebook")
-    p.add_argument("--d-s", type=int, dest="d_s")
-    p.add_argument("--d-h", type=int, dest="d_h")
-    p.add_argument("--d", type=int)
-    p.add_argument("--d-r", type=int, dest="d_r")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--global-share", type=float, dest="global_share")
-    _add_common(p)
-
-    p = sub.add_parser("tokenize", help="assign structural tokens")
-    p.add_argument("--data")
-    p.add_argument("--checkpoint")
-    p.add_argument("--node-level", action="store_true", default=None, dest="node_level")
-    p.add_argument("--hops", type=int)
-    p.add_argument("--nodes", help="node list file: 'graph_id index' per line")
-    p.add_argument("--embed-table", dest="embed_table")
-    _add_common(p)
-
-    p = sub.add_parser("gen-corpus", help="generate hybrid structure QA corpora")
-    p.add_argument("--data")
-    p.add_argument("--checkpoint")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--kinds")
-    p.add_argument("--knn-k", type=int, dest="knn_k")
-    p.add_argument("--tau-pos", type=float, dest="tau_pos")
-    p.add_argument("--tau-neg", type=float, dest="tau_neg")
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--embed-table", dest="embed_table")
-    _add_common(p)
-
-    p = sub.add_parser("gen-prompts", help="emit downstream prompt files")
-    p.add_argument("--data")
-    p.add_argument("--checkpoint")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--task")
-    p.add_argument("--labels", help="optional id,label CSV to join")
-    p.add_argument("--balance", choices=BALANCE_CHOICES)
-    p.add_argument("--split-ratio", dest="split_ratio")
-    p.add_argument("--embed-table", dest="embed_table")
-    _add_common(p)
-
-    p = sub.add_parser("eval", help="score LLM responses against labels")
-    p.add_argument("--responses")
-    p.add_argument("--data")
-    p.add_argument("--task")
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("stats", help="export analyses: correlation, embeddings, consistency")
-    p.add_argument("--data")
-    p.add_argument("--checkpoint")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--corr-first", type=int, dest="corr_first")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--embed-table", dest="embed_table")
-    _add_common(p)
-
+    for command, (_, help_text, *_) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for s in _settings(command):
+            flag = "--" + s.name.replace("_", "-")
+            if s.type is bool:
+                p.add_argument(flag, action="store_true", default=s.default, help=s.help)
+            else:
+                p.add_argument(flag, type=s.type, default=s.default, choices=s.choices, help=s.help)
+        p.add_argument("--from-manifest", help="replay a previous run's manifest")
     return parser
 
 
-_DISPATCH = {
-    "train": (cmd_train, TRAIN_DEFAULTS, ("data",)),
-    "tokenize": (cmd_tokenize, TOKENIZE_DEFAULTS, ("data", "checkpoint")),
-    "gen-corpus": (cmd_gen_corpus, CORPUS_DEFAULTS, ("data", "checkpoint")),
-    "gen-prompts": (cmd_gen_prompts, PROMPTS_DEFAULTS, ("data", "checkpoint", "task")),
-    "eval": (cmd_eval, EVAL_DEFAULTS, ("responses", "data")),
-    "stats": (cmd_stats, STATS_DEFAULTS, ("data", "checkpoint")),
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    func, defaults, required = _DISPATCH[args.command]
+    args = build_parser().parse_args(argv)
+    handler, _, required, _ = COMMANDS[args.command]
     try:
-        cfg = _resolve(args, args.command, defaults)
-        for key in required:
-            if cfg.get(key) is None:
+        cfg = _resolve(args)
+        for key in ("out", *required):
+            if cfg[key] is None:
                 raise ValidationError(f"--{key.replace('_', '-')} is required")
-        func(cfg)
+        handler(cfg)
         return 0
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)

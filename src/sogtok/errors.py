@@ -87,10 +87,6 @@ class DimensionMismatch(ValidationError):
     pass
 
 
-class NoForwardState(SogtokError):
-    pass
-
-
 # tokenizer-train
 
 class EmptyDataset(ValidationError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attributes import ImportanceStrategy
-from .errors import CheckpointError, DimensionMismatch, NoForwardState, ValidationError
+from .errors import CheckpointError, DimensionMismatch, ValidationError
 
 CHECKPOINT_MAGIC = b"SOGTOK1"
 CHECKPOINT_VERSION = 1
@@ -204,8 +204,6 @@ def backward(
     cb: Codebook | None,
 ) -> Gradients:
     """Analytic gradients of the three-term loss for one forward state."""
-    if state is None:
-        raise NoForwardState("forward state required")
     beta = state.loss.beta
     diff = state.a_rec - state.a_target
     dxhat = 4.0 * diff @ state.xhat

@@ -9,6 +9,7 @@ loss with separate learning rates for the GCN/decoder and the codebook.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -82,12 +83,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValidationError("codebook size K must be >= 2")
-        if min(self.lr_warmup, self.lr_gcn, self.lr_codebook) <= 0:
-            raise ValidationError("learning rates must be positive")
+        for name in ("lr_warmup", "lr_gcn", "lr_codebook", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and positive, got {value}")
+        for name in ("d_s", "d_h", "d", "d_r"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValidationError(f"dimension {name} must be >= 1, got {value}")
         if self.warmup_epochs < 0 or self.joint_epochs < 0:
             raise ValidationError("epoch counts must be >= 0")
-        if self.beta <= 0:
-            raise ValidationError("beta must be positive")
         if self.global_share is not None and not (0.0 < self.global_share < 1.0):
             raise ValidationError("global_share must be in (0, 1) or None")
         if self.batch_size is not None and self.batch_size < 1:

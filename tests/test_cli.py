@@ -1,12 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from sogtok.cli import main
+from sogtok.cli import _resolve, build_parser, main
+from sogtok.errors import ValidationError
 from sogtok.ingest import write_graph_file
 from sogtok.synthetic import family_dataset
 
@@ -385,3 +387,153 @@ def test_graph_token_same_in_tokens_corpus_and_embeddings(dataset, trained, tmp_
     assert descmatch == expected
     emb = (tmp_path / "stats" / "embeddings.csv").read_text().splitlines()[1:]
     assert {ln.split(",")[0]: f"<SOG_{ln.split(',')[1]}>" for ln in emb} == expected
+
+
+def test_train_bad_dimension_or_rate_exit_2(dataset, tmp_path):
+    for flag, value, needle in (("--d-r", "0", "dimension d_r"), ("--lr-gcn", "nan", "lr_gcn"),
+                                ("--beta", "inf", "beta")):
+        proc = _run_cli("train", "--data", dataset, "--out", tmp_path / "x", "--seed", "1",
+                        flag, value)
+        _assert_one_line_error(proc, needle)
+        assert not (tmp_path / "x" / "model.sogtok").exists()
+
+
+# Each subcommand's resolved config when no flag is given. Manifests and
+# checkpoints embed these keys and values, so a change here changes bytes.
+DEFAULT_CONFIGS = {
+    "train": {
+        "data": None, "out": None, "k": 256, "beta": 0.25, "seed": None,
+        "anchor": "degree", "anchor_seed": 0, "warmup_epochs": 10, "epochs": 50,
+        "lr_warmup": 1e-2, "lr_gcn": 5e-2, "lr_codebook": 0.5,
+        "d_s": 64, "d_h": None, "d": 64, "d_r": 16, "batch_size": None,
+        "global_share": None, "size_cap": 512, "jobs": 1,
+    },
+    "tokenize": {
+        "data": None, "out": None, "checkpoint": None, "node_level": False,
+        "hops": 2, "nodes": None, "embed_table": None, "size_cap": 512, "jobs": 1,
+    },
+    "gen-corpus": {
+        "data": None, "out": None, "checkpoint": None, "seed": None,
+        "kinds": "knn,simjudge,descmatch", "knn_k": 5, "tau_pos": 0.8,
+        "tau_neg": 0.2, "pairs": None, "embed_table": None, "size_cap": 512, "jobs": 1,
+    },
+    "gen-prompts": {
+        "data": None, "out": None, "checkpoint": None, "seed": None, "task": None,
+        "labels": None, "balance": "none", "split_ratio": "8:1:1",
+        "embed_table": None, "size_cap": 512, "jobs": 1,
+    },
+    "eval": {
+        "responses": None, "data": None, "out": None, "task": None,
+        "size_cap": 512, "jobs": 1,
+    },
+    "stats": {
+        "data": None, "out": None, "checkpoint": None, "seed": None,
+        "corr_first": 50, "trials": 10, "embed_table": None, "size_cap": 512, "jobs": 1,
+    },
+}
+
+# every flag of each subcommand, so that none is lost or added unnoticed
+COMMON_FLAGS = "--help --out --from-manifest --size-cap --jobs"
+FLAGS = {
+    "train": "--data --k --beta --seed --anchor --anchor-seed --warmup-epochs --epochs "
+             "--lr-warmup --lr-gcn --lr-codebook --d-s --d-h --d --d-r --batch-size "
+             "--global-share",
+    "tokenize": "--data --checkpoint --node-level --hops --nodes --embed-table",
+    "gen-corpus": "--data --checkpoint --seed --kinds --knn-k --tau-pos --tau-neg --pairs "
+                  "--embed-table",
+    "gen-prompts": "--data --checkpoint --seed --task --labels --balance --split-ratio "
+                   "--embed-table",
+    "eval": "--responses --data --task",
+    "stats": "--data --checkpoint --seed --corr-first --trials --embed-table",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_CONFIGS))
+def test_resolved_default_config(command):
+    cfg = _resolve(build_parser().parse_args([command]))
+    assert cfg == DEFAULT_CONFIGS[command]
+    # equal JSON also pins each value's type (64, not 64.0)
+    assert json.dumps(cfg, sort_keys=True) == json.dumps(DEFAULT_CONFIGS[command], sort_keys=True)
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_help_lists_every_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == set(FLAGS[command].split()) | set(COMMON_FLAGS.split())
+
+
+def _write_manifest(path, command, config):
+    path.write_text(json.dumps({"command": command, "config": config}))
+    return path
+
+
+def _runnable_config(command, dataset, trained, tmp_path):
+    """A config of command that replays to exit 0 as it stands."""
+    if command == "train":
+        return json.loads((trained / "manifest.json").read_text())["config"]
+    if command == "gen-prompts":  # prompts need SMILES text
+        dataset = tmp_path / "mols.jsonl"
+        dataset.write_text("\n".join(json.dumps({"id": f"m{i}", "smiles": smi, "label": i % 2})
+                                     for i, smi in enumerate(["CCO", "C1CC1", "CCC"])) + "\n")
+    given = {"data": str(dataset), "checkpoint": str(trained / "model.sogtok"), "seed": 5,
+             "task": "BBBP_p_np", "out": str(tmp_path / "control")}
+    return {key: given.get(key, value) for key, value in DEFAULT_CONFIGS[command].items()}
+
+
+@pytest.mark.filterwarnings("ignore:simjudge pair shortfall")
+@pytest.mark.parametrize(("command", "key", "value"), [
+    ("train", "k", "x"), ("train", "epochs", "2"),
+    ("gen-corpus", "knn_k", "5"), ("gen-prompts", "balance", "2:1"),
+])
+def test_replay_bad_value_exit_2(dataset, trained, tmp_path, command, key, value):
+    config = _runnable_config(command, dataset, trained, tmp_path)
+    if command != "train":  # the train manifest already replays in its own test
+        assert main([command, "--from-manifest", str(
+            _write_manifest(tmp_path / "good.json", command, config))]) == 0
+    config[key] = value
+    proc = _run_cli(command, "--from-manifest", _write_manifest(tmp_path / "bad.json", command, config),
+                    "--out", tmp_path / "bad")
+    _assert_one_line_error(proc, f"manifest config {key!r}: bad value {value!r}")
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize(("command", "key", "value", "fits"), [
+    ("train", "beta", 1, True),  # an int where a float is declared
+    ("train", "beta", True, False),
+    ("train", "k", True, False),  # a bool is never an int
+    ("train", "k", 8.0, False),
+    ("train", "k", None, False),  # None only where the default is None
+    ("train", "d_h", None, True),
+    ("train", "anchor", "random", True),
+    ("train", "anchor", "bogus", False),
+    ("tokenize", "node_level", True, True),
+    ("tokenize", "node_level", 1, False),
+    ("gen-corpus", "tau_pos", "0.8", False),
+    ("gen-corpus", "kinds", ["knn"], False),
+    ("eval", "task", "BBBP_p_np", True),
+])
+def test_replay_checks_each_value(tmp_path, command, key, value, fits):
+    config = dict(DEFAULT_CONFIGS[command], **{key: value})
+    args = build_parser().parse_args(
+        [command, "--from-manifest", str(_write_manifest(tmp_path / "m.json", command, config))])
+    if fits:
+        assert _resolve(args)[key] == value
+    else:
+        with pytest.raises(ValidationError, match=f"manifest config {key!r}"):
+            _resolve(args)
+
+
+def test_eval_replay_ignores_old_seed(tmp_path):
+    data = tmp_path / "labeled.jsonl"
+    data.write_text("\n".join(json.dumps({"id": f"g{i}", "nodes": [{}], "edges": [], "label": i % 2})
+                              for i in range(4)) + "\n")
+    responses = tmp_path / "responses.jsonl"
+    responses.write_text("\n".join(json.dumps({"id": f"g{i}", "text": "True"}) for i in range(4)) + "\n")
+    config = dict(DEFAULT_CONFIGS["eval"], responses=str(responses), data=str(data),
+                  out=str(tmp_path / "e"), seed=7)
+    assert main(["eval", "--from-manifest", str(_write_manifest(tmp_path / "m.json", "eval", config))]) == 0
+    written = json.loads((tmp_path / "e" / "manifest.json").read_text())
+    assert "seed" not in written["config"] and written["seed"] is None

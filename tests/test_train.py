@@ -83,6 +83,23 @@ def test_config_rejects_batch_size_below_one():
     assert TrainConfig(batch_size=1).batch_size == 1
 
 
+@pytest.mark.parametrize("name", ["d_s", "d_h", "d", "d_r"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_dimension_below_one(name, value):
+    with pytest.raises(ValidationError, match=f"dimension {name} must be >= 1"):
+        TrainConfig(**{name: value})
+    assert getattr(TrainConfig(**{name: 1}), name) == 1
+    assert TrainConfig(d_h=None).hidden == TrainConfig().d_s
+
+
+@pytest.mark.parametrize("name", ["lr_warmup", "lr_gcn", "lr_codebook", "beta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-3])
+def test_config_rejects_non_finite_or_non_positive_rate(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be finite and positive"):
+        TrainConfig(**{name: value})
+    assert getattr(TrainConfig(**{name: 1e-300}), name) == 1e-300
+
+
 def test_zero_epochs_returns_initialization():
     graphs = [cycle_graph(5, "c5")]
     cfg = TrainConfig(k=4, warmup_epochs=0, joint_epochs=0, seed=9, d_s=16, d=8, d_r=4)
