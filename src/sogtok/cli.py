@@ -2,7 +2,8 @@
 
 Subcommands: train, tokenize, gen-corpus, gen-prompts, eval, stats.
 Every subcommand writes a run manifest; --from-manifest replays a previous
-run's resolved configuration and reproduces its outputs byte-for-byte.
+run's resolved configuration and reproduces its outputs byte-for-byte; it
+takes no other flag but --out.
 Each setting is declared once, in SETTINGS; its flag is --<name with
 dashes>, and replayed values are checked against the declaration.
 
@@ -477,11 +478,21 @@ def _fits(setting: Setting, value) -> bool:
 
 
 def _resolve(args) -> dict:
-    """The full config of args.command: the flags and the table's defaults,
-    or the values of a replayed manifest, each checked against the table."""
+    """The full config of args.command: the given flags over the table's
+    defaults, or the values of a replayed manifest, each checked against the
+    table. args holds only the flags given, so a replay refuses any flag but
+    --out instead of dropping it."""
     settings = _settings(args.command)
-    if not args.from_manifest:
-        return {s.name: getattr(args, s.name) for s in settings}
+    given = vars(args)
+    if "from_manifest" not in given:
+        return {s.name: given.get(s.name, s.default) for s in settings}
+    dropped = ["--" + name.replace("_", "-") for name in given
+               if name not in ("command", "from_manifest", "out")]
+    if dropped:
+        raise ValidationError(
+            f"{', '.join(dropped)} cannot be combined with --from-manifest, "
+            "which replays every setting but --out"
+        )
     manifest = read_manifest(args.from_manifest)
     if manifest["command"] != args.command:
         raise ValidationError(f"manifest is for {manifest['command']!r}, not {args.command!r}")
@@ -495,7 +506,7 @@ def _resolve(args) -> dict:
                 f"manifest config {s.name!r}: bad value {config[s.name]!r}, expected {expected}"
             )
         cfg[s.name] = config[s.name]
-    if args.out is not None:
+    if "out" in given:
         cfg["out"] = str(args.out)
     return cfg
 
@@ -504,13 +515,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sogtok", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, *_) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        # no defaults: the namespace holds only the flags given, and
+        # _resolve fills in the table's defaults
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
         for s in _settings(command):
             flag = "--" + s.name.replace("_", "-")
             if s.type is bool:
-                p.add_argument(flag, action="store_true", default=s.default, help=s.help)
+                p.add_argument(flag, action="store_true", help=s.help)
             else:
-                p.add_argument(flag, type=s.type, default=s.default, choices=s.choices, help=s.help)
+                p.add_argument(flag, type=s.type, choices=s.choices, help=s.help)
         p.add_argument("--from-manifest", help="replay a previous run's manifest")
     return parser
 

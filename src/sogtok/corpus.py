@@ -72,14 +72,22 @@ def _number_word(k: int) -> str:
     return _NUMBER_WORDS.get(k, str(k))
 
 
-def cosine_matrix(entries: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Pairwise cosine similarities; returns the zero-norm row indices too."""
+def _unit_rows(entries: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Rows scaled to unit norm (zero rows stay zero) and the zero-norm row
+    indices."""
     norms = np.linalg.norm(entries, axis=1)
     zero_rows = [int(i) for i in np.flatnonzero(norms == 0.0)]
     safe = np.where(norms == 0.0, 1.0, norms)
-    unit = entries / safe[:, None]
-    sims = unit @ unit.T
-    return sims, zero_rows
+    return entries / safe[:, None], zero_rows
+
+
+def cosine_matrix(entries: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Pairwise cosine similarities; returns the zero-norm row indices too."""
+    unit, zero_rows = _unit_rows(entries)
+    return unit @ unit.T, zero_rows
+
+
+_SIMJUDGE_ROWS = 256  # rows of the cosine matrix that gen_simjudge_records holds at once
 
 
 def gen_knn_records(cb: Codebook, k: int = 5, split: str = "train") -> list[QARecord]:
@@ -138,18 +146,18 @@ def gen_simjudge_records(
         raise ValidationError("ids, tokens, and embeddings must align")
     if budget < 2:
         raise ValidationError("pair budget must be >= 2")
-    sims, _ = cosine_matrix(embeddings)
-    pos_pairs = []
-    neg_pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = sims[i, j]
-            if s > thresholds.tau_pos:
-                pos_pairs.append((i, j))
-            elif s < thresholds.tau_neg:
-                neg_pairs.append((i, j))
     if ratio <= 0:
         raise ValidationError("class ratio must be positive")
+    # scan the upper triangle in row blocks; each pair i < j is the flat index
+    # i * n + j, found in row-major order, the order of a double loop over i < j
+    normed, _ = _unit_rows(embeddings)
+    pos_blocks, neg_blocks = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for start in range(0, n, _SIMJUDGE_ROWS):
+        sims = normed[start : start + _SIMJUDGE_ROWS] @ normed.T
+        sims[np.arange(n) <= np.arange(start, start + len(sims))[:, None]] = np.nan  # j <= i
+        pos_blocks.append(np.flatnonzero(sims > thresholds.tau_pos) + start * n)
+        neg_blocks.append(np.flatnonzero(sims < thresholds.tau_neg) + start * n)
+    pos_pairs, neg_pairs = np.concatenate(pos_blocks), np.concatenate(neg_blocks)
     rng = np.random.default_rng(seed)
     rng.shuffle(pos_pairs)
     rng.shuffle(neg_pairs)
@@ -163,7 +171,7 @@ def gen_simjudge_records(
         )
     records = []
     for label, picks in (("similar", pos_pairs[:n_pos]), ("dissimilar", neg_pairs[:n_neg])):
-        for i, j in picks:
+        for i, j in (divmod(flat, n) for flat in picks.tolist()):
             question = (
                 f"Here are two tokens {tokens[i].surface} and {tokens[j].surface}, "
                 f"judge whether they represent similar structures or not."

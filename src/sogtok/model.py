@@ -11,8 +11,10 @@ commitment term pulls encoder outputs toward their entries.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -109,14 +111,59 @@ def encode(anorm: np.ndarray, x: np.ndarray, enc: EncoderParams) -> tuple[np.nda
     return anorm @ np.maximum(z1, 0.0) @ enc.w2, z1
 
 
-def nearest(rows: np.ndarray, entries: np.ndarray, chunk: int = 64) -> np.ndarray:
+_EXACT_ROWS = 16  # rows per broadcast in the exact fallback of nearest()
+
+
+def nearest(rows: np.ndarray, entries: np.ndarray, chunk: int = 256) -> np.ndarray:
     """Index of each row's nearest entry by Euclidean distance, lowest index
-    winning ties. Works in row chunks, so memory is chunk x K x d."""
-    indices = np.empty(rows.shape[0], dtype=np.int64)
-    for start in range(0, rows.shape[0], chunk):
+    winning ties: the argmin of ((b - c) ** 2).sum() for each row b.
+
+    Each row chunk is ranked by one product, ‖b‖² + ‖c‖² − 2·b·cᵀ (the exact
+    L2 decomposition of Faiss). A row whose best and second-best values
+    differ by more than a rounding bound keeps that best column; every other
+    row (ties, near-ties, non-finite values) takes the broadcast expression.
+    So the result equals the broadcast argmin, and memory is
+    chunk x K + 16 x K x d floats."""
+    n, d = rows.shape
+    indices = np.empty(n, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entry_sq = np.einsum("ij,ij->i", entries, entries)
+    # Why a settled row's best product column is the broadcast argmin
+    # (Higham's rounding model, u = eps/2, S = ‖b‖² + ‖c‖² ≥ ‖b − c‖²/2):
+    # * broadcast: d rounded squares of rounded differences, summed in any
+    #   order, lie within γ_{d+2}·‖b − c‖² ≤ (d+2)·eps·S of the true distance;
+    # * product: ‖b‖², ‖c‖² and 2·b·c lie within γ_d·‖b‖², γ_d·‖c‖² and γ_d·S
+    #   in any order, FMA or not, and the two additions add 2u·2S, so it also
+    #   lies within (d+2)·eps·S.
+    # With M = ‖b‖² + maxⱼ‖cⱼ‖² ≥ S, a computed gap above twice the sum of
+    # both bounds, 4(d+2)·eps·M, leaves the best column the unique minimum of
+    # the broadcast distances too. tol = 8(d+2)·eps·M is twice that again. The
+    # tiny term covers underflow, where relative bounds fail; rows whose 4M
+    # overflows (so a distance could) or whose gap is NaN are not settled.
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    max_entry_sq = entry_sq.max(initial=0.0)
+    for start in range(0, n, chunk):
         block = rows[start : start + chunk]
-        d2 = ((block[:, None, :] - entries[None, :, :]) ** 2).sum(axis=2)
-        indices[start : start + chunk] = d2.argmin(axis=1)
+        # non-finite values only send rows to the fallback, which warns as before
+        with np.errstate(over="ignore", invalid="ignore"):
+            row_sq = np.einsum("ij,ij->i", block, block)
+            approx = block @ entries.T
+            approx *= -2.0
+            approx += entry_sq
+            approx += row_sq[:, None]
+            best = approx.argmin(axis=1)
+            at = np.arange(len(block))
+            gap = -approx[at, best]
+            approx[at, best] = np.inf
+            gap += approx.min(axis=1)
+            scale = row_sq + max_entry_sq
+            settled = (gap > 8 * (d + 2) * (eps * scale + tiny)) & np.isfinite(4.0 * scale)
+        indices[start : start + len(block)] = best
+        unsettled = np.flatnonzero(~settled)
+        for sub_start in range(0, len(unsettled), _EXACT_ROWS):
+            sub = unsettled[sub_start : sub_start + _EXACT_ROWS]
+            d2 = ((block[sub][:, None, :] - entries[None, :, :]) ** 2).sum(axis=2)
+            indices[start + sub] = d2.argmin(axis=1)
     return indices
 
 
@@ -291,6 +338,8 @@ def init_params(
 
 
 def save_checkpoint(model: TokenizerModel, path) -> None:
+    """Write the checkpoint to a temporary file beside path, then rename it
+    over path, so an interrupted write never leaves a partial checkpoint."""
     header = {
         "version": CHECKPOINT_VERSION,
         "d_s": model.enc.d_s,
@@ -304,12 +353,19 @@ def save_checkpoint(model: TokenizerModel, path) -> None:
         "manifest": model.manifest,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for arr in (model.enc.w1, model.enc.w2, model.dec.wd, model.codebook.entries):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for arr in (model.enc.w1, model.enc.w2, model.dec.wd, model.codebook.entries):
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_header(fh) -> dict:

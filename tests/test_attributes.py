@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sogtok.attributes import (
     GLOBAL_ATTRIBUTE,
@@ -154,6 +154,52 @@ def test_hops_respect_bfs_property(g):
         hi, hj = attrs.hop_of[i], attrs.hop_of[j]
         if hi is not None and hj is not None:
             assert abs(hi - hj) <= 1
+
+
+def _networkx_graph(g):
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    graph.add_nodes_from(range(g.n))
+    graph.add_edges_from(g.edges)
+    return nx, graph
+
+
+_ORACLE_EXAMPLES = [
+    make_graph(1, []),  # single node
+    make_graph(3, []),  # isolated nodes only
+    make_graph(6, [(0, 1), (1, 2), (3, 4)]),  # two components and an isolated node
+    make_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]),
+]
+
+
+def _with_examples(test):
+    for g in _ORACLE_EXAMPLES:
+        test = example(g)(test)
+    return test
+
+
+@_with_examples
+@given(small_graphs(max_nodes=12))
+@settings(max_examples=150, deadline=None)
+def test_betweenness_matches_networkx(g):
+    nx, graph = _networkx_graph(g)
+    want = nx.betweenness_centrality(graph, normalized=False)  # unordered pairs
+    got = importance_scores(g, ImportanceStrategy("betweenness"))
+    assert np.allclose(got, [want[v] for v in range(g.n)], rtol=1e-12, atol=1e-12)
+
+
+@_with_examples
+@given(small_graphs(max_nodes=12))
+@settings(max_examples=150, deadline=None)
+def test_pagerank_matches_networkx(g):
+    nx, graph = _networkx_graph(g)
+    want = nx.pagerank(graph, alpha=0.85, tol=1e-15, max_iter=10_000)
+    got = importance_scores(g, ImportanceStrategy("pagerank"))
+    # _pagerank stops after 100 iterations of a map that contracts the L1
+    # distance by 0.85 from a start within 2 of the fixed point, or once a
+    # step moves p by < 1e-9 (then within 0.85 / 0.15 * 1e-9 of it)
+    assert np.abs(got - [want[v] for v in range(g.n)]).sum() <= 2 * 0.85**100 + 1e-9
+    assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_embedder_deterministic_unit_norm():

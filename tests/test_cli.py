@@ -537,3 +537,18 @@ def test_eval_replay_ignores_old_seed(tmp_path):
     assert main(["eval", "--from-manifest", str(_write_manifest(tmp_path / "m.json", "eval", config))]) == 0
     written = json.loads((tmp_path / "e" / "manifest.json").read_text())
     assert "seed" not in written["config"] and written["seed"] is None
+
+
+@pytest.mark.parametrize(("command", "extra", "named"), [
+    ("train", ["--epochs", "7"], "--epochs"),
+    ("train", ["--jobs", "1", "--seed", "3"], "--jobs, --seed"),  # a default value, given
+    ("tokenize", ["--node-level"], "--node-level"),
+])
+def test_replay_refuses_flags_it_would_drop(trained, tmp_path, command, extra, named):
+    manifest = trained / "manifest.json"
+    if command != "train":
+        config = dict(DEFAULT_CONFIGS[command], data="d.jsonl", checkpoint="m.sogtok")
+        manifest = _write_manifest(tmp_path / "m.json", command, config)
+    proc = _run_cli(command, "--from-manifest", manifest, "--out", tmp_path / "replayed", *extra)
+    _assert_one_line_error(proc, f"{named} cannot be combined with --from-manifest")
+    assert not (tmp_path / "replayed").exists()

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +153,79 @@ def test_simjudge_balanced_and_consistent():
             assert cos > th.tau_pos
         else:
             assert cos < th.tau_neg
+
+
+def _double_loop_simjudge(ids, tokens, embeddings, thresholds, budget, seed, ratio=1.0):
+    """gen_simjudge_records before the blocked scan, copied as it was: the
+    dense cosine matrix and a Python loop over every pair i < j."""
+    norms = np.linalg.norm(embeddings, axis=1)
+    unit = embeddings / np.where(norms == 0.0, 1.0, norms)[:, None]
+    sims = unit @ unit.T
+    n = len(ids)
+    pos_pairs = []
+    neg_pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = sims[i, j]
+            if s > thresholds.tau_pos:
+                pos_pairs.append((i, j))
+            elif s < thresholds.tau_neg:
+                neg_pairs.append((i, j))
+    rng = np.random.default_rng(seed)
+    rng.shuffle(pos_pairs)
+    rng.shuffle(neg_pairs)
+    unit = min(budget / (1.0 + ratio), len(neg_pairs), len(pos_pairs) / ratio)
+    n_neg = int(unit)
+    n_pos = int(round(unit * ratio))
+    records = []
+    for label, picks in (("similar", pos_pairs[:n_pos]), ("dissimilar", neg_pairs[:n_neg])):
+        for i, j in picks:
+            question = (
+                f"Here are two tokens {tokens[i].surface} and {tokens[j].surface}, "
+                f"judge whether they represent similar structures or not."
+            )
+            records.append(QARecord(kind="simjudge", question=question, answer=label,
+                                    provenance=f"pair:{ids[i]}|{ids[j]}"))
+    return records
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 300, 513])
+@pytest.mark.parametrize("thresholds", [(0.8, 0.2), (0.3, -0.3)])
+@pytest.mark.parametrize("ratio", [1.0, 2.5])
+def test_simjudge_equals_double_loop(n, thresholds, ratio):
+    rng = np.random.default_rng(n)
+    emb = rng.normal(size=(n, 4)) + np.array([0.8, 0.0, 0.0, 0.0])
+    emb[::7] = 0.0  # zero-norm rows: cosine 0 with every row
+    if n > 3:
+        emb[3] = emb[1] * 2.0  # exactly parallel rows
+    ids = [f"g{i:03d}" for i in range(n)]
+    tokens = [StructuralToken(i % 11) for i in range(n)]
+    th = SimilarityThresholds(*thresholds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # shortfall at small n
+        got = gen_simjudge_records(ids, tokens, emb, th, budget=200, seed=n + 1, ratio=ratio)
+        want = _double_loop_simjudge(ids, tokens, emb, th, budget=200, seed=n + 1, ratio=ratio)
+    assert got == want
+    if n >= 300:
+        assert {r.answer for r in got} == {"similar", "dissimilar"}
+
+
+def test_simjudge_memory_bounded():
+    # the dense 3,000 x 3,000 cosine matrix alone takes 72 MB. The qualifying
+    # pairs are kept, 16 B each; these thresholds qualify ~250k of them.
+    n = 3000
+    emb = np.random.default_rng(5).normal(size=(n, 64))
+    ids = [f"g{i}" for i in range(n)]
+    tokens = [StructuralToken(i % 8) for i in range(n)]
+    tracemalloc.start()
+    try:
+        records = gen_simjudge_records(ids, tokens, emb, SimilarityThresholds(0.5, -0.2),
+                                       budget=64, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) > 0
+    assert peak < 32 * 2**20
 
 
 def test_node_names_sequence():

@@ -129,6 +129,67 @@ def test_nearest_equidistant_row_lowest_index():
     assert nearest(np.array([[0.5, 0.5]]), entries).tolist() == [0]
 
 
+def _broadcast_nearest(rows, entries, chunk=64):
+    """The search before the product form, copied as it was: the broadcast
+    squared distance in row chunks, then argmin."""
+    indices = np.empty(rows.shape[0], dtype=np.int64)
+    for start in range(0, rows.shape[0], chunk):
+        block = rows[start : start + chunk]
+        d2 = ((block[:, None, :] - entries[None, :, :]) ** 2).sum(axis=2)
+        indices[start : start + chunk] = d2.argmin(axis=1)
+    return indices
+
+
+def _nearest_cases():
+    """(name, rows, entries): ties, near-ties and extreme values, where a
+    product-form ranking alone could pick another index than the broadcast."""
+    rng = np.random.default_rng(44)
+    cases = []
+    base = rng.normal(size=(12, 6))
+    dup = base.copy()
+    dup[5] = dup[1]
+    dup[9] = dup[1]
+    cases.append(("duplicates", np.vstack([dup, rng.normal(size=(40, 6))]), dup))
+    ulp = base.copy()
+    ulp[3] = np.nextafter(ulp[2], np.inf)
+    ulp[7] = np.nextafter(ulp[2], -np.inf)
+    near = ulp[2] + rng.normal(size=(30, 6)) * 1e-14
+    cases.append(("one_ulp", np.vstack([ulp, near, (ulp[2] + ulp[3]) / 2]), ulp))
+    offset = base + 1e6
+    cases.append(("offset_1e6", np.vstack([offset, offset + rng.normal(size=(12, 6)) * 1e-9,
+                                           1e6 + rng.normal(size=(40, 6))]), offset))
+    line = np.arange(8.0)[:, None]
+    cases.append(("d1", np.vstack([line, line + 0.5, rng.normal(size=(20, 1)) * 4]), line))
+    pair = np.array([[1.0, 0.0, 2.0], [-1.0, 0.0, 2.0]])
+    cases.append(("k2", np.vstack([np.zeros((3, 3)), pair, rng.normal(size=(20, 3))]), pair))
+    ring = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [2.0, 2.0]])
+    cases.append(("zero_rows", np.zeros((5, 2)), ring))
+    bad = np.array([[np.nan, 0.0], [np.inf, 1.0], [-np.inf, np.inf], [1.0, np.nan],
+                    [1e200, -1e200], [1e-170, 0.0], [0.0, 0.0], [0.3, 0.4]])
+    cases.append(("non_finite", bad, np.vstack([ring, [[2e-170, 0.0], [1e154, 1e154]]])))
+    # the broadcast distance to entry 1 rounds to inf, the product form's to
+    # the largest float: the broadcast argmin is 0, among two infs
+    edge = np.array([[9.783080080769208e153]])
+    cases.append(("overflow", edge, np.array([[-9e153], [-3.624727849173388e153]])))
+    # both broadcast distances underflow to 0; the product form gives -5e-324
+    # for entry 1, a gap no relative rounding bound covers
+    tiny = np.array([[1.4234158750959632e-160]])
+    cases.append(("underflow", tiny, np.array([[1.4324904018341964e-160],
+                                               [1.4368186746734478e-160]])))
+    big = rng.normal(size=(300, 8))
+    cases.append(("random", big, np.vstack([big[:40], big[:40] + 1e-15])))
+    return cases
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite rows warn in both searches
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("case", _nearest_cases(), ids=lambda c: c[0])
+def test_nearest_equals_broadcast_expression(case, chunk):
+    _, rows, entries = case
+    got = nearest(rows, entries) if chunk is None else nearest(rows, entries, chunk=chunk)
+    assert got.tolist() == _broadcast_nearest(rows, entries).tolist()
+
+
 def test_kmeans_matches_one_shot_search():
     """Chunked search gives the same centers, bit for bit, as searching all
     rows in one broadcast."""
@@ -428,6 +489,37 @@ def test_checkpoint_roundtrip(tmp_path):
     path2 = tmp_path / "model2.sogtok"
     save_checkpoint(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_write_failing_partway_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.sogtok"
+    old = _small_checkpoint(tmp_path)
+    path.write_bytes(old)
+    rng = np.random.default_rng(13)
+    enc, dec = init_params(3, 3, 3, 3, rng)
+    model = TokenizerModel(enc=enc, dec=dec, codebook=Codebook(entries=rng.normal(size=(4, 3))),
+                           beta=0.5, strategy=ImportanceStrategy("degree", seed=0), seed=13)
+    real = np.ascontiguousarray
+    calls = []
+
+    def fail_on_third_array(arr, dtype=None):
+        calls.append(1)  # header and two arrays are written by then
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real(arr, dtype=dtype)
+
+    monkeypatch.setattr(np, "ascontiguousarray", fail_on_third_array)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(model, path)
+    assert len(calls) == 3
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.sogtok", "small.sogtok"]
+    fresh = tmp_path / "fresh.sogtok"
+    calls.clear()
+    with pytest.raises(OSError):
+        save_checkpoint(model, fresh)
+    assert not fresh.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.sogtok", "small.sogtok"]
 
 
 def test_checkpoint_bad_magic(tmp_path):
