@@ -9,13 +9,14 @@ global node carries a fixed attribute string of its own.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .graph import Graph, bfs_hops, build_adjacency
+from .graph import Graph, build_adjacency
 
 STRATEGY_KINDS = ("degree", "pagerank", "betweenness", "random")
 
@@ -127,90 +128,149 @@ def importance_scores(g: Graph, strategy: ImportanceStrategy) -> np.ndarray:
     return rng.random(g.n)
 
 
-def tie_break_key(g: Graph) -> list[tuple[int, ...]]:
-    """Secondary ranking key: sorted neighbor-degree multiset, descending."""
-    deg = g.degrees()
-    adj = g.neighbors()
-    return [tuple(sorted((deg[u] for u in adj[v]), reverse=True)) for v in range(g.n)]
+_BUCKET_CELLS = 1 << 20  # B x n x n cells per bucket: bounds the bucket arrays for large graphs
 
 
-def _node_order(nodes: list[int], scores: np.ndarray, keys: list[tuple[int, ...]]) -> list[int]:
-    # primary: importance desc; secondary: neighbor-degree multiset desc;
-    # fallback: original index asc (order-sensitive, see has_strict_ranking)
-    return sorted(nodes, key=lambda v: (-scores[v], _neg_key(keys[v]), v))
+class _Ranked(NamedTuple):
+    """One bucket of B graphs with n nodes each, ranked in NumPy."""
+
+    positions: list[int]  # of the bucket's graphs in the input list
+    adjacency: np.ndarray  # (B, n, n) bool
+    order: np.ndarray  # (B, n): nodes by importance desc, key desc, index asc
+    hop: np.ndarray  # (B, n): hops from the anchor, order[:, 0]; -1 if unreachable
+    rank: np.ndarray  # (B, n): 1-based within the node's hop or the unreachable pool; anchor 0
+    tie: np.ndarray  # (B, n): equal for the nodes of a graph that only the index tells apart
 
 
-def _neg_key(key: tuple[int, ...]) -> tuple:
-    # descending lexicographic comparison of variable-length int tuples:
-    # negate entries and terminate with +inf so that prefixes sort after
-    # their extensions (a longer multiset with equal prefix ranks first)
-    return tuple(-x for x in key) + (float("inf"),)
+def _rank_bucket(graphs: list[Graph], positions: list[int], strategy: ImportanceStrategy) -> _Ranked:
+    b, n = len(graphs), graphs[0].n
+    at = np.arange(b)
+    a = np.zeros((b, n, n), dtype=bool)
+    counts = [len(g.edges) for g in graphs]
+    if sum(counts):
+        i, j = np.array([e for g in graphs for e in g.edges]).T
+        which = np.repeat(at, counts)
+        a[which, i, j] = a[which, j, i] = True
+    deg = a.sum(axis=2)
+    if strategy.kind == "degree":
+        scores = deg
+    else:
+        scores = np.stack([importance_scores(g, strategy) for g in graphs])
+    # Secondary key: the node's neighbour degrees, sorted descending. Negated
+    # and padded with 1 (every real entry is <= -1), rows sort ascending in
+    # the key's descending lexicographic order, where a longer multiset with
+    # an equal prefix ranks first.
+    key = np.sort(np.where(a, -deg[:, None, :], 1), axis=2).reshape(b * n, n)
+    neg_score = -scores.reshape(b * n)
+    graph = np.repeat(at, n)
+    flat_order = np.lexsort((np.tile(np.arange(n), b), *key.T[::-1], neg_score, graph))
+    order = flat_order.reshape(b, n) - (at * n)[:, None]
+    place = np.empty((b, n), dtype=np.intp)
+    place[at[:, None], order] = np.arange(n)
+
+    s_key, s_score, s_graph = key[flat_order], neg_score[flat_order], graph[flat_order]
+    new_class = np.ones(b * n, dtype=bool)
+    new_class[1:] = ((s_graph[1:] != s_graph[:-1]) | (s_score[1:] != s_score[:-1])
+                     | (s_key[1:] != s_key[:-1]).any(axis=1))
+    tie = np.empty(b * n, dtype=np.intp)
+    tie[flat_order] = np.cumsum(new_class)
+
+    # BFS from the anchor, one boolean frontier product per hop
+    anchor = order[:, 0]
+    hop = np.full((b, n), -1)
+    hop[at, anchor] = 0
+    frontier = hop == 0
+    reached = frontier.copy()
+    step = 0
+    while frontier.any():
+        step += 1
+        frontier = (a & frontier[:, :, None]).any(axis=1) & ~reached
+        hop[frontier] = step
+        reached |= frontier
+
+    # rank within the pool of nodes at the same hop (-1: unreachable)
+    ahead = (hop[:, :, None] == hop[:, None, :]) & (place[:, None, :] < place[:, :, None])
+    rank = ahead.sum(axis=2) + 1
+    rank[at, anchor] = 0
+    return _Ranked(positions, a, order, hop, rank, tie.reshape(b, n))
+
+
+def _ranked_buckets(graphs: list[Graph], strategy: ImportanceStrategy) -> Iterator[_Ranked]:
+    by_n: dict[int, list[int]] = {}
+    for pos, g in enumerate(graphs):
+        if g.has_global:
+            raise ValidationError("attributes are assigned before global-node augmentation")
+        by_n.setdefault(g.n, []).append(pos)
+    for n, members in by_n.items():
+        step = max(1, _BUCKET_CELLS // (n * n))
+        for start in range(0, len(members), step):
+            positions = members[start : start + step]
+            yield _rank_bucket([graphs[p] for p in positions], positions, strategy)
+
+
+def _attribute_string(hop: int, rank: int) -> str:
+    if hop == 0:
+        return ANCHOR_ATTRIBUTE
+    if hop < 0:
+        return f"disconnected node #{rank}"
+    return hop_attribute(hop, rank)
+
+
+def attribute_buckets(
+    graphs: list[Graph], strategy: ImportanceStrategy
+) -> Iterator[tuple[list[int], np.ndarray, list[StructuralAttributeMap]]]:
+    """attribute_maps() computed per bucket of graphs with equal node counts:
+    yields the positions of the bucket's graphs in `graphs`, their (B, n, n)
+    boolean adjacency and their maps."""
+    for r in _ranked_buckets(graphs, strategy):
+        n = r.hop.shape[1]
+        code = (r.hop + 1) * (n + 1) + r.rank
+        distinct, inverse = np.unique(code, return_inverse=True)
+        names = [_attribute_string(int(c) // (n + 1) - 1, int(c) % (n + 1)) for c in distinct]
+        maps = [
+            StructuralAttributeMap(
+                anchor=row[0],
+                hop_of=tuple([h if h >= 0 else None for h in hops]),
+                rank_of=tuple(ranks),
+                attribute_of=tuple([names[i] for i in idx]),
+            )
+            for row, hops, ranks, idx in zip(
+                r.order.tolist(), r.hop.tolist(), r.rank.tolist(), inverse.reshape(code.shape).tolist()
+            )
+        ]
+        yield r.positions, r.adjacency, maps
+
+
+def attribute_maps(graphs: list[Graph], strategy: ImportanceStrategy) -> list[StructuralAttributeMap]:
+    """Anchor, hop labels and within-hop ranks for every node of every graph.
+
+    The anchor is the first node by importance (descending), then by the
+    sorted multiset of its neighbours' degrees (descending, a longer multiset
+    with an equal prefix first), then by index. Every other node is numbered
+    within its BFS hop from the anchor, or among the unreachable nodes, in
+    the same order."""
+    maps: list[StructuralAttributeMap | None] = [None] * len(graphs)
+    for positions, _, bucket in attribute_buckets(graphs, strategy):
+        for pos, attrs in zip(positions, bucket):
+            maps[pos] = attrs
+    return maps
 
 
 def assign_attributes(g: Graph, strategy: ImportanceStrategy) -> StructuralAttributeMap:
     """Anchor, hop labels, and within-hop ranks for every node."""
-    if g.has_global:
-        raise ValidationError("attributes are assigned before global-node augmentation")
-    scores = importance_scores(g, strategy)
-    keys = tie_break_key(g)
-    anchor = _node_order(list(range(g.n)), scores, keys)[0]
-    hops = bfs_hops(g, anchor)
-
-    by_hop: dict[int, list[int]] = {}
-    unreachable: list[int] = []
-    for v in range(g.n):
-        if v == anchor:
-            continue
-        if hops[v] is None:
-            unreachable.append(v)
-        else:
-            by_hop.setdefault(hops[v], []).append(v)
-
-    rank_of = [0] * g.n
-    attribute_of = [""] * g.n
-    attribute_of[anchor] = ANCHOR_ATTRIBUTE
-    for hop, members in by_hop.items():
-        for rank, v in enumerate(_node_order(members, scores, keys), start=1):
-            rank_of[v] = rank
-            attribute_of[v] = hop_attribute(hop, rank)
-    for rank, v in enumerate(_node_order(unreachable, scores, keys), start=1):
-        rank_of[v] = rank
-        attribute_of[v] = f"disconnected node #{rank}"
-
-    return StructuralAttributeMap(
-        anchor=anchor,
-        hop_of=tuple(hops),
-        rank_of=tuple(rank_of),
-        attribute_of=tuple(attribute_of),
-    )
+    return attribute_maps([g], strategy)[0]
 
 
 def has_strict_ranking(g: Graph, strategy: ImportanceStrategy) -> bool:
     """True when anchor choice and every within-hop ranking are decided
     without falling back to node indices."""
-    scores = importance_scores(g, strategy)
-    keys = tie_break_key(g)
-
-    def strict(pool: list[int], top_only: bool = False) -> bool:
-        pairs = sorted(((-scores[v], _neg_key(keys[v])) for v in pool))
-        if top_only:
-            return len(pairs) < 2 or pairs[0] != pairs[1]
-        return all(pairs[i] != pairs[i + 1] for i in range(len(pairs) - 1))
-
-    if not strict(list(range(g.n)), top_only=True):
+    r = next(_ranked_buckets([g], strategy))
+    tie, hop, order = r.tie[0], r.hop[0], r.order[0]
+    if g.n > 1 and tie[order[0]] == tie[order[1]]:
         return False
-    attrs = assign_attributes(g, strategy)
-    by_hop: dict[int, list[int]] = {}
-    unreachable: list[int] = []
-    for v in range(g.n):
-        if v == attrs.anchor:
-            continue
-        if attrs.hop_of[v] is None:
-            unreachable.append(v)
-        else:
-            by_hop.setdefault(attrs.hop_of[v], []).append(v)
     # the disconnected pool is ranked too; tied isolated nodes break strictness
-    return strict(unreachable) and all(strict(members) for members in by_hop.values())
+    clash = (hop[:, None] == hop[None, :]) & (tie[:, None] == tie[None, :])
+    return int(clash.sum()) == g.n  # the diagonal only
 
 
 class HashingEmbedder:

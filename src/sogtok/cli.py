@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -59,13 +58,14 @@ from .model import TokenizerModel, load_checkpoint, save_checkpoint
 from .prompts import BALANCE_POLICIES, balance_split, load_template, render_prompt, write_prompt_files
 from .scaffold import group_scaffolds, murcko_scaffold
 from .train import (
+    GLOBAL_ROW,
     TrainConfig,
-    assign_node_tokens,
-    assign_token,
+    assign_tokens,
+    encoded_blocks,
     format_token_table,
     format_training_log,
-    graph_embedding,
-    graph_token,
+    graph_tokens,
+    node_tokens,
     train,
 )
 
@@ -149,7 +149,6 @@ def cmd_tokenize(cfg: dict) -> None:
     graphs = _load_graphs(cfg["data"], cfg["size_cap"])
     embedder = _make_embedder(model, cfg["embed_table"])
     out = _outdir(cfg)
-    jobs = max(1, int(cfg["jobs"]))
     if cfg["node_level"]:
         by_id = {g.id: g for g in graphs}
         if cfg["nodes"]:
@@ -159,27 +158,18 @@ def cmd_tokenize(cfg: dict) -> None:
         for gid, _ in wanted:
             if gid not in by_id:
                 raise ValidationError(f"node list references unknown graph {gid!r}")
-
-        def work(item):
-            gid, v = item
-            tok = assign_node_tokens(by_id[gid], v, model, hops=cfg["hops"], embedder=embedder)
-            return (gid, v, tok.surface)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(work, wanted))
-        else:
-            rows = [work(item) for item in wanted]
-        rows.sort(key=lambda r: (r[0], r[1]))
+        tokens = node_tokens(
+            ((by_id[gid], v) for gid, v in wanted), model, hops=cfg["hops"], embedder=embedder
+        )
+        rows = sorted(
+            ((gid, v, tok.surface) for (gid, v), tok in zip(wanted, tokens)),
+            key=lambda r: (r[0], r[1]),
+        )
         lines = ["id\tnode\ttoken"] + [f"{gid}\t{v}\t{surface}" for gid, v, surface in rows]
         (out / "node_tokens.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         written = out / "node_tokens.tsv"
     else:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                assignments = list(pool.map(lambda g: assign_token(g, model, embedder), graphs))
-        else:
-            assignments = [assign_token(g, model, embedder) for g in graphs]
+        assignments = assign_tokens(graphs, model, embedder)
         written = out / "tokens.tsv"
         written.write_text(format_token_table(assignments), encoding="utf-8")
     manifest = build_manifest("tokenize", cfg, None, [cfg["data"], cfg["checkpoint"]])
@@ -197,13 +187,16 @@ def cmd_gen_corpus(cfg: dict) -> None:
         if kind not in ("knn", "simjudge", "descmatch"):
             raise ValidationError(f"unknown corpus kind {kind!r}")
     records = []
-    tokens, global_rows = {}, []
+    tokens, global_rows, attrs = {}, [], []
     if "simjudge" in kinds or "descmatch" in kinds:
-        # one embedding per graph gives its token and its simjudge row (a copy, so h is freed)
-        for g in graphs:
-            h = graph_embedding(g, model, embedder)
-            tokens[g.id] = graph_token(h, model.codebook)
-            global_rows.append(h[-1].copy())
+        # one embedding per graph gives its token, its simjudge row and the
+        # attribute map that names its nodes in descmatch
+        for block, block_attrs, rows in encoded_blocks(graphs, model, embedder, take=GLOBAL_ROW):
+            for g, token in zip(block, graph_tokens(rows, model.codebook)):
+                tokens[g.id] = token
+            global_rows.append(rows)
+            if "descmatch" in kinds:
+                attrs.extend(block_attrs)
     if "knn" in kinds:
         records.extend(gen_knn_records(model.codebook, k=cfg["knn_k"]))
     if "simjudge" in kinds:
@@ -221,7 +214,7 @@ def cmd_gen_corpus(cfg: dict) -> None:
             )
         )
     if "descmatch" in kinds:
-        records.extend(gen_descmatch_records(graphs, tokens, model.strategy))
+        records.extend(gen_descmatch_records(graphs, tokens, model.strategy, attrs=attrs))
     out = _outdir(cfg)
     write_corpus(records, out / "corpus.jsonl")
     manifest = build_manifest("gen-corpus", cfg, seed, [cfg["data"], cfg["checkpoint"]])
@@ -263,12 +256,11 @@ def cmd_gen_prompts(cfg: dict) -> None:
     embedder = _make_embedder(model, cfg["embed_table"])
     tmpl = load_template(cfg["task"])
     split_of = _assign_splits(graphs, cfg["split_ratio"], seed)
-    records = []
-    table_rows = []
-    for g in graphs:
-        assignment = assign_token(g, model, embedder)
-        table_rows.append(assignment)
-        records.append(render_prompt(tmpl, g, assignment.graph_token, split=split_of[g.id]))
+    table_rows = assign_tokens(graphs, model, embedder)
+    records = [
+        render_prompt(tmpl, g, assignment.graph_token, split=split_of[g.id])
+        for g, assignment in zip(graphs, table_rows)
+    ]
     balanced = balance_split(records, cfg["balance"], seed=seed, split="train")
     out = _outdir(cfg)
     token_table = format_token_table(table_rows)
@@ -354,18 +346,20 @@ def cmd_stats(cfg: dict) -> None:
     sims, zero_rows = codebook_correlation(model.codebook, m)
     (out / "correlation.csv").write_text(format_csv_matrix(sims), encoding="utf-8")
     # one embedding per graph gives its embeddings.csv row and the token
-    # that the scaffold check reads
-    rows = []
-    for g in graphs:
-        h = graph_embedding(g, model, embedder)
-        rows.append((g.id, graph_token(h, model.codebook).index, h[-1].copy()))
+    # that the permutation and scaffold checks read
+    tokens, global_rows = [], []
+    for _, _, rows in encoded_blocks(graphs, model, embedder, take=GLOBAL_ROW):
+        tokens.extend(graph_tokens(rows, model.codebook))
+        global_rows.append(rows)
+    rows = [(g.id, t.index, vec) for g, t, vec in zip(graphs, tokens, np.vstack(global_rows))]
     export_embeddings(rows, model.enc.d, out / "embeddings.csv")
-    perm_rate = permutation_consistency(model, graphs, trials=cfg["trials"], seed=seed, embedder=embedder)
+    perm_rate = permutation_consistency(
+        model, graphs, trials=cfg["trials"], seed=seed, embedder=embedder, base_tokens=tokens
+    )
     scaffolds = [murcko_scaffold(g) for g in graphs]
     buckets = group_scaffolds(scaffolds)
-    tokens = [token for _, token, _ in rows]
     try:
-        sc = scaffold_consistency(tokens, buckets, shuffles=100, seed=seed)
+        sc = scaffold_consistency([t.index for t in tokens], buckets, shuffles=100, seed=seed)
         scaffold_part = {
             "mean_purity": sc.mean_purity,
             "baseline_purity": sc.baseline_purity,
@@ -404,7 +398,7 @@ SETTINGS = {s.name: s for s in (
     Setting("data"), Setting("checkpoint"), Setting("responses"), Setting("embed_table"),
     Setting("out", help="output directory"),
     Setting("size_cap", int, 512, help="max nodes per graph"),
-    Setting("jobs", int, 1, help="parallel workers for per-graph work"),
+    Setting("jobs", int, 1, help="ignored by every subcommand; accepted so that existing command lines run"),
     Setting("seed", int),
     # train
     Setting("k", int, _tc.k), Setting("beta", float, _tc.beta),

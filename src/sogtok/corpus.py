@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attributes import ImportanceStrategy, assign_attributes
+from .attributes import (
+    ImportanceStrategy,
+    StructuralAttributeMap,
+    assign_attributes,
+    attribute_maps,
+)
 from .errors import (
     DegenerateCodebook,
     GraphTooLargeForDescription,
@@ -205,10 +210,14 @@ def node_names(count: int) -> list[str]:
 MAX_NAMED_NODES = 26 + 26 * 26
 
 
-def naming_order(g: Graph, strategy: ImportanceStrategy) -> list[int]:
+def naming_order(
+    g: Graph, strategy: ImportanceStrategy, attrs: StructuralAttributeMap | None = None
+) -> list[int]:
     """Nodes in attribute-rank order: anchor, then hop by hop in rank order,
-    unreachable nodes last."""
-    attrs = assign_attributes(g, strategy)
+    unreachable nodes last. attrs, g's attribute map when the caller has it,
+    saves assigning it again."""
+    if attrs is None:
+        attrs = assign_attributes(g, strategy)
     inf = float("inf")
     return sorted(
         range(g.n),
@@ -219,13 +228,16 @@ def naming_order(g: Graph, strategy: ImportanceStrategy) -> list[int]:
     )
 
 
-def describe_graph(g: Graph, strategy: ImportanceStrategy) -> tuple[str, dict[str, int]]:
-    """Edge-list description plus the name->original-index mapping."""
+def describe_graph(
+    g: Graph, strategy: ImportanceStrategy, attrs: StructuralAttributeMap | None = None
+) -> tuple[str, dict[str, int]]:
+    """Edge-list description plus the name->original-index mapping; attrs as
+    in naming_order()."""
     if g.n > MAX_NAMED_NODES:
         raise GraphTooLargeForDescription(
             f"graph {g.id!r} has {g.n} nodes; naming supports {MAX_NAMED_NODES}"
         )
-    order = naming_order(g, strategy)
+    order = naming_order(g, strategy, attrs)
     names = node_names(g.n)
     name_of = {node: names[pos] for pos, node in enumerate(order)}
     pos_of = {node: pos for pos, node in enumerate(order)}
@@ -259,12 +271,20 @@ def gen_descmatch_records(
     tokens: dict[str, StructuralToken],
     strategy: ImportanceStrategy,
     split: str = "train",
+    attrs: list[StructuralAttributeMap] | None = None,
 ) -> list[QARecord]:
+    """One record per graph: its description and its token. attrs, the
+    graphs' attribute maps when the caller has them, saves assigning them
+    again."""
+    if attrs is None:
+        attrs = attribute_maps(graphs, strategy)
+    if len(attrs) != len(graphs):
+        raise ValidationError(f"{len(attrs)} attribute maps for {len(graphs)} graphs")
     records = []
-    for g in graphs:
+    for g, graph_attrs in zip(graphs, attrs):
         if g.id not in tokens:
             raise ValidationError(f"graph {g.id!r} has no graph token")
-        question, _ = describe_graph(g, strategy)
+        question, _ = describe_graph(g, strategy, graph_attrs)
         records.append(
             QARecord(
                 kind="descmatch",

@@ -18,7 +18,7 @@ from .corpus import cosine_matrix
 from .errors import DegenerateLabels, LengthMismatch, ValidationError
 from .graph import Graph, permute
 from .model import Codebook, TokenizerModel
-from .train import graph_embedding, graph_token
+from .train import GLOBAL_ROW, StructuralToken, encoded_blocks, graph_tokens
 
 POSITIVE_DEFAULT = ("yes", "true", "active", "approved")
 NEGATIVE_DEFAULT = ("no", "false", "inactive", "rejected", "not approved")
@@ -138,25 +138,34 @@ def score_from_parse(parsed: ParsedAnswer) -> float:
 
 
 def permutation_consistency(
-    model: TokenizerModel, graphs: list[Graph], trials: int, seed: int, embedder=None
+    model: TokenizerModel,
+    graphs: list[Graph],
+    trials: int,
+    seed: int,
+    embedder=None,
+    base_tokens: list[StructuralToken] | None = None,
 ) -> float:
-    """Fraction of (graph, random relabeling) pairs whose token survives."""
+    """Fraction of (graph, random relabeling) pairs whose token survives.
+    base_tokens, each graph's token when the caller has it, saves embedding
+    the graphs again."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if base_tokens is None:
+        base_tokens = [
+            t for _, _, rows in encoded_blocks(graphs, model, embedder, take=GLOBAL_ROW)
+            for t in graph_tokens(rows, model.codebook)
+        ]
+    if len(base_tokens) != len(graphs):
+        raise LengthMismatch(f"{len(base_tokens)} base tokens for {len(graphs)} graphs")
     rng = np.random.default_rng(seed)
-
-    def token(graph: Graph):
-        return graph_token(graph_embedding(graph, model, embedder), model.codebook)
-
-    hits = total = 0
-    for g in graphs:
-        base = token(g)
-        for _ in range(trials):
-            perm = rng.permutation(g.n).tolist()
-            total += 1
-            if token(permute(g, perm)) == base:
-                hits += 1
-    return hits / total
+    # relabeled copies are drawn lazily, graph by graph, so at most one
+    # block of them is held
+    copies = (permute(g, rng.permutation(g.n).tolist()) for g in graphs for _ in range(trials))
+    expected = (t for t in base_tokens for _ in range(trials))
+    hits = 0
+    for _, _, rows in encoded_blocks(copies, model, embedder, take=GLOBAL_ROW):
+        hits += sum(t == base for t, base in zip(graph_tokens(rows, model.codebook), expected))
+    return hits / (len(graphs) * trials)
 
 
 @dataclass(frozen=True)

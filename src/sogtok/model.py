@@ -91,11 +91,11 @@ class LossBreakdown:
 
 
 def normalized_adjacency(a: np.ndarray) -> np.ndarray:
-    """Symmetric GCN propagation matrix D^{-1/2} (A + I) D^{-1/2}."""
-    n = a.shape[0]
-    a_hat = a + np.eye(n)
-    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+    """Symmetric GCN propagation matrix D^{-1/2} (A + I) D^{-1/2}, of one
+    (n, n) adjacency or of each in a (B, n, n) stack."""
+    a_hat = a + np.eye(a.shape[-1])
+    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=-1))
+    return a_hat * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
 
 
 def encode(anorm: np.ndarray, x: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
@@ -111,19 +111,17 @@ def encode(anorm: np.ndarray, x: np.ndarray, enc: EncoderParams) -> tuple[np.nda
     return anorm @ np.maximum(z1, 0.0) @ enc.w2, z1
 
 
-_EXACT_ROWS = 16  # rows per broadcast in the exact fallback of nearest()
-
-
 def nearest(rows: np.ndarray, entries: np.ndarray, chunk: int = 256) -> np.ndarray:
     """Index of each row's nearest entry by Euclidean distance, lowest index
     winning ties: the argmin of ((b - c) ** 2).sum() for each row b.
 
     Each row chunk is ranked by one product, ‖b‖² + ‖c‖² − 2·b·cᵀ (the exact
     L2 decomposition of Faiss). A row whose best and second-best values
-    differ by more than a rounding bound keeps that best column; every other
-    row (ties, near-ties, non-finite values) takes the broadcast expression.
-    So the result equals the broadcast argmin, and memory is
-    chunk x K + 16 x K x d floats."""
+    differ by more than a rounding bound keeps that best column. Every other
+    row (ties, near-ties) takes the broadcast expression over its candidate
+    columns, those within the bound of its best value; a row whose values
+    may not be finite takes it over all columns. So the result equals the
+    broadcast argmin, and memory is chunk x K + K x d floats."""
     n, d = rows.shape
     indices = np.empty(n, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -140,6 +138,9 @@ def nearest(rows: np.ndarray, entries: np.ndarray, chunk: int = 256) -> np.ndarr
     # the broadcast distances too. tol = 8(d+2)·eps·M is twice that again. The
     # tiny term covers underflow, where relative bounds fail; rows whose 4M
     # overflows (so a distance could) or whose gap is NaN are not settled.
+    # The same bound between the best and any other column j: a product value
+    # more than tol above the best gives j a strictly larger broadcast
+    # distance than the best column, so j is neither the argmin nor a tie.
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
     max_entry_sq = entry_sq.max(initial=0.0)
     for start in range(0, n, chunk):
@@ -153,17 +154,22 @@ def nearest(rows: np.ndarray, entries: np.ndarray, chunk: int = 256) -> np.ndarr
             approx += row_sq[:, None]
             best = approx.argmin(axis=1)
             at = np.arange(len(block))
-            gap = -approx[at, best]
+            lowest = approx[at, best]
             approx[at, best] = np.inf
-            gap += approx.min(axis=1)
+            gap = approx.min(axis=1) - lowest
+            approx[at, best] = lowest
             scale = row_sq + max_entry_sq
-            settled = (gap > 8 * (d + 2) * (eps * scale + tiny)) & np.isfinite(4.0 * scale)
+            tol = 8 * (d + 2) * (eps * scale + tiny)
+            finite = np.isfinite(4.0 * scale)
+            settled = (gap > tol) & finite
         indices[start : start + len(block)] = best
-        unsettled = np.flatnonzero(~settled)
-        for sub_start in range(0, len(unsettled), _EXACT_ROWS):
-            sub = unsettled[sub_start : sub_start + _EXACT_ROWS]
-            d2 = ((block[sub][:, None, :] - entries[None, :, :]) ** 2).sum(axis=2)
-            indices[start + sub] = d2.argmin(axis=1)
+        for r in np.flatnonzero(~settled):
+            if finite[r]:
+                cols = np.flatnonzero(approx[r] - lowest[r] <= tol[r])
+            else:
+                cols = np.arange(len(entries))
+            d2 = ((block[r] - entries[cols]) ** 2).sum(axis=1)
+            indices[start + r] = cols[d2.argmin()]
     return indices
 
 

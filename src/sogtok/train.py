@@ -11,19 +11,22 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .attributes import (
     DEFAULT_EMBED_DIM,
+    GLOBAL_ATTRIBUTE,
     HashingEmbedder,
     ImportanceStrategy,
-    assign_attributes,
-    embed_attributes,
+    StructuralAttributeMap,
+    attribute_buckets,
 )
-from .errors import EmptyDataset, NonFiniteLoss, ValidationError
-from .graph import Graph, augment_with_global_node, build_adjacency, ego_graph
+from .errors import DimensionMismatch, EmptyDataset, NonFiniteLoss, ValidationError
+from .graph import Graph, ego_graph
 from .model import (
     Adam,
     Codebook,
@@ -36,7 +39,6 @@ from .model import (
     init_params,
     nearest,
     normalized_adjacency,
-    quantize,
     save_checkpoint,
 )
 
@@ -108,19 +110,62 @@ class PreparedGraph:
     """Per-graph constants reused across epochs."""
 
     graph: Graph
-    a_target: np.ndarray  # augmented adjacency, reconstruction target
+    attrs: StructuralAttributeMap
+    a_target: np.ndarray  # adjacency (augmented unless include_global=False), reconstruction target
     anorm: np.ndarray
-    x: np.ndarray  # attribute embeddings, global row last
+    table: np.ndarray  # embeddings of the distinct attribute strings of one prepare_graphs() call
+    x_index: np.ndarray  # x's rows of table
+
+    @property
+    def x(self) -> np.ndarray:
+        """Attribute embeddings, global row last. Gathered on each use, so
+        prepared graphs share one small table instead of holding a vector
+        per node."""
+        return self.table[self.x_index]
+
+
+def prepare_graphs(
+    graphs: list[Graph], strategy: ImportanceStrategy, embedder, include_global: bool = True
+) -> list[PreparedGraph]:
+    """Encoder inputs of each graph, in order; the virtual global node is
+    appended unless include_global=False. Graphs of one node count are
+    prepared together: their adjacencies form one (B, n, n) array, and each
+    distinct attribute string is embedded once, into the table that x is
+    gathered from."""
+    if not graphs:
+        return []
+    buckets = list(attribute_buckets(graphs, strategy))
+    row_of: dict[str, int] = {GLOBAL_ATTRIBUTE: 0} if include_global else {}
+    codes = [
+        [[row_of.setdefault(s, len(row_of)) for s in attrs.attribute_of] for attrs in maps]
+        for _, _, maps in buckets
+    ]
+    table = np.vstack([embedder.embed(s) for s in row_of])
+    if table.shape[1] != embedder.dim:
+        raise DimensionMismatch(
+            f"embedder produced dimension {table.shape[1]}, configured {embedder.dim}"
+        )
+    prepared: list[PreparedGraph | None] = [None] * len(graphs)
+    for (positions, adjacency, maps), code in zip(buckets, codes):
+        b, n, _ = adjacency.shape
+        m = n + include_global
+        a = np.zeros((b, m, m))
+        a[:, :n, :n] = adjacency
+        if include_global:
+            a[:, :n, n] = a[:, n, :n] = 1.0
+            code = [row + [0] for row in code]
+        anorm = normalized_adjacency(a)
+        x_index = np.array(code)
+        for i, (pos, attrs) in enumerate(zip(positions, maps)):
+            prepared[pos] = PreparedGraph(graphs[pos], attrs, a[i], anorm[i], table, x_index[i])
+    return prepared
 
 
 def prepare_graph(
     g: Graph, strategy: ImportanceStrategy, embedder, include_global: bool = True
 ) -> PreparedGraph:
     """Encoder inputs of g; the virtual global node is appended unless include_global=False."""
-    attrs = assign_attributes(g, strategy)
-    x = embed_attributes(attrs, embedder, include_global=include_global)
-    a_target = build_adjacency(augment_with_global_node(g) if include_global else g)
-    return PreparedGraph(graph=g, a_target=a_target, anorm=normalized_adjacency(a_target), x=x)
+    return prepare_graphs([g], strategy, embedder, include_global)[0]
 
 
 @dataclass(frozen=True)
@@ -189,7 +234,7 @@ def train(
     enc, dec = init_params(cfg.d_s, cfg.hidden, cfg.d, cfg.d_r, rng)
     # gaussian fallback codebook; replaced by k-means when warm-up runs
     entries = rng.normal(0.0, 0.1, size=(cfg.k, cfg.d))
-    prepared = [prepare_graph(g, cfg.strategy, embedder) for g in dataset]
+    prepared = prepare_graphs(dataset, cfg.strategy, embedder)
     logs: list[EpochLog] = []
 
     def evaluate(epoch: int, cb: Codebook | None) -> EpochLog:
@@ -293,42 +338,103 @@ class TokenAssignment:
     node_tokens: tuple[StructuralToken, ...]
 
 
-def graph_embedding(g: Graph, model: TokenizerModel, embedder=None) -> np.ndarray:
-    """Continuous latent rows for the augmented graph; global row last."""
+READ_BLOCK = 512  # graphs prepared, encoded and searched at once on the read path
+GLOBAL_ROW = slice(-1, None)  # the row that gives a graph its token
+CENTER_ROW = slice(0, 1)  # the row that gives an ego-graph's center its token
+
+
+def encoded_blocks(
+    graphs: Iterable[Graph],
+    model: TokenizerModel,
+    embedder=None,
+    include_global: bool = True,
+    take: slice = slice(None),
+) -> Iterator[tuple[list[Graph], list[StructuralAttributeMap], np.ndarray]]:
+    """The read path: prepare and encode graphs READ_BLOCK at a time. Yields
+    each block's graphs, their attribute maps and the rows h[take] of their
+    latent rows h (global row last unless include_global=False), stacked in
+    graph order, so that a caller searches a block with one nearest() call; a
+    row's entry does not depend on the other rows. graphs may be a lazy
+    iterable. Only one block's inputs are held, and only the rows taken are
+    kept."""
     if embedder is None:
         embedder = HashingEmbedder(dim=model.d_s)
-    pg = prepare_graph(g, model.strategy, embedder)
-    return encode(pg.anorm, pg.x, model.enc)[0]
+    it = iter(graphs)
+    while block := list(islice(it, READ_BLOCK)):
+        prepared = prepare_graphs(block, model.strategy, embedder, include_global)
+        counts = [len(range(len(pg.x_index))[take]) for pg in prepared]  # rows of each h[take]
+        rows = np.empty((sum(counts), model.enc.d))
+        end = 0
+        for pg, count in zip(prepared, counts):
+            rows[end : end + count] = encode(pg.anorm, pg.x, model.enc)[0][take]
+            end += count
+        attrs = [pg.attrs for pg in prepared]
+        del prepared  # not held while the caller works or the next block is prepared
+        yield block, attrs, rows
+
+
+def graph_embedding(g: Graph, model: TokenizerModel, embedder=None) -> np.ndarray:
+    """Continuous latent rows for the augmented graph; global row last."""
+    _, _, h = next(encoded_blocks([g], model, embedder))
+    return h
+
+
+def graph_tokens(global_rows: np.ndarray, cb: Codebook) -> list[StructuralToken]:
+    """Each graph's <SOG_k>: the entry nearest its global-node row, the last
+    row of its graph_embedding(). One search serves all the rows given."""
+    return [StructuralToken(index=int(i)) for i in nearest(global_rows, cb.entries)]
 
 
 def graph_token(h: np.ndarray, cb: Codebook) -> StructuralToken:
     """A graph's <SOG_k>: the entry nearest its global-node row, the last
     row of graph_embedding()."""
-    return StructuralToken(index=int(nearest(h[-1:], cb.entries)[0]))
+    return graph_tokens(h[GLOBAL_ROW], cb)[0]
+
+
+def assign_tokens(graphs: Iterable[Graph], model: TokenizerModel, embedder=None) -> list[TokenAssignment]:
+    """Graph token and node tokens of each graph, for the token table; the
+    only caller that quantizes node rows. A block's rows go through one
+    search, so each last row's entry is the graph_token() of the same
+    embedding."""
+    out = []
+    for block, _, rows in encoded_blocks(graphs, model, embedder):
+        indices = nearest(rows, model.codebook.entries).tolist()
+        del rows  # before the next block is prepared
+        end = 0
+        for g in block:
+            start, end = end, end + g.n + 1
+            out.append(
+                TokenAssignment(
+                    graph_id=g.id,
+                    graph_token=StructuralToken(index=indices[end - 1]),
+                    node_tokens=tuple(StructuralToken(index=i) for i in indices[start : end - 1]),
+                )
+            )
+    return out
 
 
 def assign_token(g: Graph, model: TokenizerModel, embedder=None) -> TokenAssignment:
-    """Graph token and node tokens for the token table; the only caller that
-    quantizes node rows. All rows go through one search, so the last row's
-    entry is the graph_token() of the same embedding."""
-    indices = quantize(graph_embedding(g, model, embedder), model.codebook).indices
-    return TokenAssignment(
-        graph_id=g.id,
-        graph_token=StructuralToken(index=int(indices[-1])),
-        node_tokens=tuple(StructuralToken(index=int(i)) for i in indices[:-1]),
-    )
+    """assign_tokens() of one graph."""
+    return assign_tokens([g], model, embedder)[0]
+
+
+def node_tokens(
+    centers: Iterable[tuple[Graph, int]], model: TokenizerModel, hops: int = 2, embedder=None
+) -> list[StructuralToken]:
+    """Token of each (graph, center) pair: the center node, ego index 0, of its
+    ego-graph (no global node added)."""
+    egos = (ego_graph(g, center, hops)[0] for g, center in centers)
+    out = []
+    for _, _, rows in encoded_blocks(egos, model, embedder, include_global=False, take=CENTER_ROW):
+        out.extend(StructuralToken(index=int(i)) for i in nearest(rows, model.codebook.entries))
+    return out
 
 
 def assign_node_tokens(
     g: Graph, center: int, model: TokenizerModel, hops: int = 2, embedder=None
 ) -> StructuralToken:
-    """Tokenize the center node, ego index 0, of its ego-graph (no global node added)."""
-    if embedder is None:
-        embedder = HashingEmbedder(dim=model.d_s)
-    sub, _ = ego_graph(g, center, hops)
-    pg = prepare_graph(sub, model.strategy, embedder, include_global=False)
-    h, _ = encode(pg.anorm, pg.x, model.enc)
-    return StructuralToken(index=int(nearest(h[:1], model.codebook.entries)[0]))
+    """node_tokens() of one center."""
+    return node_tokens([(g, center)], model, hops, embedder)[0]
 
 
 def format_token_table(assignments: list[TokenAssignment]) -> str:

@@ -4,10 +4,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from sogtok.attributes import (
     GLOBAL_ATTRIBUTE,
+    STRATEGY_KINDS,
     HashingEmbedder,
     ImportanceStrategy,
     TableEmbedder,
     assign_attributes,
+    attribute_maps,
     embed_attributes,
     has_strict_ranking,
     hop_attribute,
@@ -17,6 +19,7 @@ from sogtok.attributes import (
 from sogtok.errors import DimensionMismatch, ValidationError
 from sogtok.graph import permute
 
+import oracle
 from conftest import make_graph, small_graphs
 
 
@@ -101,11 +104,9 @@ def _anchor_is_strict(g, strategy):
     """True when the anchor wins without the index fallback; index-broken
     anchor ties between non-automorphic nodes can shift the whole hop
     partition under relabeling, so the multiset claim only holds here."""
-    from sogtok.attributes import _neg_key, importance_scores, tie_break_key
-
     scores = importance_scores(g, strategy)
-    keys = tie_break_key(g)
-    pairs = sorted((-scores[v], _neg_key(keys[v])) for v in range(g.n))
+    keys = oracle.tie_break_key(g)
+    pairs = sorted((-scores[v], oracle.neg_key(keys[v])) for v in range(g.n))
     return len(pairs) < 2 or pairs[0] != pairs[1]
 
 
@@ -200,6 +201,77 @@ def test_pagerank_matches_networkx(g):
     # step moves p by < 1e-9 (then within 0.85 / 0.15 * 1e-9 of it)
     assert np.abs(got - [want[v] for v in range(g.n)]).sum() <= 2 * 0.85**100 + 1e-9
     assert got.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+# two 6-cycles joined by an edge, and a 4-cycle: ties that only the index breaks
+_TIE_EXAMPLES = [
+    make_graph(12, [(i, (i + 1) % 6) for i in range(6)]
+               + [(6 + i, 6 + (i + 1) % 6) for i in range(6)] + [(0, 6)]),
+    make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+]
+
+
+def _per_graph_oracle(graphs, kind):
+    strategy = ImportanceStrategy(kind, seed=5)
+    return strategy, [oracle.assign_attributes(g, strategy) for g in graphs]
+
+
+@example([*_ORACLE_EXAMPLES, *_TIE_EXAMPLES], "degree")
+@example([*_ORACLE_EXAMPLES, *_TIE_EXAMPLES], "pagerank")
+@example([*_ORACLE_EXAMPLES, *_TIE_EXAMPLES], "betweenness")
+@example([*_ORACLE_EXAMPLES, *_TIE_EXAMPLES], "random")
+@given(st.lists(small_graphs(max_nodes=10), min_size=1, max_size=12), st.sampled_from(STRATEGY_KINDS))
+@settings(max_examples=150, deadline=None)
+def test_attribute_maps_equal_per_graph_oracle(graphs, kind):
+    """The bucketed rule gives every graph of a mixed-size list the map of
+    the per-graph Python rule: anchor, hops, ranks and strings."""
+    strategy, want = _per_graph_oracle(graphs, kind)
+    got = attribute_maps(graphs, strategy)
+    for g, a, b in zip(graphs, got, want):
+        assert (a.anchor, a.hop_of, a.rank_of, a.attribute_of) == (
+            b.anchor, b.hop_of, b.rank_of, b.attribute_of
+        ), g.edges
+    assert [has_strict_ranking(g, strategy) for g in graphs] == [
+        oracle.has_strict_ranking(g, strategy) for g in graphs
+    ]
+
+
+@example([*_ORACLE_EXAMPLES, *_TIE_EXAMPLES], "degree", True)
+@example([*_ORACLE_EXAMPLES, *_TIE_EXAMPLES], "betweenness", False)
+@given(st.lists(small_graphs(max_nodes=10), min_size=1, max_size=12),
+       st.sampled_from(STRATEGY_KINDS), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_prepare_graphs_bytes_equal_per_graph_oracle(graphs, kind, include_global):
+    from sogtok.train import prepare_graphs
+
+    strategy = ImportanceStrategy(kind, seed=5)
+    embedder = HashingEmbedder(dim=16)
+    got = prepare_graphs(graphs, strategy, embedder, include_global)
+    for g, pg in zip(graphs, got):
+        a_target, anorm, x = oracle.prepare_graph(g, strategy, embedder, include_global)
+        for mine, theirs in ((pg.a_target, a_target), (pg.anorm, anorm), (pg.x, x)):
+            assert mine.shape == theirs.shape and mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+
+
+def test_attribute_maps_split_large_buckets(monkeypatch):
+    # the cell bound splits one node count into several buckets
+    import sogtok.attributes as attributes
+
+    monkeypatch.setattr(attributes, "_BUCKET_CELLS", 40)
+    rng = np.random.default_rng(3)
+    graphs = [make_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6) if rng.random() < 0.4])
+              for _ in range(9)]
+    assert len(list(attributes.attribute_buckets(graphs, ImportanceStrategy()))) == 9
+    strategy, want = _per_graph_oracle(graphs, "degree")
+    assert attribute_maps(graphs, strategy) == want
+
+
+def test_attribute_maps_reject_augmented_graph(path3):
+    from sogtok.graph import augment_with_global_node
+
+    with pytest.raises(ValidationError):
+        attribute_maps([path3, augment_with_global_node(path3)], ImportanceStrategy())
 
 
 def test_embedder_deterministic_unit_norm():

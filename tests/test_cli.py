@@ -5,11 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sogtok.attributes import HashingEmbedder
 from sogtok.cli import _resolve, build_parser, main
 from sogtok.errors import ValidationError
+from sogtok.graph import Graph, NodeRecord, ego_graph
 from sogtok.ingest import write_graph_file
+from sogtok.model import encode, load_checkpoint
+from sogtok.train import READ_BLOCK
 from sogtok.synthetic import family_dataset
 
 pytestmark = pytest.mark.usefixtures("dataset")
@@ -272,6 +277,69 @@ def test_stats(dataset, trained, tmp_path):
     report = json.loads((out / "stats_report.json").read_text())
     assert 0.0 <= report["permutation_consistency"] <= 1.0
     assert report["graph_count"] == 18
+
+
+@pytest.fixture(scope="module")
+def mixed_graphs(tmp_path_factory):
+    """620 random graphs of 1 to 14 nodes, some disconnected: more than one
+    read block, each block with many node counts."""
+    rng = np.random.default_rng(17)
+    graphs = []
+    for i in range(620):
+        n = int(rng.integers(1, 15))
+        p = rng.uniform(0.1, 0.6)
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        graphs.append(Graph(id=f"r{i:04d}", nodes=tuple(NodeRecord(index=v) for v in range(n)),
+                            edges=tuple(edges)))
+    path = tmp_path_factory.mktemp("mixed") / "mixed.jsonl"
+    write_graph_file(graphs, path)
+    return graphs, path
+
+
+def _oracle_rows(g, model, embedder, include_global):
+    import oracle
+
+    _, anorm, x = oracle.prepare_graph(g, model.strategy, embedder, include_global)
+    h = encode(anorm, x, model.enc)[0]
+    return [int(((row - model.codebook.entries) ** 2).sum(axis=1).argmin()) for row in h]
+
+
+def test_tokenize_blocks_equal_per_graph_reference(mixed_graphs, trained, tmp_path):
+    graphs, data = mixed_graphs
+    checkpoint = trained / "model.sogtok"
+    model = load_checkpoint(checkpoint)
+    embedder = HashingEmbedder(dim=model.d_s)
+    wanted = [(g, v) for g in graphs[:100] for v in range(g.n)]
+    assert len(graphs) > READ_BLOCK and len(wanted) > READ_BLOCK
+    (tmp_path / "nodes.txt").write_text("".join(f"{g.id} {v}\n" for g, v in wanted))
+
+    assert main(["tokenize", "--data", str(data), "--checkpoint", str(checkpoint),
+                 "--out", str(tmp_path / "t")]) == 0
+    lines = ["id\tgraph_token\tnode_tokens"]
+    for g in graphs:
+        idx = _oracle_rows(g, model, embedder, include_global=True)
+        lines.append(f"{g.id}\t<SOG_{idx[-1]}>\t" + ",".join(map(str, idx[:-1])))
+    assert (tmp_path / "t" / "tokens.tsv").read_text() == "\n".join(lines) + "\n"
+
+    assert main(["tokenize", "--data", str(data), "--checkpoint", str(checkpoint),
+                 "--out", str(tmp_path / "n"), "--node-level", "--hops", "1",
+                 "--nodes", str(tmp_path / "nodes.txt")]) == 0
+    lines = ["id\tnode\ttoken"]
+    for g, v in wanted:
+        ego, _ = ego_graph(g, v, 1)
+        lines.append(f"{g.id}\t{v}\t<SOG_{_oracle_rows(ego, model, embedder, False)[0]}>")
+    assert (tmp_path / "n" / "node_tokens.tsv").read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("level", [[], ["--node-level"]])
+def test_tokenize_table_missing_string_exit_2(mixed_graphs, trained, tmp_path, level):
+    _, data = mixed_graphs
+    table = tmp_path / "table.tsv"
+    table.write_text("anchor node\t" + ",".join(["0.5"] * 16) + "\n")
+    proc = _run_cli("tokenize", "--data", data, "--checkpoint", trained / "model.sogtok",
+                    "--out", tmp_path / "t", "--embed-table", table, *level)
+    _assert_validation_exit(proc, "missing from embedding table")
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_unknown_flag_exits_2(dataset):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sogtok.attributes import ImportanceStrategy
+from sogtok.attributes import ImportanceStrategy, attribute_maps
 from sogtok.corpus import (
     QARecord,
     SimilarityThresholds,
@@ -270,6 +270,24 @@ def test_descmatch_records():
     assert records[0].provenance == "graph:star"
     with pytest.raises(ValidationError):
         gen_descmatch_records([make_graph(2, [(0, 1)], gid="other")], tokens, ImportanceStrategy())
+
+
+def test_descmatch_uses_given_attribute_maps():
+    graphs = [
+        make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], gid="path"),
+        make_graph(6, [(0, 1), (1, 2), (3, 4)], gid="split"),
+        make_graph(3, [], gid="bare"),
+    ]
+    tokens = {g.id: StructuralToken(i) for i, g in enumerate(graphs)}
+    strategy, other = ImportanceStrategy(), ImportanceStrategy("random", seed=1)
+    attrs = attribute_maps(graphs, strategy)
+    assert gen_descmatch_records(graphs, tokens, strategy, attrs=attrs) == gen_descmatch_records(
+        graphs, tokens, strategy
+    )
+    for g, other_attrs in zip(graphs, attribute_maps(graphs, other)):
+        assert describe_graph(g, strategy, other_attrs) == describe_graph(g, other)
+    with pytest.raises(ValidationError):
+        gen_descmatch_records(graphs, tokens, strategy, attrs=attrs[:2])
 
 
 def test_corpus_write_grouped_and_deterministic(tmp_path):

@@ -178,6 +178,18 @@ def _nearest_cases():
                                                [1.4368186746734478e-160]])))
     big = rng.normal(size=(300, 8))
     cases.append(("random", big, np.vstack([big[:40], big[:40] + 1e-15])))
+    # many columns tie or near-tie with each row's best: the 16 signed unit
+    # steps around an integer centre (exact ties at distance 1), the same
+    # around a random centre (ties up to rounding) and each of those 1 ulp
+    # further out, among far columns
+    star = np.vstack([np.eye(8), -np.eye(8)])
+    centre = rng.normal(size=8)
+    ring = centre + star
+    far = 10 + rng.normal(size=(20, 8))
+    entries = np.vstack([far[:10], 3.0 + star, ring, np.nextafter(ring, np.inf), far[10:]])
+    rows = np.vstack([np.full((1, 8), 3.0), centre, centre + rng.normal(size=(30, 8)) * 1e-13,
+                      (ring[:8] + ring[8:]) / 2, ring])
+    cases.append(("many_ties", rows, entries))
     return cases
 
 

@@ -240,6 +240,30 @@ def test_node_token_ego_covers_star(tiny_model):
     assert 0 <= tok_leaf.index < model.k
 
 
+def test_permutation_consistency_reuses_base_tokens(tiny_model):
+    from sogtok.errors import LengthMismatch
+    from sogtok.metrics import permutation_consistency
+
+    model, _, graphs = tiny_model
+    rng = np.random.default_rng(12)
+    graphs = graphs + [random_connected_graph(n, 0.3, rng, gid=f"r{n}") for n in range(3, 12)]
+    base = [assign_token(g, model).graph_token for g in graphs]
+    # the seeded relabelings, drawn graph by graph, each tokenized on its own
+    perm_rng = np.random.default_rng(4)
+    hits = sum(
+        assign_token(permute(g, perm_rng.permutation(g.n).tolist()), model).graph_token == b
+        for g, b in zip(graphs, base)
+        for _ in range(3)
+    )
+    rate = permutation_consistency(model, graphs, trials=3, seed=4)
+    assert rate == hits / (3 * len(graphs))
+    assert permutation_consistency(model, graphs, trials=3, seed=4, base_tokens=base) == rate
+    unreachable = [StructuralToken(model.k)] * len(graphs)
+    assert permutation_consistency(model, graphs, trials=3, seed=4, base_tokens=unreachable) == 0.0
+    with pytest.raises(LengthMismatch):
+        permutation_consistency(model, graphs, trials=3, seed=4, base_tokens=base[1:])
+
+
 def test_export_token_table(tmp_path, tiny_model):
     model, _, graphs = tiny_model
     assignments = [assign_token(g, model) for g in graphs]
