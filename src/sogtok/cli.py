@@ -32,6 +32,7 @@ from .corpus import (
     write_corpus,
 )
 from .errors import (
+    EmptyDataset,
     IOFailure,
     NumericalError,
     SogtokError,
@@ -83,6 +84,14 @@ def _make_embedder(model: TokenizerModel, embed_table_path):
         return HashingEmbedder(dim=model.d_s)
     text = Path(embed_table_path).read_text(encoding="utf-8")
     return load_embedding_table(text, dim=model.d_s)
+
+
+def _stacked_rows(rows: list[np.ndarray], data) -> np.ndarray:
+    """The rows of every block as one array; EmptyDataset when there are no
+    blocks because the data file holds no graphs."""
+    if not rows:
+        raise EmptyDataset(f"no graphs in {data}")
+    return np.vstack(rows)
 
 
 def _outdir(cfg: dict) -> Path:
@@ -200,7 +209,7 @@ def cmd_gen_corpus(cfg: dict) -> None:
     if "knn" in kinds:
         records.extend(gen_knn_records(model.codebook, k=cfg["knn_k"]))
     if "simjudge" in kinds:
-        embeddings = np.vstack(global_rows)
+        embeddings = _stacked_rows(global_rows, cfg["data"])
         thresholds = SimilarityThresholds(tau_pos=cfg["tau_pos"], tau_neg=cfg["tau_neg"])
         budget = cfg["pairs"] if cfg["pairs"] is not None else 4 * model.k
         records.extend(
@@ -351,7 +360,7 @@ def cmd_stats(cfg: dict) -> None:
     for _, _, rows in encoded_blocks(graphs, model, embedder, take=GLOBAL_ROW):
         tokens.extend(graph_tokens(rows, model.codebook))
         global_rows.append(rows)
-    rows = [(g.id, t.index, vec) for g, t, vec in zip(graphs, tokens, np.vstack(global_rows))]
+    rows = [(g.id, t.index, vec) for g, t, vec in zip(graphs, tokens, _stacked_rows(global_rows, cfg["data"]))]
     export_embeddings(rows, model.enc.d, out / "embeddings.csv")
     perm_rate = permutation_consistency(
         model, graphs, trials=cfg["trials"], seed=seed, embedder=embedder, base_tokens=tokens

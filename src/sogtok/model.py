@@ -6,11 +6,18 @@ codebook entries; gradients follow the stop-gradient convention: the
 reconstruction gradient reaches the encoder straight through the
 quantization, the codebook learns only from the update term, and the
 commitment term pulls encoder outputs toward their entries.
+
+The encoder, forward and backward passes take one graph ((m, m) adjacency,
+(m, d_s) features) or a stack of graphs with the same node count ((b, m, m),
+(b, m, d_s)); a stack's results carry the same leading axis b. Each slice of
+a stacked result has the bytes of the same call on that graph alone: the
+products run per slice and every sum runs within one graph.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -74,20 +81,35 @@ class Codebook:
 
 @dataclass(frozen=True)
 class QuantizedSelection:
-    indices: np.ndarray  # (n,)
+    indices: np.ndarray  # (n,), or one per latent row of a stack
     quantized: np.ndarray  # n x d, rows are codebook entries
+
+    def part(self, start: int, shape: tuple[int, ...]) -> QuantizedSelection:
+        """The selection of the latent rows of shape `shape` that begin at row
+        start of this flat selection: views, shaped like those rows."""
+        stop = start + math.prod(shape[:-1])
+        return QuantizedSelection(
+            self.indices[start:stop].reshape(shape[:-1]), self.quantized[start:stop].reshape(shape)
+        )
 
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    reconstruction: float
-    update: float
-    commitment: float
+    """Loss of one graph, or of each graph of a stack (arrays of length b)."""
+
+    reconstruction: float | np.ndarray
+    update: float | np.ndarray
+    commitment: float | np.ndarray
     beta: float
 
     @property
     def total(self) -> float:
         return self.reconstruction + self.update + self.beta * self.commitment
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """The matrix transpose of a graph's array, or of each one in a stack."""
+    return np.swapaxes(a, -1, -2)
 
 
 def normalized_adjacency(a: np.ndarray) -> np.ndarray:
@@ -99,14 +121,15 @@ def normalized_adjacency(a: np.ndarray) -> np.ndarray:
 
 
 def encode(anorm: np.ndarray, x: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
-    """Two-layer GCN h = Anorm . relu(Anorm . X . W1) . W2 (Kipf & Welling).
-    Returns h and the pre-activation z1 = Anorm . X . W1 that backward() needs."""
-    if x.shape[0] != anorm.shape[0]:
+    """Two-layer GCN h = Anorm . relu(Anorm . X . W1) . W2 (Kipf & Welling),
+    of one graph or of each graph of a stack. Returns h and the
+    pre-activation z1 = Anorm . X . W1 that backward() needs."""
+    if x.shape[-2] != anorm.shape[-1]:
         raise DimensionMismatch(
-            f"feature rows {x.shape[0]} != adjacency size {anorm.shape[0]}"
+            f"feature rows {x.shape[-2]} != adjacency size {anorm.shape[-1]}"
         )
-    if x.shape[1] != enc.d_s:
-        raise DimensionMismatch(f"feature dim {x.shape[1]} != encoder d_s {enc.d_s}")
+    if x.shape[-1] != enc.d_s:
+        raise DimensionMismatch(f"feature dim {x.shape[-1]} != encoder d_s {enc.d_s}")
     z1 = anorm @ x @ enc.w1
     return anorm @ np.maximum(z1, 0.0) @ enc.w2, z1
 
@@ -117,11 +140,12 @@ def nearest(rows: np.ndarray, entries: np.ndarray, chunk: int = 256) -> np.ndarr
 
     Each row chunk is ranked by one product, ‖b‖² + ‖c‖² − 2·b·cᵀ (the exact
     L2 decomposition of Faiss). A row whose best and second-best values
-    differ by more than a rounding bound keeps that best column. Every other
-    row (ties, near-ties) takes the broadcast expression over its candidate
-    columns, those within the bound of its best value; a row whose values
-    may not be finite takes it over all columns. So the result equals the
-    broadcast argmin, and memory is chunk x K + K x d floats."""
+    differ by more than a rounding bound keeps that best column. The other
+    rows of a chunk (ties, near-ties) take the broadcast expression together,
+    over each row's candidate columns, those within the bound of its best
+    value; a row whose values may not be finite takes it over all columns. So
+    the result equals the broadcast argmin, and memory is a few chunk x K
+    arrays plus K x d floats."""
     n, d = rows.shape
     indices = np.empty(n, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -161,15 +185,21 @@ def nearest(rows: np.ndarray, entries: np.ndarray, chunk: int = 256) -> np.ndarr
             scale = row_sq + max_entry_sq
             tol = 8 * (d + 2) * (eps * scale + tiny)
             finite = np.isfinite(4.0 * scale)
-            settled = (gap > tol) & finite
+            unsettled = np.flatnonzero(~((gap > tol) & finite))
+            candidate = approx[unsettled] - lowest[unsettled, None] <= tol[unsettled, None]
+            candidate[~finite[unsettled]] = True
         indices[start : start + len(block)] = best
-        for r in np.flatnonzero(~settled):
-            if finite[r]:
-                cols = np.flatnonzero(approx[r] - lowest[r] <= tol[r])
-            else:
-                cols = np.arange(len(entries))
-            d2 = ((block[r] - entries[cols]) ** 2).sum(axis=1)
-            indices[start + r] = cols[d2.argmin()]
+        if len(unsettled):
+            # the broadcast distance of every (row, candidate) pair, in pieces
+            # of at most one chunk's worth of floats; other columns stay inf,
+            # so argmin picks the lowest candidate index among equals
+            d2 = np.full(candidate.shape, np.inf)
+            r, c = np.nonzero(candidate)
+            step = max(1, approx.size // max(d, 1))
+            for s in range(0, len(r), step):
+                rs, cs = r[s : s + step], c[s : s + step]
+                d2[rs, cs] = ((block[unsettled[rs]] - entries[cs]) ** 2).sum(axis=1)
+            indices[start + unsettled] = d2.argmin(axis=1)
     return indices
 
 
@@ -184,13 +214,14 @@ def quantize(h: np.ndarray, cb: Codebook) -> QuantizedSelection:
 def decode_and_reconstruct(
     quantized: np.ndarray, dec: DecoderParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reconstructed features Xhat = Q . Wd and adjacency Xhat . Xhat^T."""
-    if quantized.shape[1] != dec.wd.shape[0]:
+    """Reconstructed features Xhat = Q . Wd and adjacency Xhat . Xhat^T, of
+    one graph or of each graph of a stack."""
+    if quantized.shape[-1] != dec.wd.shape[0]:
         raise DimensionMismatch(
-            f"quantized dim {quantized.shape[1]} != decoder input {dec.wd.shape[0]}"
+            f"quantized dim {quantized.shape[-1]} != decoder input {dec.wd.shape[0]}"
         )
     xhat = quantized @ dec.wd
-    return xhat, xhat @ xhat.T
+    return xhat, xhat @ _transposed(xhat)
 
 
 def compute_loss(
@@ -200,12 +231,13 @@ def compute_loss(
     sel: QuantizedSelection | None,
     beta: float,
 ) -> LossBreakdown:
-    """Three-term loss; sel=None (warm-up) zeroes the quantization terms."""
+    """Three-term loss of one graph, or of each graph of a stack; sel=None
+    (warm-up) zeroes the quantization terms."""
     if a_target.shape != a_rec.shape:
         raise DimensionMismatch("adjacency shapes differ")
-    recon = float(((a_target - a_rec) ** 2).sum())
+    recon = ((a_target - a_rec) ** 2).sum(axis=(-2, -1))
     # update and commitment share the forward value; their gradients differ
-    gap = 0.0 if sel is None else float(((h - sel.quantized) ** 2).sum())
+    gap = 0.0 if sel is None else ((h - sel.quantized) ** 2).sum(axis=(-2, -1))
     return LossBreakdown(reconstruction=recon, update=gap, commitment=gap, beta=beta)
 
 
@@ -226,10 +258,30 @@ class ForwardState:
 
 @dataclass
 class Gradients:
+    """Gradients of one graph, or of each graph of a stack (leading axis b)."""
+
     w1: np.ndarray
     w2: np.ndarray
     wd: np.ndarray
-    codebook: np.ndarray | None  # None when no codebook participates
+    # The codebook learns only from the update term: each latent row adds
+    # 2 (q - h) to the gradient of the entry it selected. Both are None when
+    # no row was quantized (warm-up).
+    entry_rows: np.ndarray | None  # 2 (q - h), shaped like h
+    indices: np.ndarray | None  # each row's entry, shaped like h without its last axis
+    k: int  # codebook size
+
+    @property
+    def codebook(self) -> np.ndarray | None:
+        """Dense gradient on the codebook, (K, d) per graph: each graph's
+        entry_rows added to their entries in row order."""
+        if self.entry_rows is None:
+            return None
+        *batch, m, d = self.entry_rows.shape
+        graphs = math.prod(batch)
+        dcb = np.zeros((graphs * self.k, d))
+        keys = np.repeat(np.arange(graphs) * self.k, m) + self.indices.ravel()
+        np.add.at(dcb, keys, self.entry_rows.reshape(-1, d))
+        return dcb.reshape(*batch, self.k, d)
 
 
 def forward(
@@ -240,11 +292,18 @@ def forward(
     dec: DecoderParams,
     cb: Codebook | None,
     beta: float,
+    encoded: tuple[np.ndarray, np.ndarray] | None = None,
+    sel: QuantizedSelection | None = None,
 ) -> ForwardState:
-    """Full pass on anorm = normalized_adjacency(a_target). With cb=None (warm-up
-    pretraining) the decoder reads h itself and the quantization terms are zero."""
-    h, z1 = encode(anorm, x, enc)
-    sel = None if cb is None else quantize(h, cb)
+    """Full pass on anorm = normalized_adjacency(a_target), of one graph or of
+    a stack. With cb=None (warm-up pretraining) the decoder reads h itself and
+    the quantization terms are zero. A caller that searched the rows of
+    several stacks at once passes each stack's encode() result as encoded and
+    its part of that search as sel, so the pass neither encodes nor searches
+    again."""
+    h, z1 = encode(anorm, x, enc) if encoded is None else encoded
+    if sel is None and cb is not None:
+        sel = quantize(h.reshape(-1, h.shape[-1]), cb).part(0, h.shape)
     xhat, a_rec = decode_and_reconstruct(h if sel is None else sel.quantized, dec)
     loss = compute_loss(a_target, a_rec, h, sel, beta)
     return ForwardState(a_target, anorm, x, z1, h, sel, xhat, a_rec, loss)
@@ -256,31 +315,32 @@ def backward(
     dec: DecoderParams,
     cb: Codebook | None,
 ) -> Gradients:
-    """Analytic gradients of the three-term loss for one forward state."""
+    """Analytic gradients of the three-term loss for one forward state, of one
+    graph or of each graph of a stack."""
     beta = state.loss.beta
     diff = state.a_rec - state.a_target
     dxhat = 4.0 * diff @ state.xhat
 
     if state.sel is None:
         # warm-up: plain autoencoder, decoder reads h directly
-        dwd = state.h.T @ dxhat
+        dwd = _transposed(state.h) @ dxhat
         dh = dxhat @ dec.wd.T
-        dcb = None if cb is None else np.zeros_like(cb.entries)
+        entry_rows = indices = None
     else:
-        dwd = state.sel.quantized.T @ dxhat
+        dwd = _transposed(state.sel.quantized) @ dxhat
         dq_recon = dxhat @ dec.wd.T
         # straight-through: the reconstruction gradient at q passes to h
         dh = 2.0 * beta * (state.h - state.sel.quantized) + dq_recon
-        dcb = np.zeros_like(cb.entries)
-        np.add.at(dcb, state.sel.indices, 2.0 * (state.sel.quantized - state.h))
+        entry_rows, indices = 2.0 * (state.sel.quantized - state.h), state.sel.indices
 
     s2 = state.anorm @ np.maximum(state.z1, 0.0)
-    dw2 = s2.T @ dh
+    dw2 = _transposed(s2) @ dh
     dz2 = (state.anorm @ dh) @ enc.w2.T
     dz1 = dz2 * (state.z1 > 0.0)
     s1 = state.anorm @ state.x
-    dw1 = s1.T @ dz1
-    return Gradients(w1=dw1, w2=dw2, wd=dwd, codebook=dcb)
+    dw1 = _transposed(s1) @ dz1
+    k = 0 if cb is None else cb.k
+    return Gradients(w1=dw1, w2=dw2, wd=dwd, entry_rows=entry_rows, indices=indices, k=k)
 
 
 class Adam:

@@ -32,6 +32,8 @@ from .model import (
     Codebook,
     DecoderParams,
     EncoderParams,
+    ForwardState,
+    Gradients,
     TokenizerModel,
     backward,
     encode,
@@ -39,6 +41,7 @@ from .model import (
     init_params,
     nearest,
     normalized_adjacency,
+    quantize,
     save_checkpoint,
 )
 
@@ -106,34 +109,27 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class PreparedGraph:
-    """Per-graph constants reused across epochs."""
+class PreparedBucket:
+    """Encoder inputs of graphs with one node count m, stacked; reused across
+    epochs."""
 
-    graph: Graph
-    attrs: StructuralAttributeMap
-    a_target: np.ndarray  # adjacency (augmented unless include_global=False), reconstruction target
-    anorm: np.ndarray
-    table: np.ndarray  # embeddings of the distinct attribute strings of one prepare_graphs() call
-    x_index: np.ndarray  # x's rows of table
-
-    @property
-    def x(self) -> np.ndarray:
-        """Attribute embeddings, global row last. Gathered on each use, so
-        prepared graphs share one small table instead of holding a vector
-        per node."""
-        return self.table[self.x_index]
+    positions: list[int]  # the graphs' places in the list given to prepare_graphs()
+    attrs: list[StructuralAttributeMap]
+    a_target: np.ndarray  # (B, m, m) adjacency (augmented unless include_global=False), reconstruction target
+    anorm: np.ndarray  # (B, m, m)
+    x_index: np.ndarray  # (B, m): x's rows of the table, global row last
 
 
 def prepare_graphs(
     graphs: list[Graph], strategy: ImportanceStrategy, embedder, include_global: bool = True
-) -> list[PreparedGraph]:
-    """Encoder inputs of each graph, in order; the virtual global node is
-    appended unless include_global=False. Graphs of one node count are
-    prepared together: their adjacencies form one (B, n, n) array, and each
-    distinct attribute string is embedded once, into the table that x is
-    gathered from."""
+) -> tuple[np.ndarray, list[PreparedBucket]]:
+    """Encoder inputs of the graphs, one bucket per node count (a large count
+    may take several); the virtual global node is appended unless
+    include_global=False. Each distinct attribute string is embedded once,
+    into the returned table; a graph's features are x = table[x_index], so
+    the buckets hold row numbers, not a vector per node."""
     if not graphs:
-        return []
+        return np.empty((0, embedder.dim)), []
     buckets = list(attribute_buckets(graphs, strategy))
     row_of: dict[str, int] = {GLOBAL_ATTRIBUTE: 0} if include_global else {}
     codes = [
@@ -145,7 +141,7 @@ def prepare_graphs(
         raise DimensionMismatch(
             f"embedder produced dimension {table.shape[1]}, configured {embedder.dim}"
         )
-    prepared: list[PreparedGraph | None] = [None] * len(graphs)
+    prepared = []
     for (positions, adjacency, maps), code in zip(buckets, codes):
         b, n, _ = adjacency.shape
         m = n + include_global
@@ -154,18 +150,8 @@ def prepare_graphs(
         if include_global:
             a[:, :n, n] = a[:, n, :n] = 1.0
             code = [row + [0] for row in code]
-        anorm = normalized_adjacency(a)
-        x_index = np.array(code)
-        for i, (pos, attrs) in enumerate(zip(positions, maps)):
-            prepared[pos] = PreparedGraph(graphs[pos], attrs, a[i], anorm[i], table, x_index[i])
-    return prepared
-
-
-def prepare_graph(
-    g: Graph, strategy: ImportanceStrategy, embedder, include_global: bool = True
-) -> PreparedGraph:
-    """Encoder inputs of g; the virtual global node is appended unless include_global=False."""
-    return prepare_graphs([g], strategy, embedder, include_global)[0]
+        prepared.append(PreparedBucket(positions, maps, a, normalized_adjacency(a), np.array(code)))
+    return table, prepared
 
 
 @dataclass(frozen=True)
@@ -199,10 +185,12 @@ def kmeans(rows: np.ndarray, k: int, rng: np.random.Generator, iters: int = 20) 
         centers = np.vstack([rows.copy(), pad])
     for _ in range(iters):
         assign = nearest(rows, centers)
-        for j in range(k):
-            members = rows[assign == j]
-            if len(members) > 0:
-                centers[j] = members.mean(axis=0)
+        # each cluster's members in row order, as a boolean mask selects them
+        counts = np.bincount(assign, minlength=k)
+        order = np.argsort(assign, kind="stable")
+        ends = np.cumsum(counts)
+        for j in np.flatnonzero(counts):
+            centers[j] = rows[order[ends[j] - counts[j] : ends[j]]].mean(axis=0)
     return centers
 
 
@@ -216,13 +204,32 @@ def _minibatches(
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
+# Graphs encoded, searched and differentiated at once in training. A block
+# holds the gradients of each graph that waits for an earlier one of its
+# minibatch (72 KB per graph at d_s = d_h = d = 64), so larger blocks raise
+# peak memory, and smaller ones split into more single-size stacks, each a
+# forward and a backward call.
+TRAIN_BLOCK = 24
+
+
+def _blocks(order: np.ndarray) -> Iterator[np.ndarray]:
+    return (order[i : i + TRAIN_BLOCK] for i in range(0, len(order), TRAIN_BLOCK))
+
+
 def train(
     dataset: list[Graph],
     cfg: TrainConfig,
     checkpoint_dir=None,
     embedder=None,
 ) -> tuple[TokenizerModel, list[EpochLog]]:
-    """Run both phases and return the trained model plus per-epoch logs."""
+    """Run both phases and return the trained model plus per-epoch logs.
+
+    Every pass walks the graphs in blocks of TRAIN_BLOCK: a block's graphs of
+    one bucket form a stack with one forward and one backward pass, and all
+    latent rows of the block go through one quantize() call. Per-graph
+    losses and gradients are added up one graph at a time, in dataset order
+    for the logged losses and in minibatch order for the gradients, so every
+    sum has the bytes of a loop over single graphs."""
     if not dataset:
         raise EmptyDataset("training requires at least one graph")
     if embedder is None:
@@ -234,40 +241,94 @@ def train(
     enc, dec = init_params(cfg.d_s, cfg.hidden, cfg.d, cfg.d_r, rng)
     # gaussian fallback codebook; replaced by k-means when warm-up runs
     entries = rng.normal(0.0, 0.1, size=(cfg.k, cfg.d))
-    prepared = prepare_graphs(dataset, cfg.strategy, embedder)
+    table, buckets = prepare_graphs(dataset, cfg.strategy, embedder)
+    # each graph's bucket and its slot in that bucket
+    bucket_of = np.empty(len(dataset), dtype=np.int64)
+    slot_of = np.empty(len(dataset), dtype=np.int64)
+    for b, bucket in enumerate(buckets):
+        bucket_of[bucket.positions] = b
+        slot_of[bucket.positions] = np.arange(len(bucket.positions))
     logs: list[EpochLog] = []
+
+    def stacks(block: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Each bucket's share of a block, in the order of its first graph: the
+        graphs' places in the block and their stacked a_target, anorm and x."""
+        here = bucket_of[block]
+        for b in dict.fromkeys(here.tolist()):
+            at = np.flatnonzero(here == b)
+            bucket, slots = buckets[b], slot_of[block[at]]
+            yield at, bucket.a_target[slots], bucket.anorm[slots], table[bucket.x_index[slots]]
+
+    def block_pass(block: np.ndarray, cb: Codebook | None) -> Iterator[tuple[np.ndarray, ForwardState]]:
+        """Forward state of each stack of a block; one search serves all the
+        block's latent rows."""
+        groups = list(stacks(block))
+        encoded = [encode(anorm, x, enc) for _, _, anorm, x in groups]
+        found = None
+        if cb is not None:
+            found = quantize(np.concatenate([h.reshape(-1, cfg.d) for h, _ in encoded]), cb)
+        start = 0
+        for (at, a, anorm, x), (h, z1) in zip(groups, encoded):
+            sel = None if found is None else found.part(start, h.shape)
+            start += h.shape[0] * h.shape[1]
+            yield at, forward(a, anorm, x, enc, dec, cb, cfg.beta, encoded=(h, z1), sel=sel)
 
     def evaluate(epoch: int, cb: Codebook | None) -> EpochLog:
         """Loss of the current parameters over the whole dataset."""
         sums = np.zeros(3)  # recon, gap, total
-        selected: set[int] = set()
-        for pg in prepared:
-            state = forward(pg.a_target, pg.anorm, pg.x, enc, dec, cb, cfg.beta)
-            sums += (state.loss.reconstruction, state.loss.update, state.loss.total)
-            if state.sel is not None:
-                selected.update(state.sel.indices.tolist())
-        mean_recon, mean_gap, mean_total = sums / len(prepared)
+        used = np.zeros(cfg.k, dtype=bool)
+        for block in _blocks(np.arange(len(dataset))):
+            losses = np.empty((len(block), 3))
+            for at, state in block_pass(block, cb):
+                losses[at, 0] = state.loss.reconstruction
+                losses[at, 1] = state.loss.update
+                losses[at, 2] = state.loss.total
+                if state.sel is not None:
+                    used[state.sel.indices] = True
+            for row in losses:  # dataset order
+                sums += row
+        mean_recon, mean_gap, mean_total = sums / len(dataset)
         if not np.isfinite(mean_total):
             raise NonFiniteLoss(epoch, f"mean total loss {mean_total}")
+        selected = int(used.sum())
         return EpochLog(
             epoch=epoch,
             recon=mean_recon,
             update=mean_gap,
             commit=mean_gap,
             total=mean_total,
-            utilization=len(selected) / cfg.k if cb is not None else 0.0,
-            dead_entries=cfg.k - len(selected) if cb is not None else cfg.k,
+            utilization=selected / cfg.k if cb is not None else 0.0,
+            dead_entries=cfg.k - selected if cb is not None else cfg.k,
         )
 
     def update_pass(cb: Codebook | None, opt: Adam, params: dict) -> None:
-        for batch in _minibatches(len(prepared), cfg.batch_size, rng):
+        dense = [name for name in params if name != "codebook"]
+        for batch in _minibatches(len(dataset), cfg.batch_size, rng):
             sums = {name: np.zeros_like(p) for name, p in params.items()}
-            for idx in batch:
-                pg = prepared[idx]
-                state = forward(pg.a_target, pg.anorm, pg.x, enc, dec, cb, cfg.beta)
-                grads = backward(state, enc, dec, cb)
-                for name, total in sums.items():
-                    total += getattr(grads, name)
+            for block in _blocks(batch):
+                # each graph's gradients join the sums in minibatch order, as
+                # soon as the graphs before it have joined
+                waiting: dict[int, tuple[Gradients, int]] = {}
+                joined = 0
+                entry_keys, entry_rows = [], []
+                for at, state in block_pass(block, cb):
+                    grads = backward(state, enc, dec, cb)
+                    waiting.update((pos, (grads, slot)) for slot, pos in enumerate(at.tolist()))
+                    while joined in waiting:
+                        grads_of, slot = waiting.pop(joined)
+                        for name in dense:
+                            sums[name] += getattr(grads_of, name)[slot]
+                        joined += 1
+                    if grads.entry_rows is not None:
+                        entry_keys.append((at[:, None] * cfg.k + grads.indices).ravel())
+                        entry_rows.append(grads.entry_rows.reshape(-1, cfg.d))
+                if entry_rows:
+                    # each graph's rows summed per entry in row order, then
+                    # added to the entries graph by graph
+                    keys, inverse = np.unique(np.concatenate(entry_keys), return_inverse=True)
+                    per_graph = np.zeros((len(keys), cfg.d))
+                    np.add.at(per_graph, inverse, np.concatenate(entry_rows))
+                    np.add.at(sums["codebook"], keys % cfg.k, per_graph)
             factor = 1.0 / len(batch)
             opt.step(params, {name: total * factor for name, total in sums.items()})
 
@@ -296,20 +357,25 @@ def train(
         epoch += 1
 
     if cfg.warmup_epochs > 0:
-        full, node_rows, global_rows = [], [], []
-        for pg in prepared:
-            h, _ = encode(pg.anorm, pg.x, enc)
-            full.append(h)
-            node_rows.append(h[:-1])
-            global_rows.append(h[-1:])
+        # every latent row, graph by graph, global row last
+        sizes = np.array([g.n + 1 for g in dataset])
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        rows = np.empty((ends[-1], cfg.d))
+        for block in _blocks(np.arange(len(dataset))):
+            for at, _, anorm, x in stacks(block):
+                h, _ = encode(anorm, x, enc)
+                rows[starts[block[at]][:, None] + np.arange(h.shape[1])] = h
         if cfg.global_share is None:
-            entries = kmeans(np.vstack(full), cfg.k, rng)
+            entries = kmeans(rows, cfg.k, rng)
         else:
             k_global = min(cfg.k - 1, max(1, round(cfg.k * cfg.global_share)))
+            is_global = np.zeros(len(rows), dtype=bool)
+            is_global[ends - 1] = True
             entries = np.vstack(
                 [
-                    kmeans(np.vstack(node_rows), cfg.k - k_global, rng),
-                    kmeans(np.vstack(global_rows), k_global, rng),
+                    kmeans(rows[~is_global], cfg.k - k_global, rng),
+                    kmeans(rows[is_global], k_global, rng),
                 ]
             )
 
@@ -350,26 +416,31 @@ def encoded_blocks(
     include_global: bool = True,
     take: slice = slice(None),
 ) -> Iterator[tuple[list[Graph], list[StructuralAttributeMap], np.ndarray]]:
-    """The read path: prepare and encode graphs READ_BLOCK at a time. Yields
-    each block's graphs, their attribute maps and the rows h[take] of their
-    latent rows h (global row last unless include_global=False), stacked in
-    graph order, so that a caller searches a block with one nearest() call; a
-    row's entry does not depend on the other rows. graphs may be a lazy
-    iterable. Only one block's inputs are held, and only the rows taken are
-    kept."""
+    """The read path: prepare graphs READ_BLOCK at a time and encode each
+    bucket of a block in stacks of at most TRAIN_BLOCK graphs, which bound the
+    encoder's temporaries as in training. Yields each block's graphs, their
+    attribute maps and the rows h[take] of their latent rows h (global row
+    last unless include_global=False), stacked in graph order, so that a
+    caller searches a block with one nearest() call; a row's entry does not
+    depend on the other rows. graphs may be a lazy iterable. Only one block's
+    inputs are held, and only the rows taken are kept."""
     if embedder is None:
         embedder = HashingEmbedder(dim=model.d_s)
     it = iter(graphs)
     while block := list(islice(it, READ_BLOCK)):
-        prepared = prepare_graphs(block, model.strategy, embedder, include_global)
-        counts = [len(range(len(pg.x_index))[take]) for pg in prepared]  # rows of each h[take]
-        rows = np.empty((sum(counts), model.enc.d))
-        end = 0
-        for pg, count in zip(prepared, counts):
-            rows[end : end + count] = encode(pg.anorm, pg.x, model.enc)[0][take]
-            end += count
-        attrs = [pg.attrs for pg in prepared]
-        del prepared  # not held while the caller works or the next block is prepared
+        table, buckets = prepare_graphs(block, model.strategy, embedder, include_global)
+        counts = np.array([len(range(g.n + include_global)[take]) for g in block])  # rows of each h[take]
+        starts = np.cumsum(counts) - counts
+        rows = np.empty((counts.sum(), model.enc.d))
+        attrs: list[StructuralAttributeMap | None] = [None] * len(block)
+        for bucket in buckets:
+            for s in range(0, len(bucket.positions), TRAIN_BLOCK):
+                part = slice(s, s + TRAIN_BLOCK)
+                h = encode(bucket.anorm[part], table[bucket.x_index[part]], model.enc)[0][:, take]
+                rows[starts[bucket.positions[part]][:, None] + np.arange(h.shape[1])] = h
+            for pos, a in zip(bucket.positions, bucket.attrs):
+                attrs[pos] = a
+        del table, buckets, h  # not held while the caller works or the next block is prepared
         yield block, attrs, rows
 
 

@@ -101,10 +101,18 @@ def test_01_gradient_correctness():
         seed += 1
         if err is not None:
             errors.append(err)
+    # stacks of 3 to 5 same-size graphs: the stacked backward against finite
+    # differences of the stack's summed loss, and each of its slices against
+    # the backward of that graph alone, bit for bit
+    while len(errors) < 25:
+        err = finite_difference_check(seed, stack=3 + seed % 3)
+        seed += 1
+        if err is not None:
+            errors.append(err)
     elapsed = time.monotonic() - t0
     assert max(errors) < 1e-4, f"max relative error {max(errors)}"
     assert elapsed < 5.0, f"took {elapsed:.1f}s"
-    report(1, f"gradient-correctness (20 instances, max rel err {max(errors):.2e})")
+    report(1, f"gradient-correctness (20 graphs and 5 stacks, max rel err {max(errors):.2e})")
 
 
 def test_02_quantization_oracle():

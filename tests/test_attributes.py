@@ -246,12 +246,15 @@ def test_prepare_graphs_bytes_equal_per_graph_oracle(graphs, kind, include_globa
 
     strategy = ImportanceStrategy(kind, seed=5)
     embedder = HashingEmbedder(dim=16)
-    got = prepare_graphs(graphs, strategy, embedder, include_global)
-    for g, pg in zip(graphs, got):
-        a_target, anorm, x = oracle.prepare_graph(g, strategy, embedder, include_global)
-        for mine, theirs in ((pg.a_target, a_target), (pg.anorm, anorm), (pg.x, x)):
-            assert mine.shape == theirs.shape and mine.dtype == theirs.dtype
-            assert mine.tobytes() == theirs.tobytes()
+    table, buckets = prepare_graphs(graphs, strategy, embedder, include_global)
+    assert sorted(pos for bucket in buckets for pos in bucket.positions) == list(range(len(graphs)))
+    for bucket in buckets:
+        for i, pos in enumerate(bucket.positions):
+            a_target, anorm, x = oracle.prepare_graph(graphs[pos], strategy, embedder, include_global)
+            mine_x = table[bucket.x_index[i]]
+            for mine, theirs in ((bucket.a_target[i], a_target), (bucket.anorm[i], anorm), (mine_x, x)):
+                assert mine.shape == theirs.shape and mine.dtype == theirs.dtype
+                assert mine.tobytes() == theirs.tobytes()
 
 
 def test_attribute_maps_split_large_buckets(monkeypatch):

@@ -401,6 +401,15 @@ def _assert_one_line_error(proc, needle):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+@pytest.mark.parametrize("command", [["stats"], ["gen-corpus", "--kinds", "simjudge"]])
+def test_empty_data_exit_2(trained, tmp_path, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    proc = _run_cli(*command, "--data", empty, "--checkpoint", trained / "model.sogtok",
+                    "--out", tmp_path / "o", "--seed", "1")
+    _assert_one_line_error(proc, "no graphs in")
+
+
 def test_embed_table_non_numeric_exit_2(dataset, trained, tmp_path):
     table = tmp_path / "table.tsv"
     table.write_text("anchor node\t" + ",".join(["0.5"] * 15 + ["x"]) + "\n")

@@ -202,10 +202,29 @@ def test_nearest_equals_broadcast_expression(case, chunk):
     assert got.tolist() == _broadcast_nearest(rows, entries).tolist()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite rows warn in both searches
+def test_nearest_equals_broadcast_on_random_ties():
+    """Rows and entries drawn from a few small-integer points, so that most
+    rows tie or near-tie; some rows copy entries one ulp away, and some hold
+    NaN, inf or 1e200. The searches agree in every case."""
+    rng = np.random.default_rng(45)
+    for case in range(120):
+        d = (1, 2, 5, 16)[case % 4]
+        points = rng.integers(-2, 3, size=(6, d)).astype(float)
+        entries = points[rng.integers(0, 6, size=int(rng.integers(2, 24)))]
+        rows = points[rng.integers(0, 6, size=int(rng.integers(1, 40)))]
+        rows[::5] = np.nextafter(rows[::5], np.inf)
+        if case % 3 == 0:
+            rows[rng.integers(0, len(rows))] = rng.choice([np.nan, np.inf, 1e200], size=d)
+        chunk = int(rng.integers(1, 9))
+        assert nearest(rows, entries, chunk=chunk).tolist() == _broadcast_nearest(rows, entries).tolist()
+
+
 def test_kmeans_matches_one_shot_search():
-    """Chunked search gives the same centers, bit for bit, as searching all
-    rows in one broadcast."""
-    rows = np.random.default_rng(8).normal(size=(300, 8))
+    """Chunked search and sorted cluster members give the same centers, bit
+    for bit, as searching all rows in one broadcast and masking each cluster.
+    At d = 1 NumPy sums an (n, 1) column pairwise, so only the same rows in
+    the same order give the same mean."""
 
     def one_shot(rows, k, rng, iters=20):
         centers = rows[rng.choice(len(rows), size=k, replace=False)].copy()
@@ -217,8 +236,10 @@ def test_kmeans_matches_one_shot_search():
                     centers[j] = rows[assign == j].mean(axis=0)
         return centers
 
-    got = kmeans(rows, 16, np.random.default_rng(4))
-    assert got.tobytes() == one_shot(rows, 16, np.random.default_rng(4)).tobytes()
+    for d in (8, 1):
+        rows = np.random.default_rng(8).normal(size=(300, d))
+        got = kmeans(rows, 16, np.random.default_rng(4))
+        assert got.tobytes() == one_shot(rows, 16, np.random.default_rng(4)).tobytes(), d
 
 
 def test_kmeans_memory_bounded():
@@ -300,11 +321,16 @@ def test_loss_total_identity():
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
-def _gradient_instance(seed, n=6, d_s=8, d_h=8, d=4, d_r=4, k=4, beta=0.25):
-    """Instance with safe margins at the relu kink and codebook boundaries."""
+def _gradient_instance(seed, n=6, d_s=8, d_h=8, d=4, d_r=4, k=4, beta=0.25, stack=None):
+    """Instance with safe margins at the relu kink and codebook boundaries:
+    one graph, or a stack of `stack` graphs with n nodes each."""
     rng = np.random.default_rng(seed)
-    a = random_symmetric_adjacency(n, rng)
-    x = rng.normal(size=(n, d_s))
+    if stack is None:
+        a = random_symmetric_adjacency(n, rng)
+        x = rng.normal(size=(n, d_s))
+    else:
+        a = np.stack([random_symmetric_adjacency(n, rng) for _ in range(stack)])
+        x = rng.normal(size=(stack, n, d_s))
     enc, dec = init_params(d_s, d_h, d, d_r, rng)
     cb = Codebook(entries=rng.normal(size=(k, d)))
     state = forward(a, normalized_adjacency(a), x, enc, dec, cb, beta)
@@ -318,19 +344,36 @@ def _max_rel_error(analytic, fd):
     return float((np.abs(analytic - fd) / denom).max())
 
 
-def finite_difference_check(seed, beta=0.25, eps=1e-5):
+def _assert_slices_match_single_graphs(a, x, enc, dec, cb, state, grads):
+    """Each slice of a stacked pass has the bytes of the pass on its graph alone."""
+    for i in range(len(a)):
+        one = forward(a[i], normalized_adjacency(a[i]), x[i], enc, dec, cb, state.loss.beta)
+        mine = (state.h[i], state.sel.indices[i], state.a_rec[i], state.loss.total[i])
+        for got, want in zip(mine, (one.h, one.sel.indices, one.a_rec, one.loss.total)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        single = backward(one, enc, dec, cb)
+        for name in ("w1", "w2", "wd", "codebook"):
+            assert getattr(grads, name)[i].tobytes() == getattr(single, name).tobytes(), name
+
+
+def finite_difference_check(seed, beta=0.25, eps=1e-5, stack=None):
     """Central differences of the stop-gradient-respecting objective.
 
     The quantization indices, the quantized values feeding terms marked as
     constants, and the straight-through offset are frozen at the base
     point, which is exactly the function the analytic backward pass
-    differentiates.
+    differentiates. With stack=b, the instance is a stack of b graphs: the
+    objective is the sum over the stack, checked against the sum of the
+    stacked gradients, and each slice of the stacked pass must equal the
+    pass on its graph alone, bit for bit.
     """
-    instance = _gradient_instance(seed, beta=beta)
+    instance = _gradient_instance(seed, beta=beta, stack=stack)
     if instance is None:
         return None
     a, x, enc, dec, cb, state = instance
     grads = backward(state, enc, dec, cb)
+    if stack is not None:
+        _assert_slices_match_single_graphs(a, x, enc, dec, cb, state, grads)
     h0 = state.h.copy()
     idx0 = state.sel.indices.copy()
     q0 = state.sel.quantized.copy()
@@ -341,17 +384,20 @@ def finite_difference_check(seed, beta=0.25, eps=1e-5):
         z1 = anorm @ x @ enc.w1
         h = anorm @ np.maximum(z1, 0.0) @ enc.w2
         xhat = (h + offset) @ dec.wd
-        recon = ((a - xhat @ xhat.T) ** 2).sum()
+        recon = ((a - xhat @ np.swapaxes(xhat, -1, -2)) ** 2).sum()
         update = ((h0 - cb.entries[idx0]) ** 2).sum()
         commit = ((h - q0) ** 2).sum()
         return recon + update + beta * commit
 
+    def total(grad):
+        return grad if stack is None else grad.sum(axis=0)
+
     worst = 0.0
     for param, grad in (
-        (enc.w1, grads.w1),
-        (enc.w2, grads.w2),
-        (dec.wd, grads.wd),
-        (cb.entries, grads.codebook),
+        (enc.w1, total(grads.w1)),
+        (enc.w2, total(grads.w2)),
+        (dec.wd, total(grads.wd)),
+        (cb.entries, total(grads.codebook)),
     ):
         fd = np.zeros_like(param)
         it = np.nditer(param, flags=["multi_index"])
@@ -378,6 +424,33 @@ def test_backward_matches_finite_differences():
         if err is not None:
             errors.append(err)
     assert max(errors) < 1e-4
+
+
+def test_stacked_backward_matches_finite_differences_and_single_graphs():
+    errors = []
+    seed = 0
+    while len(errors) < 5:
+        err = finite_difference_check(seed, stack=3 + seed % 3)
+        seed += 1
+        if err is not None:
+            errors.append(err)
+    assert max(errors) < 1e-4
+
+
+def test_stacked_warmup_backward_matches_single_graphs():
+    rng = np.random.default_rng(19)
+    a = np.stack([random_symmetric_adjacency(5, rng) for _ in range(4)])
+    x = rng.normal(size=(4, 5, 6))
+    enc, dec = init_params(6, 6, 4, 3, rng)
+    state = forward(a, normalized_adjacency(a), x, enc, dec, None, 0.25)
+    grads = backward(state, enc, dec, None)
+    assert grads.codebook is None
+    for i in range(4):
+        one = forward(a[i], normalized_adjacency(a[i]), x[i], enc, dec, None, 0.25)
+        assert state.loss.reconstruction[i] == one.loss.reconstruction
+        single = backward(one, enc, dec, None)
+        for name in ("w1", "w2", "wd"):
+            assert getattr(grads, name)[i].tobytes() == getattr(single, name).tobytes()
 
 
 def test_backward_warmup_pure_autoencoder():

@@ -13,11 +13,14 @@ from sogtok.synthetic import (
     strict_ranking_graphs,
 )
 from sogtok.train import (
+    CENTER_ROW,
+    GLOBAL_ROW,
     StructuralToken,
     TokenAssignment,
     TrainConfig,
     assign_node_tokens,
     assign_token,
+    encoded_blocks,
     format_token_table,
     format_training_log,
     graph_embedding,
@@ -27,6 +30,7 @@ from sogtok.train import (
 )
 
 from conftest import make_graph
+import oracle
 
 SMALL = dict(k=4, warmup_epochs=2, joint_epochs=3, seed=5, d_s=16, d=8, d_r=4)
 
@@ -298,3 +302,119 @@ def test_format_token_table_surface():
         ]
     )
     assert "<SOG_157>" in row and "1,2" in row
+
+
+def _mixed_sizes(count, seed):
+    """Graphs of 1 to 8 nodes, a fifth of them edgeless, with single-node ones."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i in range(count):
+        n = int(rng.integers(1, 9))
+        edges = [] if rng.random() < 0.2 else [
+            (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4
+        ]
+        graphs.append(make_graph(n, edges, gid=f"m{i:03d}"))
+    return graphs
+
+
+def _artifacts(trainer, graphs, cfg, out):
+    out.mkdir()
+    model, logs = trainer(graphs, cfg, checkpoint_dir=str(out))
+    save_checkpoint(model, out / "final.sogtok")
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}, format_training_log(logs)
+
+
+ORACLE_CASES = {
+    "full_batch": dict(k=8, batch_size=None),
+    "batch_1": dict(k=8, batch_size=1),
+    "batch_7_global_share": dict(k=8, batch_size=7, global_share=0.5),
+    "batch_32": dict(k=16, batch_size=32),
+    "no_warmup": dict(k=8, batch_size=7, warmup_epochs=0),
+    "one_dimensional": dict(k=4, batch_size=7, d_s=1, d_h=1, d=1, d_r=1),
+    "one_dimensional_global_share": dict(k=4, batch_size=None, d_s=1, d_h=1, d=1, d_r=1, global_share=0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_train_matches_per_graph_oracle(case, tmp_path):
+    """Blocked training writes the bytes of the one-graph-at-a-time loop: final
+    model, every snapshot and the log. 41 graphs leave partial minibatches and
+    blocks; single-node and edgeless graphs are among them."""
+    graphs = _mixed_sizes(41, seed=0)
+    settings = dict(warmup_epochs=2, joint_epochs=3, seed=5, d_s=16, d=8, d_r=4, lr_gcn=2e-3,
+                    lr_codebook=1e-2) | ORACLE_CASES[case]
+    cfg = TrainConfig(**settings)
+    assert _artifacts(train, graphs, cfg, tmp_path / "blocked") == _artifacts(
+        oracle.train, graphs, cfg, tmp_path / "per_graph"
+    )
+
+
+@pytest.mark.parametrize("global_share", [None, 0.5])
+def test_train_matches_oracle_when_k_exceeds_rows(global_share, tmp_path):
+    """K=32 entries for 15 latent rows: k-means pads its centers."""
+    graphs = [make_graph(1, [], gid="a"), make_graph(2, [(0, 1)], gid="b"),
+              make_graph(3, [], gid="c"), make_graph(4, [(0, 1), (1, 2), (2, 3)], gid="d")]
+    cfg = TrainConfig(k=32, warmup_epochs=2, joint_epochs=2, seed=3, d_s=16, d=8, d_r=4,
+                      batch_size=3, global_share=global_share)
+    assert _artifacts(train, graphs, cfg, tmp_path / "blocked") == _artifacts(
+        oracle.train, graphs, cfg, tmp_path / "per_graph"
+    )
+
+
+def _epoch_memory(graphs, cfg) -> int:
+    """Peak traced bytes that training allocates beyond its prepared inputs."""
+    import tracemalloc
+
+    import sogtok.train as train_module
+
+    prepare = train_module.prepare_graphs
+    after_prepare = []
+
+    def prepare_then_mark(*args, **kwargs):
+        prepared = prepare(*args, **kwargs)
+        tracemalloc.reset_peak()
+        after_prepare.append(tracemalloc.get_traced_memory()[0])
+        return prepared
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(train_module, "prepare_graphs", prepare_then_mark)
+        tracemalloc.start()
+        try:
+            train(graphs, cfg)
+            return tracemalloc.get_traced_memory()[1] - after_prepare[0]
+        finally:
+            tracemalloc.stop()
+
+
+def test_training_epoch_memory_is_bounded_by_a_block():
+    """An epoch (evaluation, an update pass, evaluation) allocates per block:
+    four times the graphs add a few index entries per graph (the minibatch
+    order), never an array over the graphs' latent rows, which would take
+    (nodes + 1) x d x 8 bytes per graph."""
+    cfg = TrainConfig(k=16, warmup_epochs=0, joint_epochs=1, seed=2, d_s=16, d=16, d_r=4, batch_size=100)
+    small, large = _mixed_sizes(400, seed=1), _mixed_sizes(1600, seed=1)
+    growth = _epoch_memory(large, cfg) - _epoch_memory(small, cfg)
+    latent_row_bytes = cfg.d * 8 * sum(g.n + 1 for g in large[len(small):])
+    assert growth < latent_row_bytes / 10
+
+
+@pytest.mark.parametrize("include_global, take", [(True, slice(None)), (True, GLOBAL_ROW),
+                                                  (False, CENTER_ROW)])
+def test_encoded_blocks_rows_equal_per_graph_encode(tiny_model, monkeypatch, include_global, take):
+    """Stacked encode calls yield the bytes of encoding every graph alone,
+    across block boundaries and with buckets split into several stacks."""
+    import sogtok.train as train_module
+    from sogtok.model import encode
+
+    model, _, _ = tiny_model
+    monkeypatch.setattr(train_module, "READ_BLOCK", 7)
+    monkeypatch.setattr(train_module, "TRAIN_BLOCK", 2)
+    graphs = _mixed_sizes(23, seed=4)
+    embedder = HashingEmbedder(dim=model.d_s)
+    got = np.vstack([rows for _, _, rows in
+                     encoded_blocks(graphs, model, embedder, include_global, take)])
+    want = np.vstack([
+        encode(*oracle.prepare_graph(g, model.strategy, embedder, include_global)[1:], model.enc)[0][take]
+        for g in graphs
+    ])
+    assert got.tobytes() == want.tobytes()
