@@ -59,7 +59,6 @@ class StructuralAttributeMap:
     hop_of: tuple[int | None, ...]  # None marks unreachable nodes
     rank_of: tuple[int, ...]
     attribute_of: tuple[str, ...]
-    global_attribute: str = GLOBAL_ATTRIBUTE
 
 
 def _pagerank(g: Graph, damping: float = 0.85, iters: int = 100, tol: float = 1e-9) -> np.ndarray:
@@ -116,8 +115,6 @@ def _betweenness(g: Graph) -> np.ndarray:
 
 def importance_scores(g: Graph, strategy: ImportanceStrategy) -> np.ndarray:
     """Per-node non-negative importance under the chosen strategy."""
-    if g.has_global:
-        raise ValidationError("importance is computed before global-node augmentation")
     if strategy.kind == "degree":
         return np.asarray(g.degrees(), dtype=np.float64)
     if strategy.kind == "pagerank":
@@ -198,8 +195,6 @@ def _rank_bucket(graphs: list[Graph], positions: list[int], strategy: Importance
 def _ranked_buckets(graphs: list[Graph], strategy: ImportanceStrategy) -> Iterator[_Ranked]:
     by_n: dict[int, list[int]] = {}
     for pos, g in enumerate(graphs):
-        if g.has_global:
-            raise ValidationError("attributes are assigned before global-node augmentation")
         by_n.setdefault(g.n, []).append(pos)
     for n, members in by_n.items():
         step = max(1, _BUCKET_CELLS // (n * n))
@@ -362,7 +357,7 @@ def embed_attributes(attrs: StructuralAttributeMap, embedder, include_global: bo
     """Stack attribute-string embeddings; global-node row last when present."""
     rows = [embedder.embed(attr) for attr in attrs.attribute_of]
     if include_global:
-        rows.append(embedder.embed(attrs.global_attribute))
+        rows.append(embedder.embed(GLOBAL_ATTRIBUTE))
     mat = np.vstack(rows)
     if mat.shape[1] != embedder.dim:
         raise DimensionMismatch(

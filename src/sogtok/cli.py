@@ -38,7 +38,7 @@ from .errors import (
     SogtokError,
     ValidationError,
 )
-from .graph import Graph
+from .graph import DEFAULT_SIZE_CAP, Graph
 from .ingest import parse_graph_file, parse_label_csv, join_labels
 from .manifest import build_manifest, read_manifest, write_manifest
 from .metrics import (
@@ -223,7 +223,7 @@ def cmd_gen_corpus(cfg: dict) -> None:
             )
         )
     if "descmatch" in kinds:
-        records.extend(gen_descmatch_records(graphs, tokens, model.strategy, attrs=attrs))
+        records.extend(gen_descmatch_records(graphs, tokens, attrs))
     out = _outdir(cfg)
     write_corpus(records, out / "corpus.jsonl")
     manifest = build_manifest("gen-corpus", cfg, seed, [cfg["data"], cfg["checkpoint"]])
@@ -270,7 +270,7 @@ def cmd_gen_prompts(cfg: dict) -> None:
         render_prompt(tmpl, g, assignment.graph_token, split=split_of[g.id])
         for g, assignment in zip(graphs, table_rows)
     ]
-    balanced = balance_split(records, cfg["balance"], seed=seed, split="train")
+    balanced = balance_split(records, cfg["balance"], seed=seed)
     out = _outdir(cfg)
     token_table = format_token_table(table_rows)
     (out / "tokens.tsv").write_text(token_table, encoding="utf-8")
@@ -406,7 +406,7 @@ _tc = TrainConfig()  # the train defaults are declared in train.py only
 SETTINGS = {s.name: s for s in (
     Setting("data"), Setting("checkpoint"), Setting("responses"), Setting("embed_table"),
     Setting("out", help="output directory"),
-    Setting("size_cap", int, 512, help="max nodes per graph"),
+    Setting("size_cap", int, DEFAULT_SIZE_CAP, help="max nodes per graph"),
     Setting("jobs", int, 1, help="ignored by every subcommand; accepted so that existing command lines run"),
     Setting("seed", int),
     # train

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attributes import (
-    ImportanceStrategy,
-    StructuralAttributeMap,
-    assign_attributes,
-    attribute_maps,
-)
+from .attributes import StructuralAttributeMap
 from .errors import (
     DegenerateCodebook,
     GraphTooLargeForDescription,
@@ -95,7 +90,7 @@ def cosine_matrix(entries: np.ndarray) -> tuple[np.ndarray, list[int]]:
 _SIMJUDGE_ROWS = 256  # rows of the cosine matrix that gen_simjudge_records holds at once
 
 
-def gen_knn_records(cb: Codebook, k: int = 5, split: str = "train") -> list[QARecord]:
+def gen_knn_records(cb: Codebook, k: int = 5) -> list[QARecord]:
     """One record per usable codebook entry listing its k nearest tokens."""
     if k < 1 or k >= cb.k:
         raise ValidationError(f"k must be in [1, K); got k={k}, K={cb.k}")
@@ -118,13 +113,7 @@ def gen_knn_records(cb: Codebook, k: int = 5, split: str = "train") -> list[QARe
         )
         answer = ", ".join(StructuralToken(j).surface for j in ranked)
         records.append(
-            QARecord(
-                kind="knn",
-                question=question,
-                answer=answer,
-                provenance=f"token:{i}",
-                split=split,
-            )
+            QARecord(kind="knn", question=question, answer=answer, provenance=f"token:{i}")
         )
     return records
 
@@ -137,7 +126,6 @@ def gen_simjudge_records(
     budget: int,
     seed: int,
     ratio: float = 1.0,
-    split: str = "train",
 ) -> list[QARecord]:
     """Similar/dissimilar pairs judged on pre-quantization global embeddings.
 
@@ -187,7 +175,6 @@ def gen_simjudge_records(
                     question=question,
                     answer=label,
                     provenance=f"pair:{ids[i]}|{ids[j]}",
-                    split=split,
                 )
             )
     return records
@@ -210,17 +197,12 @@ def node_names(count: int) -> list[str]:
 MAX_NAMED_NODES = 26 + 26 * 26
 
 
-def naming_order(
-    g: Graph, strategy: ImportanceStrategy, attrs: StructuralAttributeMap | None = None
-) -> list[int]:
+def naming_order(attrs: StructuralAttributeMap) -> list[int]:
     """Nodes in attribute-rank order: anchor, then hop by hop in rank order,
-    unreachable nodes last. attrs, g's attribute map when the caller has it,
-    saves assigning it again."""
-    if attrs is None:
-        attrs = assign_attributes(g, strategy)
+    unreachable nodes last."""
     inf = float("inf")
     return sorted(
-        range(g.n),
+        range(len(attrs.hop_of)),
         key=lambda v: (
             attrs.hop_of[v] if attrs.hop_of[v] is not None else inf,
             attrs.rank_of[v],
@@ -228,16 +210,14 @@ def naming_order(
     )
 
 
-def describe_graph(
-    g: Graph, strategy: ImportanceStrategy, attrs: StructuralAttributeMap | None = None
-) -> tuple[str, dict[str, int]]:
-    """Edge-list description plus the name->original-index mapping; attrs as
-    in naming_order()."""
+def describe_graph(g: Graph, attrs: StructuralAttributeMap) -> tuple[str, dict[str, int]]:
+    """Edge-list description plus the name->original-index mapping, naming
+    the nodes in the naming_order() of g's attribute map attrs."""
     if g.n > MAX_NAMED_NODES:
         raise GraphTooLargeForDescription(
             f"graph {g.id!r} has {g.n} nodes; naming supports {MAX_NAMED_NODES}"
         )
-    order = naming_order(g, strategy, attrs)
+    order = naming_order(attrs)
     names = node_names(g.n)
     name_of = {node: names[pos] for pos, node in enumerate(order)}
     pos_of = {node: pos for pos, node in enumerate(order)}
@@ -267,31 +247,23 @@ def parse_description(question: str) -> tuple[int | None, list[tuple[str, str]]]
 
 
 def gen_descmatch_records(
-    graphs: list[Graph],
-    tokens: dict[str, StructuralToken],
-    strategy: ImportanceStrategy,
-    split: str = "train",
-    attrs: list[StructuralAttributeMap] | None = None,
+    graphs: list[Graph], tokens: dict[str, StructuralToken], attrs: list[StructuralAttributeMap]
 ) -> list[QARecord]:
-    """One record per graph: its description and its token. attrs, the
-    graphs' attribute maps when the caller has them, saves assigning them
-    again."""
-    if attrs is None:
-        attrs = attribute_maps(graphs, strategy)
+    """One record per graph: its description and its token; attrs holds the
+    graphs' attribute maps."""
     if len(attrs) != len(graphs):
         raise ValidationError(f"{len(attrs)} attribute maps for {len(graphs)} graphs")
     records = []
     for g, graph_attrs in zip(graphs, attrs):
         if g.id not in tokens:
             raise ValidationError(f"graph {g.id!r} has no graph token")
-        question, _ = describe_graph(g, strategy, graph_attrs)
+        question, _ = describe_graph(g, graph_attrs)
         records.append(
             QARecord(
                 kind="descmatch",
                 question=question,
                 answer=tokens[g.id].surface,
                 provenance=f"graph:{g.id}",
-                split=split,
             )
         )
     return records

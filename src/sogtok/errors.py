@@ -25,14 +25,6 @@ class IOFailure(SogtokError):
 
 # graph-core
 
-class GraphTooLarge(ValidationError):
-    pass
-
-
-class AlreadyAugmented(ValidationError):
-    pass
-
-
 class InvalidPermutation(ValidationError):
     pass
 
@@ -123,10 +115,6 @@ class MissingText(ValidationError):
 
 
 class UnknownTask(ValidationError):
-    pass
-
-
-class PolicyOnEvalSplit(ValidationError):
     pass
 
 

@@ -1,34 +1,24 @@
 """Canonical in-memory graph representation and topology utilities.
 
-Graphs are undirected, simple, and immutable after construction. Node
-indices are the canonical identity; node text is payload only. A virtual
-global node, when present, sits at the last index and is adjacent to every
-other node.
+Graphs are undirected, simple, and immutable after construction. A node's
+position in `nodes` is its identity; node text is payload only.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    AlreadyAugmented,
-    GraphTooLarge,
-    InvalidPermutation,
-    NodeOutOfRange,
-    ValidationError,
-)
+from .errors import InvalidPermutation, NodeOutOfRange, ValidationError
 
 DEFAULT_SIZE_CAP = 512
 
 
 @dataclass(frozen=True)
 class NodeRecord:
-    index: int
     text: str | None = None
-    is_global: bool = False
 
 
 @dataclass(frozen=True)
@@ -44,21 +34,11 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     label: int | None = None
     graph_text: str | None = None
-    size_cap: int = field(default=DEFAULT_SIZE_CAP, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.nodes)
         if n < 1:
             raise ValidationError(f"graph {self.id!r}: node set must be non-empty")
-        if n > self.size_cap:
-            raise GraphTooLarge(
-                f"graph {self.id!r} has {n} nodes, exceeding the size cap of {self.size_cap}"
-            )
-        for pos, node in enumerate(self.nodes):
-            if node.index != pos:
-                raise ValidationError(
-                    f"graph {self.id!r}: node at position {pos} carries index {node.index}"
-                )
         normalized = []
         for i, j in self.edges:
             if not (0 <= i < n and 0 <= j < n):
@@ -70,24 +50,10 @@ class Graph:
         if len(deduped) != len(normalized):
             raise ValidationError(f"graph {self.id!r}: duplicate edges")
         object.__setattr__(self, "edges", tuple(deduped))
-        globals_ = [node.index for node in self.nodes if node.is_global]
-        if len(globals_) > 1:
-            raise ValidationError(f"graph {self.id!r}: more than one global node")
-        if globals_:
-            g = globals_[0]
-            incident = {j if i == g else i for i, j in self.edges if g in (i, j)}
-            if incident != set(range(n)) - {g}:
-                raise ValidationError(
-                    f"graph {self.id!r}: global node {g} is not adjacent to every other node"
-                )
 
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    @property
-    def has_global(self) -> bool:
-        return any(node.is_global for node in self.nodes)
 
     def neighbors(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -115,19 +81,9 @@ def build_adjacency(g: Graph) -> np.ndarray:
 
 def augment_with_global_node(g: Graph) -> Graph:
     """Add a virtual global node at index |V|, connected to every node."""
-    if g.has_global:
-        raise AlreadyAugmented(f"graph {g.id!r} already has a global node")
     n = g.n
-    nodes = g.nodes + (NodeRecord(index=n, text=None, is_global=True),)
     edges = g.edges + tuple((i, n) for i in range(n))
-    return Graph(
-        id=g.id,
-        nodes=nodes,
-        edges=edges,
-        label=g.label,
-        graph_text=g.graph_text,
-        size_cap=g.size_cap + 1,
-    )
+    return replace(g, nodes=g.nodes + (NodeRecord(),), edges=edges)
 
 
 def permute(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
@@ -136,17 +92,9 @@ def permute(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
         raise InvalidPermutation(f"not a bijection on [0, {g.n})")
     nodes = [None] * g.n
     for old, node in enumerate(g.nodes):
-        new = perm[old]
-        nodes[new] = NodeRecord(index=new, text=node.text, is_global=node.is_global)
+        nodes[perm[old]] = node
     edges = tuple((perm[i], perm[j]) for i, j in g.edges)
-    return Graph(
-        id=g.id,
-        nodes=tuple(nodes),
-        edges=edges,
-        label=g.label,
-        graph_text=g.graph_text,
-        size_cap=g.size_cap,
-    )
+    return replace(g, nodes=tuple(nodes), edges=edges)
 
 
 def bfs_hops(g: Graph, source: int) -> list[int | None]:
@@ -172,8 +120,6 @@ def ego_graph(g: Graph, center: int, hops: int) -> tuple[Graph, dict[int, int]]:
     The center becomes index 0; remaining kept nodes follow in original
     index order. Returns the subgraph and the old->new index mapping.
     """
-    if g.has_global:
-        raise ValidationError("ego_graph expects a graph without a global node")
     if not (0 <= center < g.n):
         raise NodeOutOfRange(f"center {center} out of range for graph with {g.n} nodes")
     if hops < 0:
@@ -183,19 +129,9 @@ def ego_graph(g: Graph, center: int, hops: int) -> tuple[Graph, dict[int, int]]:
         v for v in range(g.n) if v != center and dist[v] is not None and dist[v] <= hops
     ]
     mapping = {old: new for new, old in enumerate(kept)}
-    nodes = tuple(
-        NodeRecord(index=new, text=g.nodes[old].text, is_global=False)
-        for old, new in sorted(mapping.items(), key=lambda kv: kv[1])
-    )
+    nodes = tuple(g.nodes[old] for old in kept)
     edges = tuple(
         (mapping[i], mapping[j]) for i, j in g.edges if i in mapping and j in mapping
     )
-    sub = Graph(
-        id=f"{g.id}#ego{center}h{hops}",
-        nodes=nodes,
-        edges=edges,
-        label=g.label,
-        graph_text=g.graph_text,
-        size_cap=g.size_cap,
-    )
+    sub = replace(g, id=f"{g.id}#ego{center}h{hops}", nodes=nodes, edges=edges)
     return sub, mapping

@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import replace
 
 from .errors import GraphFileSemanticError, GraphFileSyntaxError, SmilesError, ValidationError
 from .graph import DEFAULT_SIZE_CAP, Graph, NodeRecord
-from .smiles import parse_smiles, to_graph
+from .smiles import parse_smiles
 
 
 def parse_graph_record(obj: dict, line_no: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
@@ -23,59 +24,52 @@ def parse_graph_record(obj: dict, line_no: int, size_cap: int = DEFAULT_SIZE_CAP
     gid = obj.get("id")
     if not isinstance(gid, str) or not gid:
         raise GraphFileSemanticError(line_no, "missing or empty 'id'")
-    if "nodes" not in obj and isinstance(obj.get("smiles"), str):
+    smiles = obj.get("smiles")
+    if "nodes" not in obj and isinstance(smiles, str):
         # molecule shorthand: topology comes from the SMILES string
         try:
-            g = to_graph(parse_smiles(obj["smiles"]), graph_id=gid)
+            m = parse_smiles(smiles)
         except SmilesError as exc:
             raise GraphFileSemanticError(line_no, f"bad smiles: {exc}") from exc
-        label = obj.get("label")
-        if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
-            raise GraphFileSemanticError(line_no, "'label' must be an integer")
-        return Graph(
-            id=gid, nodes=g.nodes, edges=g.edges, label=label,
-            graph_text=obj["smiles"], size_cap=size_cap,
+        nodes = [NodeRecord(text=a.symbol) for a in m.atoms]
+        edges = [(b.i, b.j) for b in m.bonds]
+    else:
+        nodes_raw = obj.get("nodes")
+        if not isinstance(nodes_raw, list) or len(nodes_raw) == 0:
+            raise GraphFileSemanticError(line_no, "'nodes' must be a non-empty array")
+        nodes = []
+        for idx, nd in enumerate(nodes_raw):
+            if not isinstance(nd, dict):
+                raise GraphFileSemanticError(line_no, f"node {idx} is not an object")
+            text = nd.get("text")
+            if text is not None and not isinstance(text, str):
+                raise GraphFileSemanticError(line_no, f"node {idx} 'text' is not a string")
+            nodes.append(NodeRecord(text=text))
+        edges_raw = obj.get("edges", [])
+        if not isinstance(edges_raw, list):
+            raise GraphFileSemanticError(line_no, "'edges' must be an array")
+        edges = []
+        for k, e in enumerate(edges_raw):
+            if (
+                not isinstance(e, list)
+                or len(e) != 2
+                or not all(isinstance(v, int) and not isinstance(v, bool) for v in e)
+            ):
+                raise GraphFileSemanticError(line_no, f"edge {k} must be a two-int array")
+            if not (0 <= e[0] < len(nodes) and 0 <= e[1] < len(nodes)):
+                raise GraphFileSemanticError(line_no, f"edge {k} index out of range: {e}")
+            edges.append((e[0], e[1]))
+    if len(nodes) > size_cap:
+        raise GraphFileSemanticError(
+            line_no, f"graph {gid!r} has {len(nodes)} nodes, exceeding the size cap of {size_cap}"
         )
-    nodes_raw = obj.get("nodes")
-    if not isinstance(nodes_raw, list) or len(nodes_raw) == 0:
-        raise GraphFileSemanticError(line_no, "'nodes' must be a non-empty array")
-    nodes = []
-    for idx, nd in enumerate(nodes_raw):
-        if not isinstance(nd, dict):
-            raise GraphFileSemanticError(line_no, f"node {idx} is not an object")
-        text = nd.get("text")
-        if text is not None and not isinstance(text, str):
-            raise GraphFileSemanticError(line_no, f"node {idx} 'text' is not a string")
-        nodes.append(NodeRecord(index=idx, text=text, is_global=False))
-    edges_raw = obj.get("edges", [])
-    if not isinstance(edges_raw, list):
-        raise GraphFileSemanticError(line_no, "'edges' must be an array")
-    edges = []
-    for k, e in enumerate(edges_raw):
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in e)
-        ):
-            raise GraphFileSemanticError(line_no, f"edge {k} must be a two-int array")
-        if not (0 <= e[0] < len(nodes) and 0 <= e[1] < len(nodes)):
-            raise GraphFileSemanticError(line_no, f"edge {k} index out of range: {e}")
-        edges.append((e[0], e[1]))
     label = obj.get("label")
     if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
         raise GraphFileSemanticError(line_no, "'label' must be an integer")
-    smiles = obj.get("smiles")
     if smiles is not None and not isinstance(smiles, str):
         raise GraphFileSemanticError(line_no, "'smiles' must be a string")
     try:
-        return Graph(
-            id=gid,
-            nodes=tuple(nodes),
-            edges=tuple(edges),
-            label=label,
-            graph_text=smiles,
-            size_cap=size_cap,
-        )
+        return Graph(id=gid, nodes=tuple(nodes), edges=tuple(edges), label=label, graph_text=smiles)
     except ValidationError as exc:
         raise GraphFileSemanticError(line_no, str(exc)) from exc
 
@@ -137,19 +131,4 @@ def parse_label_csv(text: str) -> dict[str, int]:
 
 def join_labels(graphs: list[Graph], labels: dict[str, int]) -> list[Graph]:
     """Return new graphs carrying labels from the mapping, keyed by id."""
-    out = []
-    for g in graphs:
-        if g.id in labels:
-            out.append(
-                Graph(
-                    id=g.id,
-                    nodes=g.nodes,
-                    edges=g.edges,
-                    label=labels[g.id],
-                    graph_text=g.graph_text,
-                    size_cap=g.size_cap,
-                )
-            )
-        else:
-            out.append(g)
-    return out
+    return [replace(g, label=labels[g.id]) if g.id in labels else g for g in graphs]

@@ -16,12 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    MissingText,
-    PolicyOnEvalSplit,
-    UnknownTask,
-    ValidationError,
-)
+from .errors import MissingText, UnknownTask, ValidationError
 from .graph import Graph
 from .train import StructuralToken
 
@@ -115,26 +110,19 @@ def render_prompt(
     return PromptRecord(prompt=body, answer=answer, graph_id=g.id, split=split)
 
 
-def balance_split(
-    records: list[PromptRecord],
-    policy: str,
-    seed: int = 0,
-    split: str = "train",
-) -> list[PromptRecord]:
-    """Duplicate or resample minority-class records of one split.
+def balance_split(records: list[PromptRecord], policy: str, seed: int = 0) -> list[PromptRecord]:
+    """Duplicate or resample minority-class records of the training split;
+    records of the other splits follow unchanged.
 
     1:1 duplicates the minority cyclically (seeded order) up to the
     majority count; 1:5 adjusts the minority to one-fifth of the majority.
-    Only the training split may be balanced.
     """
     if policy not in BALANCE_POLICIES:
         raise ValidationError(f"unknown balance policy {policy!r}")
     if policy == "none":
         return list(records)
-    if split != "train":
-        raise PolicyOnEvalSplit(f"refusing to balance split {split!r}")
-    pool = [r for r in records if r.split == split]
-    rest = [r for r in records if r.split != split]
+    pool = [r for r in records if r.split == "train"]
+    rest = [r for r in records if r.split != "train"]
     by_answer: dict[str, list[PromptRecord]] = {}
     for r in pool:
         if not r.answer:

@@ -2,8 +2,8 @@
 
 The scaffold of a graph is its 2-core: iteratively delete nodes of degree
 <= 1 until none remain. Grouping buckets scaffolds by an
-isomorphism-necessary fingerprint, optionally refined by an exact
-isomorphism check inside each bucket.
+isomorphism-necessary fingerprint, refined by an exact isomorphism check
+inside each bucket of small scaffolds.
 """
 
 from __future__ import annotations
@@ -11,13 +11,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ValidationError
-from .graph import Graph, NodeRecord
+from .graph import Graph
 
 EMPTY_KEY = "EMPTY"
 
 # exact isomorphism refinement is attempted only up to this many nodes
-DEFAULT_EXACT_LIMIT = 24
+EXACT_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,6 @@ def canonical_key(g: Graph) -> str:
 def murcko_scaffold(g: Graph) -> Scaffold:
     """Iteratively prune degree-<=1 nodes; return the surviving induced
     subgraph. Acyclic graphs yield the empty scaffold."""
-    if g.has_global:
-        raise ValidationError("murcko_scaffold expects a graph without a global node")
     alive = set(range(g.n))
     adj = {v: set() for v in alive}
     for i, j in g.edges:
@@ -78,9 +75,7 @@ def murcko_scaffold(g: Graph) -> Scaffold:
         return Scaffold(graph=None, canonical_key=EMPTY_KEY)
     order = sorted(alive)
     mapping = {old: new for new, old in enumerate(order)}
-    nodes = tuple(
-        NodeRecord(index=mapping[v], text=g.nodes[v].text, is_global=False) for v in order
-    )
+    nodes = tuple(g.nodes[v] for v in order)
     edges = tuple(
         (mapping[i], mapping[j]) for i, j in g.edges if i in alive and j in alive
     )
@@ -148,11 +143,7 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     return extend(0)
 
 
-def group_scaffolds(
-    scaffolds: list[Scaffold],
-    exact_within_buckets: bool = True,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
-) -> list[list[int]]:
+def group_scaffolds(scaffolds: list[Scaffold]) -> list[list[int]]:
     """Group scaffold indices into equivalence buckets.
 
     Primary bucketing is by canonical_key; within a key bucket, members are
@@ -163,10 +154,7 @@ def group_scaffolds(
         by_key.setdefault(sc.canonical_key, []).append(idx)
     groups: list[list[int]] = []
     for key, members in sorted(by_key.items()):
-        if key == EMPTY_KEY or not exact_within_buckets:
-            groups.append(members)
-            continue
-        if any(scaffolds[i].graph.n > exact_limit for i in members):
+        if key == EMPTY_KEY or any(scaffolds[i].graph.n > EXACT_LIMIT for i in members):
             groups.append(members)
             continue
         reps: list[list[int]] = []

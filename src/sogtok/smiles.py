@@ -196,9 +196,7 @@ def parse_smiles(s: str) -> SmilesMolecule:
 def to_graph(m: SmilesMolecule, graph_id: str | None = None) -> Graph:
     """Drop bond orders and atom identities, keeping one node per atom and
     one undirected edge per bond."""
-    nodes = tuple(
-        NodeRecord(index=i, text=a.symbol, is_global=False) for i, a in enumerate(m.atoms)
-    )
+    nodes = tuple(NodeRecord(text=a.symbol) for a in m.atoms)
     edges = tuple((b.i, b.j) for b in m.bonds)
     return Graph(
         id=graph_id if graph_id is not None else m.source,

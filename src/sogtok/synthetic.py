@@ -20,7 +20,7 @@ FAMILY_NAMES = ("cycle", "star", "clique")
 def _graph(gid: str, n: int, edges, label: int | None = None) -> Graph:
     return Graph(
         id=gid,
-        nodes=tuple(NodeRecord(index=i) for i in range(n)),
+        nodes=(NodeRecord(),) * n,
         edges=tuple(edges),
         label=label,
     )

@@ -8,7 +8,7 @@ from sogtok.graph import Graph, NodeRecord
 def make_graph(n, edges, gid="g", label=None, text=None):
     return Graph(
         id=gid,
-        nodes=tuple(NodeRecord(index=i) for i in range(n)),
+        nodes=(NodeRecord(),) * n,
         edges=tuple(edges),
         label=label,
         graph_text=text,

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sogtok.attributes import HashingEmbedder, ImportanceStrategy
+from sogtok.attributes import HashingEmbedder, ImportanceStrategy, attribute_maps
 from sogtok.cli import main
 from sogtok.corpus import (
     SimilarityThresholds,
@@ -239,12 +239,13 @@ def test_06_corpus_fidelity(family_setup, scaffold_setup):
             assert cos < thresholds.tau_neg
 
     graph_tokens = {g.id: assign_token(g, model, EMBEDDER).graph_token for g in graphs}
-    desc_records = gen_descmatch_records(graphs, graph_tokens, model.strategy)
+    attrs = attribute_maps(graphs, model.strategy)
+    desc_records = gen_descmatch_records(graphs, graph_tokens, attrs)
     records.extend(desc_records)
-    by_id = {g.id: g for g in graphs}
+    by_id = {g.id: (g, a) for g, a in zip(graphs, attrs)}
     for r in desc_records:
-        g = by_id[r.provenance[len("graph:") :]]
-        _, name_map = describe_graph(g, model.strategy)
+        g, graph_attrs = by_id[r.provenance[len("graph:") :]]
+        _, name_map = describe_graph(g, graph_attrs)
         _, pairs = parse_description(r.question)
         recovered = {tuple(sorted((name_map[a], name_map[b]))) for a, b in pairs}
         assert recovered == set(g.edges), f"descmatch round-trip failed for {g.id}"
@@ -257,7 +258,7 @@ def test_06_corpus_fidelity(family_setup, scaffold_setup):
 def test_07_prompt_golden_files():
     g = Graph(
         id="golden",
-        nodes=tuple(NodeRecord(index=i) for i in range(3)),
+        nodes=(NodeRecord(),) * 3,
         edges=((0, 1), (1, 2)),
         label=1,
         graph_text="CCO",

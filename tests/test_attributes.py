@@ -270,13 +270,6 @@ def test_attribute_maps_split_large_buckets(monkeypatch):
     assert attribute_maps(graphs, strategy) == want
 
 
-def test_attribute_maps_reject_augmented_graph(path3):
-    from sogtok.graph import augment_with_global_node
-
-    with pytest.raises(ValidationError):
-        attribute_maps([path3, augment_with_global_node(path3)], ImportanceStrategy())
-
-
 def test_embedder_deterministic_unit_norm():
     emb = HashingEmbedder(dim=64)
     v1 = emb.embed("first-hop neighbor #1")

@@ -289,7 +289,7 @@ def mixed_graphs(tmp_path_factory):
         n = int(rng.integers(1, 15))
         p = rng.uniform(0.1, 0.6)
         edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
-        graphs.append(Graph(id=f"r{i:04d}", nodes=tuple(NodeRecord(index=v) for v in range(n)),
+        graphs.append(Graph(id=f"r{i:04d}", nodes=(NodeRecord(),) * n,
                             edges=tuple(edges)))
     path = tmp_path_factory.mktemp("mixed") / "mixed.jsonl"
     write_graph_file(graphs, path)
@@ -399,6 +399,28 @@ def _assert_one_line_error(proc, needle):
     _assert_validation_exit(proc, needle)
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+@pytest.mark.parametrize("record", [
+    {"id": "big", "nodes": [{}] * 4, "edges": []},
+    {"id": "big", "smiles": "CCCC"},
+], ids=["nodes", "smiles"])
+def test_size_cap_record_over_cap_exit_2(tmp_path, record):
+    data = tmp_path / "data.jsonl"
+    ok = {"id": "ok", "nodes": [{}, {}, {}], "edges": [[0, 1]]}
+    data.write_text(json.dumps(ok) + "\n" + json.dumps(record) + "\n")
+    proc = _run_cli("train", "--data", data, "--out", tmp_path / "x", "--seed", "1",
+                    "--size-cap", "3")
+    _assert_one_line_error(proc, "line 2: graph 'big' has 4 nodes, exceeding the size cap of 3")
+
+
+def test_size_cap_admits_long_smiles_chain(trained, tmp_path):
+    data = tmp_path / "chain.jsonl"
+    data.write_text(json.dumps({"id": "chain", "smiles": "C" * 600}) + "\n")
+    assert main(["tokenize", "--data", str(data), "--checkpoint", str(trained / "model.sogtok"),
+                 "--out", str(tmp_path / "t"), "--size-cap", "1000"]) == 0
+    rows = (tmp_path / "t" / "tokens.tsv").read_text().splitlines()
+    assert len(rows) == 2 and len(rows[1].split("\t")[2].split(",")) == 600
 
 
 @pytest.mark.parametrize("command", [["stats"], ["gen-corpus", "--kinds", "simjudge"]])

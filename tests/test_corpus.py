@@ -236,9 +236,13 @@ def test_node_names_sequence():
     assert names[27] == "AB"
 
 
+def _describe(g):
+    return describe_graph(g, attribute_maps([g], ImportanceStrategy())[0])
+
+
 def test_describe_star():
     g = make_graph(3, [(0, 1), (0, 2)])
-    question, name_map = describe_graph(g, ImportanceStrategy())
+    question, name_map = _describe(g)
     assert "node A and node B is connected" in question
     assert "node A and node C is connected" in question
     assert question.endswith("The corresponding graph structural token is:")
@@ -247,7 +251,7 @@ def test_describe_star():
 
 def test_describe_single_node():
     g = make_graph(1, [])
-    question, _ = describe_graph(g, ImportanceStrategy())
+    question, _ = _describe(g)
     assert "1 node" in question and "connected" not in question
     count, pairs = parse_description(question)
     assert count == 1 and pairs == []
@@ -255,8 +259,7 @@ def test_describe_single_node():
 
 def test_description_roundtrip():
     g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
-    strategy = ImportanceStrategy()
-    question, name_map = describe_graph(g, strategy)
+    question, name_map = _describe(g)
     _, pairs = parse_description(question)
     recovered = {tuple(sorted((name_map[a], name_map[b]))) for a, b in pairs}
     assert recovered == set(g.edges)
@@ -265,11 +268,12 @@ def test_description_roundtrip():
 def test_descmatch_records():
     g = make_graph(3, [(0, 1), (0, 2)], gid="star")
     tokens = {"star": StructuralToken(7)}
-    records = gen_descmatch_records([g], tokens, ImportanceStrategy())
+    records = gen_descmatch_records([g], tokens, attribute_maps([g], ImportanceStrategy()))
     assert records[0].answer == "<SOG_7>"
     assert records[0].provenance == "graph:star"
+    other = make_graph(2, [(0, 1)], gid="other")
     with pytest.raises(ValidationError):
-        gen_descmatch_records([make_graph(2, [(0, 1)], gid="other")], tokens, ImportanceStrategy())
+        gen_descmatch_records([other], tokens, attribute_maps([other], ImportanceStrategy()))
 
 
 def test_descmatch_uses_given_attribute_maps():
@@ -279,15 +283,14 @@ def test_descmatch_uses_given_attribute_maps():
         make_graph(3, [], gid="bare"),
     ]
     tokens = {g.id: StructuralToken(i) for i, g in enumerate(graphs)}
-    strategy, other = ImportanceStrategy(), ImportanceStrategy("random", seed=1)
-    attrs = attribute_maps(graphs, strategy)
-    assert gen_descmatch_records(graphs, tokens, strategy, attrs=attrs) == gen_descmatch_records(
-        graphs, tokens, strategy
-    )
-    for g, other_attrs in zip(graphs, attribute_maps(graphs, other)):
-        assert describe_graph(g, strategy, other_attrs) == describe_graph(g, other)
+    attrs = attribute_maps(graphs, ImportanceStrategy("random", seed=1))
+    records = gen_descmatch_records(graphs, tokens, attrs)
+    for g, graph_attrs, record in zip(graphs, attrs, records):
+        question, name_map = describe_graph(g, graph_attrs)
+        assert record.question == question
+        assert name_map["A"] == graph_attrs.anchor
     with pytest.raises(ValidationError):
-        gen_descmatch_records(graphs, tokens, strategy, attrs=attrs[:2])
+        gen_descmatch_records(graphs, tokens, attrs[:2])
 
 
 def test_corpus_write_grouped_and_deterministic(tmp_path):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from sogtok.errors import MissingText, PolicyOnEvalSplit, UnknownTask, ValidationError
+from sogtok.errors import MissingText, UnknownTask, ValidationError
 from sogtok.prompts import (
     PromptRecord,
     balance_split,
@@ -151,9 +151,11 @@ def test_balance_one_to_five_subsamples():
     assert answers.count("True") == 20
 
 
-def test_balance_eval_split_rejected():
-    with pytest.raises(PolicyOnEvalSplit):
-        balance_split(_records(2, 3, split="test"), "1:1", seed=0, split="test")
+def test_balance_leaves_eval_splits_unchanged():
+    held_out = _records(1, 4, split="valid") + _records(2, 3, split="test")
+    balanced = balance_split(_records(2, 3) + held_out, "1:1", seed=0)
+    assert [r.answer for r in balanced if r.split == "train"].count("True") == 3
+    assert balanced[-len(held_out):] == held_out
 
 
 def test_balance_requires_labels():
