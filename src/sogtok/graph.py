@@ -41,15 +41,20 @@ class Graph:
             raise ValidationError(f"graph {self.id!r}: node set must be non-empty")
         normalized = []
         for i, j in self.edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValidationError(f"graph {self.id!r}: edge ({i},{j}) out of range")
-            if i == j:
+            # one chained comparison checks both ends' range and rules out a
+            # self-loop; only a failing edge takes the branches that name it
+            if 0 <= i < j < n:
+                normalized.append((i, j))
+            elif 0 <= j < i < n:
+                normalized.append((j, i))
+            elif 0 <= i < n and 0 <= j < n:
                 raise ValidationError(f"graph {self.id!r}: self-loop at node {i}")
-            normalized.append((i, j) if i < j else (j, i))
-        deduped = sorted(set(normalized))
-        if len(deduped) != len(normalized):
+            else:
+                raise ValidationError(f"graph {self.id!r}: edge ({i},{j}) out of range")
+        if len(set(normalized)) != len(normalized):
             raise ValidationError(f"graph {self.id!r}: duplicate edges")
-        object.__setattr__(self, "edges", tuple(deduped))
+        normalized.sort()  # linear when the edges come sorted, as from ingest
+        object.__setattr__(self, "edges", tuple(normalized))
 
     @property
     def n(self) -> int:

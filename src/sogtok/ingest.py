@@ -15,10 +15,14 @@ from dataclasses import replace
 
 from .errors import GraphFileSemanticError, GraphFileSyntaxError, SmilesError, ValidationError
 from .graph import DEFAULT_SIZE_CAP, Graph, NodeRecord
-from .smiles import parse_smiles
+from .smiles import node_records, scan_smiles
 
 
-def parse_graph_record(obj: dict, line_no: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
+def parse_graph_record(
+    obj: dict, line_no: int, size_cap: int, records: dict[str, NodeRecord]
+) -> Graph:
+    """One graph from a decoded record. A SMILES record's nodes come from
+    `records`, one shared `NodeRecord` per atom symbol (see `node_records`)."""
     if not isinstance(obj, dict):
         raise GraphFileSemanticError(line_no, "record is not an object")
     gid = obj.get("id")
@@ -28,11 +32,11 @@ def parse_graph_record(obj: dict, line_no: int, size_cap: int = DEFAULT_SIZE_CAP
     if "nodes" not in obj and isinstance(smiles, str):
         # molecule shorthand: topology comes from the SMILES string
         try:
-            m = parse_smiles(smiles)
+            symbols, _, bonds = scan_smiles(smiles)
         except SmilesError as exc:
             raise GraphFileSemanticError(line_no, f"bad smiles: {exc}") from exc
-        nodes = [NodeRecord(text=a.symbol) for a in m.atoms]
-        edges = [(b.i, b.j) for b in m.bonds]
+        nodes = node_records(symbols, records)
+        edges = sorted(bonds)
     else:
         nodes_raw = obj.get("nodes")
         if not isinstance(nodes_raw, list) or len(nodes_raw) == 0:
@@ -79,6 +83,7 @@ def parse_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> lis
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     graphs: list[Graph] = []
     seen_ids: set[str] = set()
+    records: dict[str, NodeRecord] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -86,7 +91,7 @@ def parse_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> lis
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise GraphFileSyntaxError(line_no, exc.colno, exc.msg) from exc
-        g = parse_graph_record(obj, line_no, size_cap=size_cap)
+        g = parse_graph_record(obj, line_no, size_cap, records)
         if g.id in seen_ids:
             raise GraphFileSemanticError(line_no, f"duplicate graph id {g.id!r}")
         seen_ids.add(g.id)

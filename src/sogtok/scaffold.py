@@ -8,8 +8,8 @@ inside each bucket of small scaffolds.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
 
@@ -29,28 +29,26 @@ class Scaffold:
         return self.graph is None
 
 
-def _triangle_counts(g: Graph) -> list[int]:
-    adj = [set() for _ in range(g.n)]
+def _adjacency_sets(g: Graph) -> list[set[int]]:
+    adj: list[set[int]] = [set() for _ in range(g.n)]
     for i, j in g.edges:
         adj[i].add(j)
         adj[j].add(i)
-    counts = [0] * g.n
-    for v in range(g.n):
-        nbrs = sorted(adj[v])
-        t = 0
-        for a_i in range(len(nbrs)):
-            for b_i in range(a_i + 1, len(nbrs)):
-                if nbrs[b_i] in adj[nbrs[a_i]]:
-                    t += 1
-        counts[v] = t
-    return counts
+    return adj
+
+
+def _triangle_counts(adj: list[set[int]]) -> list[int]:
+    # each triangle through v is one edge between two of v's neighbours,
+    # seen once from each of its ends
+    return [sum(len(adj[u] & nbrs) for u in nbrs) // 2 for nbrs in adj]
 
 
 def canonical_key(g: Graph) -> str:
     """Isomorphism-invariant fingerprint: degree sequence, edge count, node
     count, per-node triangle counts. Necessary, not sufficient."""
-    degs = ",".join(map(str, sorted(g.degrees())))
-    tris = ",".join(map(str, sorted(_triangle_counts(g))))
+    adj = _adjacency_sets(g)
+    degs = ",".join(map(str, sorted(map(len, adj))))
+    tris = ",".join(map(str, sorted(_triangle_counts(adj))))
     return f"n{g.n}|m{len(g.edges)}|deg[{degs}]|tri[{tris}]"
 
 
@@ -83,33 +81,46 @@ def murcko_scaffold(g: Graph) -> Scaffold:
     return Scaffold(graph=sub, canonical_key=canonical_key(sub))
 
 
-def _refinement_labels(g: Graph) -> list[tuple]:
-    """Stable per-node invariant: (degree, sorted neighbor degrees, triangles)."""
-    deg = g.degrees()
-    adj = g.neighbors()
-    tri = _triangle_counts(g)
-    return [
-        (deg[v], tuple(sorted(deg[u] for u in adj[v])), tri[v]) for v in range(g.n)
+class Invariants(NamedTuple):
+    """What the isomorphism matcher reads of one graph, computed once."""
+
+    n: int
+    edges: tuple[tuple[int, int], ...]
+    labels: list[tuple]  # per node: (degree, sorted neighbour degrees, triangles)
+    sorted_labels: list[tuple]
+    adj: list[set[int]]
+
+
+def isomorphism_invariants(g: Graph) -> Invariants:
+    """The invariants of g that `match_invariants` compares and searches by."""
+    adj = _adjacency_sets(g)
+    tri = _triangle_counts(adj)
+    labels = [
+        (len(nbrs), tuple(sorted(len(adj[u]) for u in nbrs)), t) for nbrs, t in zip(adj, tri)
     ]
+    return Invariants(g.n, g.edges, labels, sorted(labels), adj)
 
 
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism by backtracking with invariant pruning.
+def match_invariants(a: Invariants, b: Invariants) -> bool:
+    """Exact isomorphism test by backtracking with invariant pruning.
 
     Intended for small scaffolds (couple dozen nodes); grouping falls back
     to fingerprint equality beyond that.
     """
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
+    if a.n != b.n or len(a.edges) != len(b.edges):
         return False
-    lab1, lab2 = _refinement_labels(g1), _refinement_labels(g2)
-    if sorted(lab1) != sorted(lab2):
+    if a.edges == b.edges:  # one labelled graph: the identity maps it onto itself
+        return True
+    if a.sorted_labels != b.sorted_labels:
         return False
-    adj1 = [set(ns) for ns in g1.neighbors()]
-    adj2 = [set(ns) for ns in g2.neighbors()]
-    n = g1.n
+    lab1, adj1, adj2 = a.labels, a.adj, b.adj
+    n = a.n
+    # the nodes of b that may take each label, ascending
+    candidates: dict[tuple, list[int]] = {}
+    for w, lab in enumerate(b.labels):
+        candidates.setdefault(lab, []).append(w)
     # match rarest labels first to prune early
-    freq = Counter(lab1)
-    order = sorted(range(n), key=lambda v: (freq[lab1[v]], -len(adj1[v])))
+    order = sorted(range(n), key=lambda v: (len(candidates[lab1[v]]), -len(adj1[v])))
     mapping: dict[int, int] = {}
     used = [False] * n
 
@@ -117,8 +128,8 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
         if pos == n:
             return True
         v = order[pos]
-        for w in range(n):
-            if used[w] or lab2[w] != lab1[v]:
+        for w in candidates[lab1[v]]:
+            if used[w]:
                 continue
             ok = True
             for u in adj1[v]:
@@ -143,6 +154,11 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     return extend(0)
 
 
+def are_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Exact isomorphism of two graphs (see `match_invariants`)."""
+    return match_invariants(isomorphism_invariants(g1), isomorphism_invariants(g2))
+
+
 def group_scaffolds(scaffolds: list[Scaffold]) -> list[list[int]]:
     """Group scaffold indices into equivalence buckets.
 
@@ -157,15 +173,16 @@ def group_scaffolds(scaffolds: list[Scaffold]) -> list[list[int]]:
         if key == EMPTY_KEY or any(scaffolds[i].graph.n > EXACT_LIMIT for i in members):
             groups.append(members)
             continue
-        reps: list[list[int]] = []
+        # each member joins the first representative it is isomorphic to;
+        # the representatives are pairwise non-isomorphic
+        reps: list[tuple[Invariants, list[int]]] = []
         for i in members:
-            placed = False
-            for bucket in reps:
-                if are_isomorphic(scaffolds[i].graph, scaffolds[bucket[0]].graph):
+            inv = isomorphism_invariants(scaffolds[i].graph)
+            for rep, bucket in reps:
+                if match_invariants(inv, rep):
                     bucket.append(i)
-                    placed = True
                     break
-            if not placed:
-                reps.append([i])
-        groups.extend(reps)
+            else:
+                reps.append((inv, [i]))
+        groups.extend(bucket for _, bucket in reps)
     return groups

@@ -2,9 +2,17 @@
 
 Supported subset: organic-subset atoms (B, C, N, O, P, S, F, Cl, Br, I),
 aromatic lowercase atoms, bracket atoms, bonds - = #, branches, ring
-closures 1-9 and %nn. Stereo markers (/ \\ @) and bracket decorations
-(charge, H count, isotope) are accepted and discarded; only connectivity
-is retained.
+closures 1-9 and %nn (ASCII digits only). Stereo markers (/ \\ @) and
+bracket decorations (charge, H count, isotope) are accepted and discarded;
+only connectivity is retained.
+
+`scan_smiles` reads a string in one left-to-right pass (the grammar needs no
+lookahead beyond the two-letter atoms and %nn labels) and keeps its state
+in local variables: atom symbols, aromatic flags and a ``{(i, j): order}``
+bond dict with i < j. Ingest builds a graph straight from that scan: nodes
+are `node_records(symbols, records)`, which shares one frozen `NodeRecord`
+per distinct symbol across every graph of a file, and edges are the sorted
+bond keys. `parse_smiles` wraps the same scan in `Atom`/`Bond` objects.
 """
 
 from __future__ import annotations
@@ -20,6 +28,11 @@ AROMATIC_ORGANIC = set("bcnops")
 
 SINGLE, DOUBLE, TRIPLE, AROMATIC = 1, 2, 3, "ar"
 _BOND_CHARS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE}
+# one-character organic atoms -> (symbol, aromatic)
+_ORGANIC = {ch: (ch, False) for ch in ORGANIC_ONE_LETTER} | {
+    ch: (ch.upper(), True) for ch in AROMATIC_ORGANIC
+}
+_RING_DIGITS = {str(d): d for d in range(1, 10)}
 
 
 @dataclass(frozen=True)
@@ -47,9 +60,9 @@ class SmilesMolecule:
         return len(self.bonds) - len(self.atoms) + 1
 
 
-def _parse_bracket_atom(s: str, start: int) -> tuple[Atom, int]:
-    """Parse a [...] atom starting at the opening bracket; return atom and
-    the index one past the closing bracket."""
+def _parse_bracket_atom(s: str, start: int) -> tuple[str, bool, int]:
+    """Parse a [...] atom starting at the opening bracket; return its symbol,
+    aromatic flag and the index one past the closing bracket."""
     end = s.find("]", start)
     if end < 0:
         raise UnsupportedToken(start, "[")
@@ -69,138 +82,143 @@ def _parse_bracket_atom(s: str, start: int) -> tuple[Atom, int]:
         raise UnsupportedToken(start, "*")
     else:
         raise UnsupportedToken(start, f"[{body}]")
-    aromatic = symbol[0].islower()
-    return Atom(symbol=symbol.capitalize(), aromatic=aromatic), end + 1
+    return symbol.capitalize(), symbol[0].islower(), end + 1
 
 
-def parse_smiles(s: str) -> SmilesMolecule:
-    """Parse a SMILES string into atoms and bonds (topology only)."""
+def scan_smiles(s: str) -> tuple[list[str], list[bool], dict[tuple[int, int], int | str]]:
+    """Atom symbols, aromatic flags and ``{(i, j): order}`` bonds (i < j) of a
+    SMILES string, in one pass. Raises `SmilesError` subclasses with the
+    position of the offending token."""
     if not s:
         raise UnsupportedToken(0, "<empty>")
-    atoms: list[Atom] = []
+    symbols: list[str] = []
+    aromatic: list[bool] = []
     bonds: dict[tuple[int, int], int | str] = {}
-    branch_stack: list[int] = []
-    branch_positions: list[int] = []
+    branches: list[tuple[int, int]] = []  # (atom to return to, position of '(')
     open_rings: dict[int, tuple[int, int | str | None]] = {}
-    prev: int | None = None
-    pending_bond: int | str | None = None
+    prev = -1  # the atom the next bond starts from; -1 before the first atom
+    pending = None  # explicit bond order waiting for its second atom
     pending_pos = 0
-
-    def add_bond(i: int, j: int, order: int | str, pos: int) -> None:
-        if i == j:
-            raise SmilesError(f"ring closure at position {pos} bonds atom {i} to itself")
-        key = (min(i, j), max(i, j))
-        if key in bonds:
-            raise SmilesError(f"duplicate bond between atoms {i} and {j} at position {pos}")
-        bonds[key] = order
-
-    def attach_atom(atom: Atom, pos: int) -> None:
-        nonlocal prev, pending_bond
-        atoms.append(atom)
-        idx = len(atoms) - 1
-        if prev is not None:
-            order = pending_bond
-            if order is None:
-                order = AROMATIC if (atoms[prev].aromatic and atom.aromatic) else SINGLE
-            add_bond(prev, idx, order, pos)
-        elif pending_bond is not None:
-            raise UnsupportedToken(pending_pos, "bond with no preceding atom")
-        pending_bond = None
-        prev = idx
-
-    def close_ring(label: int, pos: int) -> None:
-        nonlocal pending_bond
-        if prev is None:
-            raise UnsupportedToken(pos, "ring closure with no preceding atom")
-        if label in open_rings:
-            other, open_order = open_rings.pop(label)
-            order = pending_bond if pending_bond is not None else open_order
-            if (
-                pending_bond is not None
-                and open_order is not None
-                and pending_bond != open_order
-            ):
-                raise SmilesError(f"conflicting bonds on ring closure {label} at position {pos}")
-            if order is None:
-                order = AROMATIC if (atoms[other].aromatic and atoms[prev].aromatic) else SINGLE
-            add_bond(other, prev, order, pos)
-        else:
-            open_rings[label] = (prev, pending_bond)
-        pending_bond = None
-
+    n = len(s)
     i = 0
-    while i < len(s):
+    while i < n:
         ch = s[i]
-        if ch in _BOND_CHARS:
-            if pending_bond is not None:
+        atom = _ORGANIC.get(ch)
+        if atom is not None or ch == "[":
+            if ch == "[":
+                symbol, arom, i = _parse_bracket_atom(s, i)
+            elif ch in "CB" and s[i : i + 2] in ORGANIC_TWO_LETTER:
+                symbol, arom = s[i : i + 2], False
+                i += 2
+            else:
+                symbol, arom = atom
+                i += 1
+            idx = len(symbols)
+            if prev >= 0:
+                if pending is None:
+                    pending = AROMATIC if arom and aromatic[prev] else SINGLE
+                bonds[prev, idx] = pending
+            elif pending is not None:
+                raise UnsupportedToken(pending_pos, "bond with no preceding atom")
+            symbols.append(symbol)
+            aromatic.append(arom)
+            pending = None
+            prev = idx
+        elif ch in _RING_DIGITS or ch == "%":
+            pos = i
+            if ch == "%":
+                two = s[i + 1 : i + 3]
+                if len(two) != 2 or not (two.isascii() and two.isdigit()):
+                    raise UnsupportedToken(i, "%" + two)
+                label = int(two)
+                i += 3
+            else:
+                label = _RING_DIGITS[ch]
+                i += 1
+            if prev < 0:
+                raise UnsupportedToken(pos, "ring closure with no preceding atom")
+            opened = open_rings.pop(label, None)
+            if opened is None:
+                open_rings[label] = (prev, pending)
+            else:
+                other, order = opened
+                if pending is not None:
+                    if order is not None and pending != order:
+                        raise SmilesError(
+                            f"conflicting bonds on ring closure {label} at position {pos}"
+                        )
+                    order = pending
+                elif order is None:
+                    order = AROMATIC if aromatic[other] and aromatic[prev] else SINGLE
+                if other == prev:
+                    raise SmilesError(
+                        f"ring closure at position {pos} bonds atom {other} to itself"
+                    )
+                key = (other, prev) if other < prev else (prev, other)
+                if key in bonds:
+                    raise SmilesError(
+                        f"duplicate bond between atoms {other} and {prev} at position {pos}"
+                    )
+                bonds[key] = order
+            pending = None
+        elif ch in _BOND_CHARS:
+            if pending is not None:
                 raise UnsupportedToken(i, ch)
-            pending_bond = _BOND_CHARS[ch]
+            pending = _BOND_CHARS[ch]
             pending_pos = i
             i += 1
-        elif ch in "/\\":  # stereo bond markers: plain single bonds here
-            i += 1
         elif ch == "(":
-            if prev is None:
+            if prev < 0:
                 raise UnbalancedBranch(i)
-            branch_stack.append(prev)
-            branch_positions.append(i)
+            branches.append((prev, i))
             i += 1
         elif ch == ")":
-            if not branch_stack:
+            if not branches:
                 raise UnbalancedBranch(i)
-            if pending_bond is not None:
+            if pending is not None:
                 raise UnsupportedToken(pending_pos, "dangling bond before ')'")
-            prev = branch_stack.pop()
-            branch_positions.pop()
+            prev = branches.pop()[0]
             i += 1
-        elif ch == "[":
-            atom, nxt = _parse_bracket_atom(s, i)
-            attach_atom(atom, i)
-            i = nxt
-        elif ch == "%":
-            two = s[i + 1 : i + 3]
-            if len(two) != 2 or not two.isdigit():
-                raise UnsupportedToken(i, "%" + two)
-            close_ring(int(two), i)
-            i += 3
-        elif ch.isdigit():
-            if ch == "0":
-                raise UnsupportedToken(i, ch)
-            close_ring(int(ch), i)
-            i += 1
-        elif s[i : i + 2] in ORGANIC_TWO_LETTER:
-            attach_atom(Atom(symbol=s[i : i + 2], aromatic=False), i)
-            i += 2
-        elif ch in ORGANIC_ONE_LETTER:
-            attach_atom(Atom(symbol=ch, aromatic=False), i)
-            i += 1
-        elif ch in AROMATIC_ORGANIC:
-            attach_atom(Atom(symbol=ch.upper(), aromatic=True), i)
+        elif ch == "/" or ch == "\\":  # stereo bond markers: plain single bonds here
             i += 1
         else:
             raise UnsupportedToken(i, ch)
 
-    if branch_stack:
-        raise UnbalancedBranch(branch_positions[-1])
-    if pending_bond is not None:
+    if branches:
+        raise UnbalancedBranch(branches[-1][1])
+    if pending is not None:
         raise UnsupportedToken(pending_pos, "dangling bond at end of string")
     if open_rings:
         raise UnclosedRing(min(open_rings))
-    if not atoms:
+    if not symbols:
         raise UnsupportedToken(0, "<no atoms>")
+    return symbols, aromatic, bonds
 
-    bond_list = tuple(Bond(i=i, j=j, order=o) for (i, j), o in sorted(bonds.items()))
-    return SmilesMolecule(source=s, atoms=tuple(atoms), bonds=bond_list)
+
+def parse_smiles(s: str) -> SmilesMolecule:
+    """Parse a SMILES string into atoms and bonds (topology only)."""
+    symbols, aromatic, bonds = scan_smiles(s)
+    return SmilesMolecule(
+        source=s,
+        atoms=tuple(map(Atom, symbols, aromatic)),
+        bonds=tuple(Bond(i, j, o) for (i, j), o in sorted(bonds.items())),
+    )
+
+
+def node_records(symbols: list[str], records: dict[str, NodeRecord]) -> tuple[NodeRecord, ...]:
+    """One node per symbol. Equal symbols share the frozen `NodeRecord` kept
+    in `records`, which gains an entry for each symbol it lacks."""
+    for symbol in set(symbols).difference(records):
+        records[symbol] = NodeRecord(text=symbol)
+    return tuple(map(records.__getitem__, symbols))
 
 
 def to_graph(m: SmilesMolecule, graph_id: str | None = None) -> Graph:
     """Drop bond orders and atom identities, keeping one node per atom and
     one undirected edge per bond."""
-    nodes = tuple(NodeRecord(text=a.symbol) for a in m.atoms)
-    edges = tuple((b.i, b.j) for b in m.bonds)
     return Graph(
         id=graph_id if graph_id is not None else m.source,
-        nodes=nodes,
-        edges=edges,
+        nodes=node_records([a.symbol for a in m.atoms], {}),
+        edges=tuple((b.i, b.j) for b in m.bonds),
         graph_text=m.source,
     )

@@ -1,7 +1,9 @@
 """Per-graph reference implementations that the bucketed and blocked code is
 checked against: the attribute rule, its strictness test and graph
 preparation, one graph at a time with Python sorts and a queue-based BFS;
-k-means with one mask per cluster; and training one graph at a time."""
+k-means with one mask per cluster; training one graph at a time; the
+closure-driven SMILES parser that builds one `Atom` per atom; and scaffold
+grouping by one `are_isomorphic` call per member and representative."""
 
 from __future__ import annotations
 
@@ -15,7 +17,13 @@ from sogtok.attributes import (
     hop_attribute,
     importance_scores,
 )
-from sogtok.errors import NonFiniteLoss
+from sogtok.errors import (
+    NonFiniteLoss,
+    SmilesError,
+    UnbalancedBranch,
+    UnclosedRing,
+    UnsupportedToken,
+)
 from sogtok.graph import Graph, augment_with_global_node, bfs_hops, build_adjacency
 from sogtok.model import (
     Adam,
@@ -30,6 +38,18 @@ from sogtok.model import (
     nearest,
     normalized_adjacency,
     save_checkpoint,
+)
+from sogtok.scaffold import EMPTY_KEY, EXACT_LIMIT, Scaffold, are_isomorphic
+from sogtok.smiles import (
+    _BOND_CHARS,
+    AROMATIC,
+    AROMATIC_ORGANIC,
+    ORGANIC_ONE_LETTER,
+    ORGANIC_TWO_LETTER,
+    SINGLE,
+    Atom,
+    Bond,
+    SmilesMolecule,
 )
 from sogtok.train import EpochLog, _minibatches
 
@@ -241,3 +261,174 @@ def train(dataset: list[Graph], cfg, checkpoint_dir=None, embedder=None):
         enc=enc, dec=dec, codebook=cb, beta=cfg.beta, strategy=cfg.strategy, seed=cfg.seed
     )
     return model, logs
+
+
+def _parse_bracket_atom(s: str, start: int) -> tuple[Atom, int]:
+    """Parse a [...] atom starting at the opening bracket; return atom and
+    the index one past the closing bracket."""
+    end = s.find("]", start)
+    if end < 0:
+        raise UnsupportedToken(start, "[")
+    body = s[start + 1 : end]
+    pos = 0
+    while pos < len(body) and body[pos].isdigit():  # isotope
+        pos += 1
+    rest = body[pos:]
+    if not rest:
+        raise UnsupportedToken(start, f"[{body}]")
+    if rest[0].isalpha():
+        if len(rest) > 1 and rest[1].islower() and rest[1].isalpha():
+            symbol = rest[:2]
+        else:
+            symbol = rest[0]
+    elif rest[0] == "*":
+        raise UnsupportedToken(start, "*")
+    else:
+        raise UnsupportedToken(start, f"[{body}]")
+    aromatic = symbol[0].islower()
+    return Atom(symbol=symbol.capitalize(), aromatic=aromatic), end + 1
+
+
+def parse_smiles(s: str) -> SmilesMolecule:
+    """Reference SMILES parser: closure-driven, one `Atom` per atom."""
+    if not s:
+        raise UnsupportedToken(0, "<empty>")
+    atoms: list[Atom] = []
+    bonds: dict[tuple[int, int], int | str] = {}
+    branch_stack: list[int] = []
+    branch_positions: list[int] = []
+    open_rings: dict[int, tuple[int, int | str | None]] = {}
+    prev: int | None = None
+    pending_bond: int | str | None = None
+    pending_pos = 0
+
+    def add_bond(i: int, j: int, order: int | str, pos: int) -> None:
+        if i == j:
+            raise SmilesError(f"ring closure at position {pos} bonds atom {i} to itself")
+        key = (min(i, j), max(i, j))
+        if key in bonds:
+            raise SmilesError(f"duplicate bond between atoms {i} and {j} at position {pos}")
+        bonds[key] = order
+
+    def attach_atom(atom: Atom, pos: int) -> None:
+        nonlocal prev, pending_bond
+        atoms.append(atom)
+        idx = len(atoms) - 1
+        if prev is not None:
+            order = pending_bond
+            if order is None:
+                order = AROMATIC if (atoms[prev].aromatic and atom.aromatic) else SINGLE
+            add_bond(prev, idx, order, pos)
+        elif pending_bond is not None:
+            raise UnsupportedToken(pending_pos, "bond with no preceding atom")
+        pending_bond = None
+        prev = idx
+
+    def close_ring(label: int, pos: int) -> None:
+        nonlocal pending_bond
+        if prev is None:
+            raise UnsupportedToken(pos, "ring closure with no preceding atom")
+        if label in open_rings:
+            other, open_order = open_rings.pop(label)
+            order = pending_bond if pending_bond is not None else open_order
+            if (
+                pending_bond is not None
+                and open_order is not None
+                and pending_bond != open_order
+            ):
+                raise SmilesError(f"conflicting bonds on ring closure {label} at position {pos}")
+            if order is None:
+                order = AROMATIC if (atoms[other].aromatic and atoms[prev].aromatic) else SINGLE
+            add_bond(other, prev, order, pos)
+        else:
+            open_rings[label] = (prev, pending_bond)
+        pending_bond = None
+
+    i = 0
+    while i < len(s):
+        ch = s[i]
+        if ch in _BOND_CHARS:
+            if pending_bond is not None:
+                raise UnsupportedToken(i, ch)
+            pending_bond = _BOND_CHARS[ch]
+            pending_pos = i
+            i += 1
+        elif ch in "/\\":  # stereo bond markers: plain single bonds here
+            i += 1
+        elif ch == "(":
+            if prev is None:
+                raise UnbalancedBranch(i)
+            branch_stack.append(prev)
+            branch_positions.append(i)
+            i += 1
+        elif ch == ")":
+            if not branch_stack:
+                raise UnbalancedBranch(i)
+            if pending_bond is not None:
+                raise UnsupportedToken(pending_pos, "dangling bond before ')'")
+            prev = branch_stack.pop()
+            branch_positions.pop()
+            i += 1
+        elif ch == "[":
+            atom, nxt = _parse_bracket_atom(s, i)
+            attach_atom(atom, i)
+            i = nxt
+        elif ch == "%":
+            two = s[i + 1 : i + 3]
+            if len(two) != 2 or not two.isdigit():
+                raise UnsupportedToken(i, "%" + two)
+            close_ring(int(two), i)
+            i += 3
+        elif ch.isdigit():
+            if ch == "0":
+                raise UnsupportedToken(i, ch)
+            close_ring(int(ch), i)
+            i += 1
+        elif s[i : i + 2] in ORGANIC_TWO_LETTER:
+            attach_atom(Atom(symbol=s[i : i + 2], aromatic=False), i)
+            i += 2
+        elif ch in ORGANIC_ONE_LETTER:
+            attach_atom(Atom(symbol=ch, aromatic=False), i)
+            i += 1
+        elif ch in AROMATIC_ORGANIC:
+            attach_atom(Atom(symbol=ch.upper(), aromatic=True), i)
+            i += 1
+        else:
+            raise UnsupportedToken(i, ch)
+
+    if branch_stack:
+        raise UnbalancedBranch(branch_positions[-1])
+    if pending_bond is not None:
+        raise UnsupportedToken(pending_pos, "dangling bond at end of string")
+    if open_rings:
+        raise UnclosedRing(min(open_rings))
+    if not atoms:
+        raise UnsupportedToken(0, "<no atoms>")
+
+    bond_list = tuple(Bond(i=i, j=j, order=o) for (i, j), o in sorted(bonds.items()))
+    return SmilesMolecule(source=s, atoms=tuple(atoms), bonds=bond_list)
+
+
+def group_scaffolds(scaffolds: list[Scaffold]) -> list[list[int]]:
+    """Scaffold grouping that calls `are_isomorphic` on each member against
+    each representative, both graphs' invariants computed afresh per call."""
+    by_key: dict[str, list[int]] = {}
+    for idx, sc in enumerate(scaffolds):
+        by_key.setdefault(sc.canonical_key, []).append(idx)
+    groups: list[list[int]] = []
+    for key, members in sorted(by_key.items()):
+        if key == EMPTY_KEY or any(scaffolds[i].graph.n > EXACT_LIMIT for i in members):
+            groups.append(members)
+            continue
+        reps: list[list[int]] = []
+        for i in members:
+            placed = False
+            for bucket in reps:
+                if are_isomorphic(scaffolds[i].graph, scaffolds[bucket[0]].graph):
+                    bucket.append(i)
+                    placed = True
+                    break
+            if not placed:
+                reps.append([i])
+        groups.extend(reps)
+    return groups

@@ -423,6 +423,43 @@ def test_size_cap_admits_long_smiles_chain(trained, tmp_path):
     assert len(rows) == 2 and len(rows[1].split("\t")[2].split(",")) == 600
 
 
+VALID_RECORDS = {
+    "smiles": {"id": "s", "smiles": "CC(=O)Oc1ccc2[nH]ccc2c1C%10CC%10", "label": 1},
+    "nodes": {"id": "g", "nodes": [{"text": "C"}, {}, {"text": "O"}], "edges": [[0, 1], [1, 2]],
+              "label": 0},
+}
+# SMILES and JSON syntax, plus a digit that str.isdigit() accepts and int() does not
+MUTANT_CHARS = list('CcNnO()[]=#%-0129"{},: .x') + ["²", "é"]
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_RECORDS))
+def test_single_character_corruptions_exit_0_or_2(trained, tmp_path, capsys, kind):
+    """Every one-character deletion and a seeded sample of substitutions in
+    line 2 of a graph file: tokenize exits 0, or 2 with one line that names
+    line 2; no exception escapes main."""
+    line = json.dumps(VALID_RECORDS[kind])
+    rng = np.random.default_rng(17)
+    mutants = {line[:k] + line[k + 1:] for k in range(len(line))}
+    for k, ch in zip(rng.integers(len(line), size=80), rng.choice(MUTANT_CHARS, size=80)):
+        mutants.add(line[:k] + ch + line[k + 1:])
+    mutants.discard(line)
+    data = tmp_path / "data.jsonl"
+    argv = ["tokenize", "--data", str(data), "--checkpoint", str(trained / "model.sogtok"),
+            "--out", str(tmp_path / "t")]
+    codes = []
+    for mutant in sorted(mutants):
+        data.write_text(json.dumps({"id": "ok", "smiles": "CCO"}) + "\n" + mutant + "\n",
+                        encoding="utf-8")
+        codes.append(main(argv))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 2), mutant
+        if codes[-1] == 2:
+            assert re.fullmatch(r"error: line 2(, column \d+)?: [^\n]+\n", err), (mutant, err)
+        else:
+            assert err == "", mutant
+    assert set(codes) == {0, 2}
+
+
 @pytest.mark.parametrize("command", [["stats"], ["gen-corpus", "--kinds", "simjudge"]])
 def test_empty_data_exit_2(trained, tmp_path, command):
     empty = tmp_path / "empty.jsonl"

@@ -51,6 +51,21 @@ def test_empty_graph_rejected():
         Graph(id="e", nodes=(), edges=())
 
 
+@pytest.mark.parametrize("n,edges,message", [
+    (0, [], "node set must be non-empty"),
+    (3, [(0, 1), (3, 3), (1, 1)], "edge (3,3) out of range"),
+    (3, [(0, 1), (1, 1), (0, 3)], "self-loop at node 1"),
+    (3, [(2, 1), (-1, 2)], "edge (-1,2) out of range"),
+    (3, [(1, 0), (0, 1), (2, 2)], "self-loop at node 2"),  # checked before duplicates
+    (3, [(1, 0), (2, 1), (0, 1)], "duplicate edges"),
+])
+def test_edge_check_messages(n, edges, message):
+    """The first failing edge, in the given order, names the error."""
+    with pytest.raises(ValidationError) as err:
+        make_graph(n, edges, gid="m")
+    assert str(err.value) == f"graph 'm': {message}"
+
+
 def test_augment_path(path3):
     aug = augment_with_global_node(path3)
     assert aug.n == 4

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
+import oracle
 from sogtok.errors import SmilesError, UnbalancedBranch, UnclosedRing, UnsupportedToken
+from sogtok.ingest import parse_graph_file
 from sogtok.smiles import AROMATIC, DOUBLE, SINGLE, TRIPLE, parse_smiles, to_graph
 
 # hand-verified corpus: (smiles, atoms, bonds, independent rings)
@@ -161,3 +165,59 @@ def test_corpus_graphs_connected(smiles):
 
     g = to_graph(parse_smiles(smiles))
     assert all(h is not None for h in bfs_hops(g, 0))
+
+
+# the differential test's alphabet: every character the grammar reads, plus
+# H + @ . which it rejects outside brackets
+DIFF_ALPHABET = list("CcNnOoBrClSsPFI[]()=#-/\\%0123456789H+@.")
+# a second, atom-heavy draw so that a good share of the strings parse
+GRAMMAR_TOKENS = ["C", "C", "C", "c", "c", "N", "n", "O", "o", "S", "s", "P", "F", "I", "Br",
+                  "Cl", "B", "[NH4+]", "[13C@H]", "[nH]", "1", "1", "2", "3", "%12", "(", "(",
+                  ")", ")", "=", "#", "-", "/", "\\"]
+EDGE_CASES = ["", "C1CC", "C(C", "CC)", "CQ", "C.C", "C==C", "CC=", "=CC", "C11", "C12CC12",
+              "C0CC0", "C=1CC-1", "[", "[]", "[13]", "[*]", "[+]", "%1", "C%1", "C%", "1CC",
+              "C(=)C", "C(C)=", "()", "C=(C)", "C1=CC=1"]
+
+
+def _outcome(parse, s):
+    try:
+        m = parse(s)
+    except Exception as exc:  # the reference decides which errors are expected
+        return type(exc), str(exc)
+    return [(a.symbol, a.aromatic) for a in m.atoms], [(b.i, b.j, b.order) for b in m.bonds]
+
+
+def test_parser_matches_reference_parser():
+    rng = random.Random(20260)
+    cases = [s for s, *_ in CORPUS] + EDGE_CASES
+    for _ in range(30_000):
+        cases.append("".join(rng.choices(DIFF_ALPHABET, k=rng.randint(0, 16))))
+    for _ in range(30_000):
+        cases.append("".join(rng.choices(GRAMMAR_TOKENS, k=rng.randint(1, 12))))
+    parsed = 0
+    for s in cases:
+        expected = _outcome(oracle.parse_smiles, s)
+        assert _outcome(parse_smiles, s) == expected, s
+        parsed += isinstance(expected[0], list)
+    assert parsed > 5_000  # both outcomes are well covered
+
+
+@pytest.mark.parametrize("smiles,position,token", [
+    ("C²", 1, "²"),  # superscript two: str.isdigit() holds, int() fails
+    ("C١CC١", 1, "١"),  # Arabic-Indic one
+    ("C%²²", 1, "%²²"),
+])
+def test_ring_labels_are_ascii_digits(smiles, position, token):
+    with pytest.raises(UnsupportedToken) as err:
+        parse_smiles(smiles)
+    assert (err.value.position, err.value.token) == (position, token)
+
+
+def test_equal_symbols_share_one_node_record():
+    records = '{"id": "a", "smiles": "CC(=O)Oc1ccccc1"}\n{"id": "b", "smiles": "OCC"}\n'
+    a, b = parse_graph_file(records)
+    assert a.nodes[0] is a.nodes[1] is b.nodes[1]
+    assert a.nodes[2] is a.nodes[3] is b.nodes[0]
+    assert [nd.text for nd in a.nodes] == ["C", "C", "O", "O"] + ["C"] * 6
+    g = to_graph(parse_smiles("CC(=O)Oc1ccccc1"))
+    assert g.nodes == a.nodes and g.nodes[0] is g.nodes[9]
