@@ -6,8 +6,9 @@
 One line per file, `<sha256>  <path relative to OUT>`, sorted by path. The
 manifests are left out because they record run-varying data (created_at,
 stage durations, peak RSS). To check that a change keeps every artifact
-byte-identical, run scripts/end_to_end.sh into the same OUT on both
-versions, list each run with this script, and diff the two listings.
+byte-identical, run scripts/end_to_end.sh on both versions, into the same
+OUT or two different ones, list each run with this script, and diff the two
+listings.
 """
 
 import hashlib

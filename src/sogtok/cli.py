@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: train, tokenize, gen-corpus, gen-prompts, eval, stats.
-Every subcommand writes a run manifest; --from-manifest replays a previous
-run's resolved configuration and reproduces its outputs byte-for-byte; it
-takes no other flag but --out.
+Every run writes one manifest, with the sha256 of each input file it was
+given; --from-manifest replays a previous run's resolved configuration and
+reproduces its outputs byte-for-byte; it takes no other flag but --out.
+Every artifact is written atomically.
 Each setting is declared once, in SETTINGS; its flag is --<name with
 dashes>, and replayed values are checked against the declaration.
 
@@ -25,6 +26,7 @@ import numpy as np
 
 from .attributes import STRATEGY_KINDS, HashingEmbedder, ImportanceStrategy, load_embedding_table
 from .corpus import (
+    KINDS,
     SimilarityThresholds,
     gen_descmatch_records,
     gen_knn_records,
@@ -33,14 +35,13 @@ from .corpus import (
 )
 from .errors import (
     EmptyDataset,
-    IOFailure,
     NumericalError,
     SogtokError,
     ValidationError,
 )
 from .graph import DEFAULT_SIZE_CAP, Graph
 from .ingest import parse_graph_file, parse_label_csv, join_labels
-from .manifest import build_manifest, read_manifest, write_manifest
+from .manifest import atomic_write, build_manifest, read_manifest, write_manifest
 from .metrics import (
     NEGATIVE_DEFAULT,
     POSITIVE_DEFAULT,
@@ -72,18 +73,22 @@ from .train import (
 
 
 def _load_graphs(path, size_cap: int) -> list[Graph]:
+    return parse_graph_file(Path(path).read_bytes(), size_cap=size_cap)
+
+
+def _read_text(path) -> str:
+    """An input file's UTF-8 text; ValidationError naming the file when its
+    bytes are not UTF-8."""
     try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise IOFailure(f"cannot read dataset {path}: {exc}") from exc
-    return parse_graph_file(data, size_cap=size_cap)
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text at byte {exc.start}") from None
 
 
 def _make_embedder(model: TokenizerModel, embed_table_path):
     if embed_table_path is None:
         return HashingEmbedder(dim=model.d_s)
-    text = Path(embed_table_path).read_text(encoding="utf-8")
-    return load_embedding_table(text, dim=model.d_s)
+    return load_embedding_table(_read_text(embed_table_path), dim=model.d_s)
 
 
 def _stacked_rows(rows: list[np.ndarray], data) -> np.ndarray:
@@ -94,21 +99,16 @@ def _stacked_rows(rows: list[np.ndarray], data) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _outdir(cfg: dict) -> Path:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _embeddable(manifest: dict) -> dict:
-    """Manifest copy safe to embed in output artifacts: no timestamp, no
-    output location, so re-runs and replays stay byte-identical."""
+    """Manifest copy safe to embed in output artifacts: no timestamp and no
+    path, so re-runs and replays stay byte-identical wherever their files
+    live. The inputs remain as checksums."""
     out = {k: v for k, v in manifest.items() if k != "created_at"}
-    out["config"] = {k: v for k, v in manifest["config"].items() if k != "out"}
+    out["config"] = {k: v for k, v in manifest["config"].items() if k not in (*INPUT_SETTINGS, "out")}
     return out
 
 
-def cmd_train(cfg: dict) -> None:
+def cmd_train(cfg: dict, manifest: dict) -> None:
     seed = cfg["seed"]
     graphs = _load_graphs(cfg["data"], cfg["size_cap"])
     tc = TrainConfig(
@@ -128,19 +128,18 @@ def cmd_train(cfg: dict) -> None:
         batch_size=cfg["batch_size"],
         global_share=cfg["global_share"],
     )
-    out = _outdir(cfg)
-    manifest = build_manifest("train", cfg, seed, [cfg["data"]])
+    out = Path(cfg["out"])
     model, logs = train(graphs, tc, checkpoint_dir=str(out))
     model.manifest = _embeddable(manifest)
     save_checkpoint(model, out / "model.sogtok")
-    (out / "train_log.tsv").write_text(format_training_log(logs), encoding="utf-8")
-    write_manifest(manifest, out / "manifest.json")
+    with atomic_write(out / "train_log.tsv") as fh:
+        fh.write(format_training_log(logs))
     print(f"trained K={tc.k} model on {len(graphs)} graphs -> {out / 'model.sogtok'}")
 
 
 def _read_node_list(path) -> list[tuple[str, int]]:
     out = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(_read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -153,11 +152,11 @@ def _read_node_list(path) -> list[tuple[str, int]]:
     return out
 
 
-def cmd_tokenize(cfg: dict) -> None:
+def cmd_tokenize(cfg: dict, manifest: dict) -> None:
     model = load_checkpoint(cfg["checkpoint"])
     graphs = _load_graphs(cfg["data"], cfg["size_cap"])
     embedder = _make_embedder(model, cfg["embed_table"])
-    out = _outdir(cfg)
+    out = Path(cfg["out"])
     if cfg["node_level"]:
         by_id = {g.id: g for g in graphs}
         if cfg["nodes"]:
@@ -175,25 +174,22 @@ def cmd_tokenize(cfg: dict) -> None:
             key=lambda r: (r[0], r[1]),
         )
         lines = ["id\tnode\ttoken"] + [f"{gid}\t{v}\t{surface}" for gid, v, surface in rows]
-        (out / "node_tokens.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written = out / "node_tokens.tsv"
+        written, text = out / "node_tokens.tsv", "\n".join(lines) + "\n"
     else:
-        assignments = assign_tokens(graphs, model, embedder)
-        written = out / "tokens.tsv"
-        written.write_text(format_token_table(assignments), encoding="utf-8")
-    manifest = build_manifest("tokenize", cfg, None, [cfg["data"], cfg["checkpoint"]])
-    write_manifest(manifest, out / "manifest.json")
+        written, text = out / "tokens.tsv", format_token_table(assign_tokens(graphs, model, embedder))
+    with atomic_write(written) as fh:
+        fh.write(text)
     print(f"wrote {written}")
 
 
-def cmd_gen_corpus(cfg: dict) -> None:
+def cmd_gen_corpus(cfg: dict, manifest: dict) -> None:
     seed = cfg["seed"]
     model = load_checkpoint(cfg["checkpoint"])
     graphs = _load_graphs(cfg["data"], cfg["size_cap"])
     embedder = _make_embedder(model, cfg["embed_table"])
     kinds = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]
     for kind in kinds:
-        if kind not in ("knn", "simjudge", "descmatch"):
+        if kind not in KINDS:
             raise ValidationError(f"unknown corpus kind {kind!r}")
     records = []
     tokens, global_rows, attrs = {}, [], []
@@ -224,10 +220,8 @@ def cmd_gen_corpus(cfg: dict) -> None:
         )
     if "descmatch" in kinds:
         records.extend(gen_descmatch_records(graphs, tokens, attrs))
-    out = _outdir(cfg)
+    out = Path(cfg["out"])
     write_corpus(records, out / "corpus.jsonl")
-    manifest = build_manifest("gen-corpus", cfg, seed, [cfg["data"], cfg["checkpoint"]])
-    write_manifest(manifest, out / "manifest.json")
     print(f"wrote {len(records)} records -> {out / 'corpus.jsonl'}")
 
 
@@ -255,12 +249,12 @@ def _assign_splits(graphs: list[Graph], ratio: str, seed: int) -> dict[str, str]
     return split_of
 
 
-def cmd_gen_prompts(cfg: dict) -> None:
+def cmd_gen_prompts(cfg: dict, manifest: dict) -> None:
     seed = cfg["seed"]
     model = load_checkpoint(cfg["checkpoint"])
     graphs = _load_graphs(cfg["data"], cfg["size_cap"])
     if cfg["labels"]:
-        labels = parse_label_csv(Path(cfg["labels"]).read_text(encoding="utf-8"))
+        labels = parse_label_csv(_read_text(cfg["labels"]))
         graphs = join_labels(graphs, labels)
     embedder = _make_embedder(model, cfg["embed_table"])
     tmpl = load_template(cfg["task"])
@@ -271,9 +265,10 @@ def cmd_gen_prompts(cfg: dict) -> None:
         for g, assignment in zip(graphs, table_rows)
     ]
     balanced = balance_split(records, cfg["balance"], seed=seed)
-    out = _outdir(cfg)
+    out = Path(cfg["out"])
     token_table = format_token_table(table_rows)
-    (out / "tokens.tsv").write_text(token_table, encoding="utf-8")
+    with atomic_write(out / "tokens.tsv") as fh:
+        fh.write(token_table)
     sidecar = {
         "task": cfg["task"],
         "balance_policy": cfg["balance"],
@@ -281,15 +276,13 @@ def cmd_gen_prompts(cfg: dict) -> None:
         "token_table_sha256": hashlib.sha256(token_table.encode("utf-8")).hexdigest(),
     }
     write_prompt_files(balanced, out, sidecar)
-    manifest = build_manifest("gen-prompts", cfg, seed, [cfg["data"], cfg["checkpoint"]])
-    write_manifest(manifest, out / "manifest.json")
     counts = {s: sum(1 for r in balanced if r.split == s) for s in ("train", "valid", "test")}
     print(f"wrote prompt files {counts} -> {out}")
 
 
 def _load_responses(path) -> list[dict]:
     rows = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(_read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -298,6 +291,13 @@ def _load_responses(path) -> list[dict]:
             raise ValidationError(f"response line {line_no}: not valid JSON ({exc})") from exc
         if not isinstance(obj, dict) or not isinstance(obj.get("text"), str) or "id" not in obj:
             raise ValidationError(f"response line {line_no}: need 'id' and a string 'text'")
+        if type(obj["id"]) not in (str, int):
+            raise ValidationError(f"response line {line_no}: 'id' must be a string or an integer")
+        # a finite float: this also refuses nan, infinities and ints past float range
+        if "score" in obj and not (
+            type(obj["score"]) in (int, float) and abs(obj["score"]) <= sys.float_info.max
+        ):
+            raise ValidationError(f"response line {line_no}: 'score' must be a finite number")
         rows.append(obj)
     return rows
 
@@ -312,7 +312,7 @@ def _phrase_sets(tmpl) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return pos, neg
 
 
-def cmd_eval(cfg: dict) -> None:
+def cmd_eval(cfg: dict, manifest: dict) -> None:
     responses = _load_responses(cfg["responses"])
     graphs = _load_graphs(cfg["data"], cfg["size_cap"])
     labels_by_id = {g.id: g.label for g in graphs}
@@ -338,22 +338,21 @@ def cmd_eval(cfg: dict) -> None:
         f"{counts.tp},{counts.fp},{counts.tn},{counts.fn},"
         f"{'response' if used_explicit_scores else 'parsed'}",
     ]
-    out = _outdir(cfg)
-    (out / "metrics.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    manifest = build_manifest("eval", cfg, None, [cfg["responses"], cfg["data"]])
-    write_manifest(manifest, out / "manifest.json")
+    with atomic_write(Path(cfg["out"]) / "metrics.csv") as fh:
+        fh.write("\n".join(rows) + "\n")
     print(f"auc={auc:.4f} accuracy={report.accuracy:.4f} micro_f1={report.micro_f1:.4f}")
 
 
-def cmd_stats(cfg: dict) -> None:
+def cmd_stats(cfg: dict, manifest: dict) -> None:
     seed = cfg["seed"]
     model = load_checkpoint(cfg["checkpoint"])
     graphs = _load_graphs(cfg["data"], cfg["size_cap"])
     embedder = _make_embedder(model, cfg["embed_table"])
-    out = _outdir(cfg)
+    out = Path(cfg["out"])
     m = min(cfg["corr_first"], model.k)
     sims, zero_rows = codebook_correlation(model.codebook, m)
-    (out / "correlation.csv").write_text(format_csv_matrix(sims), encoding="utf-8")
+    with atomic_write(out / "correlation.csv") as fh:
+        fh.write(format_csv_matrix(sims))
     # one embedding per graph gives its embeddings.csv row and the token
     # that the permutation and scaffold checks read
     tokens, global_rows = [], []
@@ -383,11 +382,8 @@ def cmd_stats(cfg: dict) -> None:
         "correlation_size": m,
         "graph_count": len(graphs),
     }
-    (out / "stats_report.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    manifest = build_manifest("stats", cfg, seed, [cfg["data"], cfg["checkpoint"]])
-    write_manifest(manifest, out / "manifest.json")
+    with atomic_write(out / "stats_report.json") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"permutation_consistency={perm_rate:.3f}; wrote {out / 'stats_report.json'}")
 
 
@@ -431,6 +427,9 @@ SETTINGS = {s.name: s for s in (
     # stats
     Setting("corr_first", int, 50), Setting("trials", int, 10),
 )}
+
+# the settings that name an input file; a run checksums each one it is given
+INPUT_SETTINGS = ("data", "checkpoint", "responses", "embed_table", "nodes", "labels")
 
 # subcommand -> (handler, help, required settings, other settings); every
 # subcommand also takes out, size_cap and jobs. Entries are read by
@@ -539,12 +538,17 @@ def main(argv=None) -> int:
         for key in ("out", *required):
             if cfg[key] is None:
                 raise ValidationError(f"--{key.replace('_', '-')} is required")
-        handler(cfg)
+        inputs = {name: cfg[name] for name in INPUT_SETTINGS if cfg.get(name) is not None}
+        manifest = build_manifest(args.command, cfg, cfg.get("seed"), inputs)
+        out = Path(cfg["out"])
+        out.mkdir(parents=True, exist_ok=True)
+        handler(cfg, manifest)
+        write_manifest(manifest, out / "manifest.json")
         return 0
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (IOFailure, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValidationError, SogtokError) as exc:

@@ -23,6 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import Graph
+from .manifest import atomic_write
 from .model import Codebook
 from .train import StructuralToken, parse_token
 
@@ -288,7 +289,7 @@ def corpus_lines(records: list[QARecord]) -> list[str]:
 
 
 def write_corpus(records: list[QARecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for line in corpus_lines(records):
             fh.write(line + "\n")
 

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
 Config/validation problems map to CLI exit code 2, numerical failures to 3,
-and I/O failures to 1 (see cli.main).
+and OSError (file I/O) to 1 (see cli.main).
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ class ValidationError(SogtokError):
 
 class NumericalError(SogtokError):
     """Training or numeric failure (exit code 3)."""
-
-
-class IOFailure(SogtokError):
-    """File read/write failure (exit code 1)."""
 
 
 # graph-core

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 from .errors import GraphFileSemanticError, GraphFileSyntaxError, SmilesError, ValidationError
 from .graph import DEFAULT_SIZE_CAP, Graph, NodeRecord
+from .manifest import atomic_write
 from .smiles import node_records, scan_smiles
 
 
@@ -79,8 +80,18 @@ def parse_graph_record(
 
 
 def parse_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> list[Graph]:
-    """One graph per non-empty line; reports line/column on JSON failures."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    """One graph per non-empty line; reports line/column on JSON failures and
+    on bytes that are not UTF-8."""
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the lines before the bad byte decode; the sentinel makes the
+            # last one the bad byte's line, its length the bad byte's column
+            lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+            raise GraphFileSyntaxError(len(lines), len(lines[-1]), "not UTF-8 text") from None
+    else:
+        text = data
     graphs: list[Graph] = []
     seen_ids: set[str] = set()
     records: dict[str, NodeRecord] = {}
@@ -100,7 +111,7 @@ def parse_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> lis
 
 
 def write_graph_file(graphs: list[Graph], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for g in graphs:
             obj = {
                 "id": g.id,

@@ -1,14 +1,17 @@
-"""Run manifests: full materialized config, seed, input checksums.
+"""Run manifests and the one artifact writer.
 
-The manifest is the replay unit: re-running a subcommand from a manifest
-reproduces every output byte-for-byte. Timestamps live only here, never in
-output artifacts.
+The manifest is the replay unit: full materialized config, seed and input
+checksums; re-running a subcommand from a manifest reproduces every output
+byte-for-byte. Timestamps live only here, never in output artifacts.
+Every artifact, the manifest included, is written through `atomic_write`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,19 +28,37 @@ def file_checksum(path) -> str:
     return h.hexdigest()
 
 
-def build_manifest(command: str, config: dict, seed: int | None, inputs: list) -> dict:
+@contextmanager
+def atomic_write(path, binary: bool = False):
+    """A handle on a temporary file beside path, renamed over path when the
+    block ends. On any exception the temporary file is removed and path is
+    left as it was, so no reader ever sees a partial artifact. Text is UTF-8."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def build_manifest(command: str, config: dict, seed: int | None, inputs: dict) -> dict:
+    """inputs maps a setting name to the file it names; each file is
+    checksummed under that name, so the record does not depend on paths."""
     return {
         "command": command,
         "config": config,
         "seed": seed,
-        "input_checksums": {str(p): file_checksum(p) for p in sorted(map(str, inputs))},
+        "input_checksums": {name: file_checksum(path) for name, path in sorted(inputs.items())},
         "tool_version": TOOL_VERSION,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
 
 
 def write_manifest(manifest: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import cosine_matrix
 from .errors import DegenerateLabels, LengthMismatch, ValidationError
 from .graph import Graph, permute
+from .manifest import atomic_write
 from .model import Codebook, TokenizerModel
 from .train import GLOBAL_ROW, StructuralToken, encoded_blocks, graph_tokens
 
@@ -100,7 +100,6 @@ class MetricReport:
     accuracy: float
     micro_f1: float
     counts: dict = field(default_factory=dict)  # class -> ClassCounts
-    auc: float | None = None
 
 
 def accuracy_and_f1(predictions, labels, classes) -> MetricReport:
@@ -239,7 +238,8 @@ def export_embeddings(rows: list[tuple[str, int, np.ndarray]], d: int, path) -> 
     lines = ["id,token," + ",".join(f"e{i}" for i in range(d))]
     for gid, token, vec in rows:
         lines.append(f"{gid},{token}," + ",".join(f"{x:.9g}" for x in vec))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def aggregate_runs(values) -> tuple[float, float]:

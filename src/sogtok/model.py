@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .attributes import ImportanceStrategy
 from .errors import CheckpointError, DimensionMismatch, ValidationError
+from .manifest import atomic_write
 
 CHECKPOINT_MAGIC = b"SOGTOK1"
 CHECKPOINT_VERSION = 1
@@ -404,8 +403,8 @@ def init_params(
 
 
 def save_checkpoint(model: TokenizerModel, path) -> None:
-    """Write the checkpoint to a temporary file beside path, then rename it
-    over path, so an interrupted write never leaves a partial checkpoint."""
+    """Write the checkpoint atomically: an interrupted write never leaves a
+    partial checkpoint."""
     header = {
         "version": CHECKPOINT_VERSION,
         "d_s": model.enc.d_s,
@@ -419,19 +418,12 @@ def save_checkpoint(model: TokenizerModel, path) -> None:
         "manifest": model.manifest,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            for arr in (model.enc.w1, model.enc.w2, model.dec.wd, model.codebook.entries):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, binary=True) as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for arr in (model.enc.w1, model.enc.w2, model.dec.wd, model.codebook.entries):
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def _read_header(fh) -> dict:

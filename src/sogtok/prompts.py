@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import MissingText, UnknownTask, ValidationError
 from .graph import Graph
+from .manifest import atomic_write
 from .train import StructuralToken
 
 BALANCE_POLICIES = ("none", "1:1", "1:5")
@@ -173,13 +174,13 @@ def write_prompt_files(records: list[PromptRecord], outdir, manifest: dict) -> N
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for split, rows in prompt_lines(records).items():
-        with open(outdir / f"{split}.jsonl", "w", encoding="utf-8") as fh:
+        with atomic_write(outdir / f"{split}.jsonl") as fh:
             for row in rows:
                 fh.write(row + "\n")
     payload = dict(manifest)
     payload["config_hash"] = hashlib.sha256(
         json.dumps(manifest, sort_keys=True).encode("utf-8")
     ).hexdigest()
-    with open(outdir / "prompts_manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_write(outdir / "prompts_manifest.json") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -67,6 +67,8 @@ def _parse_bracket_atom(s: str, start: int) -> tuple[str, bool, int]:
     if end < 0:
         raise UnsupportedToken(start, "[")
     body = s[start + 1 : end]
+    if not body.isascii():  # isdigit and isalpha would accept any script
+        raise UnsupportedToken(start, f"[{body}]")
     pos = 0
     while pos < len(body) and body[pos].isdigit():  # isotope
         pos += 1

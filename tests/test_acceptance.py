@@ -339,8 +339,13 @@ def test_10_determinism(tmp_path):
         for i, s in enumerate(smiles)
     ]
     data.write_text("\n".join(rows) + "\n")
+    # the second run reads a copy of the inputs from another directory: no
+    # artifact may depend on where its inputs or outputs live
+    copy = tmp_path / "copy" / "mols.jsonl"
+    copy.parent.mkdir()
+    copy.write_bytes(data.read_bytes())
 
-    def run_all(tag):
+    def run_all(tag, data):
         out = tmp_path / tag
         model_dir = out / "model"
         assert main([
@@ -363,7 +368,7 @@ def test_10_determinism(tmp_path):
             "--out", str(out / "prompts"), "--seed", "5", "--task", "BBBP_p_np",
             "--balance", "1:1", "--split-ratio", "6:1:1",
         ]) == 0
-        responses = tmp_path / "responses.jsonl"
+        responses = data.parent / "responses.jsonl"
         responses.write_text(
             "\n".join(
                 json.dumps({"id": f"m{i}", "text": "True" if i % 3 else "False"})
@@ -380,27 +385,25 @@ def test_10_determinism(tmp_path):
             "--out", str(out / "stats"), "--seed", "9", "--corr-first", "4",
             "--trials", "2",
         ]) == 0
-        artifacts = [
-            model_dir / "model.sogtok",
-            model_dir / "ckpt_epoch_003.sogtok",
-            model_dir / "train_log.tsv",
-            out / "tok" / "tokens.tsv",
-            out / "corpus" / "corpus.jsonl",
-            out / "prompts" / "train.jsonl",
-            out / "prompts" / "valid.jsonl",
-            out / "prompts" / "test.jsonl",
-            out / "eval" / "metrics.csv",
-            out / "stats" / "correlation.csv",
-            out / "stats" / "embeddings.csv",
-            out / "stats" / "stats_report.json",
-        ]
-        return {p.name: p.read_bytes() for p in artifacts}
+        # every artifact but the manifests, which carry created_at and paths
+        return {
+            p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"
+        }
 
-    first = run_all("run1")
-    second = run_all("run2")
+    first = run_all("run1", data)
+    second = run_all("run2", copy)
     assert first.keys() == second.keys()
+    for name in (
+        "model/model.sogtok", "model/ckpt_epoch_003.sogtok", "model/train_log.tsv",
+        "tok/tokens.tsv", "corpus/corpus.jsonl", "prompts/train.jsonl", "prompts/valid.jsonl",
+        "prompts/test.jsonl", "eval/metrics.csv", "stats/correlation.csv",
+        "stats/embeddings.csv", "stats/stats_report.json",
+    ):
+        assert name in first, name
     for name in first:
         assert first[name] == second[name], f"{name} differs between identical runs"
+    assert not list(tmp_path.rglob("*.tmp"))
     report(10, f"determinism ({len(first)} artifacts byte-identical)")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -52,6 +53,11 @@ def test_train_outputs(trained):
     manifest = json.loads((trained / "manifest.json").read_text())
     assert manifest["command"] == "train" and manifest["seed"] == 3
     assert manifest["config"]["k"] == 8
+    # the copy in the checkpoint holds no path: the data file is a checksum
+    embedded = load_checkpoint(trained / "model.sogtok").manifest
+    assert embedded["input_checksums"] == manifest["input_checksums"]
+    assert set(embedded["input_checksums"]) == {"data"}
+    assert not {"data", "out"} & embedded["config"].keys() and "created_at" not in embedded
 
 
 def test_train_determinism(dataset, trained, tmp_path):
@@ -388,11 +394,68 @@ def test_malformed_responses_exit_2(tmp_path):
         ([good, '{"id": "g1", "text": '], 2),  # cut-off JSON
         (['["g0", "True"]'], 1),  # not an object
         (['{"id": "g0", "text": 1}'], 1),  # text not a string
+        ([good, '{"id": "g1", "text": "True", "score": "abc"}'], 2),
+        ([good, '{"id": "g1", "text": "True", "score": null}'], 2),
+        ([good, '{"id": "g1", "text": "True", "score": true}'], 2),
+        ([good, '{"id": "g1", "text": "True", "score": NaN}'], 2),
+        ([good, '{"id": "g1", "text": "True", "score": 1' + "0" * 400 + '}'], 2),  # past float range
+        (['{"id": [1], "text": "True"}'], 1),
+        (['{"id": null, "text": "True"}'], 1),
     )
     for body, line_no in cases:
         responses.write_text("\n".join(body) + "\n")
         proc = _run_cli("eval", "--responses", responses, "--data", data, "--out", tmp_path / "e")
         _assert_validation_exit(proc, f"response line {line_no}")
+
+
+@pytest.mark.parametrize("flag", ["--data", "--responses", "--labels", "--nodes", "--embed-table"])
+def test_non_utf8_input_exit_2(dataset, trained, tmp_path, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    rest = ("--checkpoint", trained / "model.sogtok", "--out", tmp_path / "o")
+    argv = {
+        "--data": ("tokenize", "--data", bad, *rest),
+        "--responses": ("eval", "--responses", bad, "--data", dataset, "--out", tmp_path / "o"),
+        "--labels": ("gen-prompts", "--data", dataset, *rest, "--seed", "1",
+                     "--task", "BBBP_p_np", "--labels", bad),
+        "--nodes": ("tokenize", "--data", dataset, *rest, "--node-level", "--nodes", bad),
+        "--embed-table": ("tokenize", "--data", dataset, *rest, "--embed-table", bad),
+    }[flag]
+    proc = _run_cli(*argv)
+    needle = "line 1, column 1: not UTF-8 text" if flag == "--data" else f"{bad}: not UTF-8 text"
+    _assert_one_line_error(proc, needle)
+
+
+def test_manifest_checksums_every_input_by_setting_name(dataset, trained, tmp_path):
+    checkpoint = trained / "model.sogtok"
+    mols = tmp_path / "mols.jsonl"
+    mols.write_text("".join(json.dumps({"id": f"m{i}", "smiles": s}) + "\n"
+                            for i, s in enumerate(["CCO", "C1CC1", "CCN", "c1ccccc1"])))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,label\n" + "".join(f"m{i},{i % 2}\n" for i in range(4)))
+    assert main(["gen-prompts", "--data", str(mols), "--checkpoint", str(checkpoint),
+                 "--out", str(tmp_path / "p"), "--seed", "1", "--task", "BBBP_p_np",
+                 "--labels", str(labels)]) == 0
+    manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
+    assert sorted(manifest["input_checksums"]) == ["checkpoint", "data", "labels"]
+    assert manifest["input_checksums"]["labels"] == hashlib.sha256(labels.read_bytes()).hexdigest()
+
+    # a one-node graph at 0 hops: its ego-graph's only attribute is the anchor
+    data = tmp_path / "one.jsonl"
+    data.write_text(json.dumps({"id": "g", "nodes": [{}], "edges": []}) + "\n")
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("g 0\n")
+    table = tmp_path / "table.tsv"
+    table.write_text("anchor node\t" + ",".join(["0.5"] * 16) + "\n")
+    assert main(["tokenize", "--data", str(data), "--checkpoint", str(checkpoint),
+                 "--out", str(tmp_path / "t"), "--node-level", "--hops", "0",
+                 "--nodes", str(nodes), "--embed-table", str(table)]) == 0
+    manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
+    assert manifest["input_checksums"] == {
+        name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for name, path in (("checkpoint", checkpoint), ("data", data), ("embed_table", table),
+                           ("nodes", nodes))
+    }
 
 
 def _assert_one_line_error(proc, needle):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sogtok import corpus as corpus_module
 from sogtok.attributes import ImportanceStrategy, attribute_maps
 from sogtok.corpus import (
     QARecord,
@@ -307,6 +308,26 @@ def test_corpus_write_grouped_and_deterministic(tmp_path):
     assert kinds == sorted(kinds)
     back = read_corpus(p1)
     assert len(back) == 3
+
+
+def test_corpus_write_failing_partway_keeps_old_file(tmp_path, monkeypatch):
+    records = [QARecord(kind="knn", question=f"q <SOG_{i}>", answer="<SOG_0>",
+                        provenance=f"token:{i}") for i in range(3)]
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"old corpus\n")
+    real = corpus_module.corpus_lines
+
+    def fail_after_first_line(recs):
+        yield next(iter(real(recs)))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(corpus_module, "corpus_lines", fail_after_first_line)
+    with pytest.raises(OSError, match="disk full"):
+        write_corpus(records, path)
+    assert path.read_bytes() == b"old corpus\n"
+    with pytest.raises(OSError, match="disk full"):
+        write_corpus(records, tmp_path / "fresh.jsonl")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
 
 def test_empty_corpus(tmp_path):

@@ -213,6 +213,17 @@ def test_ring_labels_are_ascii_digits(smiles, position, token):
     assert (err.value.position, err.value.token) == (position, token)
 
 
+@pytest.mark.parametrize("smiles,position,token", [
+    ("[é]", 0, "[é]"),  # str.isalpha() holds
+    ("[²C]", 0, "[²C]"),  # superscript two as an isotope digit
+    ("C[٣C]C", 1, "[٣C]"),  # Arabic-Indic three as an isotope digit
+])
+def test_bracket_atoms_are_ascii(smiles, position, token):
+    with pytest.raises(UnsupportedToken) as err:
+        parse_smiles(smiles)
+    assert (err.value.position, err.value.token) == (position, token)
+
+
 def test_equal_symbols_share_one_node_record():
     records = '{"id": "a", "smiles": "CC(=O)Oc1ccccc1"}\n{"id": "b", "smiles": "OCC"}\n'
     a, b = parse_graph_file(records)
