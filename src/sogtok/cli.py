@@ -66,8 +66,8 @@ from .train import (
     encoded_blocks,
     format_token_table,
     format_training_log,
-    graph_tokens,
     node_tokens,
+    token_text,
     train,
 )
 
@@ -153,6 +153,8 @@ def _read_node_list(path) -> list[tuple[str, int]]:
 
 
 def cmd_tokenize(cfg: dict, manifest: dict) -> None:
+    if cfg["nodes"] is not None and not cfg["node_level"]:
+        raise ValidationError("--nodes requires --node-level")
     model = load_checkpoint(cfg["checkpoint"])
     graphs = _load_graphs(cfg["data"], cfg["size_cap"])
     embedder = _make_embedder(model, cfg["embed_table"])
@@ -170,7 +172,7 @@ def cmd_tokenize(cfg: dict, manifest: dict) -> None:
             ((by_id[gid], v) for gid, v in wanted), model, hops=cfg["hops"], embedder=embedder
         )
         rows = sorted(
-            ((gid, v, tok.surface) for (gid, v), tok in zip(wanted, tokens)),
+            ((gid, v, token_text(t)) for (gid, v), t in zip(wanted, tokens)),
             key=lambda r: (r[0], r[1]),
         )
         lines = ["id\tnode\ttoken"] + [f"{gid}\t{v}\t{surface}" for gid, v, surface in rows]
@@ -196,9 +198,9 @@ def cmd_gen_corpus(cfg: dict, manifest: dict) -> None:
     if "simjudge" in kinds or "descmatch" in kinds:
         # one embedding per graph gives its token, its simjudge row and the
         # attribute map that names its nodes in descmatch
-        for block, block_attrs, rows in encoded_blocks(graphs, model, embedder, take=GLOBAL_ROW):
-            for g, token in zip(block, graph_tokens(rows, model.codebook)):
-                tokens[g.id] = token
+        blocks = encoded_blocks(graphs, model, embedder, take=GLOBAL_ROW)
+        for block, block_attrs, rows, block_tokens in blocks:
+            tokens.update(zip((g.id for g in block), block_tokens))
             global_rows.append(rows)
             if "descmatch" in kinds:
                 attrs.extend(block_attrs)
@@ -254,7 +256,7 @@ def cmd_gen_prompts(cfg: dict, manifest: dict) -> None:
     model = load_checkpoint(cfg["checkpoint"])
     graphs = _load_graphs(cfg["data"], cfg["size_cap"])
     if cfg["labels"]:
-        labels = parse_label_csv(_read_text(cfg["labels"]))
+        labels = parse_label_csv(_read_text(cfg["labels"]), {g.id for g in graphs})
         graphs = join_labels(graphs, labels)
     embedder = _make_embedder(model, cfg["embed_table"])
     tmpl = load_template(cfg["task"])
@@ -356,10 +358,10 @@ def cmd_stats(cfg: dict, manifest: dict) -> None:
     # one embedding per graph gives its embeddings.csv row and the token
     # that the permutation and scaffold checks read
     tokens, global_rows = [], []
-    for _, _, rows in encoded_blocks(graphs, model, embedder, take=GLOBAL_ROW):
-        tokens.extend(graph_tokens(rows, model.codebook))
+    for _, _, rows, block_tokens in encoded_blocks(graphs, model, embedder, take=GLOBAL_ROW):
+        tokens.extend(block_tokens)
         global_rows.append(rows)
-    rows = [(g.id, t.index, vec) for g, t, vec in zip(graphs, tokens, _stacked_rows(global_rows, cfg["data"]))]
+    rows = list(zip((g.id for g in graphs), tokens, _stacked_rows(global_rows, cfg["data"])))
     export_embeddings(rows, model.enc.d, out / "embeddings.csv")
     perm_rate = permutation_consistency(
         model, graphs, trials=cfg["trials"], seed=seed, embedder=embedder, base_tokens=tokens
@@ -367,7 +369,7 @@ def cmd_stats(cfg: dict, manifest: dict) -> None:
     scaffolds = [murcko_scaffold(g) for g in graphs]
     buckets = group_scaffolds(scaffolds)
     try:
-        sc = scaffold_consistency([t.index for t in tokens], buckets, shuffles=100, seed=seed)
+        sc = scaffold_consistency(tokens, buckets, shuffles=100, seed=seed)
         scaffold_part = {
             "mean_purity": sc.mean_purity,
             "baseline_purity": sc.baseline_purity,
@@ -538,6 +540,9 @@ def main(argv=None) -> int:
         for key in ("out", *required):
             if cfg[key] is None:
                 raise ValidationError(f"--{key.replace('_', '-')} is required")
+        for key in ("seed", "anchor_seed"):  # NumPy generators take no negative seed
+            if cfg.get(key) is not None and cfg[key] < 0:
+                raise ValidationError(f"--{key.replace('_', '-')} must be >= 0, got {cfg[key]}")
         inputs = {name: cfg[name] for name in INPUT_SETTINGS if cfg.get(name) is not None}
         manifest = build_manifest(args.command, cfg, cfg.get("seed"), inputs)
         out = Path(cfg["out"])

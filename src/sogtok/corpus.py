@@ -25,7 +25,7 @@ from .errors import (
 from .graph import Graph
 from .manifest import atomic_write
 from .model import Codebook
-from .train import StructuralToken, parse_token
+from .train import TOKEN_RE, token_text
 
 KINDS = ("descmatch", "knn", "simjudge")
 
@@ -66,7 +66,8 @@ class QARecord:
         if not self.question or not self.answer:
             raise ValidationError("question and answer must be non-empty")
         for surface in _TOKEN_LOOSE.findall(self.question + " " + self.answer):
-            parse_token(surface)  # raises on malformed token text
+            if not TOKEN_RE.fullmatch(surface):
+                raise ValidationError(f"not a structural token: {surface!r}")
 
 
 def _number_word(k: int) -> str:
@@ -107,12 +108,11 @@ def gen_knn_records(cb: Codebook, k: int = 5) -> list[QARecord]:
         ranked = sorted(
             (j for j in usable if j != i), key=lambda j: (-sims[i, j], j)
         )[:k]
-        token = StructuralToken(i)
         question = (
-            f"Here is the target structural token {token.surface}, and its "
+            f"Here is the target structural token {token_text(i)}, and its "
             f"{_number_word(k)} nearest graph structural tokens are:"
         )
-        answer = ", ".join(StructuralToken(j).surface for j in ranked)
+        answer = ", ".join(map(token_text, ranked))
         records.append(
             QARecord(kind="knn", question=question, answer=answer, provenance=f"token:{i}")
         )
@@ -121,7 +121,7 @@ def gen_knn_records(cb: Codebook, k: int = 5) -> list[QARecord]:
 
 def gen_simjudge_records(
     ids: list[str],
-    tokens: list[StructuralToken],
+    tokens: list[int],
     embeddings: np.ndarray,
     thresholds: SimilarityThresholds,
     budget: int,
@@ -167,7 +167,7 @@ def gen_simjudge_records(
     for label, picks in (("similar", pos_pairs[:n_pos]), ("dissimilar", neg_pairs[:n_neg])):
         for i, j in (divmod(flat, n) for flat in picks.tolist()):
             question = (
-                f"Here are two tokens {tokens[i].surface} and {tokens[j].surface}, "
+                f"Here are two tokens {token_text(tokens[i])} and {token_text(tokens[j])}, "
                 f"judge whether they represent similar structures or not."
             )
             records.append(
@@ -248,7 +248,7 @@ def parse_description(question: str) -> tuple[int | None, list[tuple[str, str]]]
 
 
 def gen_descmatch_records(
-    graphs: list[Graph], tokens: dict[str, StructuralToken], attrs: list[StructuralAttributeMap]
+    graphs: list[Graph], tokens: dict[str, int], attrs: list[StructuralAttributeMap]
 ) -> list[QARecord]:
     """One record per graph: its description and its token; attrs holds the
     graphs' attribute maps."""
@@ -263,7 +263,7 @@ def gen_descmatch_records(
             QARecord(
                 kind="descmatch",
                 question=question,
-                answer=tokens[g.id].surface,
+                answer=token_text(tokens[g.id]),
                 provenance=f"graph:{g.id}",
             )
         )

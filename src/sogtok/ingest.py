@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Container
 from dataclasses import replace
 
 from .errors import GraphFileSemanticError, GraphFileSyntaxError, SmilesError, ValidationError
@@ -127,8 +128,10 @@ def write_graph_file(graphs: list[Graph], path) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def parse_label_csv(text: str) -> dict[str, int]:
-    """``id,label`` rows; a header row with those exact names is skipped."""
+def parse_label_csv(text: str, ids: Container[str]) -> dict[str, int]:
+    """``id,label`` rows; a header row with those exact names is skipped.
+    Each id must be one of ids, and each label 0 or 1, because the prompt
+    templates are binary."""
     out: dict[str, int] = {}
     reader = csv.reader(io.StringIO(text))
     for row_no, row in enumerate(reader, start=1):
@@ -138,10 +141,12 @@ def parse_label_csv(text: str) -> dict[str, int]:
             continue
         if len(row) < 2:
             raise GraphFileSyntaxError(row_no, 1, "expected 'id,label'")
-        try:
-            out[row[0]] = int(row[1])
-        except ValueError as exc:
-            raise GraphFileSemanticError(row_no, f"label {row[1]!r} is not an integer") from exc
+        if row[0] not in ids:
+            raise GraphFileSemanticError(row_no, f"id {row[0]!r} names no graph")
+        label = row[1].strip()
+        if label not in ("0", "1"):
+            raise GraphFileSemanticError(row_no, f"label {row[1]!r} is not 0 or 1")
+        out[row[0]] = int(label)
     return out
 
 

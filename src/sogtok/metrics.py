@@ -18,7 +18,7 @@ from .errors import DegenerateLabels, LengthMismatch, ValidationError
 from .graph import Graph, permute
 from .manifest import atomic_write
 from .model import Codebook, TokenizerModel
-from .train import GLOBAL_ROW, StructuralToken, encoded_blocks, graph_tokens
+from .train import GLOBAL_ROW, encoded_blocks
 
 POSITIVE_DEFAULT = ("yes", "true", "active", "approved")
 NEGATIVE_DEFAULT = ("no", "false", "inactive", "rejected", "not approved")
@@ -142,7 +142,7 @@ def permutation_consistency(
     trials: int,
     seed: int,
     embedder=None,
-    base_tokens: list[StructuralToken] | None = None,
+    base_tokens: list[int] | None = None,
 ) -> float:
     """Fraction of (graph, random relabeling) pairs whose token survives.
     base_tokens, each graph's token when the caller has it, saves embedding
@@ -150,10 +150,8 @@ def permutation_consistency(
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if base_tokens is None:
-        base_tokens = [
-            t for _, _, rows in encoded_blocks(graphs, model, embedder, take=GLOBAL_ROW)
-            for t in graph_tokens(rows, model.codebook)
-        ]
+        blocks = encoded_blocks(graphs, model, embedder, take=GLOBAL_ROW)
+        base_tokens = [t for *_, tokens in blocks for t in tokens]
     if len(base_tokens) != len(graphs):
         raise LengthMismatch(f"{len(base_tokens)} base tokens for {len(graphs)} graphs")
     rng = np.random.default_rng(seed)
@@ -162,8 +160,8 @@ def permutation_consistency(
     copies = (permute(g, rng.permutation(g.n).tolist()) for g in graphs for _ in range(trials))
     expected = (t for t in base_tokens for _ in range(trials))
     hits = 0
-    for _, _, rows in encoded_blocks(copies, model, embedder, take=GLOBAL_ROW):
-        hits += sum(t == base for t, base in zip(graph_tokens(rows, model.codebook), expected))
+    for *_, tokens in encoded_blocks(copies, model, embedder, take=GLOBAL_ROW):
+        hits += sum(t == base for t, base in zip(tokens, expected))
     return hits / (len(graphs) * trials)
 
 
@@ -172,7 +170,6 @@ class ScaffoldConsistencyReport:
     mean_purity: float
     baseline_purity: float
     bucket_count: int
-    bucket_sizes: tuple[int, ...]
 
 
 def _mean_purity(tokens: list[int], buckets: list[list[int]]) -> float:
@@ -204,12 +201,10 @@ def scaffold_consistency(
     for _ in range(shuffles):
         shuffled = arr[rng.permutation(len(arr))].tolist()
         baseline.append(_mean_purity(shuffled, buckets))
-    relevant = tuple(len(b) for b in buckets if len(b) >= 2)
     return ScaffoldConsistencyReport(
         mean_purity=mean_purity,
         baseline_purity=float(np.mean(baseline)),
-        bucket_count=len(relevant),
-        bucket_sizes=relevant,
+        bucket_count=sum(len(b) >= 2 for b in buckets),
     )
 
 
@@ -241,20 +236,3 @@ def export_embeddings(rows: list[tuple[str, int, np.ndarray]], d: int, path) -> 
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def aggregate_runs(values) -> tuple[float, float]:
-    """Mean and sample standard deviation across repeated runs."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValidationError("no run values supplied")
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return float(arr.mean()), std
-
-
-def aggregate_tasks(means, stds) -> tuple[float, float]:
-    """Multi-task convention: mean of means, sqrt of mean squared stds."""
-    means = np.asarray(means, dtype=np.float64)
-    stds = np.asarray(stds, dtype=np.float64)
-    if means.shape != stds.shape or means.size == 0:
-        raise ValidationError("means and stds must align and be non-empty")
-    return float(means.mean()), float(np.sqrt((stds**2).mean()))

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import MissingText, UnknownTask, ValidationError
 from .graph import Graph
 from .manifest import atomic_write
-from .train import StructuralToken
+from .train import token_text
 
 BALANCE_POLICIES = ("none", "1:1", "1:5")
 SPLITS = ("train", "valid", "test")
@@ -95,7 +95,7 @@ def load_template(task_id: str) -> TaskTemplate:
 
 
 def render_prompt(
-    tmpl: TaskTemplate, g: Graph, tok: StructuralToken, split: str = "train"
+    tmpl: TaskTemplate, g: Graph, token: int, split: str = "train"
 ) -> PromptRecord:
     """Byte-exact slot substitution; the body text is otherwise untouched."""
     body = tmpl.body
@@ -103,7 +103,7 @@ def render_prompt(
         if g.graph_text is None:
             raise MissingText(f"graph {g.id!r} has no text for the molecule slot")
         body = body.replace("{{SMILES}}", g.graph_text)
-    body = body.replace("{{SOG}}", tok.surface)
+    body = body.replace("{{SOG}}", token_text(token))
     if g.label is None:
         answer = ""
     else:

@@ -154,11 +154,6 @@ def match_invariants(a: Invariants, b: Invariants) -> bool:
     return extend(0)
 
 
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism of two graphs (see `match_invariants`)."""
-    return match_invariants(isomorphism_invariants(g1), isomorphism_invariants(g2))
-
-
 def group_scaffolds(scaffolds: list[Scaffold]) -> list[list[int]]:
     """Group scaffold indices into equivalence buckets.
 

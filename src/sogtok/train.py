@@ -45,23 +45,14 @@ from .model import (
     save_checkpoint,
 )
 
-TOKEN_RE = re.compile(r"^<SOG_(\d+)>$")
+# A structural token is the index k of a codebook entry; <SOG_k> is its one
+# spelling in every file, ASCII decimal without leading zeros.
+TOKEN_RE = re.compile(r"<SOG_(0|[1-9][0-9]*)>")
 
 
-@dataclass(frozen=True)
-class StructuralToken:
-    index: int
-
-    @property
-    def surface(self) -> str:
-        return f"<SOG_{self.index}>"
-
-
-def parse_token(surface: str) -> StructuralToken:
-    m = TOKEN_RE.match(surface)
-    if not m:
-        raise ValidationError(f"not a structural token: {surface!r}")
-    return StructuralToken(index=int(m.group(1)))
+def token_text(k: int) -> str:
+    """The spelling of token k, which TOKEN_RE matches in full."""
+    return f"<SOG_{k}>"
 
 
 @dataclass(frozen=True)
@@ -400,8 +391,8 @@ def train(
 @dataclass(frozen=True)
 class TokenAssignment:
     graph_id: str
-    graph_token: StructuralToken
-    node_tokens: tuple[StructuralToken, ...]
+    graph_token: int
+    node_tokens: tuple[int, ...]
 
 
 READ_BLOCK = 512  # graphs prepared, encoded and searched at once on the read path
@@ -415,15 +406,17 @@ def encoded_blocks(
     embedder=None,
     include_global: bool = True,
     take: slice = slice(None),
-) -> Iterator[tuple[list[Graph], list[StructuralAttributeMap], np.ndarray]]:
+) -> Iterator[tuple[list[Graph], list[StructuralAttributeMap], np.ndarray, list[int]]]:
     """The read path: prepare graphs READ_BLOCK at a time and encode each
     bucket of a block in stacks of at most TRAIN_BLOCK graphs, which bound the
     encoder's temporaries as in training. Yields each block's graphs, their
-    attribute maps and the rows h[take] of their latent rows h (global row
-    last unless include_global=False), stacked in graph order, so that a
-    caller searches a block with one nearest() call; a row's entry does not
-    depend on the other rows. graphs may be a lazy iterable. Only one block's
-    inputs are held, and only the rows taken are kept."""
+    attribute maps, the rows h[take] of their latent rows h (global row last
+    unless include_global=False), stacked in graph order, and each row's
+    token: the index of its nearest codebook entry, found by one search of
+    the block. A row's entry does not depend on the other rows, so a graph's
+    <SOG_k> is the token of its global row whatever else is taken. graphs may
+    be a lazy iterable. Only one block's inputs are held, and only the rows
+    taken are kept."""
     if embedder is None:
         embedder = HashingEmbedder(dim=model.d_s)
     it = iter(graphs)
@@ -441,46 +434,24 @@ def encoded_blocks(
             for pos, a in zip(bucket.positions, bucket.attrs):
                 attrs[pos] = a
         del table, buckets, h  # not held while the caller works or the next block is prepared
-        yield block, attrs, rows
+        yield block, attrs, rows, nearest(rows, model.codebook.entries).tolist()
 
 
 def graph_embedding(g: Graph, model: TokenizerModel, embedder=None) -> np.ndarray:
     """Continuous latent rows for the augmented graph; global row last."""
-    _, _, h = next(encoded_blocks([g], model, embedder))
+    _, _, h, _ = next(encoded_blocks([g], model, embedder))
     return h
-
-
-def graph_tokens(global_rows: np.ndarray, cb: Codebook) -> list[StructuralToken]:
-    """Each graph's <SOG_k>: the entry nearest its global-node row, the last
-    row of its graph_embedding(). One search serves all the rows given."""
-    return [StructuralToken(index=int(i)) for i in nearest(global_rows, cb.entries)]
-
-
-def graph_token(h: np.ndarray, cb: Codebook) -> StructuralToken:
-    """A graph's <SOG_k>: the entry nearest its global-node row, the last
-    row of graph_embedding()."""
-    return graph_tokens(h[GLOBAL_ROW], cb)[0]
 
 
 def assign_tokens(graphs: Iterable[Graph], model: TokenizerModel, embedder=None) -> list[TokenAssignment]:
     """Graph token and node tokens of each graph, for the token table; the
-    only caller that quantizes node rows. A block's rows go through one
-    search, so each last row's entry is the graph_token() of the same
-    embedding."""
+    only caller that takes node rows of whole graphs."""
     out = []
-    for block, _, rows in encoded_blocks(graphs, model, embedder):
-        indices = nearest(rows, model.codebook.entries).tolist()
-        del rows  # before the next block is prepared
+    for block, _, _, tokens in encoded_blocks(graphs, model, embedder):
         end = 0
         for g in block:
             start, end = end, end + g.n + 1
-            out.append(
-                TokenAssignment(
-                    graph_id=g.id,
-                    graph_token=StructuralToken(index=indices[end - 1]),
-                    node_tokens=tuple(StructuralToken(index=i) for i in indices[start : end - 1]),
-                )
-            )
+            out.append(TokenAssignment(g.id, tokens[end - 1], tuple(tokens[start : end - 1])))
     return out
 
 
@@ -491,27 +462,25 @@ def assign_token(g: Graph, model: TokenizerModel, embedder=None) -> TokenAssignm
 
 def node_tokens(
     centers: Iterable[tuple[Graph, int]], model: TokenizerModel, hops: int = 2, embedder=None
-) -> list[StructuralToken]:
+) -> list[int]:
     """Token of each (graph, center) pair: the center node, ego index 0, of its
     ego-graph (no global node added)."""
     egos = (ego_graph(g, center, hops)[0] for g, center in centers)
-    out = []
-    for _, _, rows in encoded_blocks(egos, model, embedder, include_global=False, take=CENTER_ROW):
-        out.extend(StructuralToken(index=int(i)) for i in nearest(rows, model.codebook.entries))
-    return out
+    blocks = encoded_blocks(egos, model, embedder, include_global=False, take=CENTER_ROW)
+    return [t for *_, tokens in blocks for t in tokens]
 
 
 def assign_node_tokens(
     g: Graph, center: int, model: TokenizerModel, hops: int = 2, embedder=None
-) -> StructuralToken:
+) -> int:
     """node_tokens() of one center."""
     return node_tokens([(g, center)], model, hops, embedder)[0]
 
 
 def format_token_table(assignments: list[TokenAssignment]) -> str:
-    """Token table: id, graph token surface form, node token indices."""
+    """Token table: id, graph token, node token indices."""
     lines = ["id\tgraph_token\tnode_tokens"]
     for a in sorted(assignments, key=lambda a: a.graph_id):
-        node_part = ",".join(str(t.index) for t in a.node_tokens)
-        lines.append(f"{a.graph_id}\t{a.graph_token.surface}\t{node_part}")
+        node_part = ",".join(map(str, a.node_tokens))
+        lines.append(f"{a.graph_id}\t{token_text(a.graph_token)}\t{node_part}")
     return "\n".join(lines) + "\n"

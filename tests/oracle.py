@@ -39,7 +39,13 @@ from sogtok.model import (
     normalized_adjacency,
     save_checkpoint,
 )
-from sogtok.scaffold import EMPTY_KEY, EXACT_LIMIT, Scaffold, are_isomorphic
+from sogtok.scaffold import (
+    EMPTY_KEY,
+    EXACT_LIMIT,
+    Scaffold,
+    isomorphism_invariants,
+    match_invariants,
+)
 from sogtok.smiles import (
     _BOND_CHARS,
     AROMATIC,
@@ -407,6 +413,11 @@ def parse_smiles(s: str) -> SmilesMolecule:
 
     bond_list = tuple(Bond(i=i, j=j, order=o) for (i, j), o in sorted(bonds.items()))
     return SmilesMolecule(source=s, atoms=tuple(atoms), bonds=bond_list)
+
+
+def are_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Exact isomorphism of two graphs, their invariants computed afresh."""
+    return match_invariants(isomorphism_invariants(g1), isomorphism_invariants(g2))
 
 
 def group_scaffolds(scaffolds: list[Scaffold]) -> list[list[int]]:

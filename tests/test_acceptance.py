@@ -43,7 +43,6 @@ from sogtok.synthetic import (
     strict_ranking_graphs,
 )
 from sogtok.train import (
-    StructuralToken,
     TrainConfig,
     assign_token,
     graph_embedding,
@@ -141,7 +140,7 @@ def test_03_synthetic_family_separation(family_setup):
     purities, dominants = {}, {}
     for fam in ("cycle", "star", "clique"):
         tokens = [
-            assign_token(g, model, EMBEDDER).graph_token.index
+            assign_token(g, model, EMBEDDER).graph_token
             for g in graphs
             if g.id.startswith(fam)
         ]
@@ -175,7 +174,7 @@ def test_05_scaffold_consistency(scaffold_setup):
     scaffolds = [murcko_scaffold(g) for g in graphs]
     buckets = group_scaffolds(scaffolds)
     assert len(buckets) == 10 and all(len(b) == 20 for b in buckets)
-    tokens = [assign_token(g, model, EMBEDDER).graph_token.index for g in graphs]
+    tokens = [assign_token(g, model, EMBEDDER).graph_token for g in graphs]
     rep = scaffold_consistency(tokens, buckets, shuffles=100, seed=7)
     elapsed = train_elapsed + (time.monotonic() - t0)
     assert rep.mean_purity >= 2.0 * rep.baseline_purity, (
@@ -249,7 +248,7 @@ def test_06_corpus_fidelity(family_setup, scaffold_setup):
         _, pairs = parse_description(r.question)
         recovered = {tuple(sorted((name_map[a], name_map[b]))) for a, b in pairs}
         assert recovered == set(g.edges), f"descmatch round-trip failed for {g.id}"
-        assert r.answer == graph_tokens[g.id].surface
+        assert r.answer == f"<SOG_{graph_tokens[g.id]}>"
 
     assert len(records) >= 500, f"sample has {len(records)} records"
     report(6, f"corpus-fidelity ({len(records)} records verified)")
@@ -265,7 +264,7 @@ def test_07_prompt_golden_files():
     )
     for task in MOLECULE_TASKS:
         tmpl = load_template(task)
-        rec = render_prompt(tmpl, g, StructuralToken(3))
+        rec = render_prompt(tmpl, g, 3)
         golden = (GOLDEN_DIR / f"{task}.golden.txt").read_bytes()
         assert rec.prompt.encode("utf-8") == golden, f"golden mismatch: {task}"
     assert len(MOLECULE_TASKS) == 17

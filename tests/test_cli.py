@@ -751,3 +751,49 @@ def test_replay_refuses_flags_it_would_drop(trained, tmp_path, command, extra, n
     proc = _run_cli(command, "--from-manifest", manifest, "--out", tmp_path / "replayed", *extra)
     _assert_one_line_error(proc, f"{named} cannot be combined with --from-manifest")
     assert not (tmp_path / "replayed").exists()
+
+
+@pytest.mark.parametrize("replay", [False, True], ids=["flags", "replay"])
+@pytest.mark.parametrize(("command", "key", "value"), [
+    ("train", "seed", -1), ("train", "anchor_seed", -3),
+    ("gen-prompts", "seed", -1), ("stats", "seed", -1),
+])
+def test_negative_seed_exit_2(dataset, trained, tmp_path, command, key, value, replay):
+    config = dict(_runnable_config(command, dataset, trained, tmp_path), out=str(tmp_path / "o"))
+    config[key] = value
+    if key == "anchor_seed":
+        config["anchor"] = "random"
+    if replay:
+        argv = [command, "--from-manifest", _write_manifest(tmp_path / "m.json", command, config)]
+    else:
+        argv = [command]
+        for name, v in config.items():
+            if v is not None and v is not False:
+                argv += ["--" + name.replace("_", "-")] + ([] if v is True else [v])
+    _assert_one_line_error(_run_cli(*argv), f"--{key.replace('_', '-')} must be >= 0, got {value}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_nodes_without_node_level_exit_2(dataset, trained, tmp_path):
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("nope 0\n")
+    proc = _run_cli("tokenize", "--data", dataset, "--checkpoint", trained / "model.sogtok",
+                    "--out", tmp_path / "t", "--nodes", nodes)
+    _assert_one_line_error(proc, "--nodes requires --node-level")
+    assert not any((tmp_path / "t").iterdir())
+
+
+@pytest.mark.parametrize(("rows", "needle"), [
+    ("m0,1\nm1,7\n", "line 2: label '7' is not 0 or 1"),
+    ("m0,-1\n", "line 1: label '-1' is not 0 or 1"),
+    ("id,label\nzz,1\n", "line 2: id 'zz' names no graph"),
+], ids=["label-7", "label-minus-1", "unknown-id"])
+def test_label_csv_bad_row_exit_2(trained, tmp_path, rows, needle):
+    mols = tmp_path / "mols.jsonl"
+    mols.write_text("".join(json.dumps({"id": f"m{i}", "smiles": "CCO"}) + "\n" for i in range(2)))
+    labels = tmp_path / "labels.csv"
+    labels.write_text(rows)
+    proc = _run_cli("gen-prompts", "--data", mols, "--checkpoint", trained / "model.sogtok",
+                    "--out", tmp_path / "p", "--seed", "1", "--task", "BBBP_p_np", "--labels", labels)
+    _assert_one_line_error(proc, needle)
+    assert not any((tmp_path / "p").iterdir())

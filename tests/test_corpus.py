@@ -22,7 +22,6 @@ from sogtok.corpus import (
 )
 from sogtok.errors import DegenerateCodebook, ValidationError
 from sogtok.model import Codebook
-from sogtok.train import StructuralToken
 
 from conftest import make_graph
 
@@ -35,11 +34,21 @@ def test_thresholds_validation():
         SimilarityThresholds(1.5, 0.0)
 
 
-def test_record_validates_tokens():
+def test_record_validates_tokens(tmp_path):
     with pytest.raises(ValidationError):
         QARecord(kind="knn", question="bad token <SOG_x>", answer="<SOG_1>", provenance="t")
     with pytest.raises(ValidationError):
         QARecord(kind="knn", question="q", answer="", provenance="t")
+    # one spelling: ASCII decimal digits, no leading zero, as the writers emit
+    path = tmp_path / "corpus.jsonl"
+    for bad in ("<SOG_\u0663>", "<SOG_\uff13>", "<SOG_007>", "<SOG_00>", "<SOG_-1>", "<SOG_>"):
+        with pytest.raises(ValidationError, match="not a structural token"):
+            QARecord(kind="knn", question="q", answer=bad, provenance="t")
+        path.write_text(json.dumps({"kind": "knn", "question": "q", "answer": bad,
+                                    "provenance": "t", "split": "train"}) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="not a structural token"):
+            read_corpus(path)
+    assert QARecord(kind="knn", question="q <SOG_0>", answer="<SOG_10>", provenance="t")
 
 
 def test_knn_hand_example():
@@ -100,7 +109,7 @@ def test_knn_k_bounds():
 
 def _simjudge_inputs():
     ids = ["a", "b", "c", "d"]
-    tokens = [StructuralToken(i) for i in (0, 1, 2, 3)]
+    tokens = [0, 1, 2, 3]
     embeddings = np.array(
         [
             [1.0, 0.0],
@@ -125,7 +134,7 @@ def test_simjudge_labels():
 
 def test_simjudge_dead_zone_skipped():
     ids = ["a", "b"]
-    tokens = [StructuralToken(0), StructuralToken(1)]
+    tokens = [0, 1]
     emb = np.array([[1.0, 0.0], [1.0, 1.0]])  # cosine ~0.707
     th = SimilarityThresholds(0.8, 0.2)
     with pytest.warns(UserWarning):
@@ -138,7 +147,7 @@ def test_simjudge_balanced_and_consistent():
     n = 30
     emb = rng.normal(size=(n, 6))
     ids = [f"g{i}" for i in range(n)]
-    tokens = [StructuralToken(i % 8) for i in range(n)]
+    tokens = [i % 8 for i in range(n)]
     th = SimilarityThresholds(0.5, -0.2)
     records = gen_simjudge_records(ids, tokens, emb, th, budget=20, seed=3)
     pos = [r for r in records if r.answer == "similar"]
@@ -182,7 +191,7 @@ def _double_loop_simjudge(ids, tokens, embeddings, thresholds, budget, seed, rat
     for label, picks in (("similar", pos_pairs[:n_pos]), ("dissimilar", neg_pairs[:n_neg])):
         for i, j in picks:
             question = (
-                f"Here are two tokens {tokens[i].surface} and {tokens[j].surface}, "
+                f"Here are two tokens <SOG_{tokens[i]}> and <SOG_{tokens[j]}>, "
                 f"judge whether they represent similar structures or not."
             )
             records.append(QARecord(kind="simjudge", question=question, answer=label,
@@ -200,7 +209,7 @@ def test_simjudge_equals_double_loop(n, thresholds, ratio):
     if n > 3:
         emb[3] = emb[1] * 2.0  # exactly parallel rows
     ids = [f"g{i:03d}" for i in range(n)]
-    tokens = [StructuralToken(i % 11) for i in range(n)]
+    tokens = [i % 11 for i in range(n)]
     th = SimilarityThresholds(*thresholds)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # shortfall at small n
@@ -217,7 +226,7 @@ def test_simjudge_memory_bounded():
     n = 3000
     emb = np.random.default_rng(5).normal(size=(n, 64))
     ids = [f"g{i}" for i in range(n)]
-    tokens = [StructuralToken(i % 8) for i in range(n)]
+    tokens = [i % 8 for i in range(n)]
     tracemalloc.start()
     try:
         records = gen_simjudge_records(ids, tokens, emb, SimilarityThresholds(0.5, -0.2),
@@ -268,7 +277,7 @@ def test_description_roundtrip():
 
 def test_descmatch_records():
     g = make_graph(3, [(0, 1), (0, 2)], gid="star")
-    tokens = {"star": StructuralToken(7)}
+    tokens = {"star": 7}
     records = gen_descmatch_records([g], tokens, attribute_maps([g], ImportanceStrategy()))
     assert records[0].answer == "<SOG_7>"
     assert records[0].provenance == "graph:star"
@@ -283,7 +292,7 @@ def test_descmatch_uses_given_attribute_maps():
         make_graph(6, [(0, 1), (1, 2), (3, 4)], gid="split"),
         make_graph(3, [], gid="bare"),
     ]
-    tokens = {g.id: StructuralToken(i) for i, g in enumerate(graphs)}
+    tokens = {g.id: i for i, g in enumerate(graphs)}
     attrs = attribute_maps(graphs, ImportanceStrategy("random", seed=1))
     records = gen_descmatch_records(graphs, tokens, attrs)
     for g, graph_attrs, record in zip(graphs, attrs, records):

@@ -87,15 +87,20 @@ def test_roundtrip_write_read(tmp_path):
 
 
 def test_label_csv_and_join():
-    labels = parse_label_csv("id,label\ng1,1\ng2,0\n")
-    assert labels == {"g1": 1, "g2": 0}
     graphs = parse_graph_file(
         "\n".join([record(id="g1", nodes=[{}], edges=[]), record(id="g3", nodes=[{}], edges=[])])
     )
+    ids = {g.id for g in graphs}
+    labels = parse_label_csv("id,label\ng1, 1\n", ids)
+    assert labels == {"g1": 1}
     joined = join_labels(graphs, labels)
     assert joined[0].label == 1 and joined[1].label is None
+    # a row whose id names no graph is refused, not dropped
+    with pytest.raises(GraphFileSemanticError, match="line 3: id 'g2' names no graph"):
+        parse_label_csv("id,label\ng1,1\ng2,0\n", ids)
 
 
 def test_label_csv_bad_value():
-    with pytest.raises(GraphFileSemanticError):
-        parse_label_csv("g1,notanumber\n")
+    for label in ("notanumber", "2", "-1", "7", "01", ""):
+        with pytest.raises(GraphFileSemanticError, match="line 1: label .* is not 0 or 1"):
+            parse_label_csv(f"g1,{label}\n", {"g1"})

@@ -8,8 +8,6 @@ from sogtok.metrics import (
     POSITIVE_DEFAULT,
     UNKNOWN_CLASS,
     accuracy_and_f1,
-    aggregate_runs,
-    aggregate_tasks,
     auc_roc,
     codebook_correlation,
     format_csv_matrix,
@@ -230,14 +228,3 @@ def test_csv_matrix_formatting():
     text = format_csv_matrix(np.array([[1.0, 0.123456789123]]))
     assert text == "1,0.123456789\n"
 
-
-def test_aggregate_runs():
-    mean, std = aggregate_runs([1.0, 2.0, 3.0])
-    assert mean == 2.0 and std == pytest.approx(1.0)
-    assert aggregate_runs([5.0]) == (5.0, 0.0)
-
-
-def test_aggregate_tasks():
-    mean, std = aggregate_tasks([0.5, 0.7], [0.1, 0.3])
-    assert mean == pytest.approx(0.6)
-    assert std == pytest.approx(np.sqrt((0.01 + 0.09) / 2))

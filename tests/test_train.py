@@ -4,7 +4,7 @@ import pytest
 from sogtok.attributes import HashingEmbedder, ImportanceStrategy
 from sogtok.errors import EmptyDataset, ValidationError
 from sogtok.graph import permute
-from sogtok.model import load_checkpoint, save_checkpoint
+from sogtok.model import load_checkpoint, nearest, save_checkpoint
 from sogtok.synthetic import (
     cycle_graph,
     family_dataset,
@@ -15,7 +15,7 @@ from sogtok.synthetic import (
 from sogtok.train import (
     CENTER_ROW,
     GLOBAL_ROW,
-    StructuralToken,
+    TOKEN_RE,
     TokenAssignment,
     TrainConfig,
     assign_node_tokens,
@@ -24,8 +24,7 @@ from sogtok.train import (
     format_token_table,
     format_training_log,
     graph_embedding,
-    graph_token,
-    parse_token,
+    token_text,
     train,
 )
 
@@ -45,11 +44,13 @@ def tiny_model():
 
 
 def test_token_surface_roundtrip():
-    tok = StructuralToken(157)
-    assert tok.surface == "<SOG_157>"
-    assert parse_token("<SOG_157>") == tok
-    with pytest.raises(ValidationError):
-        parse_token("<SOG_x>")
+    assert token_text(157) == "<SOG_157>"
+    for k in (0, 7, 157, 10**6):
+        assert int(TOKEN_RE.fullmatch(token_text(k)).group(1)) == k
+    # one spelling: no other digits, no leading zeros, nothing around it
+    for bad in ("<SOG_x>", "<SOG_\u0663>", "<SOG_\uff13>", "<SOG_007>", "<SOG_00>", "<SOG_>",
+                "<SOG_-1>", "<SOG_+1>", " <SOG_1>", "<SOG_1>x"):
+        assert TOKEN_RE.fullmatch(bad) is None, bad
 
 
 def test_train_rejects_empty():
@@ -151,7 +152,7 @@ def test_assign_token_pure(tiny_model):
     a1 = assign_token(graphs[0], model)
     a2 = assign_token(graphs[0], model)
     assert a1 == a2
-    assert 0 <= a1.graph_token.index < model.k
+    assert 0 <= a1.graph_token < model.k
     assert len(a1.node_tokens) == graphs[0].n
 
 
@@ -163,7 +164,7 @@ def test_assign_token_internal_consistency(tiny_model):
     g = graphs[2]
     h = graph_embedding(g, model)
     sel = quantize(h, model.codebook)
-    assert assign_token(g, model).graph_token.index == int(sel.indices[-1])
+    assert assign_token(g, model).graph_token == int(sel.indices[-1])
 
 
 def _brute_force_nearest(row, entries) -> int:
@@ -183,11 +184,11 @@ def test_graph_token_matches_assign_token_and_brute_force(tiny_model, n):
     rng = np.random.default_rng(n)
     g = random_connected_graph(n, 0.05, rng, gid=f"r{n}")
     h = graph_embedding(g, model)
-    token = graph_token(h, model.codebook)
+    token = int(nearest(h[-1:], model.codebook.entries)[0])
     assignment = assign_token(g, model)
     assert token == assignment.graph_token
-    assert token.index == _brute_force_nearest(h[-1], model.codebook.entries)
-    assert [t.index for t in assignment.node_tokens] == [
+    assert token == _brute_force_nearest(h[-1], model.codebook.entries)
+    assert list(assignment.node_tokens) == [
         _brute_force_nearest(row, model.codebook.entries) for row in h[:-1]
     ]
 
@@ -219,7 +220,7 @@ def test_assign_token_with_external_table(tiny_model):
     a1 = assign_token(path, model, embedder=table)
     a2 = assign_token(path, model, embedder=table)
     assert a1 == a2
-    assert 0 <= a1.graph_token.index < model.k
+    assert 0 <= a1.graph_token < model.k
 
 
 def test_node_tokens_symmetric_star(tiny_model):
@@ -234,14 +235,14 @@ def test_node_token_isolated(tiny_model):
     model, _, _ = tiny_model
     g = make_graph(1, [])
     tok = assign_node_tokens(g, 0, model, hops=2)
-    assert 0 <= tok.index < model.k
+    assert 0 <= tok < model.k
 
 
 def test_node_token_ego_covers_star(tiny_model):
     model, _, _ = tiny_model
     star = star_graph(6, "star6")
     tok_leaf = assign_node_tokens(star, 3, model, hops=2)
-    assert 0 <= tok_leaf.index < model.k
+    assert 0 <= tok_leaf < model.k
 
 
 def test_permutation_consistency_reuses_base_tokens(tiny_model):
@@ -262,7 +263,7 @@ def test_permutation_consistency_reuses_base_tokens(tiny_model):
     rate = permutation_consistency(model, graphs, trials=3, seed=4)
     assert rate == hits / (3 * len(graphs))
     assert permutation_consistency(model, graphs, trials=3, seed=4, base_tokens=base) == rate
-    unreachable = [StructuralToken(model.k)] * len(graphs)
+    unreachable = [model.k] * len(graphs)
     assert permutation_consistency(model, graphs, trials=3, seed=4, base_tokens=unreachable) == 0.0
     with pytest.raises(LengthMismatch):
         permutation_consistency(model, graphs, trials=3, seed=4, base_tokens=base[1:])
@@ -296,8 +297,8 @@ def test_format_token_table_surface():
         [
             TokenAssignment(
                 graph_id="g1",
-                graph_token=StructuralToken(157),
-                node_tokens=(StructuralToken(1), StructuralToken(2)),
+                graph_token=157,
+                node_tokens=(1, 2),
             )
         ]
     )
@@ -411,10 +412,13 @@ def test_encoded_blocks_rows_equal_per_graph_encode(tiny_model, monkeypatch, inc
     monkeypatch.setattr(train_module, "TRAIN_BLOCK", 2)
     graphs = _mixed_sizes(23, seed=4)
     embedder = HashingEmbedder(dim=model.d_s)
-    got = np.vstack([rows for _, _, rows in
-                     encoded_blocks(graphs, model, embedder, include_global, take)])
+    blocks = list(encoded_blocks(graphs, model, embedder, include_global, take))
+    got = np.vstack([rows for _, _, rows, _ in blocks])
     want = np.vstack([
         encode(*oracle.prepare_graph(g, model.strategy, embedder, include_global)[1:], model.enc)[0][take]
         for g in graphs
     ])
     assert got.tobytes() == want.tobytes()
+    # each row's token is its nearest entry, the lowest index on ties
+    tokens = [t for *_, block_tokens in blocks for t in block_tokens]
+    assert tokens == [_brute_force_nearest(row, model.codebook.entries) for row in want]
