@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 I/O failure, 2 config/validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -535,6 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, _, required, _ = COMMANDS[args.command]
+    made_out = False
     try:
         cfg = _resolve(args)
         for key in ("out", *required):
@@ -546,19 +548,22 @@ def main(argv=None) -> int:
         inputs = {name: cfg[name] for name in INPUT_SETTINGS if cfg.get(name) is not None}
         manifest = build_manifest(args.command, cfg, cfg.get("seed"), inputs)
         out = Path(cfg["out"])
+        made_out = not out.exists()
         out.mkdir(parents=True, exist_ok=True)
         handler(cfg, manifest)
         write_manifest(manifest, out / "manifest.json")
         return 0
     except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, str(exc)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, str(exc)
     except (ValidationError, SogtokError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, str(exc)
+    if made_out:
+        with contextlib.suppress(OSError):
+            out.rmdir()  # removes the directory this run made only while it is empty
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,8 +10,10 @@ Three record kinds align structural tokens with text:
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +91,9 @@ def cosine_matrix(entries: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return unit @ unit.T, zero_rows
 
 
-_SIMJUDGE_ROWS = 256  # rows of the cosine matrix that gen_simjudge_records holds at once
-
-
 def gen_knn_records(cb: Codebook, k: int = 5) -> list[QARecord]:
-    """One record per usable codebook entry listing its k nearest tokens."""
+    """One record per usable codebook entry listing its k nearest tokens:
+    highest cosine first, lowest index among equal cosines."""
     if k < 1 or k >= cb.k:
         raise ValidationError(f"k must be in [1, K); got k={k}, K={cb.k}")
     sims, zero_rows = cosine_matrix(cb.entries)
@@ -101,22 +101,92 @@ def gen_knn_records(cb: Codebook, k: int = 5) -> list[QARecord]:
         raise DegenerateCodebook("all codebook entries have zero norm")
     if zero_rows:
         warnings.warn(f"excluding {len(zero_rows)} zero-norm codebook entries from knn corpus")
-    excluded = set(zero_rows)
-    usable = [i for i in range(cb.k) if i not in excluded]
+    usable = np.setdiff1d(np.arange(cb.k), zero_rows)
+    keys = -sims[np.ix_(usable, usable)]
+    np.fill_diagonal(keys, np.inf)  # an entry is never its own neighbour
+    # a stable sort keeps the lower index first among equal keys
+    ranked = usable[np.argsort(keys, axis=1, kind="stable")[:, : min(k, len(usable) - 1)]]
     records = []
-    for i in usable:
-        ranked = sorted(
-            (j for j in usable if j != i), key=lambda j: (-sims[i, j], j)
-        )[:k]
+    for i, row in zip(usable.tolist(), ranked.tolist()):
         question = (
             f"Here is the target structural token {token_text(i)}, and its "
             f"{_number_word(k)} nearest graph structural tokens are:"
         )
-        answer = ", ".join(map(token_text, ranked))
+        answer = ", ".join(map(token_text, row))
         records.append(
             QARecord(kind="knn", question=question, answer=answer, provenance=f"token:{i}")
         )
     return records
+
+
+_SIMJUDGE_CELLS = 1 << 18  # cosine cells in one row block of qualifying_pairs
+
+
+def qualifying_pairs(
+    embeddings: np.ndarray, thresholds: SimilarityThresholds
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Scan the upper triangle of the rows' cosine matrix in row blocks and
+    yield, per block, the flat indices i * n + j of its positive pairs
+    (cosine > tau_pos) and of its negative pairs (cosine < tau_neg), i < j.
+
+    Block [start, stop) multiplies only against the columns start:, so it
+    holds at most _SIMJUDGE_CELLS cosines (one row if a row is longer). The
+    blocks run in row order and each block's indices ascend: the order of a
+    double loop over i < j.
+    """
+    normed, _ = _unit_rows(embeddings)
+    n = len(normed)
+    start = 0
+    while start < n:
+        width = n - start
+        stop = start + max(1, _SIMJUDGE_CELLS // width)
+        sims = normed[start:stop] @ normed[start:].T
+        sims[np.tri(*sims.shape, dtype=bool)] = np.nan  # j <= i
+        masks = (sims > thresholds.tau_pos, sims < thresholds.tau_neg)
+        del sims
+        flats = []
+        for mask in masks:
+            # local index r * width + c is the pair (start + r, start + c)
+            flat = np.flatnonzero(mask)
+            flat += (flat // width + n + 1) * start
+            flats.append(flat)
+        yield tuple(flats)
+        start = stop
+
+
+class _Reservoir:
+    """A uniform sample of at most `size` items of a stream fed in batches:
+    Li's Algorithm L (ACM TOMS 1994), O(size * (1 + log(N / size))) draws
+    for a stream of N items."""
+
+    def __init__(self, size: int, rng: np.random.Generator):
+        self.items = np.empty(size, dtype=np.intp)
+        self.rng = rng
+        self.seen = 0  # items fed so far
+        self.next = size - 1  # stream position of the next item to keep
+        self.w = 1.0  # Algorithm L's W: the largest random key among the kept items
+
+    def _skip(self) -> None:
+        size = len(self.items)
+        self.w *= math.exp(math.log(1.0 - self.rng.random()) / size)
+        self.next += math.floor(math.log(1.0 - self.rng.random()) / math.log1p(-self.w)) + 1
+
+    def feed(self, batch: np.ndarray) -> None:
+        size = len(self.items)
+        stop = self.seen + len(batch)
+        if self.seen < size:
+            filled = min(size, stop)
+            self.items[self.seen : filled] = batch[: filled - self.seen]
+            if filled == size:
+                self._skip()
+        while size and self.next < stop:
+            self.items[self.rng.integers(size)] = batch[self.next - self.seen]
+            self._skip()
+        self.seen = stop
+
+    def sample(self) -> np.ndarray:
+        """The kept items in a random order."""
+        return self.rng.permutation(self.items[: self.seen])
 
 
 def gen_simjudge_records(
@@ -130,9 +200,12 @@ def gen_simjudge_records(
 ) -> list[QARecord]:
     """Similar/dissimilar pairs judged on pre-quantization global embeddings.
 
-    All candidate pairs are enumerated, pairs inside the dead zone are
-    skipped, and the two classes are sampled to the requested ratio
-    (positives per negative). Shortfall produces a warning and partial
+    One pass over the pairs i < j (qualifying_pairs) feeds each class into
+    a uniform reservoir sized for its share of the budget; pairs inside the
+    dead zone are skipped. The classes are then cut to the requested ratio
+    (positives per negative) of their counts, so each class's picks are a
+    uniform sample of it. Memory holds one row block and the reservoirs,
+    never the qualifying pairs. Shortfall produces a warning and partial
     output, never an exception.
     """
     n = len(ids)
@@ -142,29 +215,25 @@ def gen_simjudge_records(
         raise ValidationError("pair budget must be >= 2")
     if ratio <= 0:
         raise ValidationError("class ratio must be positive")
-    # scan the upper triangle in row blocks; each pair i < j is the flat index
-    # i * n + j, found in row-major order, the order of a double loop over i < j
-    normed, _ = _unit_rows(embeddings)
-    pos_blocks, neg_blocks = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for start in range(0, n, _SIMJUDGE_ROWS):
-        sims = normed[start : start + _SIMJUDGE_ROWS] @ normed.T
-        sims[np.arange(n) <= np.arange(start, start + len(sims))[:, None]] = np.nan  # j <= i
-        pos_blocks.append(np.flatnonzero(sims > thresholds.tau_pos) + start * n)
-        neg_blocks.append(np.flatnonzero(sims < thresholds.tau_neg) + start * n)
-    pos_pairs, neg_pairs = np.concatenate(pos_blocks), np.concatenate(neg_blocks)
     rng = np.random.default_rng(seed)
-    rng.shuffle(pos_pairs)
-    rng.shuffle(neg_pairs)
-    unit = min(budget / (1.0 + ratio), len(neg_pairs), len(pos_pairs) / ratio)
+    share = budget / (1.0 + ratio)
+    pairs = n * (n - 1) // 2  # no reservoir outgrows the pairs, whatever the budget
+    pos = _Reservoir(min(round(share * ratio), pairs), rng)
+    neg = _Reservoir(min(int(share), pairs), rng)
+    for pos_flat, neg_flat in qualifying_pairs(embeddings, thresholds):
+        pos.feed(pos_flat)
+        neg.feed(neg_flat)
+    unit = min(share, neg.seen, pos.seen / ratio)
     n_neg = int(unit)
     n_pos = int(round(unit * ratio))
     if n_pos + n_neg < budget - 1:
         warnings.warn(
             f"simjudge pair shortfall: wanted ~{budget} pairs, emitting {n_pos + n_neg} "
-            f"(positives available: {len(pos_pairs)}, negatives: {len(neg_pairs)})"
+            f"(positives available: {pos.seen}, negatives: {neg.seen})"
         )
+    pos_picks, neg_picks = pos.sample()[:n_pos], neg.sample()[:n_neg]
     records = []
-    for label, picks in (("similar", pos_pairs[:n_pos]), ("dissimilar", neg_pairs[:n_neg])):
+    for label, picks in (("similar", pos_picks), ("dissimilar", neg_picks)):
         for i, j in (divmod(flat, n) for flat in picks.tolist()):
             question = (
                 f"Here are two tokens {token_text(tokens[i])} and {token_text(tokens[j])}, "

@@ -130,9 +130,10 @@ def write_graph_file(graphs: list[Graph], path) -> None:
 
 def parse_label_csv(text: str, ids: Container[str]) -> dict[str, int]:
     """``id,label`` rows; a header row with those exact names is skipped.
-    Each id must be one of ids, and each label 0 or 1, because the prompt
-    templates are binary."""
+    Each id must be one of ids and appear on one row only, and each label
+    must be 0 or 1, because the prompt templates are binary."""
     out: dict[str, int] = {}
+    row_of: dict[str, int] = {}
     reader = csv.reader(io.StringIO(text))
     for row_no, row in enumerate(reader, start=1):
         if not row:
@@ -146,6 +147,9 @@ def parse_label_csv(text: str, ids: Container[str]) -> dict[str, int]:
         label = row[1].strip()
         if label not in ("0", "1"):
             raise GraphFileSemanticError(row_no, f"label {row[1]!r} is not 0 or 1")
+        if row[0] in row_of:
+            raise GraphFileSemanticError(row_no, f"id {row[0]!r} repeats line {row_of[row[0]]}")
+        row_of[row[0]] = row_no
         out[row[0]] = int(label)
     return out
 

@@ -780,14 +780,20 @@ def test_nodes_without_node_level_exit_2(dataset, trained, tmp_path):
     proc = _run_cli("tokenize", "--data", dataset, "--checkpoint", trained / "model.sogtok",
                     "--out", tmp_path / "t", "--nodes", nodes)
     _assert_one_line_error(proc, "--nodes requires --node-level")
-    assert not any((tmp_path / "t").iterdir())
+    assert not (tmp_path / "t").exists()  # the run made it, so the run removes it
+    (tmp_path / "kept").mkdir()
+    proc = _run_cli("tokenize", "--data", dataset, "--checkpoint", trained / "model.sogtok",
+                    "--out", tmp_path / "kept", "--nodes", nodes)
+    _assert_one_line_error(proc, "--nodes requires --node-level")
+    assert (tmp_path / "kept").is_dir()  # it was there before the run
 
 
 @pytest.mark.parametrize(("rows", "needle"), [
     ("m0,1\nm1,7\n", "line 2: label '7' is not 0 or 1"),
     ("m0,-1\n", "line 1: label '-1' is not 0 or 1"),
     ("id,label\nzz,1\n", "line 2: id 'zz' names no graph"),
-], ids=["label-7", "label-minus-1", "unknown-id"])
+    ("m0,1\nm1,0\nm0,0\n", "line 3: id 'm0' repeats line 1"),
+], ids=["label-7", "label-minus-1", "unknown-id", "repeated-id"])
 def test_label_csv_bad_row_exit_2(trained, tmp_path, rows, needle):
     mols = tmp_path / "mols.jsonl"
     mols.write_text("".join(json.dumps({"id": f"m{i}", "smiles": "CCO"}) + "\n" for i in range(2)))
@@ -796,4 +802,4 @@ def test_label_csv_bad_row_exit_2(trained, tmp_path, rows, needle):
     proc = _run_cli("gen-prompts", "--data", mols, "--checkpoint", trained / "model.sogtok",
                     "--out", tmp_path / "p", "--seed", "1", "--task", "BBBP_p_np", "--labels", labels)
     _assert_one_line_error(proc, needle)
-    assert not any((tmp_path / "p").iterdir())
+    assert not (tmp_path / "p").exists()  # the run made it, so the run removes it

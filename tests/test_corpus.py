@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from sogtok.corpus import (
     gen_simjudge_records,
     node_names,
     parse_description,
+    qualifying_pairs,
     read_corpus,
     write_corpus,
 )
@@ -165,44 +167,40 @@ def test_simjudge_balanced_and_consistent():
             assert cos < th.tau_neg
 
 
-def _double_loop_simjudge(ids, tokens, embeddings, thresholds, budget, seed, ratio=1.0):
-    """gen_simjudge_records before the blocked scan, copied as it was: the
-    dense cosine matrix and a Python loop over every pair i < j."""
+def _double_loop_pairs(embeddings, thresholds):
+    """The qualifying pairs as flat indices i * n + j, found as
+    gen_simjudge_records found them before the blocked scan: the dense
+    cosine matrix and a Python loop over every pair i < j."""
     norms = np.linalg.norm(embeddings, axis=1)
     unit = embeddings / np.where(norms == 0.0, 1.0, norms)[:, None]
     sims = unit @ unit.T
-    n = len(ids)
+    n = len(embeddings)
     pos_pairs = []
     neg_pairs = []
     for i in range(n):
         for j in range(i + 1, n):
             s = sims[i, j]
             if s > thresholds.tau_pos:
-                pos_pairs.append((i, j))
+                pos_pairs.append(i * n + j)
             elif s < thresholds.tau_neg:
-                neg_pairs.append((i, j))
-    rng = np.random.default_rng(seed)
-    rng.shuffle(pos_pairs)
-    rng.shuffle(neg_pairs)
-    unit = min(budget / (1.0 + ratio), len(neg_pairs), len(pos_pairs) / ratio)
-    n_neg = int(unit)
-    n_pos = int(round(unit * ratio))
-    records = []
-    for label, picks in (("similar", pos_pairs[:n_pos]), ("dissimilar", neg_pairs[:n_neg])):
-        for i, j in picks:
-            question = (
-                f"Here are two tokens <SOG_{tokens[i]}> and <SOG_{tokens[j]}>, "
-                f"judge whether they represent similar structures or not."
-            )
-            records.append(QARecord(kind="simjudge", question=question, answer=label,
-                                    provenance=f"pair:{ids[i]}|{ids[j]}"))
-    return records
+                neg_pairs.append(i * n + j)
+    return pos_pairs, neg_pairs
+
+
+def _picked_pairs(records, ids):
+    """{answer: [flat index i * n + j]} of simjudge records, in record order."""
+    index = {gid: i for i, gid in enumerate(ids)}
+    picked = {"similar": [], "dissimilar": []}
+    for r in records:
+        a, b = r.provenance[len("pair:"):].split("|")
+        picked[r.answer].append(index[a] * len(ids) + index[b])
+    return picked
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 300, 513])
 @pytest.mark.parametrize("thresholds", [(0.8, 0.2), (0.3, -0.3)])
 @pytest.mark.parametrize("ratio", [1.0, 2.5])
-def test_simjudge_equals_double_loop(n, thresholds, ratio):
+def test_simjudge_equals_double_loop(n, thresholds, ratio, monkeypatch):
     rng = np.random.default_rng(n)
     emb = rng.normal(size=(n, 4)) + np.array([0.8, 0.0, 0.0, 0.0])
     emb[::7] = 0.0  # zero-norm rows: cosine 0 with every row
@@ -211,31 +209,149 @@ def test_simjudge_equals_double_loop(n, thresholds, ratio):
     ids = [f"g{i:03d}" for i in range(n)]
     tokens = [i % 11 for i in range(n)]
     th = SimilarityThresholds(*thresholds)
+    want_pos, want_neg = _double_loop_pairs(emb, th)
+    # the scan finds the double loop's pairs in its order, in blocks of any size
+    for cells in (corpus_module._SIMJUDGE_CELLS, 64):
+        monkeypatch.setattr(corpus_module, "_SIMJUDGE_CELLS", cells)
+        blocks = list(qualifying_pairs(emb, th))
+        assert [int(f) for pos, _ in blocks for f in pos] == want_pos
+        assert [int(f) for _, neg in blocks for f in neg] == want_neg
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # shortfall at small n
         got = gen_simjudge_records(ids, tokens, emb, th, budget=200, seed=n + 1, ratio=ratio)
-        want = _double_loop_simjudge(ids, tokens, emb, th, budget=200, seed=n + 1, ratio=ratio)
-    assert got == want
+    picked = _picked_pairs(got, ids)
+    # the classes are cut to the ratio of their counts, never past the budget
+    unit = min(200 / (1.0 + ratio), len(want_neg), len(want_pos) / ratio)
+    assert len(picked["similar"]) == int(round(unit * ratio))
+    assert len(picked["dissimilar"]) == int(unit)
+    # distinct pairs, each in its class
+    assert len(set(picked["similar"] + picked["dissimilar"])) == len(got)
+    assert set(picked["similar"]) <= set(want_pos)
+    assert set(picked["dissimilar"]) <= set(want_neg)
+    for r in got:
+        i, j = (int(g[1:]) for g in r.provenance[len("pair:"):].split("|"))
+        assert r.question == (f"Here are two tokens <SOG_{tokens[i]}> and <SOG_{tokens[j]}>, "
+                              f"judge whether they represent similar structures or not.")
     if n >= 300:
         assert {r.answer for r in got} == {"similar", "dissimilar"}
 
 
-def test_simjudge_memory_bounded():
-    # the dense 3,000 x 3,000 cosine matrix alone takes 72 MB. The qualifying
-    # pairs are kept, 16 B each; these thresholds qualify ~250k of them.
-    n = 3000
+def test_simjudge_same_seed_same_picks(monkeypatch):
+    rng = np.random.default_rng(11)
+    n = 400
+    emb = rng.normal(size=(n, 4)) + np.array([0.8, 0.0, 0.0, 0.0])
+    ids = [f"g{i}" for i in range(n)]
+    tokens = [i % 5 for i in range(n)]
+    th = SimilarityThresholds(0.3, -0.3)
+    monkeypatch.setattr(corpus_module, "_SIMJUDGE_CELLS", 4096)  # 40 row blocks
+    runs = [gen_simjudge_records(ids, tokens, emb, th, budget=64, seed=seed)
+            for seed in (5, 5, 6)]
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 64
+    assert {r.provenance for r in runs[0]} != {r.provenance for r in runs[2]}
+
+
+@pytest.mark.filterwarnings("ignore:simjudge pair shortfall")
+@pytest.mark.parametrize(("cluster", "budget", "ratio", "want"), [
+    (6, 8, 1.0, (4, 4)),  # 30 similar, 36 dissimilar pairs; each class fills its reservoir
+    (11, 60, 2.0, (22, 11)),  # 55 similar, 11 dissimilar; 22 similar cut from a reservoir of 40
+], ids=["full-reservoirs", "cut-reservoir"])
+def test_simjudge_picks_uniform_across_seeds(monkeypatch, cluster, budget, ratio, want):
+    # two tight clusters; pairs inside one are similar, across them dissimilar
+    n = 12
+    emb = np.zeros((n, 2))
+    emb[:cluster, 0], emb[cluster:, 0] = 1.0, -1.0
+    emb[:, 1] = np.linspace(0.0, 0.05, n)
+    ids = [f"g{i:02d}" for i in range(n)]
+    th = SimilarityThresholds(0.5, -0.5)
+    pos, neg = _double_loop_pairs(emb, th)
+    # one- and two-row blocks, so the reservoirs replace across many batches
+    monkeypatch.setattr(corpus_module, "_SIMJUDGE_CELLS", 12)
+    seeds = 1500
+    counts = Counter()
+    for seed in range(seeds):
+        records = gen_simjudge_records(ids, [0] * n, emb, th, budget=budget, seed=seed, ratio=ratio)
+        picked = _picked_pairs(records, ids)
+        assert (len(picked["similar"]), len(picked["dissimilar"])) == want
+        counts.update(picked["similar"] + picked["dissimilar"])
+    for pairs, m in zip((pos, neg), want):
+        expected = seeds * m / len(pairs)
+        chi2 = sum((counts[p] - expected) ** 2 / expected for p in pairs)
+        # degrees of freedom len(pairs) - 1; a biased sampler lands far above
+        assert chi2 < 2 * len(pairs), (chi2, len(pairs))
+
+
+def test_reservoir_uniform_over_a_long_stream():
+    # 200 items in batches of uneven size (some empty), 4 kept: N / size = 50
+    sizes = [0, 3, 1, 40, 0, 7, 60, 1, 88]
+    assert sum(sizes) == 200
+    seeds = 2000
+    counts = np.zeros(200)
+    for seed in range(seeds):
+        rng = np.random.default_rng(seed)
+        reservoir = corpus_module._Reservoir(4, rng)
+        stream = np.arange(200)
+        for size in sizes:
+            reservoir.feed(stream[:size])
+            stream = stream[size:]
+        kept = reservoir.sample()
+        assert reservoir.seen == 200
+        assert len(set(kept.tolist())) == 4
+        counts[kept] += 1
+    expected = seeds * 4 / 200
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    assert chi2 < 2 * 200, chi2
+    # the first and the last items are kept as often as the middle ones
+    assert abs(counts[:20].mean() - expected) < 0.25 * expected
+    assert abs(counts[-20:].mean() - expected) < 0.25 * expected
+
+
+def _simjudge_peak(n, thresholds):
     emb = np.random.default_rng(5).normal(size=(n, 64))
     ids = [f"g{i}" for i in range(n)]
     tokens = [i % 8 for i in range(n)]
     tracemalloc.start()
     try:
-        records = gen_simjudge_records(ids, tokens, emb, SimilarityThresholds(0.5, -0.2),
+        records = gen_simjudge_records(ids, tokens, emb, SimilarityThresholds(*thresholds),
                                        budget=64, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(records) > 0
-    assert peak < 32 * 2**20
+    assert len(records) == 64
+    return peak
+
+
+def test_simjudge_memory_bounded():
+    # 3,000 rows of 64: the dense cosine matrix alone takes 72 MB. (0.5, -0.2)
+    # qualifies ~250k of the 4.5M pairs and (0.5, 0.0) ~2.2M; keeping them
+    # (8 B each) would add 16 MB between the two. One row block holds
+    # 2 MB of cosines, and its qualifying indices at most as much again.
+    few = _simjudge_peak(3000, (0.5, -0.2))
+    many = _simjudge_peak(3000, (0.5, 0.0))
+    assert few < 8 * 2**20 and many < 8 * 2**20
+    assert many - few < corpus_module._SIMJUDGE_CELLS * 8
+
+
+def test_knn_ranking_equals_sorted_rule():
+    # small integer entries give many equal cosines; some rows are zero
+    rng = np.random.default_rng(4)
+    for trial in range(60):
+        count = int(rng.integers(3, 30))
+        entries = rng.integers(-2, 3, size=(count, int(rng.integers(1, 4)))).astype(float)
+        entries[rng.integers(count, size=int(rng.integers(0, 3)))] = 0.0
+        norms = np.linalg.norm(entries, axis=1)
+        usable = [i for i in range(count) if norms[i] > 0]
+        if len(usable) < 2:
+            continue
+        k = int(rng.integers(1, count))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            records = gen_knn_records(Codebook(entries=entries), k=k)
+        sims, _ = corpus_module.cosine_matrix(entries)
+        assert [r.provenance for r in records] == [f"token:{i}" for i in usable]
+        for i, r in zip(usable, records):
+            want = sorted((j for j in usable if j != i), key=lambda j: (-sims[i, j], j))[:k]
+            assert r.answer == ", ".join(f"<SOG_{j}>" for j in want), (trial, i)
 
 
 def test_node_names_sequence():

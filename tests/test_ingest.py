@@ -104,3 +104,11 @@ def test_label_csv_bad_value():
     for label in ("notanumber", "2", "-1", "7", "01", ""):
         with pytest.raises(GraphFileSemanticError, match="line 1: label .* is not 0 or 1"):
             parse_label_csv(f"g1,{label}\n", {"g1"})
+
+
+def test_label_csv_repeated_id():
+    # a later row must not silently override an earlier one, same label or not
+    for rows, needle in (("g1,0\ng1,1\n", "line 2: id 'g1' repeats line 1"),
+                         ("id,label\ng1,1\ng2,0\ng1,1\n", "line 4: id 'g1' repeats line 2")):
+        with pytest.raises(GraphFileSemanticError, match=f"^{needle}$"):
+            parse_label_csv(rows, {"g1", "g2"})
