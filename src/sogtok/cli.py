@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import DEFAULT_SIZE_CAP, Graph
-from .ingest import parse_graph_file, parse_label_csv, join_labels
+from .ingest import iter_graph_file, join_labels, parse_graph_file, parse_label_csv
 from .manifest import atomic_write, build_manifest, read_manifest, write_manifest
 from .metrics import (
     NEGATIVE_DEFAULT,
@@ -53,7 +54,7 @@ from .metrics import (
     export_embeddings,
     format_csv_matrix,
     parse_answer,
-    permutation_consistency,
+    permutation_hits,
     scaffold_consistency,
     score_from_parse,
 )
@@ -77,6 +78,12 @@ def _load_graphs(path, size_cap: int) -> list[Graph]:
     return parse_graph_file(Path(path).read_bytes(), size_cap=size_cap)
 
 
+def _stream_graphs(path, size_cap: int) -> Iterator[Graph]:
+    """The graphs of a data file, parsed as they are read; the read stages
+    hold one block of them at a time."""
+    return iter_graph_file(Path(path).read_bytes(), size_cap=size_cap)
+
+
 def _read_text(path) -> str:
     """An input file's UTF-8 text; ValidationError naming the file when its
     bytes are not UTF-8."""
@@ -92,12 +99,9 @@ def _make_embedder(model: TokenizerModel, embed_table_path):
     return load_embedding_table(_read_text(embed_table_path), dim=model.d_s)
 
 
-def _stacked_rows(rows: list[np.ndarray], data) -> np.ndarray:
-    """The rows of every block as one array; EmptyDataset when there are no
-    blocks because the data file holds no graphs."""
-    if not rows:
+def _require_graphs(count: int, data) -> None:
+    if not count:
         raise EmptyDataset(f"no graphs in {data}")
-    return np.vstack(rows)
 
 
 def _embeddable(manifest: dict) -> dict:
@@ -139,17 +143,18 @@ def cmd_train(cfg: dict, manifest: dict) -> None:
 
 
 def _read_node_list(path) -> list[tuple[str, int]]:
+    """'graph_id index' pairs; an index is ASCII decimal digits only, so
+    neither '1_0' nor a non-ASCII digit reads as a number."""
     out = []
     for line_no, line in enumerate(_read_text(path).splitlines(), 1):
         if not line.strip():
             continue
-        try:
-            gid, index = line.split()
-            out.append((gid, int(index)))
-        except ValueError:
+        fields = line.split()
+        if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
             raise ValidationError(
                 f"node list line {line_no}: expected 'graph_id index', got {line.strip()!r}"
-            ) from None
+            )
+        out.append((fields[0], int(fields[1])))
     return out
 
 
@@ -157,23 +162,30 @@ def cmd_tokenize(cfg: dict, manifest: dict) -> None:
     if cfg["nodes"] is not None and not cfg["node_level"]:
         raise ValidationError("--nodes requires --node-level")
     model = load_checkpoint(cfg["checkpoint"])
-    graphs = _load_graphs(cfg["data"], cfg["size_cap"])
+    graphs = _stream_graphs(cfg["data"], cfg["size_cap"])
     embedder = _make_embedder(model, cfg["embed_table"])
     out = Path(cfg["out"])
     if cfg["node_level"]:
-        by_id = {g.id: g for g in graphs}
+        listed = None  # graph id -> its listed centers, in list order
         if cfg["nodes"]:
-            wanted = _read_node_list(cfg["nodes"])
-        else:
-            wanted = [(g.id, v) for g in graphs for v in range(g.n)]
-        for gid, _ in wanted:
-            if gid not in by_id:
+            listed = {}
+            for gid, v in _read_node_list(cfg["nodes"]):
+                listed.setdefault(gid, []).append(v)
+        fed = []  # the (id, center) of each token, in the order fed
+
+        def centers():
+            for g in graphs:
+                for v in range(g.n) if listed is None else listed.get(g.id, ()):
+                    fed.append((g.id, v))
+                    yield g, v
+
+        tokens = node_tokens(centers(), model, hops=cfg["hops"], embedder=embedder)
+        found = {gid for gid, _ in fed}
+        for gid in listed or ():
+            if gid not in found:
                 raise ValidationError(f"node list references unknown graph {gid!r}")
-        tokens = node_tokens(
-            ((by_id[gid], v) for gid, v in wanted), model, hops=cfg["hops"], embedder=embedder
-        )
         rows = sorted(
-            ((gid, v, token_text(t)) for (gid, v), t in zip(wanted, tokens)),
+            ((gid, v, token_text(t)) for (gid, v), t in zip(fed, tokens)),
             key=lambda r: (r[0], r[1]),
         )
         lines = ["id\tnode\ttoken"] + [f"{gid}\t{v}\t{surface}" for gid, v, surface in rows]
@@ -188,41 +200,50 @@ def cmd_tokenize(cfg: dict, manifest: dict) -> None:
 def cmd_gen_corpus(cfg: dict, manifest: dict) -> None:
     seed = cfg["seed"]
     model = load_checkpoint(cfg["checkpoint"])
-    graphs = _load_graphs(cfg["data"], cfg["size_cap"])
+    graphs = _stream_graphs(cfg["data"], cfg["size_cap"])
     embedder = _make_embedder(model, cfg["embed_table"])
     kinds = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]
     for kind in kinds:
         if kind not in KINDS:
             raise ValidationError(f"unknown corpus kind {kind!r}")
     records = []
-    tokens, global_rows, attrs = {}, [], []
+    ids, tokens, global_rows = [], [], []
     if "simjudge" in kinds or "descmatch" in kinds:
         # one embedding per graph gives its token, its simjudge row and the
-        # attribute map that names its nodes in descmatch
-        blocks = encoded_blocks(graphs, model, embedder, take=GLOBAL_ROW)
-        for block, block_attrs, rows, block_tokens in blocks:
-            tokens.update(zip((g.id for g in block), block_tokens))
+        # attribute map that names its nodes in descmatch; a block's graphs
+        # are dropped once its descmatch records are made
+        for block, block_attrs, rows, block_tokens in encoded_blocks(
+            graphs, model, embedder, take=GLOBAL_ROW
+        ):
+            block_ids = [g.id for g in block]
+            ids.extend(block_ids)
+            tokens.extend(block_tokens)
             global_rows.append(rows)
             if "descmatch" in kinds:
-                attrs.extend(block_attrs)
+                records.extend(
+                    gen_descmatch_records(block, dict(zip(block_ids, block_tokens)), block_attrs)
+                )
+    else:
+        for _ in graphs:  # the data file is checked whatever the kinds
+            pass
     if "knn" in kinds:
         records.extend(gen_knn_records(model.codebook, k=cfg["knn_k"]))
     if "simjudge" in kinds:
-        embeddings = _stacked_rows(global_rows, cfg["data"])
+        _require_graphs(len(ids), cfg["data"])
+        embeddings = np.vstack(global_rows)
+        del global_rows  # not held during the pair scan
         thresholds = SimilarityThresholds(tau_pos=cfg["tau_pos"], tau_neg=cfg["tau_neg"])
         budget = cfg["pairs"] if cfg["pairs"] is not None else 4 * model.k
         records.extend(
             gen_simjudge_records(
-                ids=[g.id for g in graphs],
-                tokens=[tokens[g.id] for g in graphs],
+                ids=ids,
+                tokens=tokens,
                 embeddings=embeddings,
                 thresholds=thresholds,
                 budget=budget,
                 seed=seed,
             )
         )
-    if "descmatch" in kinds:
-        records.extend(gen_descmatch_records(graphs, tokens, attrs))
     out = Path(cfg["out"])
     write_corpus(records, out / "corpus.jsonl")
     print(f"wrote {len(records)} records -> {out / 'corpus.jsonl'}")
@@ -317,8 +338,7 @@ def _phrase_sets(tmpl) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 def cmd_eval(cfg: dict, manifest: dict) -> None:
     responses = _load_responses(cfg["responses"])
-    graphs = _load_graphs(cfg["data"], cfg["size_cap"])
-    labels_by_id = {g.id: g.label for g in graphs}
+    labels_by_id = {g.id: g.label for g in _stream_graphs(cfg["data"], cfg["size_cap"])}
     tmpl = load_template(cfg["task"]) if cfg["task"] else None
     pos_set, neg_set = _phrase_sets(tmpl)
     preds, labels, scores = [], [], []
@@ -349,25 +369,28 @@ def cmd_eval(cfg: dict, manifest: dict) -> None:
 def cmd_stats(cfg: dict, manifest: dict) -> None:
     seed = cfg["seed"]
     model = load_checkpoint(cfg["checkpoint"])
-    graphs = _load_graphs(cfg["data"], cfg["size_cap"])
+    graphs = _stream_graphs(cfg["data"], cfg["size_cap"])
     embedder = _make_embedder(model, cfg["embed_table"])
     out = Path(cfg["out"])
     m = min(cfg["corr_first"], model.k)
     sims, zero_rows = codebook_correlation(model.codebook, m)
-    with atomic_write(out / "correlation.csv") as fh:
-        fh.write(format_csv_matrix(sims))
-    # one embedding per graph gives its embeddings.csv row and the token
-    # that the permutation and scaffold checks read
-    tokens, global_rows = [], []
-    for _, _, rows, block_tokens in encoded_blocks(graphs, model, embedder, take=GLOBAL_ROW):
-        tokens.extend(block_tokens)
-        global_rows.append(rows)
-    rows = list(zip((g.id for g in graphs), tokens, _stacked_rows(global_rows, cfg["data"])))
-    export_embeddings(rows, model.enc.d, out / "embeddings.csv")
-    perm_rate = permutation_consistency(
-        model, graphs, trials=cfg["trials"], seed=seed, embedder=embedder, base_tokens=tokens
-    )
-    scaffolds = [murcko_scaffold(g) for g in graphs]
+    # one pass: each block's embedding gives its embeddings.csv rows and the
+    # tokens that the permutation and scaffold checks read, and its graphs
+    # give their relabelled copies and scaffolds before they are dropped
+    rng = np.random.default_rng(seed)
+    tokens, scaffolds, hits = [], [], 0
+
+    def embedding_rows():
+        nonlocal hits
+        for block, _, rows, block_tokens in encoded_blocks(graphs, model, embedder, take=GLOBAL_ROW):
+            tokens.extend(block_tokens)
+            hits += permutation_hits(model, block, block_tokens, cfg["trials"], rng, embedder)
+            scaffolds.extend(map(murcko_scaffold, block))
+            yield from zip((g.id for g in block), block_tokens, rows)
+        _require_graphs(len(tokens), cfg["data"])  # before embeddings.csv is in place
+
+    export_embeddings(embedding_rows(), model.enc.d, out / "embeddings.csv")
+    perm_rate = hits / (len(tokens) * cfg["trials"])
     buckets = group_scaffolds(scaffolds)
     try:
         sc = scaffold_consistency(tokens, buckets, shuffles=100, seed=seed)
@@ -383,8 +406,10 @@ def cmd_stats(cfg: dict, manifest: dict) -> None:
         "scaffold_consistency": scaffold_part,
         "zero_norm_codebook_rows": zero_rows,
         "correlation_size": m,
-        "graph_count": len(graphs),
+        "graph_count": len(tokens),
     }
+    with atomic_write(out / "correlation.csv") as fh:
+        fh.write(format_csv_matrix(sims))
     with atomic_write(out / "stats_report.json") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"permutation_consistency={perm_rate:.3f}; wrote {out / 'stats_report.json'}")

@@ -119,7 +119,11 @@ def gen_knn_records(cb: Codebook, k: int = 5) -> list[QARecord]:
     return records
 
 
-_SIMJUDGE_CELLS = 1 << 18  # cosine cells in one row block of qualifying_pairs
+# Cosine cells in one row block of qualifying_pairs. Part of the output
+# bytes, not only a memory bound: the block's GEMM shape sets the rounding
+# of each cosine at the thresholds, and both reservoirs draw from one rng in
+# block order. Changing it moves which pairs corpus.jsonl holds.
+_SIMJUDGE_CELLS = 1 << 18
 
 
 def qualifying_pairs(

@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Container
+import re
+from collections.abc import Container, Iterator
 from dataclasses import replace
 
 from .errors import GraphFileSemanticError, GraphFileSyntaxError, SmilesError, ValidationError
@@ -80,9 +81,24 @@ def parse_graph_record(
         raise GraphFileSemanticError(line_no, str(exc)) from exc
 
 
-def parse_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> list[Graph]:
-    """One graph per non-empty line; reports line/column on JSON failures and
-    on bytes that are not UTF-8."""
+# the line boundaries of str.splitlines()
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _lines(text: str) -> Iterator[str]:
+    """text.splitlines(), one line at a time."""
+    start = 0
+    for m in _LINE_BREAK.finditer(text):
+        yield text[start : m.start()]
+        start = m.end()
+    if start < len(text):
+        yield text[start:]
+
+
+def iter_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> Iterator[Graph]:
+    """One graph per non-empty line, yielded as its line is parsed, so a
+    reader holds only the graphs it keeps; reports line/column on JSON
+    failures and on bytes that are not UTF-8."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -91,12 +107,12 @@ def parse_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> lis
             # last one the bad byte's line, its length the bad byte's column
             lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
             raise GraphFileSyntaxError(len(lines), len(lines[-1]), "not UTF-8 text") from None
+        del data  # the decoded text is the one copy held
     else:
         text = data
-    graphs: list[Graph] = []
     seen_ids: set[str] = set()
     records: dict[str, NodeRecord] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_lines(text), start=1):
         if not line.strip():
             continue
         try:
@@ -107,8 +123,12 @@ def parse_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> lis
         if g.id in seen_ids:
             raise GraphFileSemanticError(line_no, f"duplicate graph id {g.id!r}")
         seen_ids.add(g.id)
-        graphs.append(g)
-    return graphs
+        yield g
+
+
+def parse_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> list[Graph]:
+    """Every graph of iter_graph_file(), for readers that need them all."""
+    return list(iter_graph_file(data, size_cap))
 
 
 def write_graph_file(graphs: list[Graph], path) -> None:

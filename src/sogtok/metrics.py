@@ -9,6 +9,7 @@ positive-negative pairs with half credit for ties.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,6 +137,27 @@ def score_from_parse(parsed: ParsedAnswer) -> float:
     return {"Positive": 1.0, "Negative": 0.0, "Unknown": 0.5}[parsed.value]
 
 
+def permutation_hits(
+    model: TokenizerModel,
+    graphs: Iterable[Graph],
+    base_tokens: Iterable[int],
+    trials: int,
+    rng: np.random.Generator,
+    embedder=None,
+) -> int:
+    """How many of `trials` random relabelings of each graph keep its token
+    (base_tokens, in graph order). The permutations are drawn from rng graph
+    by graph, and the copies lazily, so at most one block of them is held."""
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    copies = (permute(g, rng.permutation(g.n).tolist()) for g in graphs for _ in range(trials))
+    expected = (t for t in base_tokens for _ in range(trials))
+    hits = 0
+    for *_, tokens in encoded_blocks(copies, model, embedder, take=GLOBAL_ROW):
+        hits += sum(t == base for t, base in zip(tokens, expected))
+    return hits
+
+
 def permutation_consistency(
     model: TokenizerModel,
     graphs: list[Graph],
@@ -147,22 +169,13 @@ def permutation_consistency(
     """Fraction of (graph, random relabeling) pairs whose token survives.
     base_tokens, each graph's token when the caller has it, saves embedding
     the graphs again."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
     if base_tokens is None:
         blocks = encoded_blocks(graphs, model, embedder, take=GLOBAL_ROW)
         base_tokens = [t for *_, tokens in blocks for t in tokens]
     if len(base_tokens) != len(graphs):
         raise LengthMismatch(f"{len(base_tokens)} base tokens for {len(graphs)} graphs")
     rng = np.random.default_rng(seed)
-    # relabeled copies are drawn lazily, graph by graph, so at most one
-    # block of them is held
-    copies = (permute(g, rng.permutation(g.n).tolist()) for g in graphs for _ in range(trials))
-    expected = (t for t in base_tokens for _ in range(trials))
-    hits = 0
-    for *_, tokens in encoded_blocks(copies, model, embedder, take=GLOBAL_ROW):
-        hits += sum(t == base for t, base in zip(tokens, expected))
-    return hits / (len(graphs) * trials)
+    return permutation_hits(model, graphs, base_tokens, trials, rng, embedder) / (len(graphs) * trials)
 
 
 @dataclass(frozen=True)
@@ -228,11 +241,12 @@ def format_csv_matrix(mat: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_embeddings(rows: list[tuple[str, int, np.ndarray]], d: int, path) -> None:
-    """embeddings.csv: id, graph token index and global-node row per graph."""
-    lines = ["id,token," + ",".join(f"e{i}" for i in range(d))]
-    for gid, token, vec in rows:
-        lines.append(f"{gid},{token}," + ",".join(f"{x:.9g}" for x in vec))
+def export_embeddings(rows: Iterable[tuple[str, int, np.ndarray]], d: int, path) -> None:
+    """embeddings.csv: id, graph token index and global-node row per graph.
+    rows may be lazy; each is written as it arrives. One %-format per row
+    gives the bytes of f"{x:.9g}" per value."""
+    values = ",".join(["%.9g"] * d)
     with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-
+        fh.write("id,token," + ",".join(f"e{i}" for i in range(d)) + "\n")
+        for gid, token, vec in rows:
+            fh.write(f"{gid},{token}," + values % tuple(vec.tolist()) + "\n")

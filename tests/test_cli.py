@@ -384,6 +384,20 @@ def test_node_list_non_integer_index_exit_2(dataset, trained, tmp_path):
     _assert_validation_exit(proc, "node list line 2")
 
 
+@pytest.mark.parametrize("index", ["1_0", "\u0663", "+1", "-1", "\uff11"])
+def test_node_list_index_not_ascii_digits_exit_2(dataset, trained, tmp_path, capsys, index):
+    """int() reads '1_0' as 10 and an Arabic-Indic three as 3; a node index
+    is ASCII decimal digits only."""
+    nodes_file = tmp_path / "nodes.txt"
+    nodes_file.write_text(f"cycle_000 0\n\ncycle_000 {index}\n", encoding="utf-8")
+    assert main(["tokenize", "--data", str(dataset), "--checkpoint", str(trained / "model.sogtok"),
+                 "--out", str(tmp_path / "t"), "--node-level", "--nodes", str(nodes_file)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: node list line 3: expected 'graph_id index', got 'cycle_000 {index}'\n"
+    )
+    assert not (tmp_path / "t").exists()
+
+
 def test_malformed_responses_exit_2(tmp_path):
     data = tmp_path / "labeled.jsonl"
     rows = [json.dumps({"id": f"g{i}", "nodes": [{}], "edges": [], "label": i % 2}) for i in range(2)]
@@ -521,6 +535,47 @@ def test_single_character_corruptions_exit_0_or_2(trained, tmp_path, capsys, kin
         else:
             assert err == "", mutant
     assert set(codes) == {0, 2}
+
+
+def _corruption_codes(path, line: str, first: str, argv: list[str], capsys) -> set[int]:
+    """Write each one-character deletion and a seeded sample of substitutions
+    of line after the line first, and run argv on each; every run exits 0,
+    or 2 with one error line, and no exception escapes main."""
+    rng = np.random.default_rng(17)
+    mutants = {line[:k] + line[k + 1:] for k in range(len(line))}
+    for k, ch in zip(rng.integers(len(line), size=80), rng.choice(MUTANT_CHARS, size=80)):
+        mutants.add(line[:k] + ch + line[k + 1:])
+    mutants.discard(line)
+    codes = set()
+    for mutant in sorted(mutants):
+        path.write_text(first + "\n" + mutant + "\n", encoding="utf-8")
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2), mutant
+        if code == 2:
+            assert re.fullmatch(r"error: [^\n]+\n", err), (mutant, err)
+        else:
+            assert err == "", mutant
+        codes.add(code)
+    return codes
+
+
+def test_node_list_single_character_corruptions_exit_0_or_2(dataset, trained, tmp_path, capsys):
+    nodes = tmp_path / "nodes.txt"
+    argv = ["tokenize", "--data", str(dataset), "--checkpoint", str(trained / "model.sogtok"),
+            "--out", str(tmp_path / "t"), "--node-level", "--nodes", str(nodes)]
+    assert _corruption_codes(nodes, "cycle_001 4", "star_000 0", argv, capsys) == {0, 2}
+
+
+def test_responses_single_character_corruptions_exit_0_or_2(tmp_path, capsys):
+    data = tmp_path / "labeled.jsonl"
+    data.write_text("".join(json.dumps({"id": f"g{i}", "nodes": [{}], "edges": [], "label": i})
+                            + "\n" for i in range(2)))
+    responses = tmp_path / "responses.jsonl"
+    argv = ["eval", "--responses", str(responses), "--data", str(data), "--out", str(tmp_path / "e")]
+    line = json.dumps({"id": "g1", "text": "Yes, active.", "score": 0.75})
+    first = json.dumps({"id": "g0", "text": "No", "score": 0.25})
+    assert _corruption_codes(responses, line, first, argv, capsys) == {0, 2}
 
 
 @pytest.mark.parametrize("command", [["stats"], ["gen-corpus", "--kinds", "simjudge"]])

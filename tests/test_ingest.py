@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from sogtok.errors import GraphFileSemanticError, GraphFileSyntaxError
 from sogtok.ingest import (
+    _lines,
+    iter_graph_file,
     join_labels,
     parse_graph_file,
     parse_label_csv,
@@ -49,6 +52,26 @@ def test_duplicate_id_rejected():
     )
     with pytest.raises(GraphFileSemanticError):
         parse_graph_file(data)
+
+
+def test_lines_split_as_splitlines():
+    """Every boundary of str.splitlines(), in random strings."""
+    alphabet = ["a", " ", "\t", "\x1f", "\u00e9", "\n", "\r", "\v", "\f", "\x1c", "\x1d",
+                "\x1e", "\x85", "\u2028", "\u2029"]
+    rng = np.random.default_rng(5)
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet, size=rng.integers(12)))
+        assert list(_lines(text)) == text.splitlines(), repr(text)
+
+
+def test_iter_graph_file_yields_before_a_later_fault():
+    """The reader parses a line only when its graph is asked for, so the
+    graphs before a bad line arrive first, then the line's error."""
+    data = "\n".join([record(id="a", nodes=[{}], edges=[]), "", record(id="a", smiles="C")])
+    graphs = iter_graph_file(data.encode("utf-8"))
+    assert next(graphs).id == "a"
+    with pytest.raises(GraphFileSemanticError, match="line 3: duplicate graph id 'a'"):
+        next(graphs)
 
 
 def test_label_and_smiles_fields():

@@ -10,6 +10,7 @@ from sogtok.metrics import (
     accuracy_and_f1,
     auc_roc,
     codebook_correlation,
+    export_embeddings,
     format_csv_matrix,
     parse_answer,
     scaffold_consistency,
@@ -228,3 +229,19 @@ def test_csv_matrix_formatting():
     text = format_csv_matrix(np.array([[1.0, 0.123456789123]]))
     assert text == "1,0.123456789\n"
 
+
+
+def test_export_embeddings_formats_like_fstring(tmp_path):
+    """One %-format per row writes the bytes of f"{x:.9g}" per value, for
+    random rows and for signed zero, nan, the infinities and the extremes."""
+    rng = np.random.default_rng(3)
+    special = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324,
+               1e308, -1.7976931348623157e308, 1e-5, 123456789.5, 0.1]
+    rows = [rng.normal(scale=10.0 ** rng.integers(-8, 9), size=6) for _ in range(200)]
+    rows += [np.array(special[i : i + 6]) for i in range(0, len(special), 6)]
+    path = tmp_path / "embeddings.csv"
+    export_embeddings(((f"g{i}", i % 7, row) for i, row in enumerate(rows)), 6, path)
+    expected = ["id,token,e0,e1,e2,e3,e4,e5"] + [
+        f"g{i},{i % 7}," + ",".join(f"{x:.9g}" for x in row) for i, row in enumerate(rows)
+    ]
+    assert path.read_text() == "\n".join(expected) + "\n"
