@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from collections.abc import Iterator
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -212,17 +213,20 @@ def cmd_gen_corpus(cfg: dict, manifest: dict) -> None:
         # one embedding per graph gives its token, its simjudge row and the
         # attribute map that names its nodes in descmatch; a block's graphs
         # are dropped once its descmatch records are made
-        for block, block_attrs, rows, block_tokens in encoded_blocks(
-            graphs, model, embedder, take=GLOBAL_ROW
+        def kept(b):
+            block_ids = [g.id for g in b.graphs]
+            block_records = []
+            if "descmatch" in kinds:
+                block_records = gen_descmatch_records(b.graphs, dict(zip(block_ids, b.tokens)), b.attrs)
+            return block_ids, b.tokens, b.rows, block_records
+
+        for block_ids, block_tokens, rows, block_records in encoded_blocks(
+            graphs, model, kept, embedder, take=GLOBAL_ROW
         ):
-            block_ids = [g.id for g in block]
             ids.extend(block_ids)
             tokens.extend(block_tokens)
             global_rows.append(rows)
-            if "descmatch" in kinds:
-                records.extend(
-                    gen_descmatch_records(block, dict(zip(block_ids, block_tokens)), block_attrs)
-                )
+            records.extend(block_records)
     else:
         for _ in graphs:  # the data file is checked whatever the kinds
             pass
@@ -380,13 +384,17 @@ def cmd_stats(cfg: dict, manifest: dict) -> None:
     rng = np.random.default_rng(seed)
     tokens, scaffolds, hits = [], [], 0
 
-    def embedding_rows():
+    def block_rows(b):
         nonlocal hits
-        for block, _, rows, block_tokens in encoded_blocks(graphs, model, embedder, take=GLOBAL_ROW):
-            tokens.extend(block_tokens)
-            hits += permutation_hits(model, block, block_tokens, cfg["trials"], rng, embedder)
-            scaffolds.extend(map(murcko_scaffold, block))
-            yield from zip((g.id for g in block), block_tokens, rows)
+        tokens.extend(b.tokens)
+        hits += permutation_hits(model, b.graphs, b.tokens, cfg["trials"], rng, embedder)
+        scaffolds.extend(map(murcko_scaffold, b.graphs))
+        return zip([g.id for g in b.graphs], b.tokens, b.rows)
+
+    def embedding_rows():
+        yield from chain.from_iterable(
+            encoded_blocks(graphs, model, block_rows, embedder, take=GLOBAL_ROW)
+        )
         _require_graphs(len(tokens), cfg["data"])  # before embeddings.csv is in place
 
     export_embeddings(embedding_rows(), model.enc.d, out / "embeddings.csv")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -152,10 +153,11 @@ def permutation_hits(
         raise ValidationError("trials must be >= 1")
     copies = (permute(g, rng.permutation(g.n).tolist()) for g in graphs for _ in range(trials))
     expected = (t for t in base_tokens for _ in range(trials))
-    hits = 0
-    for *_, tokens in encoded_blocks(copies, model, embedder, take=GLOBAL_ROW):
-        hits += sum(t == base for t, base in zip(tokens, expected))
-    return hits
+
+    def block_hits(b) -> int:
+        return sum(t == base for t, base in zip(b.tokens, expected))
+
+    return sum(encoded_blocks(copies, model, block_hits, embedder, take=GLOBAL_ROW))
 
 
 def permutation_consistency(
@@ -170,8 +172,8 @@ def permutation_consistency(
     base_tokens, each graph's token when the caller has it, saves embedding
     the graphs again."""
     if base_tokens is None:
-        blocks = encoded_blocks(graphs, model, embedder, take=GLOBAL_ROW)
-        base_tokens = [t for *_, tokens in blocks for t in tokens]
+        blocks = encoded_blocks(graphs, model, lambda b: b.tokens, embedder, take=GLOBAL_ROW)
+        base_tokens = list(chain.from_iterable(blocks))
     if len(base_tokens) != len(graphs):
         raise LengthMismatch(f"{len(base_tokens)} base tokens for {len(graphs)} graphs")
     rng = np.random.default_rng(seed)

@@ -137,31 +137,36 @@ def nearest(rows: np.ndarray, entries: np.ndarray, chunk: int = 256) -> np.ndarr
     """Index of each row's nearest entry by Euclidean distance, lowest index
     winning ties: the argmin of ((b - c) ** 2).sum() for each row b.
 
-    Each row chunk is ranked by one product, ‖b‖² + ‖c‖² − 2·b·cᵀ (the exact
-    L2 decomposition of Faiss). A row whose best and second-best values
-    differ by more than a rounding bound keeps that best column. The other
-    rows of a chunk (ties, near-ties) take the broadcast expression together,
-    over each row's candidate columns, those within the bound of its best
-    value; a row whose values may not be finite takes it over all columns. So
-    the result equals the broadcast argmin, and memory is a few chunk x K
-    arrays plus K x d floats."""
+    Each row chunk is ranked by one product, ‖c‖² − 2·b·cᵀ: the exact L2
+    decomposition of Faiss without ‖b‖², which is the same for every column
+    of a row. A row whose best and second-best values differ by more than a
+    rounding bound keeps that best column. The other rows of a chunk (ties,
+    near-ties) take the broadcast expression together, over each row's
+    candidate columns, those within the bound of its best value; a row whose
+    values may not be finite takes it over all columns. So the result equals
+    the broadcast argmin, and memory is a few chunk x K arrays plus K x d
+    floats."""
     n, d = rows.shape
     indices = np.empty(n, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         entry_sq = np.einsum("ij,ij->i", entries, entries)
-    # Why a settled row's best product column is the broadcast argmin
-    # (Higham's rounding model, u = eps/2, S = ‖b‖² + ‖c‖² ≥ ‖b − c‖²/2):
+        neg2_entries_t = (entries * -2.0).T  # exact: a power of two
+    # Why a settled row's best ranked column is the broadcast argmin
+    # (Higham's rounding model, u = eps/2, S = ‖b‖² + ‖c‖² ≥ ‖b − c‖²/2 and
+    # S ≥ 2|b·c|):
     # * broadcast: d rounded squares of rounded differences, summed in any
     #   order, lie within γ_{d+2}·‖b − c‖² ≤ (d+2)·eps·S of the true distance;
-    # * product: ‖b‖², ‖c‖² and 2·b·c lie within γ_d·‖b‖², γ_d·‖c‖² and γ_d·S
-    #   in any order, FMA or not, and the two additions add 2u·2S, so it also
-    #   lies within (d+2)·eps·S.
+    # * ranked value ‖c‖² − 2·b·c = ‖b − c‖² − ‖b‖²: ‖c‖² and b·(−2c) lie
+    #   within γ_d·‖c‖² and γ_d·S in any order, FMA or not (the factor −2 is
+    #   exact), and the one addition adds u·2S, so it lies within (d+2)·eps·S
+    #   of its true value. ‖b‖² is the same for every column of a row, so
+    #   differences of ranked values are differences of true distances.
     # With M = ‖b‖² + maxⱼ‖cⱼ‖² ≥ S, a computed gap above twice the sum of
     # both bounds, 4(d+2)·eps·M, leaves the best column the unique minimum of
     # the broadcast distances too. tol = 8(d+2)·eps·M is twice that again. The
     # tiny term covers underflow, where relative bounds fail; rows whose 4M
     # overflows (so a distance could) or whose gap is NaN are not settled.
-    # The same bound between the best and any other column j: a product value
+    # The same bound between the best and any other column j: a ranked value
     # more than tol above the best gives j a strictly larger broadcast
     # distance than the best column, so j is neither the argmin nor a tie.
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
@@ -171,21 +176,19 @@ def nearest(rows: np.ndarray, entries: np.ndarray, chunk: int = 256) -> np.ndarr
         # non-finite values only send rows to the fallback, which warns as before
         with np.errstate(over="ignore", invalid="ignore"):
             row_sq = np.einsum("ij,ij->i", block, block)
-            approx = block @ entries.T
-            approx *= -2.0
-            approx += entry_sq
-            approx += row_sq[:, None]
-            best = approx.argmin(axis=1)
+            ranked = block @ neg2_entries_t
+            ranked += entry_sq
             at = np.arange(len(block))
-            lowest = approx[at, best]
-            approx[at, best] = np.inf
-            gap = approx.min(axis=1) - lowest
-            approx[at, best] = lowest
+            best = ranked.argmin(axis=1)
+            lowest = ranked[at, best]
+            ranked[at, best] = np.inf
+            gap = ranked[at, ranked.argmin(axis=1)] - lowest
+            ranked[at, best] = lowest
             scale = row_sq + max_entry_sq
             tol = 8 * (d + 2) * (eps * scale + tiny)
             finite = np.isfinite(4.0 * scale)
             unsettled = np.flatnonzero(~((gap > tol) & finite))
-            candidate = approx[unsettled] - lowest[unsettled, None] <= tol[unsettled, None]
+            candidate = ranked[unsettled] - lowest[unsettled, None] <= tol[unsettled, None]
             candidate[~finite[unsettled]] = True
         indices[start : start + len(block)] = best
         if len(unsettled):
@@ -194,7 +197,7 @@ def nearest(rows: np.ndarray, entries: np.ndarray, chunk: int = 256) -> np.ndarr
             # so argmin picks the lowest candidate index among equals
             d2 = np.full(candidate.shape, np.inf)
             r, c = np.nonzero(candidate)
-            step = max(1, approx.size // max(d, 1))
+            step = max(1, ranked.size // max(d, 1))
             for s in range(0, len(r), step):
                 rs, cs = r[s : s + step], c[s : s + step]
                 d2[rs, cs] = ((block[unsettled[rs]] - entries[cs]) ** 2).sum(axis=1)
@@ -203,11 +206,12 @@ def nearest(rows: np.ndarray, entries: np.ndarray, chunk: int = 256) -> np.ndarr
 
 
 def quantize(h: np.ndarray, cb: Codebook) -> QuantizedSelection:
-    """Per-row nearest codebook entry; quantized rows are exact copies."""
+    """Per-row nearest codebook entry; quantized rows are exact copies (the
+    fancy read makes a new array)."""
     if h.shape[1] != cb.d:
         raise DimensionMismatch(f"latent dim {h.shape[1]} != codebook dim {cb.d}")
     indices = nearest(h, cb.entries)
-    return QuantizedSelection(indices=indices, quantized=cb.entries[indices].copy())
+    return QuantizedSelection(indices=indices, quantized=cb.entries[indices])
 
 
 def decode_and_reconstruct(

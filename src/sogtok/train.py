@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
+from typing import TypeVar
 
 import numpy as np
 
@@ -167,15 +169,24 @@ def format_training_log(logs: list[EpochLog]) -> str:
 
 
 def kmeans(rows: np.ndarray, k: int, rng: np.random.Generator, iters: int = 20) -> np.ndarray:
-    """Plain Lloyd iterations with seeded initialization; deterministic."""
+    """Plain Lloyd iterations with seeded initialization; deterministic.
+
+    iters is a cap: an assignment equal to the previous one is a fixed point.
+    The loop draws nothing from rng and a cluster without members keeps its
+    center, so every later iteration would repeat this one bit for bit, and
+    the centers are returned as they are."""
     n, d = rows.shape
     if n >= k:
         centers = rows[rng.choice(n, size=k, replace=False)].copy()
     else:
         pad = rows.mean(axis=0) + rng.normal(0.0, 0.1, size=(k - n, d))
         centers = np.vstack([rows.copy(), pad])
+    previous = None
     for _ in range(iters):
         assign = nearest(rows, centers)
+        if previous is not None and np.array_equal(assign, previous):
+            break
+        previous = assign
         # each cluster's members in row order, as a boolean mask selects them
         counts = np.bincount(assign, minlength=k)
         order = np.argsort(assign, kind="stable")
@@ -207,6 +218,51 @@ def _blocks(order: np.ndarray) -> Iterator[np.ndarray]:
     return (order[i : i + TRAIN_BLOCK] for i in range(0, len(order), TRAIN_BLOCK))
 
 
+def _bucket_stacks(
+    table: np.ndarray, buckets: list[PreparedBucket]
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
+    """Each bucket in stacks of at most TRAIN_BLOCK graphs, bucket by bucket:
+    the graphs' positions and their stacked a_target, anorm and x."""
+    for bucket in buckets:
+        for s in range(0, len(bucket.positions), TRAIN_BLOCK):
+            part = slice(s, s + TRAIN_BLOCK)
+            yield (bucket.positions[part], bucket.a_target[part], bucket.anorm[part],
+                   table[bucket.x_index[part]])
+
+
+def _gather_rows(
+    table: np.ndarray, buckets: list[PreparedBucket], enc: EncoderParams, counts: np.ndarray,
+    take: slice,
+) -> np.ndarray:
+    """The rows h[take] of each prepared graph's latent rows h, stacked in
+    graph order; graph i takes counts[i] rows."""
+    starts = np.cumsum(counts) - counts
+    rows = np.empty((counts.sum(), enc.d))
+    for at, _, anorm, x in _bucket_stacks(table, buckets):
+        h = encode(anorm, x, enc)[0][:, take]
+        rows[starts[at][:, None] + np.arange(h.shape[1])] = h
+    return rows
+
+
+def _kmeans_entries(
+    rows: np.ndarray, sizes: np.ndarray, cfg: TrainConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """The codebook that warm-up leaves: k-means over every latent row, or
+    over the node rows and the global rows apart when cfg.global_share is
+    set. Graph i has sizes[i] rows, its global row last."""
+    if cfg.global_share is None:
+        return kmeans(rows, cfg.k, rng)
+    k_global = min(cfg.k - 1, max(1, round(cfg.k * cfg.global_share)))
+    is_global = np.zeros(len(rows), dtype=bool)
+    is_global[np.cumsum(sizes) - 1] = True
+    return np.vstack(
+        [
+            kmeans(rows[~is_global], cfg.k - k_global, rng),
+            kmeans(rows[is_global], k_global, rng),
+        ]
+    )
+
+
 def train(
     dataset: list[Graph],
     cfg: TrainConfig,
@@ -215,12 +271,14 @@ def train(
 ) -> tuple[TokenizerModel, list[EpochLog]]:
     """Run both phases and return the trained model plus per-epoch logs.
 
-    Every pass walks the graphs in blocks of TRAIN_BLOCK: a block's graphs of
-    one bucket form a stack with one forward and one backward pass, and all
-    latent rows of the block go through one quantize() call. Per-graph
-    losses and gradients are added up one graph at a time, in dataset order
-    for the logged losses and in minibatch order for the gradients, so every
-    sum has the bytes of a loop over single graphs."""
+    An update pass walks each minibatch in blocks of TRAIN_BLOCK: a block's
+    graphs of one bucket form a stack with one forward and one backward
+    pass, and all latent rows of the block go through one quantize() call.
+    Evaluation and the k-means gather, free to choose their order, walk each
+    bucket in stacks of at most TRAIN_BLOCK graphs. Per-graph losses and
+    gradients are added up one graph at a time, in dataset order for the
+    logged losses and in minibatch order for the gradients, so every sum has
+    the bytes of a loop over single graphs."""
     if not dataset:
         raise EmptyDataset("training requires at least one graph")
     if embedder is None:
@@ -266,18 +324,18 @@ def train(
 
     def evaluate(epoch: int, cb: Codebook | None) -> EpochLog:
         """Loss of the current parameters over the whole dataset."""
-        sums = np.zeros(3)  # recon, gap, total
+        losses = np.empty((len(dataset), 3))  # recon, gap, total
         used = np.zeros(cfg.k, dtype=bool)
-        for block in _blocks(np.arange(len(dataset))):
-            losses = np.empty((len(block), 3))
-            for at, state in block_pass(block, cb):
-                losses[at, 0] = state.loss.reconstruction
-                losses[at, 1] = state.loss.update
-                losses[at, 2] = state.loss.total
-                if state.sel is not None:
-                    used[state.sel.indices] = True
-            for row in losses:  # dataset order
-                sums += row
+        for at, a, anorm, x in _bucket_stacks(table, buckets):
+            state = forward(a, anorm, x, enc, dec, cb, cfg.beta)
+            losses[at, 0] = state.loss.reconstruction
+            losses[at, 1] = state.loss.update
+            losses[at, 2] = state.loss.total
+            if state.sel is not None:
+                used[state.sel.indices] = True
+        sums = np.zeros(3)
+        for row in losses:  # dataset order
+            sums += row
         mean_recon, mean_gap, mean_total = sums / len(dataset)
         if not np.isfinite(mean_total):
             raise NonFiniteLoss(epoch, f"mean total loss {mean_total}")
@@ -348,27 +406,10 @@ def train(
         epoch += 1
 
     if cfg.warmup_epochs > 0:
-        # every latent row, graph by graph, global row last
+        # every latent row, graph by graph, global row last; held only
+        # while k-means runs
         sizes = np.array([g.n + 1 for g in dataset])
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        rows = np.empty((ends[-1], cfg.d))
-        for block in _blocks(np.arange(len(dataset))):
-            for at, _, anorm, x in stacks(block):
-                h, _ = encode(anorm, x, enc)
-                rows[starts[block[at]][:, None] + np.arange(h.shape[1])] = h
-        if cfg.global_share is None:
-            entries = kmeans(rows, cfg.k, rng)
-        else:
-            k_global = min(cfg.k - 1, max(1, round(cfg.k * cfg.global_share)))
-            is_global = np.zeros(len(rows), dtype=bool)
-            is_global[ends - 1] = True
-            entries = np.vstack(
-                [
-                    kmeans(rows[~is_global], cfg.k - k_global, rng),
-                    kmeans(rows[is_global], k_global, rng),
-                ]
-            )
+        entries = _kmeans_entries(_gather_rows(table, buckets, enc, sizes, slice(None)), sizes, cfg, rng)
 
     cb = Codebook(entries=entries)
     joint_opt = Adam(
@@ -398,61 +439,79 @@ class TokenAssignment:
 READ_BLOCK = 512  # graphs prepared, encoded and searched at once on the read path
 GLOBAL_ROW = slice(-1, None)  # the row that gives a graph its token
 CENTER_ROW = slice(0, 1)  # the row that gives an ego-graph's center its token
+T = TypeVar("T")
+
+
+@dataclass(frozen=True)
+class EncodedBlock:
+    """One block of the read path, handed to the function that uses it."""
+
+    graphs: list[Graph]
+    attrs: list[StructuralAttributeMap]  # each graph's attribute map
+    rows: np.ndarray  # the rows h[take] of each graph's latent rows h, stacked in graph order
+    tokens: list[int]  # each row's nearest codebook entry
+
+
+def _encode_block(
+    block: list[Graph], model: TokenizerModel, use: Callable[[EncodedBlock], T], embedder,
+    include_global: bool, take: slice,
+) -> T:
+    """use() of one block, encoded; nothing else of the block outlives the call."""
+    table, buckets = prepare_graphs(block, model.strategy, embedder, include_global)
+    counts = np.array([len(range(g.n + include_global)[take]) for g in block])  # rows of each h[take]
+    rows = _gather_rows(table, buckets, model.enc, counts, take)
+    attrs: list[StructuralAttributeMap | None] = [None] * len(block)
+    for bucket in buckets:
+        for pos, a in zip(bucket.positions, bucket.attrs):
+            attrs[pos] = a
+    return use(EncodedBlock(block, attrs, rows, nearest(rows, model.codebook.entries).tolist()))
 
 
 def encoded_blocks(
     graphs: Iterable[Graph],
     model: TokenizerModel,
+    use: Callable[[EncodedBlock], T],
     embedder=None,
     include_global: bool = True,
     take: slice = slice(None),
-) -> Iterator[tuple[list[Graph], list[StructuralAttributeMap], np.ndarray, list[int]]]:
+) -> Iterator[T]:
     """The read path: prepare graphs READ_BLOCK at a time and encode each
     bucket of a block in stacks of at most TRAIN_BLOCK graphs, which bound the
-    encoder's temporaries as in training. Yields each block's graphs, their
-    attribute maps, the rows h[take] of their latent rows h (global row last
-    unless include_global=False), stacked in graph order, and each row's
-    token: the index of its nearest codebook entry, found by one search of
-    the block. A row's entry does not depend on the other rows, so a graph's
-    <SOG_k> is the token of its global row whatever else is taken. graphs may
-    be a lazy iterable. Only one block's inputs are held, and only the rows
-    taken are kept."""
+    encoder's temporaries as in training. Yields use(block) for each block,
+    lazily: its graphs, their attribute maps, the rows h[take] of their
+    latent rows h (global row last unless include_global=False), stacked in
+    graph order, and each row's token, the index of its nearest codebook
+    entry, found by one search of the block. A row's entry does not depend on the other rows, so
+    a graph's <SOG_k> is the token of its global row whatever else is taken.
+    graphs may be a lazy iterable. A block lives only while use() runs, so
+    what use() returns is all that a caller can hold of it while the next
+    block is read and prepared."""
     if embedder is None:
         embedder = HashingEmbedder(dim=model.d_s)
     it = iter(graphs)
-    while block := list(islice(it, READ_BLOCK)):
-        table, buckets = prepare_graphs(block, model.strategy, embedder, include_global)
-        counts = np.array([len(range(g.n + include_global)[take]) for g in block])  # rows of each h[take]
-        starts = np.cumsum(counts) - counts
-        rows = np.empty((counts.sum(), model.enc.d))
-        attrs: list[StructuralAttributeMap | None] = [None] * len(block)
-        for bucket in buckets:
-            for s in range(0, len(bucket.positions), TRAIN_BLOCK):
-                part = slice(s, s + TRAIN_BLOCK)
-                h = encode(bucket.anorm[part], table[bucket.x_index[part]], model.enc)[0][:, take]
-                rows[starts[bucket.positions[part]][:, None] + np.arange(h.shape[1])] = h
-            for pos, a in zip(bucket.positions, bucket.attrs):
-                attrs[pos] = a
-        del table, buckets, h  # not held while the caller works or the next block is prepared
-        yield block, attrs, rows, nearest(rows, model.codebook.entries).tolist()
+    # neither iter(f, sentinel) nor map keeps a block once it is handed on
+    blocks = iter(lambda: list(islice(it, READ_BLOCK)), [])
+    return map(partial(_encode_block, model=model, use=use, embedder=embedder,
+                       include_global=include_global, take=take), blocks)
 
 
 def graph_embedding(g: Graph, model: TokenizerModel, embedder=None) -> np.ndarray:
     """Continuous latent rows for the augmented graph; global row last."""
-    _, _, h, _ = next(encoded_blocks([g], model, embedder))
-    return h
+    return next(encoded_blocks([g], model, lambda b: b.rows, embedder))
+
+
+def _token_assignments(b: EncodedBlock) -> list[TokenAssignment]:
+    out, end = [], 0
+    for g in b.graphs:
+        start, end = end, end + g.n + 1
+        out.append(TokenAssignment(g.id, b.tokens[end - 1], tuple(b.tokens[start : end - 1])))
+    return out
 
 
 def assign_tokens(graphs: Iterable[Graph], model: TokenizerModel, embedder=None) -> list[TokenAssignment]:
     """Graph token and node tokens of each graph, for the token table; the
     only caller that takes node rows of whole graphs."""
-    out = []
-    for block, _, _, tokens in encoded_blocks(graphs, model, embedder):
-        end = 0
-        for g in block:
-            start, end = end, end + g.n + 1
-            out.append(TokenAssignment(g.id, tokens[end - 1], tuple(tokens[start : end - 1])))
-    return out
+    return list(chain.from_iterable(encoded_blocks(graphs, model, _token_assignments, embedder)))
 
 
 def assign_token(g: Graph, model: TokenizerModel, embedder=None) -> TokenAssignment:
@@ -466,8 +525,9 @@ def node_tokens(
     """Token of each (graph, center) pair: the center node, ego index 0, of its
     ego-graph (no global node added)."""
     egos = (ego_graph(g, center, hops)[0] for g, center in centers)
-    blocks = encoded_blocks(egos, model, embedder, include_global=False, take=CENTER_ROW)
-    return [t for *_, tokens in blocks for t in tokens]
+    blocks = encoded_blocks(egos, model, lambda b: b.tokens, embedder, include_global=False,
+                            take=CENTER_ROW)
+    return list(chain.from_iterable(blocks))
 
 
 def assign_node_tokens(

@@ -26,7 +26,10 @@ from sogtok.model import (
     quantize,
     save_checkpoint,
 )
+from sogtok import train
 from sogtok.train import kmeans
+
+import oracle
 
 
 def random_symmetric_adjacency(n, rng, p=0.4):
@@ -190,6 +193,28 @@ def _nearest_cases():
     rows = np.vstack([np.full((1, 8), 3.0), centre, centre + rng.normal(size=(30, 8)) * 1e-13,
                       (ring[:8] + ring[8:]) / 2, ring])
     cases.append(("many_ties", rows, entries))
+    # rows 1e4 to 1e8 away from a small codebook: the ranked values leave
+    # ‖b‖² out, but the rounding bound must not. Four entries lie within 1e-6
+    # of others, and entry 5 is entry 4 one ulp out, the nearest entry of the
+    # rows along e0, where the broadcast distances round to a tie
+    small = rng.normal(size=(16, 8))
+    small[12:] = small[:4] + rng.normal(size=(4, 8)) * 1e-6
+    small[4] = 6.0 * np.eye(8)[0]
+    small[5] = np.nextafter(small[4], np.inf)
+    direction = rng.normal(size=(40, 8))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    far_rows = direction * np.logspace(4, 8, 40)[:, None]
+    along = np.eye(8)[:1] * np.logspace(4, 8, 20)[:, None] + rng.normal(size=(20, 8))
+    cases.append(("far_rows", np.vstack([far_rows, far_rows + small[:1], along]), small))
+    # a near-collapsed K = 256, d = 64 codebook, like a reference model after
+    # training: its entries lie within 1e-9 of four centres, and the rows are
+    # those centres, entries, midpoints and points nearby
+    centres = rng.normal(size=(4, 64))
+    collapsed = centres[rng.integers(0, 4, size=256)] + rng.uniform(-1e-9, 1e-9, size=(256, 64))
+    nearby = centres[rng.integers(0, 4, size=60)] + rng.normal(size=(60, 64)) * 1e-10
+    collapsed_rows = np.vstack([centres, collapsed[:40], (collapsed[:20] + collapsed[20:40]) / 2,
+                                nearby, rng.normal(size=(20, 64))])
+    cases.append(("collapsed_k256", collapsed_rows, collapsed))
     return cases
 
 
@@ -240,6 +265,51 @@ def test_kmeans_matches_one_shot_search():
         rows = np.random.default_rng(8).normal(size=(300, d))
         got = kmeans(rows, 16, np.random.default_rng(4))
         assert got.tobytes() == one_shot(rows, 16, np.random.default_rng(4)).tobytes(), d
+
+
+def _kmeans_cases():
+    """(name, rows, k, seed, iters)."""
+    rng = np.random.default_rng(12)
+    blobs = (rng.normal(size=(6, 4)) * 20)[np.arange(240) % 6] + rng.normal(size=(240, 4))
+    # integer powers with repeated values: rows that tie between a center and
+    # its copy move clusters, and cluster 1's six members all leave it
+    repeats = np.array([[3.0], [6], [3], [11], [11], [3], [9], [11], [3], [7], [0]]) ** 1.5
+    return [
+        ("converges", blobs, 6, 5, 20),
+        ("cut_by_iters", rng.normal(size=(300, 8)), 16, 4, 2),
+        ("fewer_rows_than_k", rng.normal(size=(5, 3)), 8, 6, 20),
+        ("cluster_empties", repeats, 6, 463, 20),
+    ]
+
+
+@pytest.mark.parametrize("case", _kmeans_cases(), ids=lambda c: c[0])
+def test_kmeans_stop_matches_all_iterations(case, monkeypatch):
+    """Stopping at the first repeated assignment gives the bytes, and leaves
+    rng in the state, of running every iteration."""
+    name, rows, k, seed, iters = case
+    counts = []
+
+    def counted(rows, centers):
+        assign = nearest(rows, centers)
+        counts.append(np.bincount(assign, minlength=len(centers)))
+        return assign
+
+    monkeypatch.setattr(train, "nearest", counted)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = kmeans(rows, k, rng, iters=iters)
+    assert got.tobytes() == oracle.kmeans(rows, k, oracle_rng, iters=iters).tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    if name == "converges":
+        assert len(counts) < iters
+    elif name == "cut_by_iters":
+        assert len(counts) == iters
+        assert got.tobytes() != oracle.kmeans(rows, k, np.random.default_rng(seed)).tobytes()
+    elif name == "fewer_rows_than_k":
+        assert len(rows) < k and len(counts) < iters
+    else:
+        assert len(counts) < iters
+        assert any(before[j] > 0 and after[j] == 0
+                   for before, after in zip(counts, counts[1:]) for j in range(k))
 
 
 def test_kmeans_memory_bounded():

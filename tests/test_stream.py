@@ -10,10 +10,13 @@ import warnings
 
 import pytest
 
+from sogtok import train
+from sogtok.attributes import HashingEmbedder
 from sogtok.cli import main
-from sogtok.ingest import parse_graph_file
+from sogtok.ingest import iter_graph_file, parse_graph_file
+from sogtok.model import load_checkpoint
 from sogtok.synthetic import scaffold_smiles_set
-from sogtok.train import READ_BLOCK
+from sogtok.train import READ_BLOCK, assign_tokens, node_tokens
 
 SMILES = [s for _, s in scaffold_smiles_set()]
 
@@ -126,3 +129,54 @@ def test_peak_memory_grows_with_outputs_not_parsed_graphs(model, tmp_path, stage
             peaks.append(_peak_bytes(argv))
         held.append(_held_bytes(data))
     assert peaks[1] - peaks[0] < 0.5 * (held[1] - held[0]), (peaks, held)
+
+
+READ_PATHS = {
+    "graph": lambda graphs, model, embedder: assign_tokens(graphs, model, embedder),
+    # hops that reach the whole molecule: each ego-graph is as large as its graph
+    "node": lambda graphs, model, embedder: node_tokens(((g, 0) for g in graphs), model, 64,
+                                                        embedder),
+}
+
+
+@pytest.mark.parametrize("level", sorted(READ_PATHS))
+def test_next_block_is_prepared_without_the_previous_one(model, tmp_path, monkeypatch, level):
+    """Graph- and node-level tokenize, measured as each block is prepared: it
+    holds what it held at the previous block plus that block's outputs, not
+    that block's graphs, attribute maps or rows as well. A first untraced run
+    fills the embedder's cache, so the traced run grows only by what it keeps."""
+    block, blocks = 64, 5
+    monkeypatch.setattr(train, "READ_BLOCK", block)
+    data = tmp_path / "data.jsonl"
+    _molecules(data, block)
+    records = [json.loads(line) for line in data.read_text().splitlines()]
+    # every block holds the same molecules, under new ids
+    data.write_text("".join(json.dumps({**records[i % block], "id": f"m{i:05d}"}) + "\n"
+                            for i in range(block * blocks)))
+    text = data.read_bytes()
+    loaded = load_checkpoint(model)
+    embedder = HashingEmbedder(dim=loaded.d_s)
+    read = READ_PATHS[level]
+    read(iter_graph_file(text), loaded, embedder)
+
+    held = []
+    prepare = train.prepare_graphs
+
+    def traced_prepare(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(train, "prepare_graphs", traced_prepare)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = read(iter_graph_file(text), loaded, embedder)
+        outputs = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(out) == block * blocks and len(held) == blocks
+    block_graphs = _held_bytes(data) / blocks
+    growth = [b - a for a, b in zip(held, held[1:])]
+    # the slack covers small allocator caches, a fraction of one block's graphs
+    assert max(growth) < outputs / blocks + 0.25 * block_graphs, (growth, outputs, block_graphs)

@@ -412,13 +412,14 @@ def test_encoded_blocks_rows_equal_per_graph_encode(tiny_model, monkeypatch, inc
     monkeypatch.setattr(train_module, "TRAIN_BLOCK", 2)
     graphs = _mixed_sizes(23, seed=4)
     embedder = HashingEmbedder(dim=model.d_s)
-    blocks = list(encoded_blocks(graphs, model, embedder, include_global, take))
-    got = np.vstack([rows for _, _, rows, _ in blocks])
+    blocks = list(encoded_blocks(graphs, model, lambda b: (b.rows, b.tokens), embedder,
+                                 include_global, take))
+    got = np.vstack([rows for rows, _ in blocks])
     want = np.vstack([
         encode(*oracle.prepare_graph(g, model.strategy, embedder, include_global)[1:], model.enc)[0][take]
         for g in graphs
     ])
     assert got.tobytes() == want.tobytes()
     # each row's token is its nearest entry, the lowest index on ties
-    tokens = [t for *_, block_tokens in blocks for t in block_tokens]
+    tokens = [t for _, block_tokens in blocks for t in block_tokens]
     assert tokens == [_brute_force_nearest(row, model.codebook.entries) for row in want]
