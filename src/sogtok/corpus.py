@@ -200,15 +200,14 @@ def gen_simjudge_records(
     thresholds: SimilarityThresholds,
     budget: int,
     seed: int,
-    ratio: float = 1.0,
 ) -> list[QARecord]:
     """Similar/dissimilar pairs judged on pre-quantization global embeddings.
 
     One pass over the pairs i < j (qualifying_pairs) feeds each class into
     a uniform reservoir sized for its share of the budget; pairs inside the
-    dead zone are skipped. The classes are then cut to the requested ratio
-    (positives per negative) of their counts, so each class's picks are a
-    uniform sample of it. Memory holds one row block and the reservoirs,
+    dead zone are skipped. Both classes are then cut to one count, the least
+    of half the budget and the two classes' counts (the positives round a
+    half pair with round()), so each class's picks are a uniform sample of it. Memory holds one row block and the reservoirs,
     never the qualifying pairs. Shortfall produces a warning and partial
     output, never an exception.
     """
@@ -217,19 +216,17 @@ def gen_simjudge_records(
         raise ValidationError("ids, tokens, and embeddings must align")
     if budget < 2:
         raise ValidationError("pair budget must be >= 2")
-    if ratio <= 0:
-        raise ValidationError("class ratio must be positive")
     rng = np.random.default_rng(seed)
-    share = budget / (1.0 + ratio)
+    share = budget / 2.0
     pairs = n * (n - 1) // 2  # no reservoir outgrows the pairs, whatever the budget
-    pos = _Reservoir(min(round(share * ratio), pairs), rng)
+    pos = _Reservoir(min(round(share), pairs), rng)
     neg = _Reservoir(min(int(share), pairs), rng)
     for pos_flat, neg_flat in qualifying_pairs(embeddings, thresholds):
         pos.feed(pos_flat)
         neg.feed(neg_flat)
-    unit = min(share, neg.seen, pos.seen / ratio)
+    unit = min(share, neg.seen, pos.seen)
     n_neg = int(unit)
-    n_pos = int(round(unit * ratio))
+    n_pos = int(round(unit))
     if n_pos + n_neg < budget - 1:
         warnings.warn(
             f"simjudge pair shortfall: wanted ~{budget} pairs, emitting {n_pos + n_neg} "

@@ -166,16 +166,10 @@ def permutation_consistency(
     trials: int,
     seed: int,
     embedder=None,
-    base_tokens: list[int] | None = None,
 ) -> float:
-    """Fraction of (graph, random relabeling) pairs whose token survives.
-    base_tokens, each graph's token when the caller has it, saves embedding
-    the graphs again."""
-    if base_tokens is None:
-        blocks = encoded_blocks(graphs, model, lambda b: b.tokens, embedder, take=GLOBAL_ROW)
-        base_tokens = list(chain.from_iterable(blocks))
-    if len(base_tokens) != len(graphs):
-        raise LengthMismatch(f"{len(base_tokens)} base tokens for {len(graphs)} graphs")
+    """Fraction of (graph, random relabeling) pairs whose token survives."""
+    blocks = encoded_blocks(graphs, model, lambda b: b.tokens, embedder, take=GLOBAL_ROW)
+    base_tokens = list(chain.from_iterable(blocks))
     rng = np.random.default_rng(seed)
     return permutation_hits(model, graphs, base_tokens, trials, rng, embedder) / (len(graphs) * trials)
 

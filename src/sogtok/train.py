@@ -35,7 +35,6 @@ from .model import (
     DecoderParams,
     EncoderParams,
     ForwardState,
-    Gradients,
     TokenizerModel,
     backward,
     encode,
@@ -106,9 +105,9 @@ class PreparedBucket:
     """Encoder inputs of graphs with one node count m, stacked; reused across
     epochs."""
 
-    positions: list[int]  # the graphs' places in the list given to prepare_graphs()
+    positions: np.ndarray  # the graphs' indices in the list given to prepare_graphs()
     attrs: list[StructuralAttributeMap]
-    a_target: np.ndarray  # (B, m, m) adjacency (augmented unless include_global=False), reconstruction target
+    a_target: np.ndarray  # (B, m, m) bool adjacency (augmented unless include_global=False), reconstruction target
     anorm: np.ndarray  # (B, m, m)
     x_index: np.ndarray  # (B, m): x's rows of the table, global row last
 
@@ -138,12 +137,12 @@ def prepare_graphs(
     for (positions, adjacency, maps), code in zip(buckets, codes):
         b, n, _ = adjacency.shape
         m = n + include_global
-        a = np.zeros((b, m, m))
+        a = np.zeros((b, m, m), dtype=bool)
         a[:, :n, :n] = adjacency
         if include_global:
-            a[:, :n, n] = a[:, n, :n] = 1.0
+            a[:, :n, n] = a[:, n, :n] = True
             code = [row + [0] for row in code]
-        prepared.append(PreparedBucket(positions, maps, a, normalized_adjacency(a), np.array(code)))
+        prepared.append(PreparedBucket(np.array(positions), maps, a, normalized_adjacency(a), np.array(code)))
     return table, prepared
 
 
@@ -206,28 +205,38 @@ def _minibatches(
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-# Graphs encoded, searched and differentiated at once in training. A block
-# holds the gradients of each graph that waits for an earlier one of its
-# minibatch (72 KB per graph at d_s = d_h = d = 64), so larger blocks raise
-# peak memory, and smaller ones split into more single-size stacks, each a
-# forward and a backward call.
+# Graphs encoded, searched and differentiated at once in training, and encoded
+# at once on the read path. A walk takes its graphs in the declared order (see
+# _walk), so a block splits into one stack, a forward and a backward call, per
+# size bucket it spans. A stack's per-graph gradients live until they are
+# summed (72 KB per graph at d_s = d_h = d = 64), so larger blocks raise peak
+# memory, and smaller ones make more calls.
 TRAIN_BLOCK = 24
 
+# One stack of a walk: the graphs' positions and their stacked a_target, anorm and x.
+Stack = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-def _blocks(order: np.ndarray) -> Iterator[np.ndarray]:
-    return (order[i : i + TRAIN_BLOCK] for i in range(0, len(order), TRAIN_BLOCK))
 
-
-def _bucket_stacks(
-    table: np.ndarray, buckets: list[PreparedBucket]
-) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
-    """Each bucket in stacks of at most TRAIN_BLOCK graphs, bucket by bucket:
-    the graphs' positions and their stacked a_target, anorm and x."""
-    for bucket in buckets:
-        for s in range(0, len(bucket.positions), TRAIN_BLOCK):
-            part = slice(s, s + TRAIN_BLOCK)
-            yield (bucket.positions[part], bucket.a_target[part], bucket.anorm[part],
-                   table[bucket.x_index[part]])
+def _walk(
+    table: np.ndarray, buckets: list[PreparedBucket], places: np.ndarray | None = None
+) -> Iterator[list[Stack]]:
+    """The graphs at `places` (all by default) in the declared order, in blocks
+    of at most TRAIN_BLOCK. The declared order is the buckets' positions
+    concatenated: node counts in order of first appearance, then position
+    within a node count; a graph's place is its index in that order. Each run
+    of a block's graphs in one bucket is one stack."""
+    starts = np.cumsum([0] + [len(b.positions) for b in buckets])
+    places = np.arange(starts[-1]) if places is None else np.sort(places)
+    for i in range(0, len(places), TRAIN_BLOCK):
+        block = places[i : i + TRAIN_BLOCK]
+        which = np.searchsorted(starts, block, side="right") - 1
+        stacks = []
+        # the runs in order; np.unique(which) would import numpy.ma, ~0.5 MB
+        for b in dict.fromkeys(which.tolist()):
+            bucket, slots = buckets[b], block[which == b] - starts[b]
+            stacks.append((bucket.positions[slots], bucket.a_target[slots], bucket.anorm[slots],
+                           table[bucket.x_index[slots]]))
+        yield stacks
 
 
 def _gather_rows(
@@ -238,7 +247,7 @@ def _gather_rows(
     graph order; graph i takes counts[i] rows."""
     starts = np.cumsum(counts) - counts
     rows = np.empty((counts.sum(), enc.d))
-    for at, _, anorm, x in _bucket_stacks(table, buckets):
+    for at, _, anorm, x in chain.from_iterable(_walk(table, buckets)):
         h = encode(anorm, x, enc)[0][:, take]
         rows[starts[at][:, None] + np.arange(h.shape[1])] = h
     return rows
@@ -271,14 +280,14 @@ def train(
 ) -> tuple[TokenizerModel, list[EpochLog]]:
     """Run both phases and return the trained model plus per-epoch logs.
 
-    An update pass walks each minibatch in blocks of TRAIN_BLOCK: a block's
-    graphs of one bucket form a stack with one forward and one backward
-    pass, and all latent rows of the block go through one quantize() call.
-    Evaluation and the k-means gather, free to choose their order, walk each
-    bucket in stacks of at most TRAIN_BLOCK graphs. Per-graph losses and
-    gradients are added up one graph at a time, in dataset order for the
-    logged losses and in minibatch order for the gradients, so every sum has
-    the bytes of a loop over single graphs."""
+    Evaluation, each minibatch of an update pass and the k-means gather are
+    walks in the declared order (_walk): blocks of at most TRAIN_BLOCK graphs,
+    one stack per size bucket a block spans, each stack one forward and one
+    backward pass, and all latent rows of a block go through one quantize()
+    call. Per-graph losses and gradients are added up one graph at a time: the
+    logged losses in dataset order, a minibatch's gradients in the declared
+    order, each stack's as soon as its backward pass returns. So every sum has
+    the bytes of a loop over single graphs in those orders."""
     if not dataset:
         raise EmptyDataset("training requires at least one graph")
     if embedder is None:
@@ -291,33 +300,18 @@ def train(
     # gaussian fallback codebook; replaced by k-means when warm-up runs
     entries = rng.normal(0.0, 0.1, size=(cfg.k, cfg.d))
     table, buckets = prepare_graphs(dataset, cfg.strategy, embedder)
-    # each graph's bucket and its slot in that bucket
-    bucket_of = np.empty(len(dataset), dtype=np.int64)
-    slot_of = np.empty(len(dataset), dtype=np.int64)
-    for b, bucket in enumerate(buckets):
-        bucket_of[bucket.positions] = b
-        slot_of[bucket.positions] = np.arange(len(bucket.positions))
+    place = np.argsort(np.concatenate([b.positions for b in buckets]))  # each graph's, see _walk
     logs: list[EpochLog] = []
 
-    def stacks(block: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Each bucket's share of a block, in the order of its first graph: the
-        graphs' places in the block and their stacked a_target, anorm and x."""
-        here = bucket_of[block]
-        for b in dict.fromkeys(here.tolist()):
-            at = np.flatnonzero(here == b)
-            bucket, slots = buckets[b], slot_of[block[at]]
-            yield at, bucket.a_target[slots], bucket.anorm[slots], table[bucket.x_index[slots]]
-
-    def block_pass(block: np.ndarray, cb: Codebook | None) -> Iterator[tuple[np.ndarray, ForwardState]]:
+    def block_pass(stacks: list[Stack], cb: Codebook | None) -> Iterator[tuple[np.ndarray, ForwardState]]:
         """Forward state of each stack of a block; one search serves all the
         block's latent rows."""
-        groups = list(stacks(block))
-        encoded = [encode(anorm, x, enc) for _, _, anorm, x in groups]
+        encoded = [encode(anorm, x, enc) for _, _, anorm, x in stacks]
         found = None
         if cb is not None:
             found = quantize(np.concatenate([h.reshape(-1, cfg.d) for h, _ in encoded]), cb)
         start = 0
-        for (at, a, anorm, x), (h, z1) in zip(groups, encoded):
+        for (at, a, anorm, x), (h, z1) in zip(stacks, encoded):
             sel = None if found is None else found.part(start, h.shape)
             start += h.shape[0] * h.shape[1]
             yield at, forward(a, anorm, x, enc, dec, cb, cfg.beta, encoded=(h, z1), sel=sel)
@@ -326,13 +320,13 @@ def train(
         """Loss of the current parameters over the whole dataset."""
         losses = np.empty((len(dataset), 3))  # recon, gap, total
         used = np.zeros(cfg.k, dtype=bool)
-        for at, a, anorm, x in _bucket_stacks(table, buckets):
-            state = forward(a, anorm, x, enc, dec, cb, cfg.beta)
-            losses[at, 0] = state.loss.reconstruction
-            losses[at, 1] = state.loss.update
-            losses[at, 2] = state.loss.total
-            if state.sel is not None:
-                used[state.sel.indices] = True
+        for stacks in _walk(table, buckets):
+            for at, state in block_pass(stacks, cb):
+                losses[at, 0] = state.loss.reconstruction
+                losses[at, 1] = state.loss.update
+                losses[at, 2] = state.loss.total
+                if state.sel is not None:
+                    used[state.sel.indices] = True
         sums = np.zeros(3)
         for row in losses:  # dataset order
             sums += row
@@ -354,30 +348,21 @@ def train(
         dense = [name for name in params if name != "codebook"]
         for batch in _minibatches(len(dataset), cfg.batch_size, rng):
             sums = {name: np.zeros_like(p) for name, p in params.items()}
-            for block in _blocks(batch):
-                # each graph's gradients join the sums in minibatch order, as
-                # soon as the graphs before it have joined
-                waiting: dict[int, tuple[Gradients, int]] = {}
-                joined = 0
-                entry_keys, entry_rows = [], []
-                for at, state in block_pass(block, cb):
+            for stacks in _walk(table, buckets, place[batch]):
+                for _, state in block_pass(stacks, cb):
                     grads = backward(state, enc, dec, cb)
-                    waiting.update((pos, (grads, slot)) for slot, pos in enumerate(at.tolist()))
-                    while joined in waiting:
-                        grads_of, slot = waiting.pop(joined)
-                        for name in dense:
-                            sums[name] += getattr(grads_of, name)[slot]
-                        joined += 1
+                    for name in dense:
+                        for graph_grad in getattr(grads, name):
+                            sums[name] += graph_grad
                     if grads.entry_rows is not None:
-                        entry_keys.append((at[:, None] * cfg.k + grads.indices).ravel())
-                        entry_rows.append(grads.entry_rows.reshape(-1, cfg.d))
-                if entry_rows:
-                    # each graph's rows summed per entry in row order, then
-                    # added to the entries graph by graph
-                    keys, inverse = np.unique(np.concatenate(entry_keys), return_inverse=True)
-                    per_graph = np.zeros((len(keys), cfg.d))
-                    np.add.at(per_graph, inverse, np.concatenate(entry_rows))
-                    np.add.at(sums["codebook"], keys % cfg.k, per_graph)
+                        # each graph's rows summed per entry in row order, then
+                        # added to the entries graph by graph
+                        graph = np.arange(len(grads.indices))[:, None]
+                        keys = (graph * cfg.k + grads.indices).ravel()
+                        keys, inverse = np.unique(keys, return_inverse=True)
+                        per_graph = np.zeros((len(keys), cfg.d))
+                        np.add.at(per_graph, inverse, grads.entry_rows.reshape(-1, cfg.d))
+                        np.add.at(sums["codebook"], keys % cfg.k, per_graph)
             factor = 1.0 / len(batch)
             opt.step(params, {name: total * factor for name, total in sums.items()})
 
@@ -476,13 +461,13 @@ def encoded_blocks(
     take: slice = slice(None),
 ) -> Iterator[T]:
     """The read path: prepare graphs READ_BLOCK at a time and encode each
-    bucket of a block in stacks of at most TRAIN_BLOCK graphs, which bound the
-    encoder's temporaries as in training. Yields use(block) for each block,
-    lazily: its graphs, their attribute maps, the rows h[take] of their
-    latent rows h (global row last unless include_global=False), stacked in
-    graph order, and each row's token, the index of its nearest codebook
-    entry, found by one search of the block. A row's entry does not depend on the other rows, so
-    a graph's <SOG_k> is the token of its global row whatever else is taken.
+    block in the stacks of _walk, which bound the encoder's temporaries as in
+    training. Yields use(block) for each block, lazily: its graphs, their
+    attribute maps, the rows h[take] of their latent rows h (global row last
+    unless include_global=False), stacked in graph order, and each row's
+    token, the index of its nearest codebook entry, found by one search of the
+    block. A row's entry does not depend on the other rows, so a graph's
+    <SOG_k> is the token of its global row whatever else is taken.
     graphs may be a lazy iterable. A block lives only while use() runs, so
     what use() returns is all that a caller can hold of it while the next
     block is read and prepared."""

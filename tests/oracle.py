@@ -170,13 +170,18 @@ def kmeans(rows: np.ndarray, k: int, rng: np.random.Generator, iters: int = 20) 
 def train(dataset: list[Graph], cfg, checkpoint_dir=None, embedder=None):
     """Both training phases one graph at a time: a forward and a backward
     pass per graph, each graph's gradients added to the batch sums as they
-    come, and one codebook search per graph."""
+    come, and one codebook search per graph. A minibatch takes its graphs by
+    node count, in order of the counts' first appearance in the dataset, then
+    by dataset position."""
     if embedder is None:
         embedder = HashingEmbedder(dim=cfg.d_s)
     rng = np.random.default_rng(cfg.seed)
     enc, dec = init_params(cfg.d_s, cfg.hidden, cfg.d, cfg.d_r, rng)
     entries = rng.normal(0.0, 0.1, size=(cfg.k, cfg.d))
     prepared = [prepare_graph(g, cfg.strategy, embedder) for g in dataset]
+    first_seen: dict[int, int] = {}
+    for g in dataset:
+        first_seen.setdefault(g.n, len(first_seen))
     logs = []
 
     def evaluate(epoch, cb):
@@ -203,7 +208,7 @@ def train(dataset: list[Graph], cfg, checkpoint_dir=None, embedder=None):
     def update_pass(cb, opt, params):
         for batch in _minibatches(len(prepared), cfg.batch_size, rng):
             sums = {name: np.zeros_like(p) for name, p in params.items()}
-            for idx in batch:
+            for idx in sorted(batch, key=lambda i: (first_seen[dataset[i].n], i)):
                 a_target, anorm, x = prepared[idx]
                 state = forward(a_target, anorm, x, enc, dec, cb, cfg.beta)
                 grads = backward(state, enc, dec, cb)

@@ -252,7 +252,11 @@ def test_prepare_graphs_bytes_equal_per_graph_oracle(graphs, kind, include_globa
         for i, pos in enumerate(bucket.positions):
             a_target, anorm, x = oracle.prepare_graph(graphs[pos], strategy, embedder, include_global)
             mine_x = table[bucket.x_index[i]]
-            for mine, theirs in ((bucket.a_target[i], a_target), (bucket.anorm[i], anorm), (mine_x, x)):
+            # the target adjacency is stored as bool: as floats it has the oracle's bytes
+            mine_a = bucket.a_target[i]
+            assert mine_a.dtype == bool
+            for mine, theirs in ((mine_a.astype(np.float64), a_target), (bucket.anorm[i], anorm),
+                                 (mine_x, x)):
                 assert mine.shape == theirs.shape and mine.dtype == theirs.dtype
                 assert mine.tobytes() == theirs.tobytes()
 

@@ -199,8 +199,7 @@ def _picked_pairs(records, ids):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 300, 513])
 @pytest.mark.parametrize("thresholds", [(0.8, 0.2), (0.3, -0.3)])
-@pytest.mark.parametrize("ratio", [1.0, 2.5])
-def test_simjudge_equals_double_loop(n, thresholds, ratio, monkeypatch):
+def test_simjudge_equals_double_loop(n, thresholds, monkeypatch):
     rng = np.random.default_rng(n)
     emb = rng.normal(size=(n, 4)) + np.array([0.8, 0.0, 0.0, 0.0])
     emb[::7] = 0.0  # zero-norm rows: cosine 0 with every row
@@ -218,12 +217,11 @@ def test_simjudge_equals_double_loop(n, thresholds, ratio, monkeypatch):
         assert [int(f) for _, neg in blocks for f in neg] == want_neg
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # shortfall at small n
-        got = gen_simjudge_records(ids, tokens, emb, th, budget=200, seed=n + 1, ratio=ratio)
+        got = gen_simjudge_records(ids, tokens, emb, th, budget=200, seed=n + 1)
     picked = _picked_pairs(got, ids)
-    # the classes are cut to the ratio of their counts, never past the budget
-    unit = min(200 / (1.0 + ratio), len(want_neg), len(want_pos) / ratio)
-    assert len(picked["similar"]) == int(round(unit * ratio))
-    assert len(picked["dissimilar"]) == int(unit)
+    # both classes are cut to the smaller one's count, never past the budget
+    unit = min(100, len(want_neg), len(want_pos))
+    assert len(picked["similar"]) == len(picked["dissimilar"]) == unit
     # distinct pairs, each in its class
     assert len(set(picked["similar"] + picked["dissimilar"])) == len(got)
     assert set(picked["similar"]) <= set(want_pos)
@@ -252,11 +250,11 @@ def test_simjudge_same_seed_same_picks(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:simjudge pair shortfall")
-@pytest.mark.parametrize(("cluster", "budget", "ratio", "want"), [
-    (6, 8, 1.0, (4, 4)),  # 30 similar, 36 dissimilar pairs; each class fills its reservoir
-    (11, 60, 2.0, (22, 11)),  # 55 similar, 11 dissimilar; 22 similar cut from a reservoir of 40
+@pytest.mark.parametrize(("cluster", "budget", "want"), [
+    (6, 8, (4, 4)),  # 30 similar, 36 dissimilar pairs; each class fills its reservoir
+    (11, 60, (11, 11)),  # 55 similar, 11 dissimilar; 11 similar cut from a reservoir of 30
 ], ids=["full-reservoirs", "cut-reservoir"])
-def test_simjudge_picks_uniform_across_seeds(monkeypatch, cluster, budget, ratio, want):
+def test_simjudge_picks_uniform_across_seeds(monkeypatch, cluster, budget, want):
     # two tight clusters; pairs inside one are similar, across them dissimilar
     n = 12
     emb = np.zeros((n, 2))
@@ -270,7 +268,7 @@ def test_simjudge_picks_uniform_across_seeds(monkeypatch, cluster, budget, ratio
     seeds = 1500
     counts = Counter()
     for seed in range(seeds):
-        records = gen_simjudge_records(ids, [0] * n, emb, th, budget=budget, seed=seed, ratio=ratio)
+        records = gen_simjudge_records(ids, [0] * n, emb, th, budget=budget, seed=seed)
         picked = _picked_pairs(records, ids)
         assert (len(picked["similar"]), len(picked["dissimilar"])) == want
         counts.update(picked["similar"] + picked["dissimilar"])

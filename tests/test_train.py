@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -246,7 +248,6 @@ def test_node_token_ego_covers_star(tiny_model):
 
 
 def test_permutation_consistency_reuses_base_tokens(tiny_model):
-    from sogtok.errors import LengthMismatch
     from sogtok.metrics import permutation_consistency
 
     model, _, graphs = tiny_model
@@ -260,13 +261,7 @@ def test_permutation_consistency_reuses_base_tokens(tiny_model):
         for g, b in zip(graphs, base)
         for _ in range(3)
     )
-    rate = permutation_consistency(model, graphs, trials=3, seed=4)
-    assert rate == hits / (3 * len(graphs))
-    assert permutation_consistency(model, graphs, trials=3, seed=4, base_tokens=base) == rate
-    unreachable = [model.k] * len(graphs)
-    assert permutation_consistency(model, graphs, trials=3, seed=4, base_tokens=unreachable) == 0.0
-    with pytest.raises(LengthMismatch):
-        permutation_consistency(model, graphs, trials=3, seed=4, base_tokens=base[1:])
+    assert permutation_consistency(model, graphs, trials=3, seed=4) == hits / (3 * len(graphs))
 
 
 def test_export_token_table(tmp_path, tiny_model):
@@ -360,6 +355,56 @@ def test_train_matches_oracle_when_k_exceeds_rows(global_share, tmp_path):
     assert _artifacts(train, graphs, cfg, tmp_path / "blocked") == _artifacts(
         oracle.train, graphs, cfg, tmp_path / "per_graph"
     )
+
+
+def test_train_matches_oracle_with_split_buckets(monkeypatch, tmp_path):
+    """With one node count spread over several buckets, a minibatch still sums
+    its gradients by node count in order of first appearance, then by dataset
+    position, as the per-graph loop does."""
+    import sogtok.attributes as attributes
+
+    monkeypatch.setattr(attributes, "_BUCKET_CELLS", 64)  # 8-node graphs one per bucket, 5-node two
+    graphs = _mixed_sizes(41, seed=0)
+    cfg = TrainConfig(k=16, warmup_epochs=2, joint_epochs=3, seed=5, d_s=16, d=8, d_r=4,
+                      lr_gcn=2e-3, lr_codebook=1e-2, batch_size=32)
+    assert _artifacts(train, graphs, cfg, tmp_path / "blocked") == _artifacts(
+        oracle.train, graphs, cfg, tmp_path / "per_graph"
+    )
+
+
+def test_minibatch_blocks_split_only_between_node_counts(monkeypatch):
+    """A minibatch walks its graphs by node count, so its blocks of TRAIN_BLOCK
+    split into stacks only where the node count changes: at most
+    ceil(len(batch) / TRAIN_BLOCK) + (distinct node counts) - 1 backward calls."""
+    import sogtok.train as train_module
+
+    minibatches, backward, step = train_module._minibatches, train_module.backward, train_module.Adam.step
+    batches, calls = [], [0]  # the minibatches drawn; backward calls before each Adam step
+
+    def recorded_minibatches(*args):
+        drawn = minibatches(*args)
+        batches.extend(drawn)
+        return drawn
+
+    def counted_backward(*args):
+        calls[-1] += 1
+        return backward(*args)
+
+    def step_then_count(self, *args):
+        calls.append(0)
+        return step(self, *args)
+
+    monkeypatch.setattr(train_module, "_minibatches", recorded_minibatches)
+    monkeypatch.setattr(train_module, "backward", counted_backward)
+    monkeypatch.setattr(train_module.Adam, "step", step_then_count)
+    graphs = _mixed_sizes(41, seed=0)
+    train(graphs, TrainConfig(k=16, warmup_epochs=1, joint_epochs=1, seed=5, d_s=16, d=8, d_r=4,
+                              batch_size=32))
+    assert [len(b) for b in batches] == [32, 9, 32, 9]
+    assert calls[-1] == 0  # the closing evaluation differentiates nothing
+    for batch, made in zip(batches, calls):
+        sizes = {graphs[i].n for i in batch}
+        assert made <= math.ceil(len(batch) / train_module.TRAIN_BLOCK) + len(sizes) - 1
 
 
 def _epoch_memory(graphs, cfg) -> int:
