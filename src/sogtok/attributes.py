@@ -331,7 +331,8 @@ class TableEmbedder:
 
 
 def load_embedding_table(text: str, dim: int) -> TableEmbedder:
-    """Parse 'attribute<TAB>floats' lines into a TableEmbedder."""
+    """Parse 'attribute<TAB>floats' lines into a TableEmbedder; every value
+    must be finite."""
     table: dict[str, np.ndarray] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -348,6 +349,10 @@ def load_embedding_table(text: str, dim: int) -> TableEmbedder:
         if vec.shape != (dim,):
             raise DimensionMismatch(
                 f"embedding table line {line_no}: dimension {vec.shape[0]} != configured {dim}"
+            )
+        if not np.isfinite(vec).all():  # nan, inf, or a number too large for a float, e.g. 1e400
+            raise ValidationError(
+                f"embedding table line {line_no}: non-finite value in {values.strip()!r}"
             )
         table[key] = vec
     return TableEmbedder(table, dim)

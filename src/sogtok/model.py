@@ -12,6 +12,12 @@ The encoder, forward and backward passes take one graph ((m, m) adjacency,
 (b, m, d_s)); a stack's results carry the same leading axis b. Each slice of
 a stacked result has the bytes of the same call on that graph alone: the
 products run per slice and every sum runs within one graph.
+
+A forward pass computes only what backward() reads: its state's loss is
+computed on first read, so a pass that only differentiates never computes
+it. backward() reads the products Anorm . X and Anorm . relu(z1) that the
+encoder formed, the same expressions in the same association, instead of
+forming them again.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -119,18 +126,23 @@ def normalized_adjacency(a: np.ndarray) -> np.ndarray:
     return a_hat * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
 
 
-def encode(anorm: np.ndarray, x: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
+def encode(
+    anorm: np.ndarray, x: np.ndarray, enc: EncoderParams
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Two-layer GCN h = Anorm . relu(Anorm . X . W1) . W2 (Kipf & Welling),
-    of one graph or of each graph of a stack. Returns h and the
-    pre-activation z1 = Anorm . X . W1 that backward() needs."""
+    of one graph or of each graph of a stack. Returns h and the products
+    that backward() reads: Anorm . X, the pre-activation z1 = Anorm . X . W1
+    and Anorm . relu(z1)."""
     if x.shape[-2] != anorm.shape[-1]:
         raise DimensionMismatch(
             f"feature rows {x.shape[-2]} != adjacency size {anorm.shape[-1]}"
         )
     if x.shape[-1] != enc.d_s:
         raise DimensionMismatch(f"feature dim {x.shape[-1]} != encoder d_s {enc.d_s}")
-    z1 = anorm @ x @ enc.w1
-    return anorm @ np.maximum(z1, 0.0) @ enc.w2, z1
+    ax = anorm @ x
+    z1 = ax @ enc.w1
+    s2 = anorm @ np.maximum(z1, 0.0)
+    return s2 @ enc.w2, (ax, z1, s2)
 
 
 def nearest(rows: np.ndarray, entries: np.ndarray, chunk: int = 256) -> np.ndarray:
@@ -246,17 +258,23 @@ def compute_loss(
 
 @dataclass
 class ForwardState:
-    """Everything backward() needs, captured during the forward pass."""
+    """Everything backward() needs, captured during the forward pass, and the
+    loss, computed on first read."""
 
     a_target: np.ndarray
     anorm: np.ndarray
-    x: np.ndarray
+    ax: np.ndarray  # Anorm . X
     z1: np.ndarray  # pre-activation of the first layer
+    s2: np.ndarray  # Anorm . relu(z1)
     h: np.ndarray
     sel: QuantizedSelection | None  # None during warm-up (no quantization)
     xhat: np.ndarray
     a_rec: np.ndarray
-    loss: LossBreakdown
+    beta: float
+
+    @cached_property
+    def loss(self) -> LossBreakdown:
+        return compute_loss(self.a_target, self.a_rec, self.h, self.sel, self.beta)
 
 
 @dataclass
@@ -295,7 +313,7 @@ def forward(
     dec: DecoderParams,
     cb: Codebook | None,
     beta: float,
-    encoded: tuple[np.ndarray, np.ndarray] | None = None,
+    encoded: tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
     sel: QuantizedSelection | None = None,
 ) -> ForwardState:
     """Full pass on anorm = normalized_adjacency(a_target), of one graph or of
@@ -304,12 +322,11 @@ def forward(
     several stacks at once passes each stack's encode() result as encoded and
     its part of that search as sel, so the pass neither encodes nor searches
     again."""
-    h, z1 = encode(anorm, x, enc) if encoded is None else encoded
+    h, products = encode(anorm, x, enc) if encoded is None else encoded
     if sel is None and cb is not None:
         sel = quantize(h.reshape(-1, h.shape[-1]), cb).part(0, h.shape)
     xhat, a_rec = decode_and_reconstruct(h if sel is None else sel.quantized, dec)
-    loss = compute_loss(a_target, a_rec, h, sel, beta)
-    return ForwardState(a_target, anorm, x, z1, h, sel, xhat, a_rec, loss)
+    return ForwardState(a_target, anorm, *products, h, sel, xhat, a_rec, beta)
 
 
 def backward(
@@ -320,7 +337,7 @@ def backward(
 ) -> Gradients:
     """Analytic gradients of the three-term loss for one forward state, of one
     graph or of each graph of a stack."""
-    beta = state.loss.beta
+    beta = state.beta
     diff = state.a_rec - state.a_target
     dxhat = 4.0 * diff @ state.xhat
 
@@ -336,12 +353,10 @@ def backward(
         dh = 2.0 * beta * (state.h - state.sel.quantized) + dq_recon
         entry_rows, indices = 2.0 * (state.sel.quantized - state.h), state.sel.indices
 
-    s2 = state.anorm @ np.maximum(state.z1, 0.0)
-    dw2 = _transposed(s2) @ dh
+    dw2 = _transposed(state.s2) @ dh
     dz2 = (state.anorm @ dh) @ enc.w2.T
     dz1 = dz2 * (state.z1 > 0.0)
-    s1 = state.anorm @ state.x
-    dw1 = _transposed(s1) @ dz1
+    dw1 = _transposed(state.ax) @ dz1
     k = 0 if cb is None else cb.k
     return Gradients(w1=dw1, w2=dw2, wd=dwd, entry_rows=entry_rows, indices=indices, k=k)
 
@@ -359,7 +374,9 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """Update parameter arrays in place."""
+        """Update parameter arrays, and the moments, in place:
+        m = b1·m + (1 − b1)·g, v = b2·v + (1 − b2)·g·g and
+        p −= lr·(m / c1) / (√(v / c2) + eps), each operation in that order."""
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
@@ -368,11 +385,21 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
-            self.m[name] = self.b1 * self.m[name] + (1.0 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1.0 - self.b2) * g * g
-            m_hat = self.m[name] / c1
-            v_hat = self.v[name] / c2
-            p -= self.lrs[name] * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self.m[name], self.v[name]
+            scratch = np.multiply(g, 1.0 - self.b1)
+            m *= self.b1
+            m += scratch
+            np.multiply(g, 1.0 - self.b2, out=scratch)
+            scratch *= g
+            v *= self.b2
+            v += scratch
+            np.divide(m, c1, out=scratch)
+            scratch *= self.lrs[name]
+            denom = v / c2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            scratch /= denom
+            p -= scratch
 
 
 @dataclass

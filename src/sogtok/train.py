@@ -239,6 +239,63 @@ def _walk(
         yield stacks
 
 
+def _add_entry_rows(sums: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> None:
+    """Add rows to the codebook sums (K, d) of their entries, in place, where
+    keys[i] = graph · K + entry of rows[i] and graphs are numbered in walk
+    order: each graph's rows summed per entry in row order, then those sums
+    added to the entries graph by graph. np.bincount adds its weights in input
+    order, so the sums get the bytes of np.add.at in those orders."""
+    k, d = sums.shape
+    keys, inverse = np.unique(keys, return_inverse=True)
+    entries, slot = np.unique(keys % k, return_inverse=True)
+    cols = np.arange(d)
+    per_key = np.bincount((inverse[:, None] * d + cols).ravel(), weights=rows.ravel(),
+                          minlength=len(keys) * d)
+    # the entries' current sums come first, then the graphs' sums (keys ascend)
+    bins = np.concatenate([np.arange(len(entries) * d), (slot[:, None] * d + cols).ravel()])
+    sums[entries] = np.bincount(bins, weights=np.concatenate([sums[entries].ravel(), per_key])
+                                ).reshape(-1, d)
+
+
+class _Tally:
+    """What an epoch's log reads of a walk over every graph: each graph's
+    losses (recon, gap, total), added up in dataset order, and whether each
+    entry was selected."""
+
+    def __init__(self, graphs: int, k: int):
+        self.losses = np.empty((graphs, 3))
+        self.used = np.zeros(k, dtype=bool)
+
+    def add(self, at: np.ndarray, state: ForwardState) -> bool:
+        """Record a stack's graphs; False when a total loss is not finite. The
+        loss terms are sums of squares, so the mean is then not finite either."""
+        self.losses[at, 0] = state.loss.reconstruction
+        self.losses[at, 1] = state.loss.update
+        self.losses[at, 2] = state.loss.total
+        if state.sel is not None:
+            self.used[state.sel.indices] = True
+        return bool(np.isfinite(self.losses[at, 2]).all())
+
+    def log(self, epoch: int, quantized: bool) -> EpochLog:
+        """The epoch's log; NonFiniteLoss when the mean total loss is not finite."""
+        sums = np.zeros(3)
+        for row in self.losses:  # dataset order
+            sums += row
+        mean_recon, mean_gap, mean_total = sums / len(self.losses)
+        if not np.isfinite(mean_total):
+            raise NonFiniteLoss(epoch, f"mean total loss {mean_total}")
+        k, selected = len(self.used), int(self.used.sum())
+        return EpochLog(
+            epoch=epoch,
+            recon=mean_recon,
+            update=mean_gap,
+            commit=mean_gap,
+            total=mean_total,
+            utilization=selected / k if quantized else 0.0,
+            dead_entries=k - selected if quantized else k,
+        )
+
+
 def _gather_rows(
     table: np.ndarray, buckets: list[PreparedBucket], enc: EncoderParams, counts: np.ndarray,
     take: slice,
@@ -286,8 +343,12 @@ def train(
     backward pass, and all latent rows of a block go through one quantize()
     call. Per-graph losses and gradients are added up one graph at a time: the
     logged losses in dataset order, a minibatch's gradients in the declared
-    order, each stack's as soon as its backward pass returns. So every sum has
-    the bytes of a loop over single graphs in those orders."""
+    order, the dense ones as soon as a stack's backward pass returns and the
+    codebook's once per block (_add_entry_rows). So every sum has the bytes of
+    a loop over single graphs in those orders. An epoch logs the loss of the
+    parameters it starts with: a full-batch epoch takes it from its update
+    walk, which is evaluation's walk at those parameters, and a minibatch
+    epoch evaluates first."""
     if not dataset:
         raise EmptyDataset("training requires at least one graph")
     if embedder is None:
@@ -311,60 +372,52 @@ def train(
         if cb is not None:
             found = quantize(np.concatenate([h.reshape(-1, cfg.d) for h, _ in encoded]), cb)
         start = 0
-        for (at, a, anorm, x), (h, z1) in zip(stacks, encoded):
+        for (at, a, anorm, x), (h, products) in zip(stacks, encoded):
             sel = None if found is None else found.part(start, h.shape)
             start += h.shape[0] * h.shape[1]
-            yield at, forward(a, anorm, x, enc, dec, cb, cfg.beta, encoded=(h, z1), sel=sel)
+            yield at, forward(a, anorm, x, enc, dec, cb, cfg.beta, encoded=(h, products), sel=sel)
 
     def evaluate(epoch: int, cb: Codebook | None) -> EpochLog:
-        """Loss of the current parameters over the whole dataset."""
-        losses = np.empty((len(dataset), 3))  # recon, gap, total
-        used = np.zeros(cfg.k, dtype=bool)
+        """Log of the current parameters over the whole dataset."""
+        walked = _Tally(len(dataset), cfg.k)
         for stacks in _walk(table, buckets):
             for at, state in block_pass(stacks, cb):
-                losses[at, 0] = state.loss.reconstruction
-                losses[at, 1] = state.loss.update
-                losses[at, 2] = state.loss.total
-                if state.sel is not None:
-                    used[state.sel.indices] = True
-        sums = np.zeros(3)
-        for row in losses:  # dataset order
-            sums += row
-        mean_recon, mean_gap, mean_total = sums / len(dataset)
-        if not np.isfinite(mean_total):
-            raise NonFiniteLoss(epoch, f"mean total loss {mean_total}")
-        selected = int(used.sum())
-        return EpochLog(
-            epoch=epoch,
-            recon=mean_recon,
-            update=mean_gap,
-            commit=mean_gap,
-            total=mean_total,
-            utilization=selected / cfg.k if cb is not None else 0.0,
-            dead_entries=cfg.k - selected if cb is not None else cfg.k,
-        )
+                walked.add(at, state)
+        return walked.log(epoch, cb is not None)
 
-    def update_pass(cb: Codebook | None, opt: Adam, params: dict) -> None:
+    def epoch_pass(epoch: int, cb: Codebook | None, opt: Adam, params: dict) -> EpochLog:
+        """The log of the parameters the epoch starts with, then one Adam step
+        per minibatch. One batch of the whole dataset walks the blocks that
+        evaluation walks, at the same parameters, so its own forward states
+        give the log, checked before the step."""
+        batches = _minibatches(len(dataset), cfg.batch_size, rng)
+        walked = _Tally(len(dataset), cfg.k) if len(batches) == 1 else None
+        log = evaluate(epoch, cb) if walked is None else None
         dense = [name for name in params if name != "codebook"]
-        for batch in _minibatches(len(dataset), cfg.batch_size, rng):
+        for batch in batches:
             sums = {name: np.zeros_like(p) for name, p in params.items()}
             for stacks in _walk(table, buckets, place[batch]):
-                for _, state in block_pass(stacks, cb):
+                entry_keys, entry_rows = [], []  # the block's update-term rows
+                for at, state in block_pass(stacks, cb):
+                    if walked is not None and not walked.add(at, state):
+                        continue  # the log raises NonFiniteLoss before the step
                     grads = backward(state, enc, dec, cb)
                     for name in dense:
                         for graph_grad in getattr(grads, name):
                             sums[name] += graph_grad
                     if grads.entry_rows is not None:
-                        # each graph's rows summed per entry in row order, then
-                        # added to the entries graph by graph
-                        graph = np.arange(len(grads.indices))[:, None]
-                        keys = (graph * cfg.k + grads.indices).ravel()
-                        keys, inverse = np.unique(keys, return_inverse=True)
-                        per_graph = np.zeros((len(keys), cfg.d))
-                        np.add.at(per_graph, inverse, grads.entry_rows.reshape(-1, cfg.d))
-                        np.add.at(sums["codebook"], keys % cfg.k, per_graph)
-            factor = 1.0 / len(batch)
-            opt.step(params, {name: total * factor for name, total in sums.items()})
+                        # a graph's place numbers it in walk order
+                        entry_keys.append((place[at][:, None] * cfg.k + grads.indices).ravel())
+                        entry_rows.append(grads.entry_rows.reshape(-1, cfg.d))
+                if entry_keys:
+                    _add_entry_rows(sums["codebook"], np.concatenate(entry_keys),
+                                    np.concatenate(entry_rows))
+            if walked is not None:
+                log = walked.log(epoch, cb is not None)
+            for total in sums.values():
+                total *= 1.0 / len(batch)
+            opt.step(params, sums)
+        return log
 
     def snapshot(epoch: int, cb: Codebook | None) -> None:
         if checkpoint_dir is None:
@@ -385,8 +438,7 @@ def train(
     warm_opt = Adam({"w1": cfg.lr_warmup, "w2": cfg.lr_warmup, "wd": cfg.lr_warmup})
     warm_params = {"w1": enc.w1, "w2": enc.w2, "wd": dec.wd}
     for _ in range(cfg.warmup_epochs):
-        logs.append(evaluate(epoch, None))
-        update_pass(None, warm_opt, warm_params)
+        logs.append(epoch_pass(epoch, None, warm_opt, warm_params))
         snapshot(epoch, None)
         epoch += 1
 
@@ -402,8 +454,7 @@ def train(
     )
     joint_params = {"w1": enc.w1, "w2": enc.w2, "wd": dec.wd, "codebook": cb.entries}
     for _ in range(cfg.joint_epochs):
-        logs.append(evaluate(epoch, cb))
-        update_pass(cb, joint_opt, joint_params)
+        logs.append(epoch_pass(epoch, cb, joint_opt, joint_params))
         snapshot(epoch, cb)
         epoch += 1
     logs.append(evaluate(epoch, cb))

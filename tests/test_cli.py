@@ -537,25 +537,30 @@ def test_single_character_corruptions_exit_0_or_2(trained, tmp_path, capsys, kin
     assert set(codes) == {0, 2}
 
 
-def _corruption_codes(path, line: str, first: str, argv: list[str], capsys) -> set[int]:
-    """Write each one-character deletion and a seeded sample of substitutions
-    of line after the line first, and run argv on each; every run exits 0,
-    or 2 with one error line, and no exception escapes main."""
+def _corruption_codes(path, line: str, first: str, argv: list[str], capsys,
+                      deletions: int | None = None) -> set[int]:
+    """Write each one-character deletion (a seeded sample of that many, given
+    deletions) and a seeded sample of substitutions of line after the text
+    first, and run argv on each; every run exits 0, or 2 with one error line,
+    or 1 with one error line that names a file that is not there (a replayed
+    manifest can name one), and no exception escapes main."""
     rng = np.random.default_rng(17)
-    mutants = {line[:k] + line[k + 1:] for k in range(len(line))}
+    cuts = range(len(line)) if deletions is None else rng.integers(len(line), size=deletions)
+    mutants = {line[:k] + line[k + 1:] for k in cuts}
     for k, ch in zip(rng.integers(len(line), size=80), rng.choice(MUTANT_CHARS, size=80)):
         mutants.add(line[:k] + ch + line[k + 1:])
     mutants.discard(line)
     codes = set()
     for mutant in sorted(mutants):
-        path.write_text(first + "\n" + mutant + "\n", encoding="utf-8")
+        path.write_text(first + mutant + "\n", encoding="utf-8")
         code = main(argv)
         err = capsys.readouterr().err
-        assert code in (0, 2), mutant
-        if code == 2:
-            assert re.fullmatch(r"error: [^\n]+\n", err), (mutant, err)
-        else:
+        assert code in (0, 1, 2), mutant
+        if code == 0:
             assert err == "", mutant
+        else:
+            assert re.fullmatch(r"error: [^\n]+\n", err), (mutant, err)
+            assert code == 2 or "No such file or directory" in err, (mutant, err)
         codes.add(code)
     return codes
 
@@ -564,7 +569,7 @@ def test_node_list_single_character_corruptions_exit_0_or_2(dataset, trained, tm
     nodes = tmp_path / "nodes.txt"
     argv = ["tokenize", "--data", str(dataset), "--checkpoint", str(trained / "model.sogtok"),
             "--out", str(tmp_path / "t"), "--node-level", "--nodes", str(nodes)]
-    assert _corruption_codes(nodes, "cycle_001 4", "star_000 0", argv, capsys) == {0, 2}
+    assert _corruption_codes(nodes, "cycle_001 4", "star_000 0\n", argv, capsys) == {0, 2}
 
 
 def test_responses_single_character_corruptions_exit_0_or_2(tmp_path, capsys):
@@ -574,8 +579,77 @@ def test_responses_single_character_corruptions_exit_0_or_2(tmp_path, capsys):
     responses = tmp_path / "responses.jsonl"
     argv = ["eval", "--responses", str(responses), "--data", str(data), "--out", str(tmp_path / "e")]
     line = json.dumps({"id": "g1", "text": "Yes, active.", "score": 0.75})
-    first = json.dumps({"id": "g0", "text": "No", "score": 0.25})
+    first = json.dumps({"id": "g0", "text": "No", "score": 0.25}) + "\n"
     assert _corruption_codes(responses, line, first, argv, capsys) == {0, 2}
+
+
+@pytest.fixture
+def prompt_inputs(trained, tmp_path):
+    """gen-prompts inputs: unlabelled molecules, a label CSV and an embedding
+    table with a line for every attribute string the molecules use."""
+    from sogtok.attributes import GLOBAL_ATTRIBUTE, attribute_buckets
+    from sogtok.ingest import parse_graph_file
+
+    model = load_checkpoint(trained / "model.sogtok")
+    mols = tmp_path / "mols.jsonl"
+    mols.write_text("".join(json.dumps({"id": f"mol{i}", "smiles": smiles}) + "\n" for i, smiles in
+                            enumerate(["CCO", "c1ccccc1", "CC(=O)N", "C1CC1C", "OCCN", "CCCC"])))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,label,note\n" + "".join(f"mol{i},{i % 2},note {i}\n" for i in range(6)))
+    strings = {GLOBAL_ATTRIBUTE}
+    for _, _, maps in attribute_buckets(parse_graph_file(mols.read_bytes()), model.strategy):
+        strings.update(s for attrs in maps for s in attrs.attribute_of)
+    embedder = HashingEmbedder(dim=model.d_s)
+    table = tmp_path / "table.tsv"
+    table.write_text("".join(f"{s}\t" + ",".join(f"{v:.3g}" for v in embedder.embed(s)) + "\n"
+                             for s in sorted(strings)))
+    argv = ["gen-prompts", "--data", str(mols), "--checkpoint", str(trained / "model.sogtok"),
+            "--out", str(tmp_path / "p"), "--seed", "5", "--task", "BBBP_p_np",
+            "--labels", str(labels), "--embed-table", str(table)]
+    return argv, labels, table
+
+
+def _split_last_line(path) -> tuple[str, str]:
+    """A file's text before its last line, and that line."""
+    *first, line = path.read_text().splitlines(keepends=True)
+    return "".join(first), line.rstrip("\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_label_csv_single_character_corruptions_exit_0_or_2(prompt_inputs, capsys):
+    argv, labels, _ = prompt_inputs
+    first, line = _split_last_line(labels)
+    assert _corruption_codes(labels, line, first, argv, capsys) == {0, 2}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_embed_table_single_character_corruptions_exit_0_or_2(prompt_inputs, capsys):
+    argv, _, table = prompt_inputs
+    first, line = _split_last_line(table)
+    assert _corruption_codes(table, line, first, argv, capsys) == {0, 2}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_replayed_manifest_single_character_corruptions_exit_0_1_or_2(prompt_inputs, tmp_path, capsys):
+    """A replayed manifest exits 0, or 2 for a bad value; a corrupted path may
+    name no file, and those runs exit 1, an I/O failure."""
+    argv, _, _ = prompt_inputs
+    assert main(argv) == 0
+    manifest = tmp_path / "manifest.json"
+    line = json.dumps(json.loads((tmp_path / "p" / "manifest.json").read_text()))
+    replay = ["gen-prompts", "--from-manifest", str(manifest), "--out", str(tmp_path / "r")]
+    assert _corruption_codes(manifest, line, "", replay, capsys, deletions=120) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_embed_table_non_finite_exit_2(prompt_inputs, value):
+    argv, _, table = prompt_inputs
+    lines = table.read_text().splitlines()
+    key, values = lines[2].split("\t")
+    lines[2] = key + "\t" + ",".join([value] + values.split(",")[1:])
+    table.write_text("\n".join(lines) + "\n")
+    proc = _run_cli(*argv)
+    _assert_one_line_error(proc, f"embedding table line 3: non-finite value in '{value},")
 
 
 @pytest.mark.parametrize("command", [["stats"], ["gen-corpus", "--kinds", "simjudge"]])

@@ -74,6 +74,28 @@ def test_divergence_aborts_with_nonfinite_loss():
     assert err.value.epoch >= 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_full_batch_divergence_differentiates_no_non_finite_state(monkeypatch):
+    """A full-batch epoch logs from its update walk: a stack whose loss is not
+    finite is not differentiated, and NonFiniteLoss comes before the step."""
+    import sogtok.train as train_module
+    from sogtok.errors import NonFiniteLoss
+
+    backward, finite = train_module.backward, []
+
+    def checked_backward(state, *args):
+        finite.append(bool(np.isfinite(state.loss.total).all()))
+        return backward(state, *args)
+
+    monkeypatch.setattr(train_module, "backward", checked_backward)
+    graphs = [cycle_graph(5, "c5"), star_graph(5, "s5")]
+    cfg = TrainConfig(k=4, warmup_epochs=6, joint_epochs=0, seed=1, lr_warmup=1e150, d_s=16, d=8, d_r=4)
+    with pytest.raises(NonFiniteLoss):
+        train(graphs, cfg)
+    assert finite and all(finite)
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         TrainConfig(k=1)
@@ -328,6 +350,9 @@ ORACLE_CASES = {
     "no_warmup": dict(k=8, batch_size=7, warmup_epochs=0),
     "one_dimensional": dict(k=4, batch_size=7, d_s=1, d_h=1, d=1, d_r=1),
     "one_dimensional_global_share": dict(k=4, batch_size=None, d_s=1, d_h=1, d=1, d_r=1, global_share=0.5),
+    # two entries: a graph's rows share entries, and so do the graphs of a block
+    "collapsed_codebook": dict(k=2, batch_size=32),
+    "collapsed_codebook_full_batch": dict(k=2, batch_size=None),
 }
 
 
@@ -405,6 +430,28 @@ def test_minibatch_blocks_split_only_between_node_counts(monkeypatch):
     for batch, made in zip(batches, calls):
         sizes = {graphs[i].n for i in batch}
         assert made <= math.ceil(len(batch) / train_module.TRAIN_BLOCK) + len(sizes) - 1
+
+
+@pytest.mark.parametrize("batch_size", [None, 32])
+def test_full_batch_epoch_walks_the_graphs_once(monkeypatch, batch_size):
+    """A full-batch update pass walks evaluation's blocks at the same
+    parameters and logs the epoch from its own forward states: n graphs go
+    through forward() per epoch, plus n for the closing evaluation. Minibatch
+    epochs evaluate first, so they take 2n."""
+    import sogtok.train as train_module
+
+    forward, passed = train_module.forward, [0]
+
+    def counted_forward(a_target, *args, **kwargs):
+        passed[0] += len(a_target)  # a stack of graphs
+        return forward(a_target, *args, **kwargs)
+
+    monkeypatch.setattr(train_module, "forward", counted_forward)
+    graphs = _mixed_sizes(41, seed=0)
+    train(graphs, TrainConfig(k=8, warmup_epochs=2, joint_epochs=3, seed=5, d_s=16, d=8, d_r=4,
+                              lr_gcn=2e-3, lr_codebook=1e-2, batch_size=batch_size))
+    n = len(graphs)
+    assert passed[0] == 5 * (n if batch_size is None else 2 * n) + n
 
 
 def _epoch_memory(graphs, cfg) -> int:
