@@ -4,6 +4,10 @@ Every node is located relative to an anchor of maximal importance: the
 anchor itself, then "first-hop neighbor #1", "second-hop neighbor #3", and
 so on, with within-hop numbering by descending importance. The virtual
 global node carries a fixed attribute string of its own.
+
+Graphs are ranked in buckets of equal node counts. The encoder reads only
+each node's index into its bucket's distinct strings (attribute_buckets);
+the full per-node maps (attribute_maps) are built where they are read.
 """
 
 from __future__ import annotations
@@ -211,29 +215,30 @@ def _attribute_string(hop: int, rank: int) -> str:
     return hop_attribute(hop, rank)
 
 
+def _attribute_index(r: _Ranked) -> tuple[np.ndarray, list[str]]:
+    """Each node's index into the bucket's distinct attribute strings, (B, n),
+    and those strings in order of first appearance, graph by graph and then
+    node by node."""
+    n = r.hop.shape[1]
+    code = (r.hop + 1) * (n + 1) + r.rank
+    distinct, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    index = np.empty_like(by_first)
+    index[by_first] = np.arange(len(by_first))
+    names = [_attribute_string(int(c) // (n + 1) - 1, int(c) % (n + 1)) for c in distinct[by_first]]
+    return index[inverse].reshape(code.shape), names
+
+
 def attribute_buckets(
     graphs: list[Graph], strategy: ImportanceStrategy
-) -> Iterator[tuple[list[int], np.ndarray, list[StructuralAttributeMap]]]:
-    """attribute_maps() computed per bucket of graphs with equal node counts:
-    yields the positions of the bucket's graphs in `graphs`, their (B, n, n)
-    boolean adjacency and their maps."""
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, list[str]]]:
+    """The graphs' attribute strings per bucket of equal node counts, in the
+    order of attribute_maps(): yields the positions of the bucket's graphs in
+    `graphs`, their (B, n, n) boolean adjacency, each node's index (B, n) into
+    the bucket's distinct strings, and those strings in order of first
+    appearance, graph by graph and then node by node."""
     for r in _ranked_buckets(graphs, strategy):
-        n = r.hop.shape[1]
-        code = (r.hop + 1) * (n + 1) + r.rank
-        distinct, inverse = np.unique(code, return_inverse=True)
-        names = [_attribute_string(int(c) // (n + 1) - 1, int(c) % (n + 1)) for c in distinct]
-        maps = [
-            StructuralAttributeMap(
-                anchor=row[0],
-                hop_of=tuple([h if h >= 0 else None for h in hops]),
-                rank_of=tuple(ranks),
-                attribute_of=tuple([names[i] for i in idx]),
-            )
-            for row, hops, ranks, idx in zip(
-                r.order.tolist(), r.hop.tolist(), r.rank.tolist(), inverse.reshape(code.shape).tolist()
-            )
-        ]
-        yield r.positions, r.adjacency, maps
+        yield r.positions, r.adjacency, *_attribute_index(r)
 
 
 def attribute_maps(graphs: list[Graph], strategy: ImportanceStrategy) -> list[StructuralAttributeMap]:
@@ -245,9 +250,17 @@ def attribute_maps(graphs: list[Graph], strategy: ImportanceStrategy) -> list[St
     within its BFS hop from the anchor, or among the unreachable nodes, in
     the same order."""
     maps: list[StructuralAttributeMap | None] = [None] * len(graphs)
-    for positions, _, bucket in attribute_buckets(graphs, strategy):
-        for pos, attrs in zip(positions, bucket):
-            maps[pos] = attrs
+    for r in _ranked_buckets(graphs, strategy):
+        index, names = _attribute_index(r)
+        for pos, row, hops, ranks, idx in zip(
+            r.positions, r.order.tolist(), r.hop.tolist(), r.rank.tolist(), index.tolist()
+        ):
+            maps[pos] = StructuralAttributeMap(
+                anchor=row[0],
+                hop_of=tuple([h if h >= 0 else None for h in hops]),
+                rank_of=tuple(ranks),
+                attribute_of=tuple([names[i] for i in idx]),
+            )
     return maps
 
 
@@ -332,8 +345,9 @@ class TableEmbedder:
 
 def load_embedding_table(text: str, dim: int) -> TableEmbedder:
     """Parse 'attribute<TAB>floats' lines into a TableEmbedder; every value
-    must be finite."""
+    must be finite, and each attribute string must appear on one line only."""
     table: dict[str, np.ndarray] = {}
+    line_of: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -354,6 +368,9 @@ def load_embedding_table(text: str, dim: int) -> TableEmbedder:
             raise ValidationError(
                 f"embedding table line {line_no}: non-finite value in {values.strip()!r}"
             )
+        if key in line_of:
+            raise ValidationError(f"embedding table line {line_no}: {key!r} repeats line {line_of[key]}")
+        line_of[key] = line_no
         table[key] = vec
     return TableEmbedder(table, dim)
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attributes import STRATEGY_KINDS, HashingEmbedder, ImportanceStrategy, load_embedding_table
+from .attributes import STRATEGY_KINDS, HashingEmbedder, ImportanceStrategy, attribute_maps, load_embedding_table
 from .corpus import (
     KINDS,
     SimilarityThresholds,
@@ -177,6 +177,8 @@ def cmd_tokenize(cfg: dict, manifest: dict) -> None:
         def centers():
             for g in graphs:
                 for v in range(g.n) if listed is None else listed.get(g.id, ()):
+                    if v >= g.n:
+                        raise ValidationError(f"node {v} out of range for graph {g.id!r} with {g.n} nodes")
                     fed.append((g.id, v))
                     yield g, v
 
@@ -210,14 +212,15 @@ def cmd_gen_corpus(cfg: dict, manifest: dict) -> None:
     records = []
     ids, tokens, global_rows = [], [], []
     if "simjudge" in kinds or "descmatch" in kinds:
-        # one embedding per graph gives its token, its simjudge row and the
-        # attribute map that names its nodes in descmatch; a block's graphs
-        # are dropped once its descmatch records are made
+        # one embedding per graph gives its token and its simjudge row;
+        # descmatch ranks a block's graphs again for the maps that name their
+        # nodes. A block's graphs are dropped once its records are made
         def kept(b):
             block_ids = [g.id for g in b.graphs]
             block_records = []
             if "descmatch" in kinds:
-                block_records = gen_descmatch_records(b.graphs, dict(zip(block_ids, b.tokens)), b.attrs)
+                block_records = gen_descmatch_records(b.graphs, dict(zip(block_ids, b.tokens)),
+                                                      attribute_maps(b.graphs, model.strategy))
             return block_ids, b.tokens, b.rows, block_records
 
         for block_ids, block_tokens, rows, block_records in encoded_blocks(

@@ -289,20 +289,6 @@ class Gradients:
     # no row was quantized (warm-up).
     entry_rows: np.ndarray | None  # 2 (q - h), shaped like h
     indices: np.ndarray | None  # each row's entry, shaped like h without its last axis
-    k: int  # codebook size
-
-    @property
-    def codebook(self) -> np.ndarray | None:
-        """Dense gradient on the codebook, (K, d) per graph: each graph's
-        entry_rows added to their entries in row order."""
-        if self.entry_rows is None:
-            return None
-        *batch, m, d = self.entry_rows.shape
-        graphs = math.prod(batch)
-        dcb = np.zeros((graphs * self.k, d))
-        keys = np.repeat(np.arange(graphs) * self.k, m) + self.indices.ravel()
-        np.add.at(dcb, keys, self.entry_rows.reshape(-1, d))
-        return dcb.reshape(*batch, self.k, d)
 
 
 def forward(
@@ -357,8 +343,7 @@ def backward(
     dz2 = (state.anorm @ dh) @ enc.w2.T
     dz1 = dz2 * (state.z1 > 0.0)
     dw1 = _transposed(state.ax) @ dz1
-    k = 0 if cb is None else cb.k
-    return Gradients(w1=dw1, w2=dw2, wd=dwd, entry_rows=entry_rows, indices=indices, k=k)
+    return Gradients(w1=dw1, w2=dw2, wd=dwd, entry_rows=entry_rows, indices=indices)
 
 
 class Adam:

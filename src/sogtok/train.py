@@ -5,6 +5,10 @@ decoder reads the continuous embeddings; the codebook is untouched).
 The codebook is then initialized by seeded k-means over the gathered
 node+global embeddings, and phase 2 jointly optimizes the full three-term
 loss with separate learning rates for the GCN/decoder and the codebook.
+
+Training and the read path share prepare_graphs(): it takes each node's
+index into its size bucket's distinct attribute strings from the ranking and
+keeps table row numbers, so neither builds a per-node attribute map.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .attributes import (
     GLOBAL_ATTRIBUTE,
     HashingEmbedder,
     ImportanceStrategy,
-    StructuralAttributeMap,
     attribute_buckets,
 )
 from .errors import DimensionMismatch, EmptyDataset, NonFiniteLoss, ValidationError
@@ -106,7 +109,6 @@ class PreparedBucket:
     epochs."""
 
     positions: np.ndarray  # the graphs' indices in the list given to prepare_graphs()
-    attrs: list[StructuralAttributeMap]
     a_target: np.ndarray  # (B, m, m) bool adjacency (augmented unless include_global=False), reconstruction target
     anorm: np.ndarray  # (B, m, m)
     x_index: np.ndarray  # (B, m): x's rows of the table, global row last
@@ -118,31 +120,29 @@ def prepare_graphs(
     """Encoder inputs of the graphs, one bucket per node count (a large count
     may take several); the virtual global node is appended unless
     include_global=False. Each distinct attribute string is embedded once,
-    into the returned table; a graph's features are x = table[x_index], so
-    the buckets hold row numbers, not a vector per node."""
+    into the returned table, whose rows follow the strings' first appearance
+    in bucket order; a graph's features are x = table[x_index], so the
+    buckets hold row numbers, not a vector per node."""
     if not graphs:
         return np.empty((0, embedder.dim)), []
-    buckets = list(attribute_buckets(graphs, strategy))
     row_of: dict[str, int] = {GLOBAL_ATTRIBUTE: 0} if include_global else {}
-    codes = [
-        [[row_of.setdefault(s, len(row_of)) for s in attrs.attribute_of] for attrs in maps]
-        for _, _, maps in buckets
-    ]
+    prepared = []
+    for positions, adjacency, index, names in attribute_buckets(graphs, strategy):
+        rows = np.array([row_of.setdefault(s, len(row_of)) for s in names], dtype=np.intp)
+        b, n, _ = adjacency.shape
+        m = n + include_global
+        a = np.zeros((b, m, m), dtype=bool)
+        a[:, :n, :n] = adjacency
+        x_index = np.zeros((b, m), dtype=np.intp)  # a global node's column keeps row 0
+        x_index[:, :n] = rows[index]
+        if include_global:
+            a[:, :n, n] = a[:, n, :n] = True
+        prepared.append(PreparedBucket(np.array(positions), a, normalized_adjacency(a), x_index))
     table = np.vstack([embedder.embed(s) for s in row_of])
     if table.shape[1] != embedder.dim:
         raise DimensionMismatch(
             f"embedder produced dimension {table.shape[1]}, configured {embedder.dim}"
         )
-    prepared = []
-    for (positions, adjacency, maps), code in zip(buckets, codes):
-        b, n, _ = adjacency.shape
-        m = n + include_global
-        a = np.zeros((b, m, m), dtype=bool)
-        a[:, :n, :n] = adjacency
-        if include_global:
-            a[:, :n, n] = a[:, n, :n] = True
-            code = [row + [0] for row in code]
-        prepared.append(PreparedBucket(np.array(positions), maps, a, normalized_adjacency(a), np.array(code)))
     return table, prepared
 
 
@@ -278,10 +278,8 @@ class _Tally:
 
     def log(self, epoch: int, quantized: bool) -> EpochLog:
         """The epoch's log; NonFiniteLoss when the mean total loss is not finite."""
-        sums = np.zeros(3)
-        for row in self.losses:  # dataset order
-            sums += row
-        mean_recon, mean_gap, mean_total = sums / len(self.losses)
+        # a cumulative sum adds the rows one at a time, in dataset order
+        mean_recon, mean_gap, mean_total = np.cumsum(self.losses, axis=0)[-1] / len(self.losses)
         if not np.isfinite(mean_total):
             raise NonFiniteLoss(epoch, f"mean total loss {mean_total}")
         k, selected = len(self.used), int(self.used.sum())
@@ -483,7 +481,6 @@ class EncodedBlock:
     """One block of the read path, handed to the function that uses it."""
 
     graphs: list[Graph]
-    attrs: list[StructuralAttributeMap]  # each graph's attribute map
     rows: np.ndarray  # the rows h[take] of each graph's latent rows h, stacked in graph order
     tokens: list[int]  # each row's nearest codebook entry
 
@@ -496,11 +493,7 @@ def _encode_block(
     table, buckets = prepare_graphs(block, model.strategy, embedder, include_global)
     counts = np.array([len(range(g.n + include_global)[take]) for g in block])  # rows of each h[take]
     rows = _gather_rows(table, buckets, model.enc, counts, take)
-    attrs: list[StructuralAttributeMap | None] = [None] * len(block)
-    for bucket in buckets:
-        for pos, a in zip(bucket.positions, bucket.attrs):
-            attrs[pos] = a
-    return use(EncodedBlock(block, attrs, rows, nearest(rows, model.codebook.entries).tolist()))
+    return use(EncodedBlock(block, rows, nearest(rows, model.codebook.entries).tolist()))
 
 
 def encoded_blocks(
@@ -513,13 +506,13 @@ def encoded_blocks(
 ) -> Iterator[T]:
     """The read path: prepare graphs READ_BLOCK at a time and encode each
     block in the stacks of _walk, which bound the encoder's temporaries as in
-    training. Yields use(block) for each block, lazily: its graphs, their
-    attribute maps, the rows h[take] of their latent rows h (global row last
-    unless include_global=False), stacked in graph order, and each row's
-    token, the index of its nearest codebook entry, found by one search of the
-    block. A row's entry does not depend on the other rows, so a graph's
-    <SOG_k> is the token of its global row whatever else is taken.
-    graphs may be a lazy iterable. A block lives only while use() runs, so
+    training. Yields use(block) for each block, lazily: its graphs, the rows
+    h[take] of their latent rows h (global row last unless
+    include_global=False), stacked in graph order, and each row's token, the
+    index of its nearest codebook entry, found by one search of the block.
+    A row's entry does not depend on the other rows, so a graph's <SOG_k> is
+    the token of its global row whatever else is taken. graphs may be a lazy
+    iterable. A block lives only while use() runs, so
     what use() returns is all that a caller can hold of it while the next
     block is read and prepared."""
     if embedder is None:

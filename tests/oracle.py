@@ -2,10 +2,13 @@
 checked against: the attribute rule, its strictness test and graph
 preparation, one graph at a time with Python sorts and a queue-based BFS;
 k-means with one mask per cluster; training one graph at a time; the
-closure-driven SMILES parser that builds one `Atom` per atom; and scaffold
-grouping by one `are_isomorphic` call per member and representative."""
+closure-driven SMILES parser that builds one `Atom` per atom; scaffold
+grouping by one `are_isomorphic` call per member and representative; and the
+dense per-graph codebook gradient."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -143,6 +146,20 @@ def has_strict_ranking(g: Graph, strategy) -> bool:
     return strict(unreachable) and all(strict(members) for members in by_hop.values())
 
 
+def codebook_gradient(grads, k: int) -> np.ndarray | None:
+    """Dense gradient on a codebook of k entries, (k, d) per graph of grads:
+    each graph's entry_rows added to their entries in row order; None when
+    no row was quantized (warm-up)."""
+    if grads.entry_rows is None:
+        return None
+    *batch, m, d = grads.entry_rows.shape
+    graphs = math.prod(batch)
+    dcb = np.zeros((graphs * k, d))
+    keys = np.repeat(np.arange(graphs) * k, m) + grads.indices.ravel()
+    np.add.at(dcb, keys, grads.entry_rows.reshape(-1, d))
+    return dcb.reshape(*batch, k, d)
+
+
 def prepare_graph(g: Graph, strategy, embedder, include_global: bool = True):
     """(a_target, anorm, x) of g, one graph at a time."""
     x = embed_attributes(assign_attributes(g, strategy), embedder, include_global=include_global)
@@ -213,7 +230,7 @@ def train(dataset: list[Graph], cfg, checkpoint_dir=None, embedder=None):
                 state = forward(a_target, anorm, x, enc, dec, cb, cfg.beta)
                 grads = backward(state, enc, dec, cb)
                 for name, total in sums.items():
-                    total += getattr(grads, name)
+                    total += codebook_gradient(grads, cfg.k) if name == "codebook" else getattr(grads, name)
             factor = 1.0 / len(batch)
             opt.step(params, {name: total * factor for name, total in sums.items()})
 

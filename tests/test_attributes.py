@@ -325,3 +325,5 @@ def test_load_embedding_table():
     assert np.array_equal(emb.embed("anchor node"), [1.0, 0.0])
     with pytest.raises(DimensionMismatch):
         load_embedding_table(text, dim=3)
+    with pytest.raises(ValidationError, match="line 3: 'anchor node' repeats line 1"):
+        load_embedding_table(text + "anchor node\t0.0,2.0\n", dim=2)

@@ -587,7 +587,7 @@ def test_responses_single_character_corruptions_exit_0_or_2(tmp_path, capsys):
 def prompt_inputs(trained, tmp_path):
     """gen-prompts inputs: unlabelled molecules, a label CSV and an embedding
     table with a line for every attribute string the molecules use."""
-    from sogtok.attributes import GLOBAL_ATTRIBUTE, attribute_buckets
+    from sogtok.attributes import GLOBAL_ATTRIBUTE, attribute_maps
     from sogtok.ingest import parse_graph_file
 
     model = load_checkpoint(trained / "model.sogtok")
@@ -597,8 +597,8 @@ def prompt_inputs(trained, tmp_path):
     labels = tmp_path / "labels.csv"
     labels.write_text("id,label,note\n" + "".join(f"mol{i},{i % 2},note {i}\n" for i in range(6)))
     strings = {GLOBAL_ATTRIBUTE}
-    for _, _, maps in attribute_buckets(parse_graph_file(mols.read_bytes()), model.strategy):
-        strings.update(s for attrs in maps for s in attrs.attribute_of)
+    for attrs in attribute_maps(parse_graph_file(mols.read_bytes()), model.strategy):
+        strings.update(attrs.attribute_of)
     embedder = HashingEmbedder(dim=model.d_s)
     table = tmp_path / "table.tsv"
     table.write_text("".join(f"{s}\t" + ",".join(f"{v:.3g}" for v in embedder.embed(s)) + "\n"
@@ -650,6 +650,80 @@ def test_embed_table_non_finite_exit_2(prompt_inputs, value):
     table.write_text("\n".join(lines) + "\n")
     proc = _run_cli(*argv)
     _assert_one_line_error(proc, f"embedding table line 3: non-finite value in '{value},")
+
+
+def test_embed_table_repeated_string_exit_2(prompt_inputs):
+    argv, _, table = prompt_inputs
+    lines = table.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("anchor node\t"))
+    key, values = lines[first].split("\t")
+    lines.append(key + "\t" + ",".join(["0.5"] * len(values.split(","))))
+    table.write_text("\n".join(lines) + "\n")
+    proc = _run_cli(*argv)
+    _assert_one_line_error(proc, f"embedding table line {len(lines)}: 'anchor node' repeats line {first + 1}")
+
+
+def test_embed_table_missing_strings_name_the_first_table_row(prompt_inputs):
+    """With two strings missing, the error names the one whose table row comes
+    first: strings are numbered by first appearance, buckets in order of their
+    node counts' first appearance (3, 6, 4 atoms here), then graph by graph
+    and node by node. Benzene adds the second-hop and third-hop strings in
+    ring order, so neither sorting the strings nor sorting a bucket's (hop,
+    rank) codes names the same one."""
+    argv, _, table = prompt_inputs
+    missing = ("second-hop neighbor #2", "third-hop neighbor #1")
+    lines = [line for line in table.read_text().splitlines() if line.split("\t")[0] not in missing]
+    table.write_text("\n".join(lines) + "\n")
+    proc = _run_cli(*argv)
+    _assert_one_line_error(proc, "attribute string 'third-hop neighbor #1' missing from embedding table")
+
+
+@pytest.mark.filterwarnings("ignore:simjudge pair shortfall")
+def test_attribute_maps_built_only_for_descmatch(prompt_inputs, dataset, trained, tmp_path, monkeypatch):
+    """The encoder reads attribute row numbers from the ranking; only
+    descmatch, which names nodes, builds a StructuralAttributeMap per graph."""
+    from sogtok import attributes
+
+    built = []
+    real = attributes.StructuralAttributeMap
+
+    def counted(**fields):
+        built.append(fields)
+        return real(**fields)
+
+    monkeypatch.setattr(attributes, "StructuralAttributeMap", counted)
+    prompts, _, _ = prompt_inputs
+    mols = tmp_path / "mols.jsonl"
+    checkpoint = str(trained / "model.sogtok")
+    read = ["--data", str(mols), "--checkpoint", checkpoint]
+    runs = {
+        "train": ["train", "--data", str(dataset), "--out", str(tmp_path / "m"), "--k", "8",
+                  "--seed", "3", "--warmup-epochs", "1", "--epochs", "1", "--d-s", "16", "--d", "8",
+                  "--d-r", "4", "--lr-gcn", "0.002", "--lr-codebook", "0.01"],
+        "tokenize": ["tokenize", *read, "--out", str(tmp_path / "t")],
+        "tokenize --node-level": ["tokenize", *read, "--out", str(tmp_path / "n"), "--node-level"],
+        "gen-prompts": prompts,
+        "stats": ["stats", *read, "--out", str(tmp_path / "s"), "--seed", "1", "--trials", "2"],
+        "gen-corpus knn,simjudge": ["gen-corpus", *read, "--out", str(tmp_path / "k"), "--seed", "1",
+                                    "--kinds", "knn,simjudge"],
+    }
+    for name, argv in runs.items():
+        assert main(argv) == 0, name
+        assert built == [], name
+    assert main(["gen-corpus", *read, "--out", str(tmp_path / "c"), "--seed", "1",
+                 "--kinds", "descmatch"]) == 0
+    assert len(built) == len(mols.read_text().splitlines())
+
+
+def test_node_list_center_out_of_range_exit_2(dataset, trained, tmp_path):
+    graph = json.loads(dataset.read_text().splitlines()[0])
+    n = len(graph["nodes"])
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text(f"{graph['id']} 0\n{graph['id']} {n}\n")
+    proc = _run_cli("tokenize", "--data", dataset, "--checkpoint", trained / "model.sogtok",
+                    "--out", tmp_path / "t", "--node-level", "--nodes", nodes)
+    _assert_one_line_error(proc, f"node {n} out of range for graph {graph['id']!r} with {n} nodes")
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("command", [["stats"], ["gen-corpus", "--kinds", "simjudge"]])

@@ -422,8 +422,11 @@ def _assert_slices_match_single_graphs(a, x, enc, dec, cb, state, grads):
         for got, want in zip(mine, (one.h, one.sel.indices, one.a_rec, one.loss.total)):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         single = backward(one, enc, dec, cb)
-        for name in ("w1", "w2", "wd", "codebook"):
-            assert getattr(grads, name)[i].tobytes() == getattr(single, name).tobytes(), name
+        for name, got, want in (
+            *((name, getattr(grads, name)[i], getattr(single, name)) for name in ("w1", "w2", "wd")),
+            ("codebook", oracle.codebook_gradient(grads, cb.k)[i], oracle.codebook_gradient(single, cb.k)),
+        ):
+            assert got.tobytes() == want.tobytes(), name
 
 
 def finite_difference_check(seed, beta=0.25, eps=1e-5, stack=None):
@@ -467,7 +470,7 @@ def finite_difference_check(seed, beta=0.25, eps=1e-5, stack=None):
         (enc.w1, total(grads.w1)),
         (enc.w2, total(grads.w2)),
         (dec.wd, total(grads.wd)),
-        (cb.entries, total(grads.codebook)),
+        (cb.entries, total(oracle.codebook_gradient(grads, cb.k))),
     ):
         fd = np.zeros_like(param)
         it = np.nditer(param, flags=["multi_index"])
@@ -514,7 +517,7 @@ def test_stacked_warmup_backward_matches_single_graphs():
     enc, dec = init_params(6, 6, 4, 3, rng)
     state = forward(a, normalized_adjacency(a), x, enc, dec, None, 0.25)
     grads = backward(state, enc, dec, None)
-    assert grads.codebook is None
+    assert oracle.codebook_gradient(grads, 0) is None
     for i in range(4):
         one = forward(a[i], normalized_adjacency(a[i]), x[i], enc, dec, None, 0.25)
         assert state.loss.reconstruction[i] == one.loss.reconstruction
@@ -531,7 +534,7 @@ def test_backward_warmup_pure_autoencoder():
     state = forward(a, normalized_adjacency(a), x, enc, dec, None, 0.25)
     assert np.abs(state.z1).min() > 1e-3
     grads = backward(state, enc, dec, None)
-    assert grads.codebook is None
+    assert oracle.codebook_gradient(grads, 0) is None
     anorm = state.anorm
     eps = 1e-5
 
@@ -567,7 +570,7 @@ def test_zero_loss_zero_gradients():
     assert state.loss.total == 0.0
     grads = backward(state, enc, dec, cb)
     assert not grads.w1.any() and not grads.w2.any() and not grads.wd.any()
-    assert not grads.codebook[1].any()  # unselected entry: empty-sum gradient
+    assert not oracle.codebook_gradient(grads, cb.k)[1].any()  # unselected entry: empty-sum gradient
 
 
 def test_unselected_entry_zero_gradient():
@@ -579,7 +582,7 @@ def test_unselected_entry_zero_gradient():
     state = forward(a, normalized_adjacency(a), x, enc, dec, cb, 0.25)
     assert 3 not in state.sel.indices
     grads = backward(state, enc, dec, cb)
-    assert not grads.codebook[3].any()
+    assert not oracle.codebook_gradient(grads, cb.k)[3].any()
 
 
 def test_adam_first_step_sign():
