@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .graph import Graph, build_adjacency
+from .graph import Graph, adjacency_stack, build_adjacency
 
 STRATEGY_KINDS = ("degree", "pagerank", "betweenness", "random")
 
@@ -146,12 +146,7 @@ class _Ranked(NamedTuple):
 def _rank_bucket(graphs: list[Graph], positions: list[int], strategy: ImportanceStrategy) -> _Ranked:
     b, n = len(graphs), graphs[0].n
     at = np.arange(b)
-    a = np.zeros((b, n, n), dtype=bool)
-    counts = [len(g.edges) for g in graphs]
-    if sum(counts):
-        i, j = np.array([e for g in graphs for e in g.edges]).T
-        which = np.repeat(at, counts)
-        a[which, i, j] = a[which, j, i] = True
+    a = adjacency_stack(graphs)
     deg = a.sum(axis=2)
     if strategy.kind == "degree":
         scores = deg

@@ -37,8 +37,6 @@ _NUMBER_WORDS = {
 }
 
 _TOKEN_LOOSE = re.compile(r"<SOG_[^>]*>")
-_EDGE_CLAUSE = re.compile(r"node ([A-Z]+) and node ([A-Z]+) is connected")
-_NODE_COUNT = re.compile(r"a graph of (\d+) nodes? with no edges")
 
 
 @dataclass(frozen=True)
@@ -310,13 +308,6 @@ def describe_graph(g: Graph, attrs: StructuralAttributeMap) -> tuple[str, dict[s
     return question, {name: node for node, name in name_of.items()}
 
 
-def parse_description(question: str) -> tuple[int | None, list[tuple[str, str]]]:
-    """Recover (node count, named edge list) from a descmatch question."""
-    pairs = [(a, b) for a, b in _EDGE_CLAUSE.findall(question)]
-    m = _NODE_COUNT.search(question)
-    return (int(m.group(1)) if m else None), pairs
-
-
 def gen_descmatch_records(
     graphs: list[Graph], tokens: dict[str, int], attrs: list[StructuralAttributeMap]
 ) -> list[QARecord]:
@@ -362,14 +353,3 @@ def write_corpus(records: list[QARecord], path) -> None:
     with atomic_write(path) as fh:
         for line in corpus_lines(records):
             fh.write(line + "\n")
-
-
-def read_corpus(path) -> list[QARecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            records.append(QARecord(**obj))
-    return records

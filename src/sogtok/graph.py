@@ -1,7 +1,9 @@
 """Canonical in-memory graph representation and topology utilities.
 
 Graphs are undirected, simple, and immutable after construction. A node's
-position in `nodes` is its identity; node text is payload only.
+position in `nodes` is its identity; node text is payload only. Graphs of
+one node count stack into (B, n, n) boolean arrays (adjacency_stack) for the
+ranking and for colour refinement (refine_colours).
 """
 
 from __future__ import annotations
@@ -82,6 +84,43 @@ def build_adjacency(g: Graph) -> np.ndarray:
         a[i, j] = 1.0
         a[j, i] = 1.0
     return a
+
+
+def adjacency_stack(graphs: list[Graph]) -> np.ndarray:
+    """(B, n, n) boolean adjacency of B graphs with n nodes each."""
+    b, n = len(graphs), graphs[0].n
+    a = np.zeros((b, n, n), dtype=bool)
+    counts = [len(g.edges) for g in graphs]
+    if sum(counts):
+        i, j = np.array([e for g in graphs for e in g.edges]).T
+        which = np.repeat(np.arange(b), counts)
+        a[which, i, j] = a[which, j, i] = True
+    return a
+
+
+def refine_colours(a: np.ndarray, colours: np.ndarray) -> np.ndarray:
+    """1-WL colour refinement of a (B, n, n) boolean stack from initial (B, n)
+    integer colours, until the partition is stable.
+
+    Each round gives a node the rank of (its colour, its neighbours' colours
+    sorted), ranked over the whole stack, so equal colours mean the same
+    refinement in every graph of the stack."""
+    b, n = colours.shape
+    width = int(a.sum(axis=2).max(initial=0))
+    colour = np.unique(colours, return_inverse=True)[1].reshape(b * n)
+    while True:
+        # each node's neighbour colours ascending, padded in front with -1
+        key = np.sort(np.where(a, colour.reshape(b, 1, n), -1), axis=2)[:, :, n - width:]
+        key = key.reshape(b * n, width)
+        order = np.lexsort((*key.T[::-1], colour))
+        s_key, s_colour = key[order], colour[order]
+        new_class = np.ones(b * n, dtype=bool)
+        new_class[1:] = (s_colour[1:] != s_colour[:-1]) | (s_key[1:] != s_key[:-1]).any(axis=1)
+        refined = np.empty(b * n, dtype=np.intp)
+        refined[order] = np.cumsum(new_class) - 1
+        if refined.max() == colour.max():
+            return refined.reshape(b, n)
+        colour = refined
 
 
 def augment_with_global_node(g: Graph) -> Graph:

@@ -315,12 +315,7 @@ def forward(
     return ForwardState(a_target, anorm, *products, h, sel, xhat, a_rec, beta)
 
 
-def backward(
-    state: ForwardState,
-    enc: EncoderParams,
-    dec: DecoderParams,
-    cb: Codebook | None,
-) -> Gradients:
+def backward(state: ForwardState, enc: EncoderParams, dec: DecoderParams) -> Gradients:
     """Analytic gradients of the three-term loss for one forward state, of one
     graph or of each graph of a stack."""
     beta = state.beta

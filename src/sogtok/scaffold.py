@@ -1,65 +1,29 @@
 """Ring-systems-plus-linkers skeleton extraction and scaffold grouping.
 
 The scaffold of a graph is its 2-core: iteratively delete nodes of degree
-<= 1 until none remain. Grouping buckets scaffolds by an
-isomorphism-necessary fingerprint, refined by an exact isomorphism check
-inside each bucket of small scaffolds.
+<= 1 until none remain. Grouping is exact at every size. The scaffolds of
+one node count are colour-refined together from their degrees
+(graph.refine_colours), and a scaffold's key is its node count with its
+histogram of stable colours, which isomorphic scaffolds share (it also fixes
+the edge count). Inside a key, an exact isomorphism check that takes the
+stable colours as candidate labels splits the scaffolds that 1-WL cannot
+tell apart, such as regular graphs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import Graph
+import numpy as np
 
-EMPTY_KEY = "EMPTY"
-
-# exact isomorphism refinement is attempted only up to this many nodes
-EXACT_LIMIT = 24
+from .graph import Graph, adjacency_stack, refine_colours
 
 
-@dataclass(frozen=True)
-class Scaffold:
-    graph: Graph | None
-    canonical_key: str
-
-    @property
-    def is_empty(self) -> bool:
-        return self.graph is None
-
-
-def _adjacency_sets(g: Graph) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for i, j in g.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
-
-
-def _triangle_counts(adj: list[set[int]]) -> list[int]:
-    # each triangle through v is one edge between two of v's neighbours,
-    # seen once from each of its ends
-    return [sum(len(adj[u] & nbrs) for u in nbrs) // 2 for nbrs in adj]
-
-
-def canonical_key(g: Graph) -> str:
-    """Isomorphism-invariant fingerprint: degree sequence, edge count, node
-    count, per-node triangle counts. Necessary, not sufficient."""
-    adj = _adjacency_sets(g)
-    degs = ",".join(map(str, sorted(map(len, adj))))
-    tris = ",".join(map(str, sorted(_triangle_counts(adj))))
-    return f"n{g.n}|m{len(g.edges)}|deg[{degs}]|tri[{tris}]"
-
-
-def murcko_scaffold(g: Graph) -> Scaffold:
+def murcko_scaffold(g: Graph) -> Graph | None:
     """Iteratively prune degree-<=1 nodes; return the surviving induced
-    subgraph. Acyclic graphs yield the empty scaffold."""
+    subgraph. Acyclic graphs yield None, the empty scaffold."""
     alive = set(range(g.n))
-    adj = {v: set() for v in alive}
-    for i, j in g.edges:
-        adj[i].add(j)
-        adj[j].add(i)
+    adj = [set(nbrs) for nbrs in g.neighbors()]
     while True:
         prune = [v for v in alive if len(adj[v]) <= 1]
         if not prune:
@@ -70,114 +34,113 @@ def murcko_scaffold(g: Graph) -> Scaffold:
             adj[v].clear()
             alive.discard(v)
     if not alive:
-        return Scaffold(graph=None, canonical_key=EMPTY_KEY)
+        return None
     order = sorted(alive)
     mapping = {old: new for new, old in enumerate(order)}
     nodes = tuple(g.nodes[v] for v in order)
-    edges = tuple(
-        (mapping[i], mapping[j]) for i, j in g.edges if i in alive and j in alive
-    )
-    sub = Graph(id=f"{g.id}#scaffold", nodes=nodes, edges=edges, graph_text=g.graph_text)
-    return Scaffold(graph=sub, canonical_key=canonical_key(sub))
+    edges = tuple((mapping[i], mapping[j]) for i, j in g.edges if i in alive and j in alive)
+    return Graph(id=f"{g.id}#scaffold", nodes=nodes, edges=edges, graph_text=g.graph_text)
 
 
-class Invariants(NamedTuple):
-    """What the isomorphism matcher reads of one graph, computed once."""
+class _Coloured(NamedTuple):
+    """What the isomorphism check reads of one graph."""
 
-    n: int
     edges: tuple[tuple[int, int], ...]
-    labels: list[tuple]  # per node: (degree, sorted neighbour degrees, triangles)
-    sorted_labels: list[tuple]
+    colour: list[int]  # stable colour per node
     adj: list[set[int]]
 
 
-def isomorphism_invariants(g: Graph) -> Invariants:
-    """The invariants of g that `match_invariants` compares and searches by."""
-    adj = _adjacency_sets(g)
-    tri = _triangle_counts(adj)
-    labels = [
-        (len(nbrs), tuple(sorted(len(adj[u]) for u in nbrs)), t) for nbrs, t in zip(adj, tri)
-    ]
-    return Invariants(g.n, g.edges, labels, sorted(labels), adj)
+def _isomorphic(a: _Coloured, b: _Coloured) -> bool:
+    """Exact isomorphism test of two graphs with one stable colour histogram.
 
-
-def match_invariants(a: Invariants, b: Invariants) -> bool:
-    """Exact isomorphism test by backtracking with invariant pruning.
-
-    Intended for small scaffolds (couple dozen nodes); grouping falls back
-    to fingerprint equality beyond that.
+    Backtracks over a's nodes in BFS order, each component from a node of its
+    rarest colour. A node after the first of its component has a mapped
+    neighbour, its BFS parent, and its candidates are the neighbours of that
+    parent's image; every candidate must have the node's colour and the
+    images of its mapped neighbours as its only mapped neighbours.
     """
-    if a.n != b.n or len(a.edges) != len(b.edges):
-        return False
     if a.edges == b.edges:  # one labelled graph: the identity maps it onto itself
         return True
-    if a.sorted_labels != b.sorted_labels:
-        return False
-    lab1, adj1, adj2 = a.labels, a.adj, b.adj
-    n = a.n
-    # the nodes of b that may take each label, ascending
-    candidates: dict[tuple, list[int]] = {}
-    for w, lab in enumerate(b.labels):
-        candidates.setdefault(lab, []).append(w)
-    # match rarest labels first to prune early
-    order = sorted(range(n), key=lambda v: (len(candidates[lab1[v]]), -len(adj1[v])))
-    mapping: dict[int, int] = {}
-    used = [False] * n
-
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return True
-        v = order[pos]
-        for w in candidates[lab1[v]]:
-            if used[w]:
-                continue
-            ok = True
-            for u in adj1[v]:
-                if u in mapping and mapping[u] not in adj2[w]:
-                    ok = False
-                    break
-            if ok:
-                # mapped non-neighbors must stay non-neighbors (edge counts equal)
-                for u, mu in mapping.items():
-                    if (u in adj1[v]) != (mu in adj2[w]):
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(pos + 1):
-                    return True
-                del mapping[v]
-                used[w] = False
-        return False
-
-    return extend(0)
-
-
-def group_scaffolds(scaffolds: list[Scaffold]) -> list[list[int]]:
-    """Group scaffold indices into equivalence buckets.
-
-    Primary bucketing is by canonical_key; within a key bucket, members are
-    split by exact isomorphism when every member is small enough.
-    """
-    by_key: dict[str, list[int]] = {}
-    for idx, sc in enumerate(scaffolds):
-        by_key.setdefault(sc.canonical_key, []).append(idx)
-    groups: list[list[int]] = []
-    for key, members in sorted(by_key.items()):
-        if key == EMPTY_KEY or any(scaffolds[i].graph.n > EXACT_LIMIT for i in members):
-            groups.append(members)
+    n = len(a.colour)
+    of_colour: dict[int, list[int]] = {}
+    for w, c in enumerate(b.colour):
+        of_colour.setdefault(c, []).append(w)
+    order, parent, seen, head = [], [-1] * n, set(), 0
+    for root in sorted(range(n), key=lambda v: len(of_colour[a.colour[v]])):
+        if root in seen:
             continue
-        # each member joins the first representative it is isomorphic to;
-        # the representatives are pairwise non-isomorphic
-        reps: list[tuple[Invariants, list[int]]] = []
-        for i in members:
-            inv = isomorphism_invariants(scaffolds[i].graph)
-            for rep, bucket in reps:
-                if match_invariants(inv, rep):
-                    bucket.append(i)
-                    break
-            else:
-                reps.append((inv, [i]))
-        groups.extend(bucket for _, bucket in reps)
-    return groups
+        seen.add(root)
+        order.append(root)
+        while head < len(order):
+            for v in a.adj[order[head]] - seen:
+                seen.add(v)
+                parent[v] = order[head]
+                order.append(v)
+            head += 1
+
+    image, used = [-1] * n, [False] * n
+
+    def candidates(v: int):
+        p = parent[v]
+        return iter(of_colour[a.colour[v]] if p < 0 else b.adj[image[p]])
+
+    trials = [candidates(order[0])] + [None] * (n - 1)
+    pos = 0
+    while pos >= 0:
+        v = order[pos]
+        if image[v] >= 0:  # back from a dead end: free v's image, try its next candidate
+            used[image[v]], image[v] = False, -1
+        mapped = [image[u] for u in a.adj[v] if image[u] >= 0]
+        for w in trials[pos]:
+            if (not used[w] and b.colour[w] == a.colour[v]
+                    and all(x in b.adj[w] for x in mapped)
+                    and len(mapped) == sum(used[x] for x in b.adj[w])):
+                image[v], used[w] = w, True
+                pos += 1
+                if pos == n:
+                    return True
+                trials[pos] = candidates(order[pos])
+                break
+        else:
+            pos -= 1
+    return False
+
+
+def group_scaffolds(scaffolds: list[Graph | None]) -> list[list[int]]:
+    """Group scaffold indices into isomorphism classes; the empty scaffolds
+    form one group.
+
+    Within a key, each scaffold joins the first representative it is
+    isomorphic to, so the representatives are pairwise non-isomorphic.
+    Groups are listed by the text "n{n}|m{m}|deg[sorted
+    degrees]" of their scaffolds ("EMPTY" for the empty ones), then by first
+    member.
+    """
+    by_n: dict[int, list[int]] = {}  # node count 0: the empty scaffolds
+    for idx, g in enumerate(scaffolds):
+        by_n.setdefault(0 if g is None else g.n, []).append(idx)
+    listed = [("EMPTY", by_n.pop(0))] if 0 in by_n else []
+    for n, members in by_n.items():
+        graphs = [scaffolds[i] for i in members]
+        a = adjacency_stack(graphs)
+        deg = a.sum(axis=2)
+        colours = refine_colours(a, deg)
+        by_key: dict[bytes, list[int]] = {}
+        for row, key in enumerate(np.sort(colours, axis=1)):
+            by_key.setdefault(key.tobytes(), []).append(row)
+        for rows in by_key.values():
+            degs = np.sort(deg[rows[0]])
+            text = f"n{n}|m{degs.sum() // 2}|deg[{','.join(map(str, degs.tolist()))}]"
+            reps: list[tuple[_Coloured, list[int]]] = []
+            for row in rows:
+                g = graphs[row]
+                coloured = _Coloured(g.edges, colours[row].tolist(), [set(nb) for nb in g.neighbors()])
+                for rep, bucket in reps:
+                    if _isomorphic(coloured, rep):
+                        bucket.append(members[row])
+                        break
+                else:
+                    reps.append((coloured, [members[row]]))
+            listed.extend((text, bucket) for _, bucket in reps)
+    listed.sort(key=lambda t: (t[0], t[1][0]))
+    return [bucket for _, bucket in listed]

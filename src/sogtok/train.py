@@ -399,7 +399,7 @@ def train(
                 for at, state in block_pass(stacks, cb):
                     if walked is not None and not walked.add(at, state):
                         continue  # the log raises NonFiniteLoss before the step
-                    grads = backward(state, enc, dec, cb)
+                    grads = backward(state, enc, dec)
                     for name in dense:
                         for graph_grad in getattr(grads, name):
                             sums[name] += graph_grad

@@ -1,7 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from sogtok.corpus import QARecord
 from sogtok.graph import Graph, NodeRecord
 
 
@@ -44,3 +48,24 @@ def permutations_of(draw, n):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rng.shuffle(perm)
     return perm
+
+
+_EDGE_CLAUSE = re.compile(r"node ([A-Z]+) and node ([A-Z]+) is connected")
+_NODE_COUNT = re.compile(r"a graph of (\d+) nodes? with no edges")
+
+
+def parse_description(question: str) -> tuple[int | None, list[tuple[str, str]]]:
+    """Recover (node count, named edge list) from a descmatch question."""
+    pairs = [(a, b) for a, b in _EDGE_CLAUSE.findall(question)]
+    m = _NODE_COUNT.search(question)
+    return (int(m.group(1)) if m else None), pairs
+
+
+def read_corpus(path) -> list[QARecord]:
+    """The records of a corpus.jsonl, each line validated by QARecord."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                records.append(QARecord(**json.loads(line)))
+    return records

@@ -3,12 +3,15 @@ checked against: the attribute rule, its strictness test and graph
 preparation, one graph at a time with Python sorts and a queue-based BFS;
 k-means with one mask per cluster; training one graph at a time; the
 closure-driven SMILES parser that builds one `Atom` per atom; scaffold
-grouping by one `are_isomorphic` call per member and representative; and the
-dense per-graph codebook gradient."""
+grouping by one isomorphism call per member and representative, with a
+label-pruned matcher or brute force over all permutations; and the dense
+per-graph codebook gradient."""
 
 from __future__ import annotations
 
 import math
+from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,13 +44,6 @@ from sogtok.model import (
     nearest,
     normalized_adjacency,
     save_checkpoint,
-)
-from sogtok.scaffold import (
-    EMPTY_KEY,
-    EXACT_LIMIT,
-    Scaffold,
-    isomorphism_invariants,
-    match_invariants,
 )
 from sogtok.smiles import (
     _BOND_CHARS,
@@ -228,7 +224,7 @@ def train(dataset: list[Graph], cfg, checkpoint_dir=None, embedder=None):
             for idx in sorted(batch, key=lambda i: (first_seen[dataset[i].n], i)):
                 a_target, anorm, x = prepared[idx]
                 state = forward(a_target, anorm, x, enc, dec, cb, cfg.beta)
-                grads = backward(state, enc, dec, cb)
+                grads = backward(state, enc, dec)
                 for name, total in sums.items():
                     total += codebook_gradient(grads, cfg.k) if name == "codebook" else getattr(grads, name)
             factor = 1.0 / len(batch)
@@ -437,31 +433,133 @@ def parse_smiles(s: str) -> SmilesMolecule:
     return SmilesMolecule(source=s, atoms=tuple(atoms), bonds=bond_list)
 
 
+def _adjacency_sets(g: Graph) -> list[set[int]]:
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
+
+
+class Invariants(NamedTuple):
+    """What the label-pruned matcher reads of one graph, computed once."""
+
+    n: int
+    edges: tuple[tuple[int, int], ...]
+    labels: list[tuple]  # per node: (degree, sorted neighbour degrees, triangles)
+    sorted_labels: list[tuple]
+    adj: list[set[int]]
+
+
+def isomorphism_invariants(g: Graph) -> Invariants:
+    adj = _adjacency_sets(g)
+    # each triangle through v is one edge between two of v's neighbours,
+    # seen once from each of its ends
+    tri = [sum(len(adj[u] & nbrs) for u in nbrs) // 2 for nbrs in adj]
+    labels = [
+        (len(nbrs), tuple(sorted(len(adj[u]) for u in nbrs)), t) for nbrs, t in zip(adj, tri)
+    ]
+    return Invariants(g.n, g.edges, labels, sorted(labels), adj)
+
+
+def match_invariants(a: Invariants, b: Invariants) -> bool:
+    """Exact isomorphism test by backtracking with label pruning, rarest
+    labels first. Exponential on large graphs with few label classes, such
+    as regular ones; fine for the tests' small and theta graphs."""
+    if a.n != b.n or len(a.edges) != len(b.edges):
+        return False
+    if a.edges == b.edges:
+        return True
+    if a.sorted_labels != b.sorted_labels:
+        return False
+    lab1, adj1, adj2 = a.labels, a.adj, b.adj
+    n = a.n
+    candidates: dict[tuple, list[int]] = {}
+    for w, lab in enumerate(b.labels):
+        candidates.setdefault(lab, []).append(w)
+    order = sorted(range(n), key=lambda v: (len(candidates[lab1[v]]), -len(adj1[v])))
+    mapping: dict[int, int] = {}
+    used = [False] * n
+
+    def extend(pos: int) -> bool:
+        if pos == n:
+            return True
+        v = order[pos]
+        for w in candidates[lab1[v]]:
+            if used[w]:
+                continue
+            # mapped neighbours must stay neighbours, mapped non-neighbours
+            # non-neighbours
+            if all((u in adj1[v]) == (mu in adj2[w]) for u, mu in mapping.items()):
+                mapping[v] = w
+                used[w] = True
+                if extend(pos + 1):
+                    return True
+                del mapping[v]
+                used[w] = False
+        return False
+
+    return extend(0)
+
+
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism of two graphs, their invariants computed afresh."""
+    """Exact isomorphism of two graphs by the label-pruned matcher, their
+    invariants computed afresh."""
     return match_invariants(isomorphism_invariants(g1), isomorphism_invariants(g2))
 
 
-def group_scaffolds(scaffolds: list[Scaffold]) -> list[list[int]]:
-    """Scaffold grouping that calls `are_isomorphic` on each member against
-    each representative, both graphs' invariants computed afresh per call."""
-    by_key: dict[str, list[int]] = {}
-    for idx, sc in enumerate(scaffolds):
-        by_key.setdefault(sc.canonical_key, []).append(idx)
-    groups: list[list[int]] = []
-    for key, members in sorted(by_key.items()):
-        if key == EMPTY_KEY or any(scaffolds[i].graph.n > EXACT_LIMIT for i in members):
-            groups.append(members)
+def refine_colours(graphs: list[Graph], colours: list[list[int]]) -> list[list[int]]:
+    """1-WL colour refinement of graphs of one node count, one Python
+    signature per node and round: (colour, neighbour count, sorted neighbour
+    colours), numbered in sorted order over all the graphs."""
+    adj = [g.neighbors() for g in graphs]
+    names = {c: k for k, c in enumerate(sorted({c for row in colours for c in row}))}
+    colours = [[names[c] for c in row] for row in colours]
+    while True:
+        sig = [
+            [(row[v], len(nbrs), tuple(sorted(row[u] for u in nbrs))) for v, nbrs in enumerate(a)]
+            for row, a in zip(colours, adj)
+        ]
+        names = {s: k for k, s in enumerate(sorted({s for row in sig for s in row}))}
+        refined = [[names[s] for s in row] for row in sig]
+        if len(names) == len({c for row in colours for c in row}):
+            return refined
+        colours = refined
+
+
+def brute_force_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Exact isomorphism by trying every permutation; graphs of <= 8 nodes."""
+    assert g1.n <= 8, "brute force is for graphs of at most 8 nodes"
+    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
+        return False
+    target = set(g2.edges)
+    return any(
+        all((min(p[i], p[j]), max(p[i], p[j])) in target for i, j in g1.edges)
+        for p in permutations(range(g1.n))
+    )
+
+
+def scaffold_order_text(g: Graph | None) -> str:
+    """The text that group_scaffolds lists its groups by."""
+    if g is None:
+        return "EMPTY"
+    return f"n{g.n}|m{len(g.edges)}|deg[{','.join(map(str, sorted(g.degrees())))}]"
+
+
+def group_scaffolds(scaffolds: list[Graph | None], isomorphic=are_isomorphic) -> list[list[int]]:
+    """Scaffold grouping that calls `isomorphic` on each member against each
+    representative of its node count; the empty scaffolds form one group.
+    Groups are sorted by their order text, then by first member."""
+    empty = [i for i, g in enumerate(scaffolds) if g is None]
+    reps: list[list[int]] = [empty] if empty else []
+    for i, g in enumerate(scaffolds):
+        if g is None:
             continue
-        reps: list[list[int]] = []
-        for i in members:
-            placed = False
-            for bucket in reps:
-                if are_isomorphic(scaffolds[i].graph, scaffolds[bucket[0]].graph):
-                    bucket.append(i)
-                    placed = True
-                    break
-            if not placed:
-                reps.append([i])
-        groups.extend(reps)
-    return groups
+        for bucket in reps:
+            first = scaffolds[bucket[0]]
+            if first is not None and first.n == g.n and isomorphic(g, first):
+                bucket.append(i)
+                break
+        else:
+            reps.append([i])
+    return sorted(reps, key=lambda b: (scaffold_order_text(scaffolds[b[0]]), b[0]))

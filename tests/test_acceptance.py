@@ -21,7 +21,6 @@ from sogtok.corpus import (
     gen_descmatch_records,
     gen_knn_records,
     gen_simjudge_records,
-    parse_description,
     describe_graph,
 )
 from sogtok.graph import Graph, NodeRecord
@@ -49,6 +48,7 @@ from sogtok.train import (
     train,
 )
 
+from conftest import parse_description
 from test_model import finite_difference_check
 from test_prompts import GOLDEN_DIR, MOLECULE_TASKS
 from test_smiles import CORPUS as SMILES_CORPUS

@@ -17,15 +17,13 @@ from sogtok.corpus import (
     gen_knn_records,
     gen_simjudge_records,
     node_names,
-    parse_description,
     qualifying_pairs,
-    read_corpus,
     write_corpus,
 )
 from sogtok.errors import DegenerateCodebook, ValidationError
 from sogtok.model import Codebook
 
-from conftest import make_graph
+from conftest import make_graph, parse_description, read_corpus
 
 
 def test_thresholds_validation():

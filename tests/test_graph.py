@@ -9,13 +9,16 @@ from sogtok.errors import (
 )
 from sogtok.graph import (
     Graph,
+    adjacency_stack,
     augment_with_global_node,
     bfs_hops,
     build_adjacency,
     ego_graph,
     permute,
+    refine_colours,
 )
 
+import oracle
 from conftest import make_graph, small_graphs
 
 
@@ -154,3 +157,23 @@ def test_augment_adds_exactly_n_edges(g):
     aug = augment_with_global_node(g)
     assert aug.n == g.n + 1
     assert len(aug.edges) == len(g.edges) + g.n
+
+
+def test_refine_colours_of_a_path():
+    path5 = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    a = adjacency_stack([path5])
+    assert refine_colours(a, np.zeros((1, 5), dtype=int)).tolist() == [[0, 1, 2, 1, 0]]
+
+
+def test_refine_colours_matches_python_refinement():
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        n, b = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+        p = rng.random()
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        graphs = [make_graph(n, [e for e in pairs if rng.random() < p]) for _ in range(b)]
+        colours = rng.integers(0, int(rng.integers(1, 4)), size=(b, n)) * 7
+        a = adjacency_stack(graphs)
+        assert (a == np.stack([build_adjacency(g) > 0 for g in graphs])).all()
+        assert refine_colours(a, colours).tolist() == oracle.refine_colours(graphs, colours.tolist())
+

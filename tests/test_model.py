@@ -421,7 +421,7 @@ def _assert_slices_match_single_graphs(a, x, enc, dec, cb, state, grads):
         mine = (state.h[i], state.sel.indices[i], state.a_rec[i], state.loss.total[i])
         for got, want in zip(mine, (one.h, one.sel.indices, one.a_rec, one.loss.total)):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-        single = backward(one, enc, dec, cb)
+        single = backward(one, enc, dec)
         for name, got, want in (
             *((name, getattr(grads, name)[i], getattr(single, name)) for name in ("w1", "w2", "wd")),
             ("codebook", oracle.codebook_gradient(grads, cb.k)[i], oracle.codebook_gradient(single, cb.k)),
@@ -444,7 +444,7 @@ def finite_difference_check(seed, beta=0.25, eps=1e-5, stack=None):
     if instance is None:
         return None
     a, x, enc, dec, cb, state = instance
-    grads = backward(state, enc, dec, cb)
+    grads = backward(state, enc, dec)
     if stack is not None:
         _assert_slices_match_single_graphs(a, x, enc, dec, cb, state, grads)
     h0 = state.h.copy()
@@ -516,12 +516,12 @@ def test_stacked_warmup_backward_matches_single_graphs():
     x = rng.normal(size=(4, 5, 6))
     enc, dec = init_params(6, 6, 4, 3, rng)
     state = forward(a, normalized_adjacency(a), x, enc, dec, None, 0.25)
-    grads = backward(state, enc, dec, None)
+    grads = backward(state, enc, dec)
     assert oracle.codebook_gradient(grads, 0) is None
     for i in range(4):
         one = forward(a[i], normalized_adjacency(a[i]), x[i], enc, dec, None, 0.25)
         assert state.loss.reconstruction[i] == one.loss.reconstruction
-        single = backward(one, enc, dec, None)
+        single = backward(one, enc, dec)
         for name in ("w1", "w2", "wd"):
             assert getattr(grads, name)[i].tobytes() == getattr(single, name).tobytes()
 
@@ -533,7 +533,7 @@ def test_backward_warmup_pure_autoencoder():
     enc, dec = init_params(8, 8, 4, 3, rng)
     state = forward(a, normalized_adjacency(a), x, enc, dec, None, 0.25)
     assert np.abs(state.z1).min() > 1e-3
-    grads = backward(state, enc, dec, None)
+    grads = backward(state, enc, dec)
     assert oracle.codebook_gradient(grads, 0) is None
     anorm = state.anorm
     eps = 1e-5
@@ -568,7 +568,7 @@ def test_zero_loss_zero_gradients():
     a = np.zeros((3, 3))
     state = forward(a, normalized_adjacency(a), np.zeros((3, 2)), enc, dec, cb, 0.25)
     assert state.loss.total == 0.0
-    grads = backward(state, enc, dec, cb)
+    grads = backward(state, enc, dec)
     assert not grads.w1.any() and not grads.w2.any() and not grads.wd.any()
     assert not oracle.codebook_gradient(grads, cb.k)[1].any()  # unselected entry: empty-sum gradient
 
@@ -581,7 +581,7 @@ def test_unselected_entry_zero_gradient():
     enc, dec = init_params(6, 6, 4, 3, rng)
     state = forward(a, normalized_adjacency(a), x, enc, dec, cb, 0.25)
     assert 3 not in state.sel.indices
-    grads = backward(state, enc, dec, cb)
+    grads = backward(state, enc, dec)
     assert not oracle.codebook_gradient(grads, cb.k)[3].any()
 
 
