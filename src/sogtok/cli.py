@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import DEFAULT_SIZE_CAP, Graph
-from .ingest import iter_graph_file, join_labels, parse_graph_file, parse_label_csv
+from .ingest import iter_graph_file, parse_label_csv
 from .manifest import atomic_write, build_manifest, read_manifest, write_manifest
 from .metrics import (
     NEGATIVE_DEFAULT,
@@ -75,13 +75,8 @@ from .train import (
 )
 
 
-def _load_graphs(path, size_cap: int) -> list[Graph]:
-    return parse_graph_file(Path(path).read_bytes(), size_cap=size_cap)
-
-
 def _stream_graphs(path, size_cap: int) -> Iterator[Graph]:
-    """The graphs of a data file, parsed as they are read; the read stages
-    hold one block of them at a time."""
+    """The graphs of a data file, parsed as they are read: every stage's one reader."""
     return iter_graph_file(Path(path).read_bytes(), size_cap=size_cap)
 
 
@@ -114,27 +109,30 @@ def _embeddable(manifest: dict) -> dict:
     return out
 
 
+class _Counted:
+    """Items passed on lazily and counted: len() is the number passed on, read once train() returns."""
+
+    def __init__(self, items):
+        self.items, self.count = items, 0
+
+    def __iter__(self):
+        for self.count, item in enumerate(self.items, 1):
+            yield item
+
+    def __len__(self) -> int:
+        return self.count
+
+
 def cmd_train(cfg: dict, manifest: dict) -> None:
-    seed = cfg["seed"]
-    graphs = _load_graphs(cfg["data"], cfg["size_cap"])
-    tc = TrainConfig(
-        k=cfg["k"],
-        beta=cfg["beta"],
-        warmup_epochs=cfg["warmup_epochs"],
+    tc = TrainConfig(  # the other settings of train are named as the fields they set
         joint_epochs=cfg["epochs"],
-        lr_warmup=cfg["lr_warmup"],
-        lr_gcn=cfg["lr_gcn"],
-        lr_codebook=cfg["lr_codebook"],
         strategy=ImportanceStrategy(kind=cfg["anchor"], seed=cfg["anchor_seed"]),
-        seed=seed,
-        d_s=cfg["d_s"],
-        d_h=cfg["d_h"],
-        d=cfg["d"],
-        d_r=cfg["d_r"],
-        batch_size=cfg["batch_size"],
-        global_share=cfg["global_share"],
+        **{name: cfg[name] for name in ("k", "beta", "warmup_epochs", "lr_warmup", "lr_gcn",
+                                        "lr_codebook", "seed", "d_s", "d_h", "d", "d_r",
+                                        "batch_size", "global_share")},
     )
     out = Path(cfg["out"])
+    graphs = _Counted(_stream_graphs(cfg["data"], cfg["size_cap"]))
     model, logs = train(graphs, tc, checkpoint_dir=str(out))
     model.manifest = _embeddable(manifest)
     save_checkpoint(model, out / "model.sogtok")
@@ -256,7 +254,7 @@ def cmd_gen_corpus(cfg: dict, manifest: dict) -> None:
     print(f"wrote {len(records)} records -> {out / 'corpus.jsonl'}")
 
 
-def _assign_splits(graphs: list[Graph], ratio: str, seed: int) -> dict[str, str]:
+def _assign_splits(ids: list[str], ratio: str, seed: int) -> dict[str, str]:
     try:
         parts = [float(x) for x in ratio.split(":")]
     except ValueError:
@@ -264,36 +262,37 @@ def _assign_splits(graphs: list[Graph], ratio: str, seed: int) -> dict[str, str]
     if len(parts) != 3 or not all(0 <= p < math.inf for p in parts) or sum(parts) <= 0:
         raise ValidationError(f"bad split ratio {ratio!r}; expected like 8:1:1")
     weights = np.array(parts) / sum(parts)
-    ids = sorted(g.id for g in graphs)
+    ids = sorted(ids)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ids))
     n_train = int(round(weights[0] * len(ids)))
     n_valid = int(round(weights[1] * len(ids)))
-    split_of = {}
-    for pos, idx in enumerate(order):
-        if pos < n_train:
-            split_of[ids[idx]] = "train"
-        elif pos < n_train + n_valid:
-            split_of[ids[idx]] = "valid"
-        else:
-            split_of[ids[idx]] = "test"
-    return split_of
+    # the split of each place in the permutation; zip drops the names past the last place
+    names = ["train"] * n_train + ["valid"] * n_valid + ["test"] * len(ids)
+    return {ids[idx]: name for idx, name in zip(order, names)}
 
 
 def cmd_gen_prompts(cfg: dict, manifest: dict) -> None:
     seed = cfg["seed"]
     model = load_checkpoint(cfg["checkpoint"])
-    graphs = _load_graphs(cfg["data"], cfg["size_cap"])
-    if cfg["labels"]:
-        labels = parse_label_csv(_read_text(cfg["labels"]), {g.id for g in graphs})
-        graphs = join_labels(graphs, labels)
+    graphs = _stream_graphs(cfg["data"], cfg["size_cap"])
     embedder = _make_embedder(model, cfg["embed_table"])
     tmpl = load_template(cfg["task"])
-    split_of = _assign_splits(graphs, cfg["split_ratio"], seed)
-    table_rows = assign_tokens(graphs, model, embedder)
+    fed = []  # each graph's text and label, in file order; table_rows holds its id and tokens
+
+    def noted():
+        for g in graphs:
+            fed.append((g.graph_text, g.label))
+            yield g
+
+    table_rows = assign_tokens(noted(), model, embedder)
+    ids = [a.graph_id for a in table_rows]
+    labels = parse_label_csv(_read_text(cfg["labels"]), set(ids)) if cfg["labels"] else {}
+    split_of = _assign_splits(ids, cfg["split_ratio"], seed)
     records = [
-        render_prompt(tmpl, g, assignment.graph_token, split=split_of[g.id])
-        for g, assignment in zip(graphs, table_rows)
+        render_prompt(tmpl, a.graph_id, text, labels.get(a.graph_id, label), a.graph_token,
+                      split=split_of[a.graph_id])
+        for a, (text, label) in zip(table_rows, fed)
     ]
     balanced = balance_split(records, cfg["balance"], seed=seed)
     out = Path(cfg["out"])

@@ -3,7 +3,7 @@
 Two formats:
   * graph file: one JSON object per line with fields id, nodes, edges,
     optional label, optional smiles
-  * label CSV: ``id,label`` rows joined onto graphs by id
+  * label CSV: ``id,label`` rows, whose labels replace the graphs' own by id
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import io
 import json
 import re
 from collections.abc import Container, Iterator
-from dataclasses import replace
 
 from .errors import GraphFileSemanticError, GraphFileSyntaxError, SmilesError, ValidationError
 from .graph import DEFAULT_SIZE_CAP, Graph, NodeRecord
@@ -22,10 +21,10 @@ from .smiles import node_records, scan_smiles
 
 
 def parse_graph_record(
-    obj: dict, line_no: int, size_cap: int, records: dict[str, NodeRecord]
+    obj: dict, line_no: int, size_cap: int, records: dict[str | None, NodeRecord]
 ) -> Graph:
-    """One graph from a decoded record. A SMILES record's nodes come from
-    `records`, one shared `NodeRecord` per atom symbol (see `node_records`)."""
+    """One graph from a decoded record. Its nodes come from `records`, one
+    shared `NodeRecord` per atom symbol or node text (see `node_records`)."""
     if not isinstance(obj, dict):
         raise GraphFileSemanticError(line_no, "record is not an object")
     gid = obj.get("id")
@@ -44,14 +43,13 @@ def parse_graph_record(
         nodes_raw = obj.get("nodes")
         if not isinstance(nodes_raw, list) or len(nodes_raw) == 0:
             raise GraphFileSemanticError(line_no, "'nodes' must be a non-empty array")
-        nodes = []
         for idx, nd in enumerate(nodes_raw):
             if not isinstance(nd, dict):
                 raise GraphFileSemanticError(line_no, f"node {idx} is not an object")
             text = nd.get("text")
             if text is not None and not isinstance(text, str):
                 raise GraphFileSemanticError(line_no, f"node {idx} 'text' is not a string")
-            nodes.append(NodeRecord(text=text))
+        nodes = node_records([nd.get("text") for nd in nodes_raw], records)
         edges_raw = obj.get("edges", [])
         if not isinstance(edges_raw, list):
             raise GraphFileSemanticError(line_no, "'edges' must be an array")
@@ -111,7 +109,7 @@ def iter_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> Iter
     else:
         text = data
     seen_ids: set[str] = set()
-    records: dict[str, NodeRecord] = {}
+    records: dict[str | None, NodeRecord] = {}
     for line_no, line in enumerate(_lines(text), start=1):
         if not line.strip():
             continue
@@ -127,7 +125,7 @@ def iter_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> Iter
 
 
 def parse_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> list[Graph]:
-    """Every graph of iter_graph_file(), for readers that need them all."""
+    """Every graph of iter_graph_file() at once; no stage reads its data so."""
     return list(iter_graph_file(data, size_cap))
 
 
@@ -172,8 +170,3 @@ def parse_label_csv(text: str, ids: Container[str]) -> dict[str, int]:
         row_of[row[0]] = row_no
         out[row[0]] = int(label)
     return out
-
-
-def join_labels(graphs: list[Graph], labels: dict[str, int]) -> list[Graph]:
-    """Return new graphs carrying labels from the mapping, keyed by id."""
-    return [replace(g, label=labels[g.id]) if g.id in labels else g for g in graphs]

@@ -8,6 +8,7 @@ positive-negative pairs with half credit for ties.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -192,7 +193,7 @@ def _mean_purity(tokens: list[int], buckets: list[list[int]]) -> float:
         purities.append(max(freq.values()) / len(members))
     if not purities:
         raise ValidationError("no scaffold bucket has two or more members")
-    return float(np.mean(purities))
+    return math.fsum(purities) / len(purities)  # correctly rounded in any group order
 
 
 def scaffold_consistency(

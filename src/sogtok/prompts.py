@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingText, UnknownTask, ValidationError
-from .graph import Graph
 from .manifest import atomic_write
 from .train import token_text
 
@@ -95,20 +94,18 @@ def load_template(task_id: str) -> TaskTemplate:
 
 
 def render_prompt(
-    tmpl: TaskTemplate, g: Graph, token: int, split: str = "train"
+    tmpl: TaskTemplate, graph_id: str, text: str | None, label: int | None, token: int,
+    split: str = "train",
 ) -> PromptRecord:
     """Byte-exact slot substitution; the body text is otherwise untouched."""
     body = tmpl.body
     if "{{SMILES}}" in body:
-        if g.graph_text is None:
-            raise MissingText(f"graph {g.id!r} has no text for the molecule slot")
-        body = body.replace("{{SMILES}}", g.graph_text)
+        if text is None:
+            raise MissingText(f"graph {graph_id!r} has no text for the molecule slot")
+        body = body.replace("{{SMILES}}", text)
     body = body.replace("{{SOG}}", token_text(token))
-    if g.label is None:
-        answer = ""
-    else:
-        answer = tmpl.positive if g.label == 1 else tmpl.negative
-    return PromptRecord(prompt=body, answer=answer, graph_id=g.id, split=split)
+    answer = "" if label is None else tmpl.positive if label == 1 else tmpl.negative
+    return PromptRecord(prompt=body, answer=answer, graph_id=graph_id, split=split)
 
 
 def balance_split(records: list[PromptRecord], policy: str, seed: int = 0) -> list[PromptRecord]:

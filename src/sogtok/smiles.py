@@ -207,9 +207,11 @@ def parse_smiles(s: str) -> SmilesMolecule:
     )
 
 
-def node_records(symbols: list[str], records: dict[str, NodeRecord]) -> tuple[NodeRecord, ...]:
-    """One node per symbol. Equal symbols share the frozen `NodeRecord` kept
-    in `records`, which gains an entry for each symbol it lacks."""
+def node_records(
+    symbols: list[str | None], records: dict[str | None, NodeRecord]
+) -> tuple[NodeRecord, ...]:
+    """One node per symbol or node text. Equal ones share the frozen
+    `NodeRecord` kept in `records`, which gains an entry for each it lacks."""
     for symbol in set(symbols).difference(records):
         records[symbol] = NodeRecord(text=symbol)
     return tuple(map(records.__getitem__, symbols))

@@ -108,36 +108,40 @@ class PreparedBucket:
     """Encoder inputs of graphs with one node count m, stacked; reused across
     epochs."""
 
-    positions: np.ndarray  # the graphs' indices in the list given to prepare_graphs()
+    positions: np.ndarray  # the graphs' indices in the iterable given to prepare_graphs()
     a_target: np.ndarray  # (B, m, m) bool adjacency (augmented unless include_global=False), reconstruction target
     anorm: np.ndarray  # (B, m, m)
     x_index: np.ndarray  # (B, m): x's rows of the table, global row last
 
 
 def prepare_graphs(
-    graphs: list[Graph], strategy: ImportanceStrategy, embedder, include_global: bool = True
+    graphs: Iterable[Graph], strategy: ImportanceStrategy, embedder, include_global: bool = True
 ) -> tuple[np.ndarray, list[PreparedBucket]]:
-    """Encoder inputs of the graphs, one bucket per node count (a large count
-    may take several); the virtual global node is appended unless
-    include_global=False. Each distinct attribute string is embedded once,
-    into the returned table, whose rows follow the strings' first appearance
-    in bucket order; a graph's features are x = table[x_index], so the
-    buckets hold row numbers, not a vector per node."""
-    if not graphs:
-        return np.empty((0, embedder.dim)), []
+    """Encoder inputs of the graphs, which may be a lazy iterable, ranked and
+    prepared READ_BLOCK at a time: one bucket per node count of a block (a
+    large count may take several), in the declared order of _walk. The
+    virtual global node is appended unless include_global=False. Each distinct
+    attribute string is embedded once, into the returned table; a graph's
+    features are x = table[x_index], so the buckets hold row numbers."""
     row_of: dict[str, int] = {GLOBAL_ATTRIBUTE: 0} if include_global else {}
-    prepared = []
-    for positions, adjacency, index, names in attribute_buckets(graphs, strategy):
-        rows = np.array([row_of.setdefault(s, len(row_of)) for s in names], dtype=np.intp)
-        b, n, _ = adjacency.shape
-        m = n + include_global
-        a = np.zeros((b, m, m), dtype=bool)
-        a[:, :n, :n] = adjacency
-        x_index = np.zeros((b, m), dtype=np.intp)  # a global node's column keeps row 0
-        x_index[:, :n] = rows[index]
-        if include_global:
-            a[:, :n, n] = a[:, n, :n] = True
-        prepared.append(PreparedBucket(np.array(positions), a, normalized_adjacency(a), x_index))
+    prepared, first_seen, offset = [], {}, 0
+    for block in _blocks(graphs):
+        for positions, adjacency, index, names in attribute_buckets(block, strategy):
+            rows = np.array([row_of.setdefault(s, len(row_of)) for s in names], dtype=np.intp)
+            b, n, _ = adjacency.shape
+            m = n + include_global
+            a = np.zeros((b, m, m), dtype=bool)
+            a[:, :n, :n] = adjacency
+            x_index = np.zeros((b, m), dtype=np.intp)  # a global node's column keeps row 0
+            x_index[:, :n] = rows[index]
+            a[:, :n, n:] = a[:, n:, :n] = True  # the global node's edges, if any
+            first_seen.setdefault(m, len(first_seen))
+            prepared.append(PreparedBucket(np.add(positions, offset), a, normalized_adjacency(a), x_index))
+        offset += len(block)
+    if not prepared:
+        return np.empty((0, embedder.dim)), []
+    # a stable sort: the blocks' buckets of one node count stay in block order
+    prepared.sort(key=lambda bucket: first_seen[bucket.a_target.shape[1]])
     table = np.vstack([embedder.embed(s) for s in row_of])
     if table.shape[1] != embedder.dim:
         raise DimensionMismatch(
@@ -328,13 +332,15 @@ def _kmeans_entries(
 
 
 def train(
-    dataset: list[Graph],
+    dataset: Iterable[Graph],
     cfg: TrainConfig,
     checkpoint_dir=None,
     embedder=None,
 ) -> tuple[TokenizerModel, list[EpochLog]]:
     """Run both phases and return the trained model plus per-epoch logs.
 
+    dataset may be a stream: training holds prepare_graphs()'s buckets, not
+    the graphs, and takes the graph count and node counts from the buckets.
     Evaluation, each minibatch of an update pass and the k-means gather are
     walks in the declared order (_walk): blocks of at most TRAIN_BLOCK graphs,
     one stack per size bucket a block spans, each stack one forward and one
@@ -347,8 +353,6 @@ def train(
     parameters it starts with: a full-batch epoch takes it from its update
     walk, which is evaluation's walk at those parameters, and a minibatch
     epoch evaluates first."""
-    if not dataset:
-        raise EmptyDataset("training requires at least one graph")
     if embedder is None:
         embedder = HashingEmbedder(dim=cfg.d_s)
     if embedder.dim != cfg.d_s:
@@ -359,6 +363,8 @@ def train(
     # gaussian fallback codebook; replaced by k-means when warm-up runs
     entries = rng.normal(0.0, 0.1, size=(cfg.k, cfg.d))
     table, buckets = prepare_graphs(dataset, cfg.strategy, embedder)
+    if not buckets:
+        raise EmptyDataset("training requires at least one graph")
     place = np.argsort(np.concatenate([b.positions for b in buckets]))  # each graph's, see _walk
     logs: list[EpochLog] = []
 
@@ -376,8 +382,8 @@ def train(
             yield at, forward(a, anorm, x, enc, dec, cb, cfg.beta, encoded=(h, products), sel=sel)
 
     def evaluate(epoch: int, cb: Codebook | None) -> EpochLog:
-        """Log of the current parameters over the whole dataset."""
-        walked = _Tally(len(dataset), cfg.k)
+        """Log of the current parameters over every graph."""
+        walked = _Tally(len(place), cfg.k)
         for stacks in _walk(table, buckets):
             for at, state in block_pass(stacks, cb):
                 walked.add(at, state)
@@ -388,8 +394,8 @@ def train(
         per minibatch. One batch of the whole dataset walks the blocks that
         evaluation walks, at the same parameters, so its own forward states
         give the log, checked before the step."""
-        batches = _minibatches(len(dataset), cfg.batch_size, rng)
-        walked = _Tally(len(dataset), cfg.k) if len(batches) == 1 else None
+        batches = _minibatches(len(place), cfg.batch_size, rng)
+        walked = _Tally(len(place), cfg.k) if len(batches) == 1 else None
         log = evaluate(epoch, cb) if walked is None else None
         dense = [name for name in params if name != "codebook"]
         for batch in batches:
@@ -443,7 +449,7 @@ def train(
     if cfg.warmup_epochs > 0:
         # every latent row, graph by graph, global row last; held only
         # while k-means runs
-        sizes = np.array([g.n + 1 for g in dataset])
+        sizes = np.concatenate([[b.a_target.shape[1]] * len(b.positions) for b in buckets])[place]
         entries = _kmeans_entries(_gather_rows(table, buckets, enc, sizes, slice(None)), sizes, cfg, rng)
 
     cb = Codebook(entries=entries)
@@ -470,10 +476,15 @@ class TokenAssignment:
     node_tokens: tuple[int, ...]
 
 
-READ_BLOCK = 512  # graphs prepared, encoded and searched at once on the read path
+READ_BLOCK = 512  # graphs prepared at once, and on the read path encoded and searched at once
 GLOBAL_ROW = slice(-1, None)  # the row that gives a graph its token
 CENTER_ROW = slice(0, 1)  # the row that gives an ego-graph's center its token
 T = TypeVar("T")
+
+
+def _blocks(graphs: Iterable[Graph]) -> Iterator[list[Graph]]:
+    it = iter(graphs)  # READ_BLOCK at a time; iter(f, sentinel) keeps no block it has handed on
+    return iter(lambda: list(islice(it, READ_BLOCK)), [])
 
 
 @dataclass(frozen=True)
@@ -517,11 +528,8 @@ def encoded_blocks(
     block is read and prepared."""
     if embedder is None:
         embedder = HashingEmbedder(dim=model.d_s)
-    it = iter(graphs)
-    # neither iter(f, sentinel) nor map keeps a block once it is handed on
-    blocks = iter(lambda: list(islice(it, READ_BLOCK)), [])
     return map(partial(_encode_block, model=model, use=use, embedder=embedder,
-                       include_global=include_global, take=take), blocks)
+                       include_global=include_global, take=take), _blocks(graphs))
 
 
 def graph_embedding(g: Graph, model: TokenizerModel, embedder=None) -> np.ndarray:

@@ -264,7 +264,7 @@ def test_07_prompt_golden_files():
     )
     for task in MOLECULE_TASKS:
         tmpl = load_template(task)
-        rec = render_prompt(tmpl, g, 3)
+        rec = render_prompt(tmpl, g.id, g.graph_text, g.label, 3)
         golden = (GOLDEN_DIR / f"{task}.golden.txt").read_bytes()
         assert rec.prompt.encode("utf-8") == golden, f"golden mismatch: {task}"
     assert len(MOLECULE_TASKS) == 17

@@ -239,6 +239,23 @@ def test_gen_prompts_molecules(trained, tmp_path):
     assert "token_table_sha256" in manifest
 
 
+def test_label_csv_replaces_graph_labels(trained, tmp_path):
+    """A CSV label replaces the graph's own label; a graph the CSV leaves out
+    keeps its own."""
+    mols = tmp_path / "mols.jsonl"
+    mols.write_text("".join(json.dumps({"id": f"m{i}", "smiles": "CCO", "label": 1}) + "\n"
+                            for i in range(3)))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,label\nm0,0\nm2,1\n")
+    out = tmp_path / "prompts"
+    assert main(["gen-prompts", "--data", str(mols), "--checkpoint", str(trained / "model.sogtok"),
+                 "--out", str(out), "--seed", "5", "--task", "BBBP_p_np", "--split-ratio", "1:0:0",
+                 "--labels", str(labels)]) == 0
+    rows = [json.loads(line) for line in (out / "train.jsonl").read_text().splitlines()]
+    assert sorted((r["id"], r["answer"]) for r in rows) == [("m0", "False"), ("m1", "True"),
+                                                            ("m2", "True")]
+
+
 def test_gen_prompts_unknown_task(dataset, trained, tmp_path):
     code = main(
         ["gen-prompts", "--data", str(dataset), "--checkpoint", str(trained / "model.sogtok"),

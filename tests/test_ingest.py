@@ -7,7 +7,6 @@ from sogtok.errors import GraphFileSemanticError, GraphFileSyntaxError
 from sogtok.ingest import (
     _lines,
     iter_graph_file,
-    join_labels,
     parse_graph_file,
     parse_label_csv,
     write_graph_file,
@@ -25,6 +24,19 @@ def test_parse_basic_record():
     g = graphs[0]
     assert g.n == 2 and g.edges == ((0, 1),)
     assert g.nodes[0].text == "a"
+
+
+def test_node_records_are_shared_per_text():
+    """One NodeRecord per distinct node text, for JSON nodes and SMILES atoms
+    alike, and one for the nodes without text."""
+    a, b, c = parse_graph_file("\n".join([
+        record(id="a", nodes=[{"text": "C"}, {"text": "O"}, {}], edges=[]),
+        record(id="b", nodes=[{}, {"text": "C"}], edges=[]),
+        record(id="c", smiles="CO"),
+    ]))
+    assert a.nodes[0] is b.nodes[1] is c.nodes[0]
+    assert a.nodes[1] is c.nodes[1]
+    assert a.nodes[2] is b.nodes[0] and a.nodes[2].text is None
 
 
 def test_edge_out_of_range():
@@ -116,8 +128,6 @@ def test_label_csv_and_join():
     ids = {g.id for g in graphs}
     labels = parse_label_csv("id,label\ng1, 1\n", ids)
     assert labels == {"g1": 1}
-    joined = join_labels(graphs, labels)
-    assert joined[0].label == 1 and joined[1].label is None
     # a row whose id names no graph is refused, not dropped
     with pytest.raises(GraphFileSemanticError, match="line 3: id 'g2' names no graph"):
         parse_label_csv("id,label\ng1,1\ng2,0\n", ids)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +194,18 @@ def test_scaffold_purity_order_invariant():
     r1 = scaffold_consistency(tokens, buckets, shuffles=5, seed=3)
     r2 = scaffold_consistency(tokens, [list(reversed(b)) for b in reversed(buckets)], shuffles=5, seed=3)
     assert r1.mean_purity == r2.mean_purity
+
+
+def test_mean_purity_is_one_value_whatever_the_order_of_the_groups():
+    """Purities 1, 1/3, 1, 4/5 and 1/5: summed in list order and in reverse,
+    they round differently, so the mean must not be a sum in group order."""
+    groups = [[0] * 7, [0, 0, 1, 2, 3, 4], [0] * 5, [0, 0, 0, 0, 1], [0, 1, 2, 3, 4]]
+    tokens = [t for group in groups for t in group]
+    starts = np.cumsum([0] + [len(g) for g in groups])
+    buckets = [list(range(a, b)) for a, b in zip(starts, starts[1:])]
+    forward = scaffold_consistency(tokens, buckets, shuffles=1)
+    backward = scaffold_consistency(tokens, buckets[::-1], shuffles=1)
+    assert forward.mean_purity == backward.mean_purity == math.fsum([1, 1 / 3, 1, 4 / 5, 1 / 5]) / 5
 
 
 def test_scaffold_requires_multi_member_bucket():

@@ -63,7 +63,7 @@ def test_template_slot_validation():
 def test_render_bbbp():
     tmpl = load_template("BBBP_p_np")
     g = make_graph(3, [(0, 1), (1, 2)], gid="m1", label=1, text="CCO")
-    rec = render_prompt(tmpl, g, 3)
+    rec = render_prompt(tmpl, g.id, g.graph_text, g.label, 3)
     assert "[Molecule] CCO" in rec.prompt
     assert "[Structure Token] <SOG_3>" in rec.prompt
     assert rec.prompt.endswith("<|end_header_id|>")
@@ -75,28 +75,28 @@ def test_render_bbbp():
 def test_render_negative_label():
     tmpl = load_template("HIV_HIV_active")
     g = make_graph(2, [(0, 1)], gid="m2", label=0, text="CC")
-    assert render_prompt(tmpl, g, 0).answer == "False"
+    assert render_prompt(tmpl, g.id, g.graph_text, g.label, 0).answer == "False"
 
 
 def test_render_missing_text():
     tmpl = load_template("BACE_Class")
     g = make_graph(2, [(0, 1)], gid="m3", label=1)
     with pytest.raises(MissingText):
-        render_prompt(tmpl, g, 0)
+        render_prompt(tmpl, g.id, g.graph_text, g.label, 0)
 
 
 def test_render_deterministic():
     tmpl = load_template("Tox21_SR-p53")
     g = make_graph(2, [(0, 1)], gid="m4", label=0, text="C=C")
-    r1 = render_prompt(tmpl, g, 9)
-    r2 = render_prompt(tmpl, g, 9)
+    r1 = render_prompt(tmpl, g.id, g.graph_text, g.label, 9)
+    r2 = render_prompt(tmpl, g.id, g.graph_text, g.label, 9)
     assert r1 == r2
 
 
 def test_node_template_renders_without_molecule_error():
     tmpl = load_template("NodePaper")
     g = make_graph(2, [(0, 1)], gid="n1", text="A paper about graphs")
-    rec = render_prompt(tmpl, g, 4)
+    rec = render_prompt(tmpl, g.id, g.graph_text, g.label, 4)
     assert "[Paper] A paper about graphs" in rec.prompt
 
 
@@ -104,7 +104,7 @@ def test_node_template_renders_without_molecule_error():
 def test_golden_prompts(task):
     tmpl = load_template(task)
     g = make_graph(3, [(0, 1), (1, 2)], gid="golden", label=1, text="CCO")
-    rec = render_prompt(tmpl, g, 3)
+    rec = render_prompt(tmpl, g.id, g.graph_text, g.label, 3)
     golden = (GOLDEN_DIR / f"{task}.golden.txt").read_bytes()
     assert rec.prompt.encode("utf-8") == golden
 

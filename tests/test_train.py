@@ -397,6 +397,28 @@ def test_train_matches_oracle_with_split_buckets(monkeypatch, tmp_path):
     )
 
 
+@pytest.mark.parametrize("bucket_cells", [None, 64])
+@pytest.mark.parametrize("batch_size", [None, 32])
+def test_train_matches_oracle_across_read_blocks(monkeypatch, tmp_path, batch_size, bucket_cells):
+    """Graphs prepared 7 at a time from a stream: each node count spans the
+    buckets of several blocks, and with 64 bucket cells 8-node graphs also
+    take one bucket each within a block. Training still writes the bytes of
+    the per-graph loop."""
+    import sogtok.attributes as attributes
+    import sogtok.train as train_module
+
+    monkeypatch.setattr(train_module, "READ_BLOCK", 7)
+    graphs = _mixed_sizes(41, seed=0)
+    if bucket_cells is not None:
+        monkeypatch.setattr(attributes, "_BUCKET_CELLS", bucket_cells)
+        assert any(sum(g.n == 8 for g in graphs[i : i + 7]) > 1 for i in range(0, 41, 7))
+    cfg = TrainConfig(k=16, warmup_epochs=2, joint_epochs=3, seed=5, d_s=16, d=8, d_r=4,
+                      lr_gcn=2e-3, lr_codebook=1e-2, batch_size=batch_size)
+    assert _artifacts(train, iter(graphs), cfg, tmp_path / "blocked") == _artifacts(
+        oracle.train, graphs, cfg, tmp_path / "per_graph"
+    )
+
+
 def test_minibatch_blocks_split_only_between_node_counts(monkeypatch):
     """A minibatch walks its graphs by node count, so its blocks of TRAIN_BLOCK
     split into stacks only where the node count changes: at most
