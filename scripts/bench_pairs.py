@@ -15,11 +15,15 @@ median and quartiles, the number of pairs the change wins (ties count for
 neither side), and whether the median gap in the metric's better direction
 exceeds the interquartile range of BASE's runs. A gain counts when the
 change wins at least 9 of 10 pairs and the gap exceeds that range. The
-operations that failed are summed per side.
+operations that failed are summed per side. Last, for each CLI stage, each
+side's median raw CPU seconds: per run the median over its passes, read from
+the run's perfbench/out/results/<workload>-seed<n>-trace0.json, then the
+median over the runs, so a gain shows the stage it came from.
 """
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -29,8 +33,9 @@ MIN_PAIRS = 10
 SECONDS = 30  # length of every benchmark run
 
 
-def run_once(root: Path, workload: str, seed: int) -> dict:
-    """The JSON object on the last line of one untraced benchmark run."""
+def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict[str, float]]:
+    """The JSON object on the last line of one untraced benchmark run, and
+    each stage's median CPU seconds over the run's passes."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", "0"],
@@ -39,7 +44,13 @@ def run_once(root: Path, workload: str, seed: int) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit(f"{root}: perfbench/run.py exited {proc.returncode}\n{proc.stderr}")
-    return json.loads(lines[-1])
+    report = json.loads((root / "perfbench" / "out" / "results" / f"{workload}-seed{seed}-trace0.json")
+                        .read_text(encoding="utf-8"))
+    cpu: dict[str, list[float]] = {}
+    for stages in report["passes"]:
+        for stage in stages:
+            cpu.setdefault(stage["name"], []).append(stage["cpu_s"])
+    return json.loads(lines[-1]), {name: statistics.median(v) for name, v in cpu.items()}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -73,13 +84,16 @@ def main() -> int:
     sides = {"base": args.base, "change": args.change}
     values = {side: {name: [] for name in better} for side in sides}
     failed = {side: 0 for side in sides}
+    stage_cpu = {side: {} for side in sides}  # stage -> each run's median CPU seconds
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            result = run_once(sides[side], args.workload, args.seed)
+            result, cpu = run_once(sides[side], args.workload, args.seed)
             for name in better:
                 values[side][name].append(result["metrics"][name]["value"])
             failed[side] += result["failed"]
+            for stage, seconds in cpu.items():
+                stage_cpu[side].setdefault(stage, []).append(seconds)
         print(f"pair {i + 1:2d} ({order[0]} first): " + "  ".join(
             f"{name} {values['base'][name][-1]:.4g} -> {values['change'][name][-1]:.4g}"
             for name in better), flush=True)
@@ -95,6 +109,10 @@ def main() -> int:
               f"{cm:.4g} [{c1:.4g}, {c3:.4g}]; change wins {s['wins']}/{args.pairs}; median "
               f"gap {s['gap']:.4g} {'exceeds' if s['gap_exceeds_iqr'] else 'does not exceed'} "
               f"base IQR {s['base_iqr']:.4g}")
+    print("stage cpu_s (median of the runs' medians): base -> change")
+    for stage, base in stage_cpu["base"].items():
+        b, c = statistics.median(base), statistics.median(stage_cpu["change"].get(stage, [math.nan]))
+        print(f"  {stage:14s} {b:.4f} -> {c:.4f} ({(c - b) / b:+.1%})")
     return 0
 
 

@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 from sogtok.attributes import HashingEmbedder, ImportanceStrategy
-from sogtok.ingest import parse_graph_file
+from sogtok.ingest import graph_blocks, parse_graph_file
 from sogtok.metrics import permutation_consistency
 from sogtok.train import TrainConfig, train
 
@@ -22,7 +22,7 @@ ANCHORS = ("degree", "pagerank", "betweenness", "random")
 
 def run_setting(graphs, tag, cfg, embedder, trials, out):
     t0 = time.time()
-    model, logs = train(graphs, cfg)
+    model, logs = train(graph_blocks(graphs), cfg)
     consistency = permutation_consistency(
         model, graphs[: min(30, len(graphs))], trials=trials, seed=cfg.seed, embedder=embedder
     )

@@ -5,22 +5,24 @@ anchor itself, then "first-hop neighbor #1", "second-hop neighbor #3", and
 so on, with within-hop numbering by descending importance. The virtual
 global node carries a fixed attribute string of its own.
 
-Graphs are ranked in buckets of equal node counts. The encoder reads only
-each node's index into its bucket's distinct strings (attribute_buckets);
-the full per-node maps (attribute_maps) are built where they are read.
+Graphs are ranked in buckets of equal node counts, from each bucket's
+(B, n, n) boolean adjacency stack. The encoder reads only each node's index
+into its bucket's distinct strings (attribute_buckets); the full per-node
+maps (ranked_maps) are built from the same rankings where they are read.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .graph import Graph, adjacency_stack, build_adjacency
+from .graph import Graph
+from .ingest import GraphBlock
 
 STRATEGY_KINDS = ("degree", "pagerank", "betweenness", "random")
 
@@ -65,9 +67,10 @@ class StructuralAttributeMap:
     attribute_of: tuple[str, ...]
 
 
-def _pagerank(g: Graph, damping: float = 0.85, iters: int = 100, tol: float = 1e-9) -> np.ndarray:
-    n = g.n
-    a = build_adjacency(g)
+def _pagerank(adjacency: np.ndarray, damping: float = 0.85, iters: int = 100,
+              tol: float = 1e-9) -> np.ndarray:
+    n = len(adjacency)
+    a = adjacency.astype(np.float64)
     deg = a.sum(axis=1)
     p = np.full(n, 1.0 / n)
     dangling = deg == 0
@@ -83,10 +86,10 @@ def _pagerank(g: Graph, damping: float = 0.85, iters: int = 100, tol: float = 1e
     return p
 
 
-def _betweenness(g: Graph) -> np.ndarray:
+def _betweenness(adjacency: np.ndarray) -> np.ndarray:
     """Exact shortest-path betweenness, Brandes accumulation, undirected."""
-    n = g.n
-    adj = g.neighbors()
+    n = len(adjacency)
+    adj = [np.flatnonzero(row).tolist() for row in adjacency]  # neighbours ascending
     bc = np.zeros(n)
     for s in range(n):
         stack: list[int] = []
@@ -117,25 +120,23 @@ def _betweenness(g: Graph) -> np.ndarray:
     return bc / 2.0  # each unordered pair counted from both endpoints
 
 
-def importance_scores(g: Graph, strategy: ImportanceStrategy) -> np.ndarray:
-    """Per-node non-negative importance under the chosen strategy."""
+def importance_scores(adjacency: np.ndarray, strategy: ImportanceStrategy) -> np.ndarray:
+    """Per-node non-negative importance of a graph, from its (n, n) boolean
+    adjacency, under the chosen strategy."""
     if strategy.kind == "degree":
-        return np.asarray(g.degrees(), dtype=np.float64)
+        return adjacency.sum(axis=1).astype(np.float64)
     if strategy.kind == "pagerank":
-        return _pagerank(g)
+        return _pagerank(adjacency)
     if strategy.kind == "betweenness":
-        return _betweenness(g)
+        return _betweenness(adjacency)
     rng = np.random.default_rng(strategy.seed)
-    return rng.random(g.n)
-
-
-_BUCKET_CELLS = 1 << 20  # B x n x n cells per bucket: bounds the bucket arrays for large graphs
+    return rng.random(len(adjacency))
 
 
 class _Ranked(NamedTuple):
     """One bucket of B graphs with n nodes each, ranked in NumPy."""
 
-    positions: list[int]  # of the bucket's graphs in the input list
+    positions: np.ndarray  # of the bucket's graphs in their block
     adjacency: np.ndarray  # (B, n, n) bool
     order: np.ndarray  # (B, n): nodes by importance desc, key desc, index asc
     hop: np.ndarray  # (B, n): hops from the anchor, order[:, 0]; -1 if unreachable
@@ -143,15 +144,15 @@ class _Ranked(NamedTuple):
     tie: np.ndarray  # (B, n): equal for the nodes of a graph that only the index tells apart
 
 
-def _rank_bucket(graphs: list[Graph], positions: list[int], strategy: ImportanceStrategy) -> _Ranked:
-    b, n = len(graphs), graphs[0].n
+def _rank_bucket(a: np.ndarray, positions: np.ndarray, strategy: ImportanceStrategy) -> _Ranked:
+    """The ranking of the graphs of a (B, n, n) boolean adjacency stack."""
+    b, n, _ = a.shape
     at = np.arange(b)
-    a = adjacency_stack(graphs)
     deg = a.sum(axis=2)
     if strategy.kind == "degree":
         scores = deg
     else:
-        scores = np.stack([importance_scores(g, strategy) for g in graphs])
+        scores = np.stack([importance_scores(graph, strategy) for graph in a])
     # Secondary key: the node's neighbour degrees, sorted descending. Negated
     # and padded with 1 (every real entry is <= -1), rows sort ascending in
     # the key's descending lexicographic order, where a longer multiset with
@@ -191,15 +192,10 @@ def _rank_bucket(graphs: list[Graph], positions: list[int], strategy: Importance
     return _Ranked(positions, a, order, hop, rank, tie.reshape(b, n))
 
 
-def _ranked_buckets(graphs: list[Graph], strategy: ImportanceStrategy) -> Iterator[_Ranked]:
-    by_n: dict[int, list[int]] = {}
-    for pos, g in enumerate(graphs):
-        by_n.setdefault(g.n, []).append(pos)
-    for n, members in by_n.items():
-        step = max(1, _BUCKET_CELLS // (n * n))
-        for start in range(0, len(members), step):
-            positions = members[start : start + step]
-            yield _rank_bucket([graphs[p] for p in positions], positions, strategy)
+def _ranked_buckets(block, strategy: ImportanceStrategy) -> Iterator[_Ranked]:
+    """The ranking of each of a block's adjacency stacks (block.buckets())."""
+    for positions, a in block.buckets():
+        yield _rank_bucket(a, positions, strategy)
 
 
 def _attribute_string(hop: int, rank: int) -> str:
@@ -224,31 +220,24 @@ def _attribute_index(r: _Ranked) -> tuple[np.ndarray, list[str]]:
     return index[inverse].reshape(code.shape), names
 
 
-def attribute_buckets(
-    graphs: list[Graph], strategy: ImportanceStrategy
-) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, list[str]]]:
-    """The graphs' attribute strings per bucket of equal node counts, in the
-    order of attribute_maps(): yields the positions of the bucket's graphs in
-    `graphs`, their (B, n, n) boolean adjacency, each node's index (B, n) into
-    the bucket's distinct strings, and those strings in order of first
-    appearance, graph by graph and then node by node."""
-    for r in _ranked_buckets(graphs, strategy):
-        yield r.positions, r.adjacency, *_attribute_index(r)
+def attribute_buckets(block, strategy: ImportanceStrategy) -> Iterator[tuple[_Ranked, np.ndarray, list[str]]]:
+    """The attribute strings of a block's graphs, per adjacency stack of its
+    buckets() (an ingest.GraphBlock, or any block of stacks): yields the
+    stack's ranking, each node's index (B, n) into the stack's distinct
+    strings, and those strings in order of first appearance, graph by graph
+    and then node by node."""
+    for r in _ranked_buckets(block, strategy):
+        yield r, *_attribute_index(r)
 
 
-def attribute_maps(graphs: list[Graph], strategy: ImportanceStrategy) -> list[StructuralAttributeMap]:
-    """Anchor, hop labels and within-hop ranks for every node of every graph.
-
-    The anchor is the first node by importance (descending), then by the
-    sorted multiset of its neighbours' degrees (descending, a longer multiset
-    with an equal prefix first), then by index. Every other node is numbered
-    within its BFS hop from the anchor, or among the unreachable nodes, in
-    the same order."""
-    maps: list[StructuralAttributeMap | None] = [None] * len(graphs)
-    for r in _ranked_buckets(graphs, strategy):
+def ranked_maps(ranked: Iterable[_Ranked], count: int) -> list[StructuralAttributeMap]:
+    """The attribute map of each of count graphs, from the rankings of the
+    buckets that hold them."""
+    maps: list[StructuralAttributeMap | None] = [None] * count
+    for r in ranked:
         index, names = _attribute_index(r)
         for pos, row, hops, ranks, idx in zip(
-            r.positions, r.order.tolist(), r.hop.tolist(), r.rank.tolist(), index.tolist()
+            r.positions.tolist(), r.order.tolist(), r.hop.tolist(), r.rank.tolist(), index.tolist()
         ):
             maps[pos] = StructuralAttributeMap(
                 anchor=row[0],
@@ -259,6 +248,17 @@ def attribute_maps(graphs: list[Graph], strategy: ImportanceStrategy) -> list[St
     return maps
 
 
+def attribute_maps(graphs: list[Graph], strategy: ImportanceStrategy) -> list[StructuralAttributeMap]:
+    """Anchor, hop labels and within-hop ranks for every node of every graph.
+
+    The anchor is the first node by importance (descending), then by the
+    sorted multiset of its neighbours' degrees (descending, a longer multiset
+    with an equal prefix first), then by index. Every other node is numbered
+    within its BFS hop from the anchor, or among the unreachable nodes, in
+    the same order."""
+    return ranked_maps(_ranked_buckets(GraphBlock.of(graphs), strategy), len(graphs))
+
+
 def assign_attributes(g: Graph, strategy: ImportanceStrategy) -> StructuralAttributeMap:
     """Anchor, hop labels, and within-hop ranks for every node."""
     return attribute_maps([g], strategy)[0]
@@ -267,7 +267,8 @@ def assign_attributes(g: Graph, strategy: ImportanceStrategy) -> StructuralAttri
 def has_strict_ranking(g: Graph, strategy: ImportanceStrategy) -> bool:
     """True when anchor choice and every within-hop ranking are decided
     without falling back to node indices."""
-    r = next(_ranked_buckets([g], strategy))
+    at = np.zeros(1, dtype=np.intp)
+    r = _rank_bucket(GraphBlock.of([g]).adjacency(at), at, strategy)
     tie, hop, order = r.tie[0], r.hop[0], r.order[0]
     if g.n > 1 and tie[order[0]] == tie[order[1]]:
         return False

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attributes import STRATEGY_KINDS, HashingEmbedder, ImportanceStrategy, attribute_maps, load_embedding_table
+from .attributes import STRATEGY_KINDS, HashingEmbedder, ImportanceStrategy, load_embedding_table, ranked_maps
 from .corpus import (
     KINDS,
     SimilarityThresholds,
@@ -42,8 +42,8 @@ from .errors import (
     SogtokError,
     ValidationError,
 )
-from .graph import DEFAULT_SIZE_CAP, Graph
-from .ingest import iter_graph_file, parse_label_csv
+from .graph import DEFAULT_SIZE_CAP
+from .ingest import GraphBlock, iter_graph_file, parse_label_csv
 from .manifest import atomic_write, build_manifest, read_manifest, write_manifest
 from .metrics import (
     NEGATIVE_DEFAULT,
@@ -75,8 +75,8 @@ from .train import (
 )
 
 
-def _stream_graphs(path, size_cap: int) -> Iterator[Graph]:
-    """The graphs of a data file, parsed as they are read: every stage's one reader."""
+def _stream_graphs(path, size_cap: int) -> Iterator[GraphBlock]:
+    """The graphs of a data file in blocks, parsed as they are read: every stage's one reader."""
     return iter_graph_file(Path(path).read_bytes(), size_cap=size_cap)
 
 
@@ -110,14 +110,16 @@ def _embeddable(manifest: dict) -> dict:
 
 
 class _Counted:
-    """Items passed on lazily and counted: len() is the number passed on, read once train() returns."""
+    """Blocks passed on lazily and their graphs counted: len() is the number
+    of graphs passed on, read once train() returns."""
 
-    def __init__(self, items):
-        self.items, self.count = items, 0
+    def __init__(self, blocks):
+        self.blocks, self.count = blocks, 0
 
     def __iter__(self):
-        for self.count, item in enumerate(self.items, 1):
-            yield item
+        for block in self.blocks:
+            self.count += len(block)
+            yield block
 
     def __len__(self) -> int:
         return self.count
@@ -161,7 +163,7 @@ def cmd_tokenize(cfg: dict, manifest: dict) -> None:
     if cfg["nodes"] is not None and not cfg["node_level"]:
         raise ValidationError("--nodes requires --node-level")
     model = load_checkpoint(cfg["checkpoint"])
-    graphs = _stream_graphs(cfg["data"], cfg["size_cap"])
+    blocks = _stream_graphs(cfg["data"], cfg["size_cap"])
     embedder = _make_embedder(model, cfg["embed_table"])
     out = Path(cfg["out"])
     if cfg["node_level"]:
@@ -173,12 +175,16 @@ def cmd_tokenize(cfg: dict, manifest: dict) -> None:
         fed = []  # the (id, center) of each token, in the order fed
 
         def centers():
-            for g in graphs:
-                for v in range(g.n) if listed is None else listed.get(g.id, ()):
-                    if v >= g.n:
-                        raise ValidationError(f"node {v} out of range for graph {g.id!r} with {g.n} nodes")
-                    fed.append((g.id, v))
-                    yield g, v
+            for block in blocks:
+                owners, picked = [], []
+                for pos, (gid, n) in enumerate(zip(block.ids, block.sizes.tolist())):
+                    for v in range(n) if listed is None else listed.get(gid, ()):
+                        if v >= n:
+                            raise ValidationError(f"node {v} out of range for graph {gid!r} with {n} nodes")
+                        fed.append((gid, v))
+                        owners.append(pos)
+                        picked.append(v)
+                yield block, np.array(owners, dtype=np.intp), np.array(picked, dtype=np.intp)
 
         tokens = node_tokens(centers(), model, hops=cfg["hops"], embedder=embedder)
         found = {gid for gid, _ in fed}
@@ -192,7 +198,7 @@ def cmd_tokenize(cfg: dict, manifest: dict) -> None:
         lines = ["id\tnode\ttoken"] + [f"{gid}\t{v}\t{surface}" for gid, v, surface in rows]
         written, text = out / "node_tokens.tsv", "\n".join(lines) + "\n"
     else:
-        written, text = out / "tokens.tsv", format_token_table(assign_tokens(graphs, model, embedder))
+        written, text = out / "tokens.tsv", format_token_table(assign_tokens(blocks, model, embedder))
     with atomic_write(written) as fh:
         fh.write(text)
     print(f"wrote {written}")
@@ -201,7 +207,7 @@ def cmd_tokenize(cfg: dict, manifest: dict) -> None:
 def cmd_gen_corpus(cfg: dict, manifest: dict) -> None:
     seed = cfg["seed"]
     model = load_checkpoint(cfg["checkpoint"])
-    graphs = _stream_graphs(cfg["data"], cfg["size_cap"])
+    blocks = _stream_graphs(cfg["data"], cfg["size_cap"])
     embedder = _make_embedder(model, cfg["embed_table"])
     kinds = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]
     for kind in kinds:
@@ -211,25 +217,24 @@ def cmd_gen_corpus(cfg: dict, manifest: dict) -> None:
     ids, tokens, global_rows = [], [], []
     if "simjudge" in kinds or "descmatch" in kinds:
         # one embedding per graph gives its token and its simjudge row;
-        # descmatch ranks a block's graphs again for the maps that name their
-        # nodes. A block's graphs are dropped once its records are made
+        # descmatch names a graph's nodes from the rankings that the encoder
+        # read. A block is dropped once its records are made
         def kept(b):
-            block_ids = [g.id for g in b.graphs]
             block_records = []
             if "descmatch" in kinds:
-                block_records = gen_descmatch_records(b.graphs, dict(zip(block_ids, b.tokens)),
-                                                      attribute_maps(b.graphs, model.strategy))
-            return block_ids, b.tokens, b.rows, block_records
+                block_records = gen_descmatch_records(b.block.graphs(), dict(zip(b.block.ids, b.tokens)),
+                                                      ranked_maps(b.ranked, len(b.block)))
+            return b.block.ids, b.tokens, b.rows, block_records
 
         for block_ids, block_tokens, rows, block_records in encoded_blocks(
-            graphs, model, kept, embedder, take=GLOBAL_ROW
+            blocks, model, kept, embedder, take=GLOBAL_ROW
         ):
             ids.extend(block_ids)
             tokens.extend(block_tokens)
             global_rows.append(rows)
             records.extend(block_records)
     else:
-        for _ in graphs:  # the data file is checked whatever the kinds
+        for _ in blocks:  # the data file is checked whatever the kinds
             pass
     if "knn" in kinds:
         records.extend(gen_knn_records(model.codebook, k=cfg["knn_k"]))
@@ -275,15 +280,15 @@ def _assign_splits(ids: list[str], ratio: str, seed: int) -> dict[str, str]:
 def cmd_gen_prompts(cfg: dict, manifest: dict) -> None:
     seed = cfg["seed"]
     model = load_checkpoint(cfg["checkpoint"])
-    graphs = _stream_graphs(cfg["data"], cfg["size_cap"])
+    blocks = _stream_graphs(cfg["data"], cfg["size_cap"])
     embedder = _make_embedder(model, cfg["embed_table"])
     tmpl = load_template(cfg["task"])
     fed = []  # each graph's text and label, in file order; table_rows holds its id and tokens
 
     def noted():
-        for g in graphs:
-            fed.append((g.graph_text, g.label))
-            yield g
+        for block in blocks:
+            fed.extend(zip(block.texts, block.labels))
+            yield block
 
     table_rows = assign_tokens(noted(), model, embedder)
     ids = [a.graph_id for a in table_rows]
@@ -344,7 +349,8 @@ def _phrase_sets(tmpl) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 def cmd_eval(cfg: dict, manifest: dict) -> None:
     responses = _load_responses(cfg["responses"])
-    labels_by_id = {g.id: g.label for g in _stream_graphs(cfg["data"], cfg["size_cap"])}
+    labels_by_id = {gid: label for block in _stream_graphs(cfg["data"], cfg["size_cap"])
+                    for gid, label in zip(block.ids, block.labels)}
     tmpl = load_template(cfg["task"]) if cfg["task"] else None
     pos_set, neg_set = _phrase_sets(tmpl)
     preds, labels, scores = [], [], []
@@ -375,7 +381,7 @@ def cmd_eval(cfg: dict, manifest: dict) -> None:
 def cmd_stats(cfg: dict, manifest: dict) -> None:
     seed = cfg["seed"]
     model = load_checkpoint(cfg["checkpoint"])
-    graphs = _stream_graphs(cfg["data"], cfg["size_cap"])
+    blocks = _stream_graphs(cfg["data"], cfg["size_cap"])
     embedder = _make_embedder(model, cfg["embed_table"])
     out = Path(cfg["out"])
     m = min(cfg["corr_first"], model.k)
@@ -389,13 +395,13 @@ def cmd_stats(cfg: dict, manifest: dict) -> None:
     def block_rows(b):
         nonlocal hits
         tokens.extend(b.tokens)
-        hits += permutation_hits(model, b.graphs, b.tokens, cfg["trials"], rng, embedder)
-        scaffolds.extend(map(murcko_scaffold, b.graphs))
-        return zip([g.id for g in b.graphs], b.tokens, b.rows)
+        hits += permutation_hits(model, b.block, b.tokens, cfg["trials"], rng, embedder)
+        scaffolds.extend(map(murcko_scaffold, b.block.graphs()))
+        return zip(b.block.ids, b.tokens, b.rows)
 
     def embedding_rows():
         yield from chain.from_iterable(
-            encoded_blocks(graphs, model, block_rows, embedder, take=GLOBAL_ROW)
+            encoded_blocks(blocks, model, block_rows, embedder, take=GLOBAL_ROW)
         )
         _require_graphs(len(tokens), cfg["data"])  # before embeddings.csv is in place
 

@@ -2,20 +2,25 @@
 
 Graphs are undirected, simple, and immutable after construction. A node's
 position in `nodes` is its identity; node text is payload only. Graphs of
-one node count stack into (B, n, n) boolean arrays (adjacency_stack) for the
-ranking and for colour refinement (refine_colours).
+one node count stack into (B, n, n) boolean arrays
+(ingest.GraphBlock.adjacency, from a block's edge array) for the ranking and
+for colour refinement (refine_colours). Ego-graphs (ego_stacks) and
+relabelled copies (permuted_adjacency) are taken from such a stack by
+indexing it.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidPermutation, NodeOutOfRange, ValidationError
+from .errors import NodeOutOfRange, ValidationError
 
 DEFAULT_SIZE_CAP = 512
+_BUCKET_CELLS = 1 << 20  # B x n x n cells per stack: bounds the stacked arrays for large graphs
 
 
 @dataclass(frozen=True)
@@ -86,16 +91,17 @@ def build_adjacency(g: Graph) -> np.ndarray:
     return a
 
 
-def adjacency_stack(graphs: list[Graph]) -> np.ndarray:
-    """(B, n, n) boolean adjacency of B graphs with n nodes each."""
-    b, n = len(graphs), graphs[0].n
-    a = np.zeros((b, n, n), dtype=bool)
-    counts = [len(g.edges) for g in graphs]
-    if sum(counts):
-        i, j = np.array([e for g in graphs for e in g.edges]).T
-        which = np.repeat(np.arange(b), counts)
-        a[which, i, j] = a[which, j, i] = True
-    return a
+def size_buckets(sizes: np.ndarray) -> Iterator[np.ndarray]:
+    """Positions of the graphs of each node count, node counts in order of
+    first appearance, in runs of at most _BUCKET_CELLS // n² graphs (one at
+    least): the graphs that one (B, n, n) stack holds."""
+    by_n: dict[int, list[int]] = {}
+    for pos, n in enumerate(sizes.tolist()):
+        by_n.setdefault(n, []).append(pos)
+    for n, members in by_n.items():
+        step = max(1, _BUCKET_CELLS // (n * n))
+        for start in range(0, len(members), step):
+            yield np.array(members[start : start + step], dtype=np.intp)
 
 
 def refine_colours(a: np.ndarray, colours: np.ndarray) -> np.ndarray:
@@ -130,15 +136,41 @@ def augment_with_global_node(g: Graph) -> Graph:
     return replace(g, nodes=g.nodes + (NodeRecord(),), edges=edges)
 
 
-def permute(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
-    """Relabel nodes: old index i becomes perm[i]. Edge set follows."""
-    if sorted(perm) != list(range(g.n)):
-        raise InvalidPermutation(f"not a bijection on [0, {g.n})")
-    nodes = [None] * g.n
-    for old, node in enumerate(g.nodes):
-        nodes[perm[old]] = node
-    edges = tuple((perm[i], perm[j]) for i, j in g.edges)
-    return replace(g, nodes=tuple(nodes), edges=edges)
+def permuted_adjacency(a: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """The adjacency of each graph a[k] of a (B, n, n) stack relabelled by
+    perms[k], old index i becoming perms[k, i]: that of the copy whose old node i is
+    node perms[k, i]."""
+    old = np.argsort(perms, axis=1)  # the old index of each new one
+    return a[np.arange(len(a))[:, None, None], old[:, :, None], old[:, None, :]]
+
+
+def ego_stacks(a: np.ndarray, centers: np.ndarray, hops: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The ego-graph of centers[k] in graph a[k] of a (B, n, n) boolean stack,
+    in ego_graph()'s node order: the center, then the other nodes within
+    `hops` of it in index order. Hop distances come from one boolean frontier
+    product per hop, for every center at once. Yields, per ego-graph size m in
+    order of first appearance, the indices k of the ego-graphs of that size
+    and their (len(k), m, m) adjacency."""
+    if hops < 0:
+        raise ValidationError("hops must be >= 0")
+    b, n, _ = a.shape
+    at = np.arange(b)
+    reached = np.zeros((b, n), dtype=bool)
+    reached[at, centers] = True
+    frontier = reached
+    for _ in range(hops):
+        frontier = (a & frontier[:, :, None]).any(axis=1) & ~reached
+        if not frontier.any():
+            break
+        reached = reached | frontier
+    key = np.where(reached, np.arange(n), n)  # kept nodes by index, the others last
+    key[at, centers] = -1
+    order = np.argsort(key, axis=1, kind="stable")
+    size = reached.sum(axis=1)
+    for m in dict.fromkeys(size.tolist()):
+        rows = np.flatnonzero(size == m)
+        kept = order[rows, :m]
+        yield rows, a[rows[:, None, None], kept[:, :, None], kept[:, None, :]]
 
 
 def bfs_hops(g: Graph, source: int) -> list[int | None]:

@@ -2,7 +2,8 @@
 
 Two formats:
   * graph file: one JSON object per line with fields id, nodes, edges,
-    optional label, optional smiles
+    optional label, optional smiles, read into GraphBlocks of READ_BLOCK
+    graphs as flat arrays
   * label CSV: ``id,label`` rows, whose labels replace the graphs' own by id
 """
 
@@ -12,71 +13,79 @@ import csv
 import io
 import json
 import re
-from collections.abc import Container, Iterator
+from collections.abc import Container, Iterable, Iterator
+from dataclasses import dataclass
+from itertools import chain, islice
 
-from .errors import GraphFileSemanticError, GraphFileSyntaxError, SmilesError, ValidationError
-from .graph import DEFAULT_SIZE_CAP, Graph, NodeRecord
+import numpy as np
+
+from .errors import GraphFileSemanticError, GraphFileSyntaxError, SmilesError
+from .graph import DEFAULT_SIZE_CAP, Graph, NodeRecord, size_buckets
 from .manifest import atomic_write
 from .smiles import node_records, scan_smiles
 
 
 def parse_graph_record(
-    obj: dict, line_no: int, size_cap: int, records: dict[str | None, NodeRecord]
-) -> Graph:
-    """One graph from a decoded record. Its nodes come from `records`, one
-    shared `NodeRecord` per atom symbol or node text (see `node_records`)."""
+    obj: dict, line_no: int, size_cap: int
+) -> tuple[str, int | None, str | None, list[str | None], list[tuple[int, int]]]:
+    """The id, label, SMILES text, node texts and edges of a decoded record,
+    each edge (i, j) with i < j, ascending: the fields of its Graph, with
+    every check of the Graph's construction, named by the record's line."""
     if not isinstance(obj, dict):
         raise GraphFileSemanticError(line_no, "record is not an object")
     gid = obj.get("id")
     if not isinstance(gid, str) or not gid:
         raise GraphFileSemanticError(line_no, "missing or empty 'id'")
     smiles = obj.get("smiles")
+    fault = None  # a self-loop or repeated edge, reported after the record's other checks
     if "nodes" not in obj and isinstance(smiles, str):
         # molecule shorthand: topology comes from the SMILES string
         try:
-            symbols, _, bonds = scan_smiles(smiles)
+            texts, _, bonds = scan_smiles(smiles)
         except SmilesError as exc:
             raise GraphFileSemanticError(line_no, f"bad smiles: {exc}") from exc
-        nodes = node_records(symbols, records)
-        edges = sorted(bonds)
+        edges = sorted(bonds)  # i < j, in range, each bond once
     else:
         nodes_raw = obj.get("nodes")
         if not isinstance(nodes_raw, list) or len(nodes_raw) == 0:
             raise GraphFileSemanticError(line_no, "'nodes' must be a non-empty array")
+        texts = []
         for idx, nd in enumerate(nodes_raw):
             if not isinstance(nd, dict):
                 raise GraphFileSemanticError(line_no, f"node {idx} is not an object")
             text = nd.get("text")
             if text is not None and not isinstance(text, str):
                 raise GraphFileSemanticError(line_no, f"node {idx} 'text' is not a string")
-        nodes = node_records([nd.get("text") for nd in nodes_raw], records)
+            texts.append(text)
         edges_raw = obj.get("edges", [])
         if not isinstance(edges_raw, list):
             raise GraphFileSemanticError(line_no, "'edges' must be an array")
         edges = []
         for k, e in enumerate(edges_raw):
-            if (
-                not isinstance(e, list)
-                or len(e) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in e)
-            ):
+            # a decoded int is of type int, a JSON true or false of type bool
+            if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
                 raise GraphFileSemanticError(line_no, f"edge {k} must be a two-int array")
-            if not (0 <= e[0] < len(nodes) and 0 <= e[1] < len(nodes)):
+            i, j = e
+            if not (0 <= i < len(texts) and 0 <= j < len(texts)):
                 raise GraphFileSemanticError(line_no, f"edge {k} index out of range: {e}")
-            edges.append((e[0], e[1]))
-    if len(nodes) > size_cap:
+            if i == j and fault is None:
+                fault = f"self-loop at node {i}"
+            edges.append((i, j) if i < j else (j, i))
+        edges.sort()
+        if fault is None and len(set(edges)) < len(edges):
+            fault = "duplicate edges"
+    if len(texts) > size_cap:
         raise GraphFileSemanticError(
-            line_no, f"graph {gid!r} has {len(nodes)} nodes, exceeding the size cap of {size_cap}"
+            line_no, f"graph {gid!r} has {len(texts)} nodes, exceeding the size cap of {size_cap}"
         )
     label = obj.get("label")
     if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
         raise GraphFileSemanticError(line_no, "'label' must be an integer")
     if smiles is not None and not isinstance(smiles, str):
         raise GraphFileSemanticError(line_no, "'smiles' must be a string")
-    try:
-        return Graph(id=gid, nodes=tuple(nodes), edges=tuple(edges), label=label, graph_text=smiles)
-    except ValidationError as exc:
-        raise GraphFileSemanticError(line_no, str(exc)) from exc
+    if fault is not None:
+        raise GraphFileSemanticError(line_no, f"graph {gid!r}: {fault}")
+    return gid, label, smiles, texts, edges
 
 
 # the line boundaries of str.splitlines()
@@ -93,10 +102,108 @@ def _lines(text: str) -> Iterator[str]:
         yield text[start:]
 
 
-def iter_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> Iterator[Graph]:
-    """One graph per non-empty line, yielded as its line is parsed, so a
-    reader holds only the graphs it keeps; reports line/column on JSON
-    failures and on bytes that are not UTF-8."""
+# records parsed into one block; the read path prepares, encodes and searches a block at once
+READ_BLOCK = 512
+
+
+@dataclass(frozen=True, eq=False)
+class GraphBlock:
+    """Up to READ_BLOCK graphs as flat arrays, in file order. Graph k has
+    sizes[k] nodes, whose texts follow graph k - 1's in node_texts, and the
+    edges edges[edge_starts[k] : edge_starts[k + 1]], each (i, j) with i < j,
+    ascending: the edges of its Graph. The ranking reads only adjacency
+    stacks (adjacency, buckets); graphs() builds the Graph views."""
+
+    ids: list[str]
+    labels: list[int | None]
+    texts: list[str | None]  # each graph's SMILES text, if any
+    sizes: np.ndarray  # (B,) node counts
+    node_texts: list[str | None]
+    edges: np.ndarray  # (E, 2)
+    edge_starts: np.ndarray  # (B + 1,)
+    records: dict[str | None, NodeRecord]  # one NodeRecord per node text, shared by a file's blocks
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def adjacency(self, positions: np.ndarray) -> np.ndarray:
+        """(len(positions), n, n) boolean adjacency of the graphs at positions,
+        which all have n nodes, from one fancy-index write; a position may
+        repeat."""
+        starts = self.edge_starts[positions]
+        counts = self.edge_starts[positions + 1] - starts
+        which = np.repeat(np.arange(len(positions)), counts)
+        # each graph's edge rows: its start, then one more per edge
+        rows = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        i, j = self.edges[rows].T
+        n = int(self.sizes[positions[0]])
+        a = np.zeros((len(positions), n, n), dtype=bool)
+        a[which, i, j] = a[which, j, i] = True
+        return a
+
+    def buckets(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The positions and adjacency stack of each of graph.size_buckets()."""
+        for positions in size_buckets(self.sizes):
+            yield positions, self.adjacency(positions)
+
+    def graphs(self) -> list[Graph]:
+        """Each graph as a Graph, for the code that reads a graph whole."""
+        nodes = node_records(self.node_texts, self.records)
+        edges = list(zip(*self.edges.T.tolist()))
+        node_starts, starts = np.cumsum([0, *self.sizes.tolist()]).tolist(), self.edge_starts.tolist()
+        return [Graph(id=gid, nodes=nodes[node_starts[k] : node_starts[k + 1]],
+                      edges=tuple(edges[starts[k] : starts[k + 1]]), label=label, graph_text=text)
+                for k, (gid, label, text) in enumerate(zip(self.ids, self.labels, self.texts))]
+
+    @classmethod
+    def of(cls, graphs: list[Graph]) -> GraphBlock:
+        """The block of in-memory graphs."""
+        rows = _Rows()
+        for g in graphs:
+            rows.add(g.id, g.label, g.graph_text, [nd.text for nd in g.nodes], g.edges)
+        return rows.block({})
+
+
+class _Rows:
+    """The fields of a block's graphs as they are added, each edge's two ends
+    in one flat list rather than a tuple per edge."""
+
+    def __init__(self):
+        self.ids, self.labels, self.texts, self.sizes, self.node_texts = [], [], [], [], []
+        self.ends: list[int] = []
+        self.edge_starts = [0]
+
+    def add(self, gid: str, label: int | None, text: str | None, node_texts: list[str | None],
+            edges) -> None:
+        """One graph's fields, as parse_graph_record() returns them."""
+        self.ids.append(gid)
+        self.labels.append(label)
+        self.texts.append(text)
+        self.sizes.append(len(node_texts))
+        self.node_texts.extend(node_texts)
+        self.ends.extend(chain.from_iterable(edges))
+        self.edge_starts.append(len(self.ends) // 2)
+
+    def block(self, records: dict[str | None, NodeRecord]) -> GraphBlock:
+        return GraphBlock(self.ids, self.labels, self.texts, np.array(self.sizes, dtype=np.intp),
+                          self.node_texts, np.array(self.ends, dtype=np.intp).reshape(-1, 2),
+                          np.array(self.edge_starts, dtype=np.intp), records)
+
+
+def graph_blocks(graphs: Iterable[Graph]) -> Iterator[GraphBlock]:
+    """In-memory graphs as blocks of READ_BLOCK, made as they are read: the
+    one adapter for callers that hold Graph objects."""
+    it = iter(graphs)
+    while chunk := list(islice(it, READ_BLOCK)):
+        yield GraphBlock.of(chunk)
+
+
+def iter_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> Iterator[GraphBlock]:
+    """One GraphBlock per READ_BLOCK non-empty lines, yielded as its last
+    line is parsed, so a reader holds only the blocks it keeps. Each record
+    is checked as its line is read (parse_graph_record), its id against the
+    ids before it. Reports line/column on JSON failures and on bytes that
+    are not UTF-8."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -110,6 +217,7 @@ def iter_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> Iter
         text = data
     seen_ids: set[str] = set()
     records: dict[str | None, NodeRecord] = {}
+    rows = _Rows()
     for line_no, line in enumerate(_lines(text), start=1):
         if not line.strip():
             continue
@@ -117,16 +225,21 @@ def iter_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> Iter
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise GraphFileSyntaxError(line_no, exc.colno, exc.msg) from exc
-        g = parse_graph_record(obj, line_no, size_cap, records)
-        if g.id in seen_ids:
-            raise GraphFileSemanticError(line_no, f"duplicate graph id {g.id!r}")
-        seen_ids.add(g.id)
-        yield g
+        fields = parse_graph_record(obj, line_no, size_cap)
+        if fields[0] in seen_ids:
+            raise GraphFileSemanticError(line_no, f"duplicate graph id {fields[0]!r}")
+        seen_ids.add(fields[0])
+        rows.add(*fields)
+        if len(rows.ids) == READ_BLOCK:
+            block, rows = rows.block(records), _Rows()  # the rows go before the block is used
+            yield block
+    if rows.ids:
+        yield rows.block(records)
 
 
 def parse_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> list[Graph]:
     """Every graph of iter_graph_file() at once; no stage reads its data so."""
-    return list(iter_graph_file(data, size_cap))
+    return [g for block in iter_graph_file(data, size_cap) for g in block.graphs()]
 
 
 def write_graph_file(graphs: list[Graph], path) -> None:

@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
+from . import ingest
 from .corpus import cosine_matrix
 from .errors import DegenerateLabels, LengthMismatch, ValidationError
-from .graph import Graph, permute
+from .graph import Graph, permuted_adjacency, size_buckets
+from .ingest import GraphBlock, graph_blocks
 from .manifest import atomic_write
 from .model import Codebook, TokenizerModel
-from .train import GLOBAL_ROW, encoded_blocks
+from .train import GLOBAL_ROW, StackBlock, encoded_blocks
 
 POSITIVE_DEFAULT = ("yes", "true", "active", "approved")
 NEGATIVE_DEFAULT = ("no", "false", "inactive", "rejected", "not approved")
@@ -141,24 +143,34 @@ def score_from_parse(parsed: ParsedAnswer) -> float:
 
 def permutation_hits(
     model: TokenizerModel,
-    graphs: Iterable[Graph],
-    base_tokens: Iterable[int],
+    block: GraphBlock,
+    base_tokens: list[int],
     trials: int,
     rng: np.random.Generator,
     embedder=None,
 ) -> int:
-    """How many of `trials` random relabelings of each graph keep its token
-    (base_tokens, in graph order). The permutations are drawn from rng graph
-    by graph, and the copies lazily, so at most one block of them is held."""
+    """How many of `trials` random relabelings of each graph of a block keep
+    its token (base_tokens, in block order). The permutations are drawn from
+    rng graph by graph. A copy's adjacency is its graph's, indexed
+    (graph.permuted_adjacency), and the copies are drawn, made and encoded
+    READ_BLOCK at a time."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    copies = (permute(g, rng.permutation(g.n).tolist()) for g in graphs for _ in range(trials))
-    expected = (t for t in base_tokens for _ in range(trials))
+    owners = np.repeat(np.arange(len(block)), trials)
 
-    def block_hits(b) -> int:
-        return sum(t == base for t, base in zip(b.tokens, expected))
+    def copies() -> Iterator[StackBlock]:
+        for start in range(0, len(owners), ingest.READ_BLOCK):
+            chunk = owners[start : start + ingest.READ_BLOCK]
+            sizes = block.sizes[chunk]
+            perms = [rng.permutation(n) for n in sizes.tolist()]
+            yield StackBlock(sizes, [
+                (run, permuted_adjacency(block.adjacency(chunk[run]), np.stack([perms[k] for k in run])))
+                for run in size_buckets(sizes)
+            ])
 
-    return sum(encoded_blocks(copies, model, block_hits, embedder, take=GLOBAL_ROW))
+    tokens = chain.from_iterable(encoded_blocks(copies(), model, lambda b: b.tokens, embedder,
+                                                take=GLOBAL_ROW))
+    return int((np.fromiter(tokens, dtype=np.intp) == np.repeat(base_tokens, trials)).sum())
 
 
 def permutation_consistency(
@@ -169,10 +181,13 @@ def permutation_consistency(
     embedder=None,
 ) -> float:
     """Fraction of (graph, random relabeling) pairs whose token survives."""
-    blocks = encoded_blocks(graphs, model, lambda b: b.tokens, embedder, take=GLOBAL_ROW)
-    base_tokens = list(chain.from_iterable(blocks))
     rng = np.random.default_rng(seed)
-    return permutation_hits(model, graphs, base_tokens, trials, rng, embedder) / (len(graphs) * trials)
+
+    def block_hits(b) -> int:
+        return permutation_hits(model, b.block, b.tokens, trials, rng, embedder)
+
+    hits = sum(encoded_blocks(graph_blocks(graphs), model, block_hits, embedder, take=GLOBAL_ROW))
+    return hits / (len(graphs) * trials)
 
 
 @dataclass(frozen=True)
@@ -182,39 +197,40 @@ class ScaffoldConsistencyReport:
     bucket_count: int
 
 
-def _mean_purity(tokens: list[int], buckets: list[list[int]]) -> float:
-    purities = []
-    for members in buckets:
-        if len(members) < 2:
-            continue
-        freq: dict[int, int] = {}
-        for idx in members:
-            freq[tokens[idx]] = freq.get(tokens[idx], 0) + 1
-        purities.append(max(freq.values()) / len(members))
-    if not purities:
-        raise ValidationError("no scaffold bucket has two or more members")
-    return math.fsum(purities) / len(purities)  # correctly rounded in any group order
-
-
 def scaffold_consistency(
     tokens: list[int],
     buckets: list[list[int]],
     shuffles: int = 100,
     seed: int = 0,
 ) -> ScaffoldConsistencyReport:
-    """Mean dominant-token purity over scaffold buckets, with a
-    shuffled-assignment baseline (seeded, mean over shuffles)."""
-    mean_purity = _mean_purity(tokens, buckets)
+    """Mean dominant-token purity over the scaffold buckets of two or more
+    members, with a shuffled-assignment baseline (seeded, mean over
+    shuffles). A bucket's purity is the count of its most frequent token,
+    the largest count of its (bucket, token) pairs, over its size; the mean
+    is math.fsum's, correctly rounded whatever the order."""
+    kept = [members for members in buckets if len(members) >= 2]
+    if not kept:
+        raise ValidationError("no scaffold bucket has two or more members")
+    sizes = np.array([len(members) for members in kept])
+    members = np.concatenate([np.asarray(m, dtype=np.intp) for m in kept])
+    # the distinct tokens numbered 0 .. v - 1, so a (bucket, token) pair is one integer
+    distinct, codes = np.unique(np.asarray(tokens), return_inverse=True)
+    codes, v = codes.reshape(-1), len(distinct)
+    bucket = np.repeat(np.arange(len(kept)), sizes) * v
+    first_pairs = np.arange(len(kept)) * v
+
+    def mean_purity(assigned: np.ndarray) -> float:
+        # the pairs that occur, sorted, so each bucket's run starts at its first pair
+        pairs, counts = np.unique(bucket + assigned[members], return_counts=True)
+        purities = np.maximum.reduceat(counts, np.searchsorted(pairs, first_pairs)) / sizes
+        return math.fsum(purities.tolist()) / len(kept)
+
     rng = np.random.default_rng(seed)
-    arr = np.asarray(tokens)
-    baseline = []
-    for _ in range(shuffles):
-        shuffled = arr[rng.permutation(len(arr))].tolist()
-        baseline.append(_mean_purity(shuffled, buckets))
+    baseline = [mean_purity(codes[rng.permutation(len(codes))]) for _ in range(shuffles)]
     return ScaffoldConsistencyReport(
-        mean_purity=mean_purity,
+        mean_purity=mean_purity(codes),
         baseline_purity=float(np.mean(baseline)),
-        bucket_count=sum(len(b) >= 2 for b in buckets),
+        bucket_count=len(kept),
     )
 
 

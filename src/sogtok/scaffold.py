@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, adjacency_stack, refine_colours
+from .graph import Graph, refine_colours
+from .ingest import GraphBlock
 
 
 def murcko_scaffold(g: Graph) -> Graph | None:
@@ -122,7 +123,7 @@ def group_scaffolds(scaffolds: list[Graph | None]) -> list[list[int]]:
     listed = [("EMPTY", by_n.pop(0))] if 0 in by_n else []
     for n, members in by_n.items():
         graphs = [scaffolds[i] for i in members]
-        a = adjacency_stack(graphs)
+        a = GraphBlock.of(graphs).adjacency(np.arange(len(graphs)))
         deg = a.sum(axis=2)
         colours = refine_colours(a, deg)
         by_key: dict[bytes, list[int]] = {}

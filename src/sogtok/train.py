@@ -6,9 +6,12 @@ The codebook is then initialized by seeded k-means over the gathered
 node+global embeddings, and phase 2 jointly optimizes the full three-term
 loss with separate learning rates for the GCN/decoder and the codebook.
 
-Training and the read path share prepare_graphs(): it takes each node's
-index into its size bucket's distinct attribute strings from the ranking and
-keeps table row numbers, so neither builds a per-node attribute map.
+Training and the read path take blocks of graphs (ingest.GraphBlock, or
+StackBlock for ego-graphs and relabelled copies taken from them by
+indexing) and share prepare_block(): it ranks each adjacency stack of a
+block, takes each node's index into its stack's distinct attribute strings
+from the ranking and keeps table row numbers, so neither builds a Graph or
+a per-node attribute map.
 """
 
 from __future__ import annotations
@@ -16,22 +19,25 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from typing import TypeVar
 
 import numpy as np
 
+from . import ingest
 from .attributes import (
     DEFAULT_EMBED_DIM,
     GLOBAL_ATTRIBUTE,
     HashingEmbedder,
     ImportanceStrategy,
+    _Ranked,
     attribute_buckets,
 )
-from .errors import DimensionMismatch, EmptyDataset, NonFiniteLoss, ValidationError
-from .graph import Graph, ego_graph
+from .errors import DimensionMismatch, EmptyDataset, NodeOutOfRange, NonFiniteLoss, ValidationError
+from .graph import Graph, ego_stacks, size_buckets
+from .ingest import GraphBlock, graph_blocks
 from .model import (
     Adam,
     Codebook,
@@ -108,46 +114,78 @@ class PreparedBucket:
     """Encoder inputs of graphs with one node count m, stacked; reused across
     epochs."""
 
-    positions: np.ndarray  # the graphs' indices in the iterable given to prepare_graphs()
-    a_target: np.ndarray  # (B, m, m) bool adjacency (augmented unless include_global=False), reconstruction target
-    anorm: np.ndarray  # (B, m, m)
+    positions: np.ndarray  # the graphs' indices in their block, or in prepare_graphs()'s blocks
+    a_target: np.ndarray | None  # (B, m, m) bool adjacency, the reconstruction target; training only
+    anorm: np.ndarray  # (B, m, m), of the adjacency (augmented unless include_global=False)
     x_index: np.ndarray  # (B, m): x's rows of the table, global row last
 
 
-def prepare_graphs(
-    graphs: Iterable[Graph], strategy: ImportanceStrategy, embedder, include_global: bool = True
-) -> tuple[np.ndarray, list[PreparedBucket]]:
-    """Encoder inputs of the graphs, which may be a lazy iterable, ranked and
-    prepared READ_BLOCK at a time: one bucket per node count of a block (a
-    large count may take several), in the declared order of _walk. The
-    virtual global node is appended unless include_global=False. Each distinct
-    attribute string is embedded once, into the returned table; a graph's
-    features are x = table[x_index], so the buckets hold row numbers."""
-    row_of: dict[str, int] = {GLOBAL_ATTRIBUTE: 0} if include_global else {}
-    prepared, first_seen, offset = [], {}, 0
-    for block in _blocks(graphs):
-        for positions, adjacency, index, names in attribute_buckets(block, strategy):
-            rows = np.array([row_of.setdefault(s, len(row_of)) for s in names], dtype=np.intp)
-            b, n, _ = adjacency.shape
-            m = n + include_global
-            a = np.zeros((b, m, m), dtype=bool)
-            a[:, :n, :n] = adjacency
-            x_index = np.zeros((b, m), dtype=np.intp)  # a global node's column keeps row 0
-            x_index[:, :n] = rows[index]
-            a[:, :n, n:] = a[:, n:, :n] = True  # the global node's edges, if any
-            first_seen.setdefault(m, len(first_seen))
-            prepared.append(PreparedBucket(np.add(positions, offset), a, normalized_adjacency(a), x_index))
-        offset += len(block)
-    if not prepared:
-        return np.empty((0, embedder.dim)), []
-    # a stable sort: the blocks' buckets of one node count stay in block order
-    prepared.sort(key=lambda bucket: first_seen[bucket.a_target.shape[1]])
+class StackBlock:
+    """A block of graphs given as adjacency stacks: len() graphs, graph k
+    with sizes[k] nodes, and buckets() the (positions, (B, n, n) bool stack)
+    pairs that hold them, as ingest.GraphBlock.buckets() gives its graphs."""
+
+    def __init__(self, sizes: np.ndarray, stacks: list[tuple[np.ndarray, np.ndarray]]):
+        self.sizes, self.stacks = sizes, stacks
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def buckets(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        return iter(self.stacks)
+
+
+def prepare_block(
+    block, strategy: ImportanceStrategy, row_of: dict[str, int], include_global: bool, target: bool
+) -> Iterator[tuple[_Ranked, PreparedBucket]]:
+    """The ranking and encoder inputs of each adjacency stack of a block. The
+    virtual global node is appended unless include_global=False. A node's x
+    row is the row of its attribute string in row_of, which gains an entry
+    for each string it lacks. Only training (target=True) keeps the boolean
+    adjacency as the reconstruction target."""
+    for r, index, names in attribute_buckets(block, strategy):
+        rows = np.array([row_of.setdefault(s, len(row_of)) for s in names], dtype=np.intp)
+        b, n, _ = r.adjacency.shape
+        m = n + include_global
+        a = np.zeros((b, m, m), dtype=bool)
+        a[:, :n, :n] = r.adjacency
+        x_index = np.zeros((b, m), dtype=np.intp)  # a global node's column keeps row 0
+        x_index[:, :n] = rows[index]
+        a[:, :n, n:] = a[:, n:, :n] = True  # the global node's edges, if any
+        yield r, PreparedBucket(r.positions, a if target else None, normalized_adjacency(a), x_index)
+
+
+def _table(row_of: dict[str, int], embedder) -> np.ndarray:
+    """The embedding of each string of row_of, in row order."""
     table = np.vstack([embedder.embed(s) for s in row_of])
     if table.shape[1] != embedder.dim:
         raise DimensionMismatch(
             f"embedder produced dimension {table.shape[1]}, configured {embedder.dim}"
         )
-    return table, prepared
+    return table
+
+
+def prepare_graphs(
+    blocks: Iterable[GraphBlock], strategy: ImportanceStrategy, embedder, include_global: bool = True
+) -> tuple[np.ndarray, list[PreparedBucket]]:
+    """Training's encoder inputs of the blocks' graphs, which may come
+    lazily, prepared a block at a time (prepare_block): one bucket per
+    stack, in the declared order of _walk, each graph's position counted over
+    all blocks. Each distinct attribute string is embedded once, into the
+    returned table; a graph's features are x = table[x_index], so the
+    buckets hold row numbers."""
+    row_of: dict[str, int] = {GLOBAL_ATTRIBUTE: 0} if include_global else {}
+    prepared, first_seen, offset = [], {}, 0
+    for block in blocks:
+        for _, bucket in prepare_block(block, strategy, row_of, include_global, target=True):
+            first_seen.setdefault(bucket.anorm.shape[1], len(first_seen))
+            prepared.append(replace(bucket, positions=bucket.positions + offset))
+        offset += len(block)
+    if not prepared:
+        return np.empty((0, embedder.dim)), []
+    # a stable sort: the blocks' buckets of one node count stay in block order
+    prepared.sort(key=lambda bucket: first_seen[bucket.anorm.shape[1]])
+    return _table(row_of, embedder), prepared
 
 
 @dataclass(frozen=True)
@@ -217,7 +255,8 @@ def _minibatches(
 # memory, and smaller ones make more calls.
 TRAIN_BLOCK = 24
 
-# One stack of a walk: the graphs' positions and their stacked a_target, anorm and x.
+# One stack of a walk: the graphs' positions and their stacked a_target (None
+# on the read path), anorm and x.
 Stack = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -238,7 +277,8 @@ def _walk(
         # the runs in order; np.unique(which) would import numpy.ma, ~0.5 MB
         for b in dict.fromkeys(which.tolist()):
             bucket, slots = buckets[b], block[which == b] - starts[b]
-            stacks.append((bucket.positions[slots], bucket.a_target[slots], bucket.anorm[slots],
+            a_target = None if bucket.a_target is None else bucket.a_target[slots]
+            stacks.append((bucket.positions[slots], a_target, bucket.anorm[slots],
                            table[bucket.x_index[slots]]))
         yield stacks
 
@@ -332,15 +372,16 @@ def _kmeans_entries(
 
 
 def train(
-    dataset: Iterable[Graph],
+    dataset: Iterable[GraphBlock],
     cfg: TrainConfig,
     checkpoint_dir=None,
     embedder=None,
 ) -> tuple[TokenizerModel, list[EpochLog]]:
     """Run both phases and return the trained model plus per-epoch logs.
 
-    dataset may be a stream: training holds prepare_graphs()'s buckets, not
-    the graphs, and takes the graph count and node counts from the buckets.
+    dataset is blocks of graphs, which may come lazily: training holds
+    prepare_graphs()'s buckets, not the blocks, and takes the graph count
+    and node counts from the buckets.
     Evaluation, each minibatch of an update pass and the k-means gather are
     walks in the declared order (_walk): blocks of at most TRAIN_BLOCK graphs,
     one stack per size bucket a block spans, each stack one forward and one
@@ -449,7 +490,7 @@ def train(
     if cfg.warmup_epochs > 0:
         # every latent row, graph by graph, global row last; held only
         # while k-means runs
-        sizes = np.concatenate([[b.a_target.shape[1]] * len(b.positions) for b in buckets])[place]
+        sizes = np.concatenate([[b.anorm.shape[1]] * len(b.positions) for b in buckets])[place]
         entries = _kmeans_entries(_gather_rows(table, buckets, enc, sizes, slice(None)), sizes, cfg, rng)
 
     cb = Codebook(entries=entries)
@@ -476,93 +517,124 @@ class TokenAssignment:
     node_tokens: tuple[int, ...]
 
 
-READ_BLOCK = 512  # graphs prepared at once, and on the read path encoded and searched at once
 GLOBAL_ROW = slice(-1, None)  # the row that gives a graph its token
 CENTER_ROW = slice(0, 1)  # the row that gives an ego-graph's center its token
 T = TypeVar("T")
-
-
-def _blocks(graphs: Iterable[Graph]) -> Iterator[list[Graph]]:
-    it = iter(graphs)  # READ_BLOCK at a time; iter(f, sentinel) keeps no block it has handed on
-    return iter(lambda: list(islice(it, READ_BLOCK)), [])
 
 
 @dataclass(frozen=True)
 class EncodedBlock:
     """One block of the read path, handed to the function that uses it."""
 
-    graphs: list[Graph]
+    block: GraphBlock | StackBlock
     rows: np.ndarray  # the rows h[take] of each graph's latent rows h, stacked in graph order
     tokens: list[int]  # each row's nearest codebook entry
+    ranked: list[_Ranked]  # the rankings of the block's stacks, which gave the encoder its x
 
 
 def _encode_block(
-    block: list[Graph], model: TokenizerModel, use: Callable[[EncodedBlock], T], embedder,
+    block: GraphBlock | StackBlock, model: TokenizerModel, use: Callable[[EncodedBlock], T], embedder,
     include_global: bool, take: slice,
 ) -> T:
-    """use() of one block, encoded; nothing else of the block outlives the call."""
-    table, buckets = prepare_graphs(block, model.strategy, embedder, include_global)
-    counts = np.array([len(range(g.n + include_global)[take]) for g in block])  # rows of each h[take]
-    rows = _gather_rows(table, buckets, model.enc, counts, take)
-    return use(EncodedBlock(block, rows, nearest(rows, model.codebook.entries).tolist()))
+    """use() of one block, encoded; nothing else of the block outlives the
+    call, and its encoder inputs are dropped before use() runs."""
+    row_of: dict[str, int] = {GLOBAL_ATTRIBUTE: 0} if include_global else {}
+    ranked, buckets = zip(*prepare_block(block, model.strategy, row_of, include_global, target=False))
+    # the rows of each graph's h[take]
+    counts = np.array([len(range(n + include_global)[take]) for n in block.sizes.tolist()])
+    rows = _gather_rows(_table(row_of, embedder), buckets, model.enc, counts, take)
+    del buckets
+    return use(EncodedBlock(block, rows, nearest(rows, model.codebook.entries).tolist(), list(ranked)))
 
 
 def encoded_blocks(
-    graphs: Iterable[Graph],
+    blocks: Iterable[GraphBlock | StackBlock],
     model: TokenizerModel,
     use: Callable[[EncodedBlock], T],
     embedder=None,
     include_global: bool = True,
     take: slice = slice(None),
 ) -> Iterator[T]:
-    """The read path: prepare graphs READ_BLOCK at a time and encode each
-    block in the stacks of _walk, which bound the encoder's temporaries as in
-    training. Yields use(block) for each block, lazily: its graphs, the rows
-    h[take] of their latent rows h (global row last unless
-    include_global=False), stacked in graph order, and each row's token, the
-    index of its nearest codebook entry, found by one search of the block.
+    """The read path: prepare each block and encode it in the stacks of
+    _walk, which bound the encoder's temporaries as in training. Yields
+    use(block) for each block, lazily: the block, the rows h[take] of its
+    graphs' latent rows h (global row last unless include_global=False),
+    stacked in graph order, each row's token, the index of its nearest
+    codebook entry, found by one search of the block, and the rankings.
     A row's entry does not depend on the other rows, so a graph's <SOG_k> is
-    the token of its global row whatever else is taken. graphs may be a lazy
-    iterable. A block lives only while use() runs, so
-    what use() returns is all that a caller can hold of it while the next
-    block is read and prepared."""
+    the token of its global row whatever else is taken. blocks may be lazy.
+    A block lives only while use() runs, so what use() returns is all that a
+    caller can hold of it while the next block is read and prepared."""
     if embedder is None:
         embedder = HashingEmbedder(dim=model.d_s)
     return map(partial(_encode_block, model=model, use=use, embedder=embedder,
-                       include_global=include_global, take=take), _blocks(graphs))
+                       include_global=include_global, take=take), blocks)
 
 
 def graph_embedding(g: Graph, model: TokenizerModel, embedder=None) -> np.ndarray:
     """Continuous latent rows for the augmented graph; global row last."""
-    return next(encoded_blocks([g], model, lambda b: b.rows, embedder))
+    return next(encoded_blocks(graph_blocks([g]), model, lambda b: b.rows, embedder))
 
 
 def _token_assignments(b: EncodedBlock) -> list[TokenAssignment]:
     out, end = [], 0
-    for g in b.graphs:
-        start, end = end, end + g.n + 1
-        out.append(TokenAssignment(g.id, b.tokens[end - 1], tuple(b.tokens[start : end - 1])))
+    for gid, n in zip(b.block.ids, b.block.sizes.tolist()):
+        start, end = end, end + n + 1
+        out.append(TokenAssignment(gid, b.tokens[end - 1], tuple(b.tokens[start : end - 1])))
     return out
 
 
-def assign_tokens(graphs: Iterable[Graph], model: TokenizerModel, embedder=None) -> list[TokenAssignment]:
+def assign_tokens(
+    blocks: Iterable[GraphBlock], model: TokenizerModel, embedder=None
+) -> list[TokenAssignment]:
     """Graph token and node tokens of each graph, for the token table; the
     only caller that takes node rows of whole graphs."""
-    return list(chain.from_iterable(encoded_blocks(graphs, model, _token_assignments, embedder)))
+    return list(chain.from_iterable(encoded_blocks(blocks, model, _token_assignments, embedder)))
 
 
 def assign_token(g: Graph, model: TokenizerModel, embedder=None) -> TokenAssignment:
     """assign_tokens() of one graph."""
-    return assign_tokens([g], model, embedder)[0]
+    return assign_tokens(graph_blocks([g]), model, embedder)[0]
+
+
+def _ego_block(block: GraphBlock, owners: np.ndarray, centers: np.ndarray, hops: int) -> StackBlock:
+    """The ego-graph of each center, centers[k] of the graph at owners[k] of
+    block, as a block of stacks by ego-graph size (graph.ego_stacks), each
+    taken by indexing the adjacency of its parent."""
+    n = block.sizes[owners]
+    bad = np.flatnonzero((centers < 0) | (centers >= n))
+    if len(bad):
+        raise NodeOutOfRange(f"center {centers[bad[0]]} out of range for graph with {n[bad[0]]} nodes")
+    sizes = np.empty(len(owners), dtype=np.intp)
+    by_size: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for group in size_buckets(n):
+        for rows, a in ego_stacks(block.adjacency(owners[group]), centers[group], hops):
+            sizes[group[rows]] = a.shape[1]
+            by_size.setdefault(a.shape[1], []).append((group[rows], a))
+    stacks = []
+    for parts in by_size.values():
+        positions = np.concatenate([p for p, _ in parts])
+        egos = np.concatenate([a for _, a in parts])
+        stacks.extend((positions[run], egos[run]) for run in size_buckets(sizes[positions]))
+    return StackBlock(sizes, stacks)
 
 
 def node_tokens(
-    centers: Iterable[tuple[Graph, int]], model: TokenizerModel, hops: int = 2, embedder=None
+    listed: Iterable[tuple[GraphBlock, np.ndarray, np.ndarray]], model: TokenizerModel, hops: int = 2,
+    embedder=None,
 ) -> list[int]:
-    """Token of each (graph, center) pair: the center node, ego index 0, of its
-    ego-graph (no global node added)."""
-    egos = (ego_graph(g, center, hops)[0] for g, center in centers)
-    blocks = encoded_blocks(egos, model, lambda b: b.tokens, embedder, include_global=False,
+    """Token of each listed center: listed gives blocks, each with the
+    positions of graphs in it and their centers, one pair per token, in the
+    order of the tokens returned. A center's token is that of its ego-graph's
+    center row, ego index 0 (no global node added). The ego-graphs are taken
+    and encoded READ_BLOCK at a time."""
+    def egos() -> Iterator[StackBlock]:
+        for block, owners, centers in listed:
+            for start in range(0, len(owners), ingest.READ_BLOCK):
+                stop = start + ingest.READ_BLOCK
+                yield _ego_block(block, owners[start:stop], centers[start:stop], hops)
+
+    blocks = encoded_blocks(egos(), model, lambda b: b.tokens, embedder, include_global=False,
                             take=CENTER_ROW)
     return list(chain.from_iterable(blocks))
 
@@ -571,7 +643,8 @@ def assign_node_tokens(
     g: Graph, center: int, model: TokenizerModel, hops: int = 2, embedder=None
 ) -> int:
     """node_tokens() of one center."""
-    return node_tokens([(g, center)], model, hops, embedder)[0]
+    listed = [(next(graph_blocks([g])), np.zeros(1, dtype=np.intp), np.array([center]))]
+    return node_tokens(listed, model, hops, embedder)[0]
 
 
 def format_token_table(assignments: list[TokenAssignment]) -> str:

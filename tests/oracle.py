@@ -1,15 +1,20 @@
 """Per-graph reference implementations that the bucketed and blocked code is
-checked against: the attribute rule, its strictness test and graph
+checked against: adjacency stacks from Graph objects (adjacency_stack) and
+node relabelling (permute); the attribute rule, its strictness test and graph
 preparation, one graph at a time with Python sorts and a queue-based BFS;
 k-means with one mask per cluster; training one graph at a time; the
-closure-driven SMILES parser that builds one `Atom` per atom; scaffold
+closure-driven SMILES parser that builds one `Atom` per atom; the graph file
+read one record at a time, each checked element by element; scaffold
 grouping by one isomorphism call per member and representative, with a
-label-pruned matcher or brute force over all permutations; and the dense
-per-graph codebook gradient."""
+label-pruned matcher or brute force over all permutations; scaffold
+purities from one dict of token counts per bucket; and the dense per-graph
+codebook gradient."""
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import replace
 from itertools import permutations
 from typing import NamedTuple
 
@@ -24,13 +29,25 @@ from sogtok.attributes import (
     importance_scores,
 )
 from sogtok.errors import (
+    GraphFileSemanticError,
+    GraphFileSyntaxError,
+    InvalidPermutation,
     NonFiniteLoss,
+    ValidationError,
     SmilesError,
     UnbalancedBranch,
     UnclosedRing,
     UnsupportedToken,
 )
-from sogtok.graph import Graph, augment_with_global_node, bfs_hops, build_adjacency
+from sogtok.graph import (
+    DEFAULT_SIZE_CAP,
+    Graph,
+    NodeRecord,
+    augment_with_global_node,
+    bfs_hops,
+    build_adjacency,
+)
+from sogtok.metrics import ScaffoldConsistencyReport
 from sogtok.model import (
     Adam,
     Codebook,
@@ -55,6 +72,8 @@ from sogtok.smiles import (
     Atom,
     Bond,
     SmilesMolecule,
+    node_records,
+    scan_smiles,
 )
 from sogtok.train import EpochLog, _minibatches
 
@@ -81,7 +100,7 @@ def node_order(nodes: list[int], scores: np.ndarray, keys: list[tuple[int, ...]]
 
 def assign_attributes(g: Graph, strategy) -> StructuralAttributeMap:
     """Anchor, hop labels, and within-hop ranks for every node."""
-    scores = importance_scores(g, strategy)
+    scores = importance_scores(build_adjacency(g).astype(bool), strategy)
     keys = tie_break_key(g)
     anchor = node_order(list(range(g.n)), scores, keys)[0]
     hops = bfs_hops(g, anchor)
@@ -118,7 +137,7 @@ def assign_attributes(g: Graph, strategy) -> StructuralAttributeMap:
 def has_strict_ranking(g: Graph, strategy) -> bool:
     """True when anchor choice and every within-hop ranking are decided
     without falling back to node indices."""
-    scores = importance_scores(g, strategy)
+    scores = importance_scores(build_adjacency(g).astype(bool), strategy)
     keys = tie_break_key(g)
 
     def strict(pool: list[int], top_only: bool = False) -> bool:
@@ -563,3 +582,136 @@ def group_scaffolds(scaffolds: list[Graph | None], isomorphic=are_isomorphic) ->
         else:
             reps.append([i])
     return sorted(reps, key=lambda b: (scaffold_order_text(scaffolds[b[0]]), b[0]))
+
+
+def parse_graph_record(
+    obj: dict, line_no: int, size_cap: int, records: dict[str | None, NodeRecord]
+) -> Graph:
+    """One graph from a decoded record, checked element by element; the
+    checks of its Graph's construction raised by Graph itself."""
+    if not isinstance(obj, dict):
+        raise GraphFileSemanticError(line_no, "record is not an object")
+    gid = obj.get("id")
+    if not isinstance(gid, str) or not gid:
+        raise GraphFileSemanticError(line_no, "missing or empty 'id'")
+    smiles = obj.get("smiles")
+    if "nodes" not in obj and isinstance(smiles, str):
+        try:
+            symbols, _, bonds = scan_smiles(smiles)
+        except SmilesError as exc:
+            raise GraphFileSemanticError(line_no, f"bad smiles: {exc}") from exc
+        nodes = node_records(symbols, records)
+        edges = sorted(bonds)
+    else:
+        nodes_raw = obj.get("nodes")
+        if not isinstance(nodes_raw, list) or len(nodes_raw) == 0:
+            raise GraphFileSemanticError(line_no, "'nodes' must be a non-empty array")
+        for idx, nd in enumerate(nodes_raw):
+            if not isinstance(nd, dict):
+                raise GraphFileSemanticError(line_no, f"node {idx} is not an object")
+            text = nd.get("text")
+            if text is not None and not isinstance(text, str):
+                raise GraphFileSemanticError(line_no, f"node {idx} 'text' is not a string")
+        nodes = node_records([nd.get("text") for nd in nodes_raw], records)
+        edges_raw = obj.get("edges", [])
+        if not isinstance(edges_raw, list):
+            raise GraphFileSemanticError(line_no, "'edges' must be an array")
+        edges = []
+        for k, e in enumerate(edges_raw):
+            if (
+                not isinstance(e, list)
+                or len(e) != 2
+                or not all(isinstance(v, int) and not isinstance(v, bool) for v in e)
+            ):
+                raise GraphFileSemanticError(line_no, f"edge {k} must be a two-int array")
+            if not (0 <= e[0] < len(nodes) and 0 <= e[1] < len(nodes)):
+                raise GraphFileSemanticError(line_no, f"edge {k} index out of range: {e}")
+            edges.append((e[0], e[1]))
+    if len(nodes) > size_cap:
+        raise GraphFileSemanticError(
+            line_no, f"graph {gid!r} has {len(nodes)} nodes, exceeding the size cap of {size_cap}"
+        )
+    label = obj.get("label")
+    if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
+        raise GraphFileSemanticError(line_no, "'label' must be an integer")
+    if smiles is not None and not isinstance(smiles, str):
+        raise GraphFileSemanticError(line_no, "'smiles' must be a string")
+    try:
+        return Graph(id=gid, nodes=tuple(nodes), edges=tuple(edges), label=label, graph_text=smiles)
+    except ValidationError as exc:
+        raise GraphFileSemanticError(line_no, str(exc)) from exc
+
+
+def read_graph_file(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> list[Graph]:
+    """The graphs of a graph file's text, one record at a time: each line
+    decoded, built into a fully checked Graph (parse_graph_record) and its
+    id checked against the ids before it."""
+    graphs, seen, records = [], set(), {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise GraphFileSyntaxError(line_no, exc.colno, exc.msg) from exc
+        g = parse_graph_record(obj, line_no, size_cap, records)
+        if g.id in seen:
+            raise GraphFileSemanticError(line_no, f"duplicate graph id {g.id!r}")
+        seen.add(g.id)
+        graphs.append(g)
+    return graphs
+
+
+def _mean_purity(tokens: list[int], buckets: list[list[int]]) -> float:
+    purities = []
+    for members in buckets:
+        if len(members) < 2:
+            continue
+        freq: dict[int, int] = {}
+        for idx in members:
+            freq[tokens[idx]] = freq.get(tokens[idx], 0) + 1
+        purities.append(max(freq.values()) / len(members))
+    if not purities:
+        raise ValidationError("no scaffold bucket has two or more members")
+    return math.fsum(purities) / len(purities)
+
+
+def scaffold_consistency(tokens: list[int], buckets: list[list[int]], shuffles: int = 100,
+                         seed: int = 0) -> ScaffoldConsistencyReport:
+    """Mean dominant-token purity with its shuffled baseline, one bucket and
+    one member at a time."""
+    mean_purity = _mean_purity(tokens, buckets)
+    rng = np.random.default_rng(seed)
+    arr = np.asarray(tokens)
+    baseline = []
+    for _ in range(shuffles):
+        shuffled = arr[rng.permutation(len(arr))].tolist()
+        baseline.append(_mean_purity(shuffled, buckets))
+    return ScaffoldConsistencyReport(
+        mean_purity=mean_purity,
+        baseline_purity=float(np.mean(baseline)),
+        bucket_count=sum(len(b) >= 2 for b in buckets),
+    )
+
+
+def permute(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
+    """Relabel nodes: old index i becomes perm[i]. Edge set follows."""
+    if sorted(perm) != list(range(g.n)):
+        raise InvalidPermutation(f"not a bijection on [0, {g.n})")
+    nodes = [None] * g.n
+    for old, node in enumerate(g.nodes):
+        nodes[perm[old]] = node
+    edges = tuple((perm[i], perm[j]) for i, j in g.edges)
+    return replace(g, nodes=tuple(nodes), edges=edges)
+
+
+def adjacency_stack(graphs: list[Graph]) -> np.ndarray:
+    """(B, n, n) boolean adjacency of B graphs with n nodes each."""
+    b, n = len(graphs), graphs[0].n
+    a = np.zeros((b, n, n), dtype=bool)
+    counts = [len(g.edges) for g in graphs]
+    if sum(counts):
+        i, j = np.array([e for g in graphs for e in g.edges]).T
+        which = np.repeat(np.arange(b), counts)
+        a[which, i, j] = a[which, j, i] = True
+    return a

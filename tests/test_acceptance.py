@@ -24,7 +24,7 @@ from sogtok.corpus import (
     describe_graph,
 )
 from sogtok.graph import Graph, NodeRecord
-from sogtok.ingest import write_graph_file
+from sogtok.ingest import graph_blocks, write_graph_file
 from sogtok.metrics import (
     accuracy_and_f1,
     auc_roc,
@@ -68,7 +68,7 @@ def family_setup():
         lr_warmup=1e-2, lr_gcn=2e-3, lr_codebook=1e-2, batch_size=10,
     )
     t0 = time.monotonic()
-    model, logs = train(graphs, cfg)
+    model, logs = train(graph_blocks(graphs), cfg)
     elapsed = time.monotonic() - t0
     return graphs, model, logs, elapsed
 
@@ -86,7 +86,7 @@ def scaffold_setup():
         global_share=0.5,
     )
     t0 = time.monotonic()
-    model, _ = train(graphs, cfg)
+    model, _ = train(graph_blocks(graphs), cfg)
     elapsed = time.monotonic() - t0
     return graphs, model, elapsed
 

@@ -17,43 +17,44 @@ from sogtok.attributes import (
     load_embedding_table,
 )
 from sogtok.errors import DimensionMismatch, ValidationError
-from sogtok.graph import permute
+from sogtok.ingest import GraphBlock
 
 import oracle
+from oracle import adjacency_stack, permute
 from conftest import make_graph, small_graphs
 
 
 def test_degree_scores(path3):
-    assert importance_scores(path3, ImportanceStrategy("degree")).tolist() == [1, 2, 1]
+    assert importance_scores(adjacency_stack([path3])[0], ImportanceStrategy("degree")).tolist() == [1, 2, 1]
 
 
 def test_pagerank_symmetric(triangle):
-    p = importance_scores(triangle, ImportanceStrategy("pagerank"))
+    p = importance_scores(adjacency_stack([triangle])[0], ImportanceStrategy("pagerank"))
     assert np.allclose(p, 1 / 3)
     assert abs(p.sum() - 1.0) < 1e-9
 
 
 def test_pagerank_favors_hub(star4):
-    p = importance_scores(star4, ImportanceStrategy("pagerank"))
+    p = importance_scores(adjacency_stack([star4])[0], ImportanceStrategy("pagerank"))
     assert p[0] > p[1] == pytest.approx(p[2])
 
 
 def test_betweenness_path(path3):
-    b = importance_scores(path3, ImportanceStrategy("betweenness"))
+    b = importance_scores(adjacency_stack([path3])[0], ImportanceStrategy("betweenness"))
     assert b[1] > 0 and b[0] == b[2] == 0.0
 
 
 def test_betweenness_star(star4):
-    b = importance_scores(star4, ImportanceStrategy("betweenness"))
+    b = importance_scores(adjacency_stack([star4])[0], ImportanceStrategy("betweenness"))
     # center lies on all 3 leaf pairs
     assert b[0] == pytest.approx(3.0)
     assert b[1] == b[2] == b[3] == 0.0
 
 
 def test_random_scores_deterministic(path3):
-    s1 = importance_scores(path3, ImportanceStrategy("random", seed=5))
-    s2 = importance_scores(path3, ImportanceStrategy("random", seed=5))
-    s3 = importance_scores(path3, ImportanceStrategy("random", seed=6))
+    s1 = importance_scores(adjacency_stack([path3])[0], ImportanceStrategy("random", seed=5))
+    s2 = importance_scores(adjacency_stack([path3])[0], ImportanceStrategy("random", seed=5))
+    s3 = importance_scores(adjacency_stack([path3])[0], ImportanceStrategy("random", seed=6))
     assert np.array_equal(s1, s2)
     assert not np.array_equal(s1, s3)
 
@@ -104,7 +105,7 @@ def _anchor_is_strict(g, strategy):
     """True when the anchor wins without the index fallback; index-broken
     anchor ties between non-automorphic nodes can shift the whole hop
     partition under relabeling, so the multiset claim only holds here."""
-    scores = importance_scores(g, strategy)
+    scores = importance_scores(adjacency_stack([g])[0], strategy)
     keys = oracle.tie_break_key(g)
     pairs = sorted((-scores[v], oracle.neg_key(keys[v])) for v in range(g.n))
     return len(pairs) < 2 or pairs[0] != pairs[1]
@@ -185,7 +186,7 @@ def _with_examples(test):
 def test_betweenness_matches_networkx(g):
     nx, graph = _networkx_graph(g)
     want = nx.betweenness_centrality(graph, normalized=False)  # unordered pairs
-    got = importance_scores(g, ImportanceStrategy("betweenness"))
+    got = importance_scores(adjacency_stack([g])[0], ImportanceStrategy("betweenness"))
     assert np.allclose(got, [want[v] for v in range(g.n)], rtol=1e-12, atol=1e-12)
 
 
@@ -195,7 +196,7 @@ def test_betweenness_matches_networkx(g):
 def test_pagerank_matches_networkx(g):
     nx, graph = _networkx_graph(g)
     want = nx.pagerank(graph, alpha=0.85, tol=1e-15, max_iter=10_000)
-    got = importance_scores(g, ImportanceStrategy("pagerank"))
+    got = importance_scores(adjacency_stack([g])[0], ImportanceStrategy("pagerank"))
     # _pagerank stops after 100 iterations of a map that contracts the L1
     # distance by 0.85 from a start within 2 of the fixed point, or once a
     # step moves p by < 1e-9 (then within 0.85 / 0.15 * 1e-9 of it)
@@ -246,7 +247,7 @@ def test_prepare_graphs_bytes_equal_per_graph_oracle(graphs, kind, include_globa
 
     strategy = ImportanceStrategy(kind, seed=5)
     embedder = HashingEmbedder(dim=16)
-    table, buckets = prepare_graphs(graphs, strategy, embedder, include_global)
+    table, buckets = prepare_graphs([GraphBlock.of(graphs)], strategy, embedder, include_global)
     assert sorted(pos for bucket in buckets for pos in bucket.positions) == list(range(len(graphs)))
     for bucket in buckets:
         for i, pos in enumerate(bucket.positions):
@@ -264,12 +265,13 @@ def test_prepare_graphs_bytes_equal_per_graph_oracle(graphs, kind, include_globa
 def test_attribute_maps_split_large_buckets(monkeypatch):
     # the cell bound splits one node count into several buckets
     import sogtok.attributes as attributes
+    import sogtok.graph as graph_module
 
-    monkeypatch.setattr(attributes, "_BUCKET_CELLS", 40)
+    monkeypatch.setattr(graph_module, "_BUCKET_CELLS", 40)
     rng = np.random.default_rng(3)
     graphs = [make_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6) if rng.random() < 0.4])
               for _ in range(9)]
-    assert len(list(attributes.attribute_buckets(graphs, ImportanceStrategy()))) == 9
+    assert len(list(attributes.attribute_buckets(GraphBlock.of(graphs), ImportanceStrategy()))) == 9
     strategy, want = _per_graph_oracle(graphs, "degree")
     assert attribute_maps(graphs, strategy) == want
 

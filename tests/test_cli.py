@@ -13,9 +13,8 @@ from sogtok.attributes import HashingEmbedder
 from sogtok.cli import _resolve, build_parser, main
 from sogtok.errors import ValidationError
 from sogtok.graph import Graph, NodeRecord, ego_graph
-from sogtok.ingest import write_graph_file
+from sogtok.ingest import READ_BLOCK, write_graph_file
 from sogtok.model import encode, load_checkpoint
-from sogtok.train import READ_BLOCK
 from sogtok.synthetic import family_dataset
 
 pytestmark = pytest.mark.usefixtures("dataset")
@@ -1023,3 +1022,108 @@ def test_label_csv_bad_row_exit_2(trained, tmp_path, rows, needle):
                     "--out", tmp_path / "p", "--seed", "1", "--task", "BBBP_p_np", "--labels", labels)
     _assert_one_line_error(proc, needle)
     assert not (tmp_path / "p").exists()  # the run made it, so the run removes it
+
+
+@pytest.fixture(scope="module")
+def demo(tmp_path_factory):
+    """The data of scripts/end_to_end.sh, and a model trained on its molecules."""
+    root = tmp_path_factory.mktemp("demo")
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(repo / "src"),
+                                                                    os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, str(repo / "scripts" / "make_synthetic_data.py"), "--out", str(root),
+                    "--seed", "7"], env=env, check=True, capture_output=True, timeout=120)
+    assert main(["train", "--data", str(root / "molecules.jsonl"), "--out", str(root / "model"),
+                 "--k", "8", "--seed", "7", "--warmup-epochs", "1", "--epochs", "1",
+                 "--batch-size", "10"]) == 0
+    return root
+
+
+def test_read_stages_build_no_graph(demo, tmp_path, monkeypatch):
+    """On the demo set, graph- and node-level tokenize, gen-prompts, eval and
+    the permutation trials of stats read blocks of arrays and build no Graph;
+    only the scaffolds of stats read Graph views."""
+    from sogtok import cli
+
+    built, init = [0], Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    mols, families = str(demo / "molecules.jsonl"), str(demo / "families.jsonl")
+    checkpoint = str(demo / "model" / "model.sogtok")
+    responses = tmp_path / "responses.jsonl"
+    ids = [json.loads(line)["id"] for line in Path(mols).read_text().splitlines()]
+    responses.write_text("".join(json.dumps({"id": gid, "text": "Yes"}) + "\n" for gid in ids))
+    runs = {
+        "tokenize": ["tokenize", "--data", mols, "--checkpoint", checkpoint],
+        "tokenize-node": ["tokenize", "--data", families, "--checkpoint", checkpoint, "--node-level",
+                          "--hops", "2"],
+        "gen-prompts": ["gen-prompts", "--data", mols, "--checkpoint", checkpoint, "--seed", "7",
+                        "--task", "BBBP_p_np"],
+        "eval": ["eval", "--responses", str(responses), "--data", mols, "--task", "BBBP_p_np"],
+    }
+    for name, argv in runs.items():
+        built[0] = 0
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        assert built[0] == 0, name
+
+    trials, hits = [], cli.permutation_hits
+
+    def counted_hits(*args, **kwargs):
+        before = built[0]
+        found = hits(*args, **kwargs)
+        trials.append(built[0] - before)
+        return found
+
+    monkeypatch.setattr(cli, "permutation_hits", counted_hits)
+    built[0] = 0
+    assert main(["stats", "--data", mols, "--checkpoint", checkpoint, "--seed", "7",
+                 "--out", str(tmp_path / "stats")]) == 0
+    assert trials == [0] and built[0] > 0
+
+
+@pytest.mark.filterwarnings("ignore:simjudge pair shortfall")
+def test_gen_corpus_ranks_each_bucket_once(demo, tmp_path, monkeypatch):
+    """descmatch names nodes from the rankings that the encoder read: one
+    _rank_bucket call per adjacency stack of the data file's blocks."""
+    from sogtok import attributes
+    from sogtok.graph import size_buckets
+    from sogtok.ingest import iter_graph_file
+
+    calls, rank = [], attributes._rank_bucket
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return rank(*args)
+
+    monkeypatch.setattr(attributes, "_rank_bucket", counted)
+    data = demo / "molecules.jsonl"
+    assert main(["gen-corpus", "--data", str(data), "--checkpoint", str(demo / "model" / "model.sogtok"),
+                 "--out", str(tmp_path / "c"), "--seed", "7", "--kinds", "descmatch,simjudge"]) == 0
+    stacks = [len(run) for block in iter_graph_file(data.read_bytes()) for run in size_buckets(block.sizes)]
+    assert calls == stacks
+
+
+def test_only_training_keeps_the_reconstruction_target(demo, tmp_path, monkeypatch):
+    """Read stages prepare anorm and x rows only; train keeps the boolean
+    adjacency that its loss reads."""
+    from sogtok import train
+
+    kept, prepare = [], train.prepare_block
+
+    def recorded(*args, **kwargs):
+        for ranked, bucket in prepare(*args, **kwargs):
+            kept.append(bucket.a_target is not None)
+            yield ranked, bucket
+
+    monkeypatch.setattr(train, "prepare_block", recorded)
+    mols, checkpoint = str(demo / "molecules.jsonl"), str(demo / "model" / "model.sogtok")
+    assert main(["tokenize", "--data", mols, "--checkpoint", checkpoint, "--out", str(tmp_path / "t")]) == 0
+    assert kept and not any(kept)
+    kept.clear()
+    assert main(["train", "--data", mols, "--out", str(tmp_path / "m"), "--k", "8", "--seed", "7",
+                 "--warmup-epochs", "0", "--epochs", "0"]) == 0
+    assert kept and all(kept)

@@ -9,16 +9,17 @@ from sogtok.errors import (
 )
 from sogtok.graph import (
     Graph,
-    adjacency_stack,
     augment_with_global_node,
     bfs_hops,
     build_adjacency,
     ego_graph,
-    permute,
+    ego_stacks,
+    permuted_adjacency,
     refine_colours,
 )
 
 import oracle
+from oracle import adjacency_stack, permute
 from conftest import make_graph, small_graphs
 
 
@@ -177,3 +178,48 @@ def test_refine_colours_matches_python_refinement():
         assert (a == np.stack([build_adjacency(g) > 0 for g in graphs])).all()
         assert refine_colours(a, colours).tolist() == oracle.refine_colours(graphs, colours.tolist())
 
+
+
+def _random_graphs(rng, count: int, max_nodes: int) -> list:
+    """Graphs of 1 to max_nodes nodes at random densities: disconnected ones
+    and isolated nodes among them."""
+    graphs = []
+    for i in range(count):
+        n, p = int(rng.integers(1, max_nodes + 1)), rng.random() * 0.6
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        graphs.append(make_graph(n, [e for e in pairs if rng.random() < p], gid=f"r{i}"))
+    return graphs
+
+
+@pytest.mark.parametrize("hops", [0, 1, 2, 3])
+def test_ego_stacks_equal_ego_graph_adjacency(hops):
+    """Every center of random graphs: the indexed ego adjacency is that of
+    ego_graph's subgraph, stacked, centers isolated or not."""
+    rng = np.random.default_rng(hops)
+    for n in range(1, 11):
+        graphs = [g for g in _random_graphs(rng, 60, n) if g.n == n]
+        if not graphs:
+            continue
+        owners = np.repeat(np.arange(len(graphs)), n)
+        centers = np.tile(np.arange(n), len(graphs))
+        got = {}
+        for rows, a in ego_stacks(adjacency_stack(graphs)[owners], centers, hops):
+            got.update(zip(rows.tolist(), a))
+        assert sorted(got) == list(range(len(owners)))
+        for k, (owner, center) in enumerate(zip(owners.tolist(), centers.tolist())):
+            want = adjacency_stack([ego_graph(graphs[owner], center, hops)[0]])[0]
+            assert got[k].shape == want.shape and got[k].tobytes() == want.tobytes()
+
+
+def test_ego_stacks_reject_negative_hops(path3):
+    with pytest.raises(ValidationError, match="hops must be >= 0"):
+        list(ego_stacks(adjacency_stack([path3]), np.zeros(1, dtype=int), -1))
+
+
+def test_permuted_adjacency_equals_permute():
+    rng = np.random.default_rng(4)
+    for g in _random_graphs(rng, 200, 12):
+        perms = np.stack([rng.permutation(g.n) for _ in range(3)])
+        got = permuted_adjacency(adjacency_stack([g] * 3), perms)
+        want = adjacency_stack([permute(g, p.tolist()) for p in perms])
+        assert got.tobytes() == want.tobytes()

@@ -3,14 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from sogtok.errors import GraphFileSemanticError, GraphFileSyntaxError
+from sogtok import ingest
+from sogtok.errors import GraphFileSemanticError, GraphFileSyntaxError, ValidationError
 from sogtok.ingest import (
+    GraphBlock,
     _lines,
     iter_graph_file,
     parse_graph_file,
     parse_label_csv,
     write_graph_file,
 )
+
+import oracle
+from oracle import adjacency_stack
 
 
 def record(**kw):
@@ -76,14 +81,15 @@ def test_lines_split_as_splitlines():
         assert list(_lines(text)) == text.splitlines(), repr(text)
 
 
-def test_iter_graph_file_yields_before_a_later_fault():
-    """The reader parses a line only when its graph is asked for, so the
-    graphs before a bad line arrive first, then the line's error."""
+def test_iter_graph_file_yields_before_a_later_fault(monkeypatch):
+    """The reader parses a block's lines only when the block is asked for, so
+    the blocks before a bad line arrive first, then the line's error."""
+    monkeypatch.setattr(ingest, "READ_BLOCK", 1)
     data = "\n".join([record(id="a", nodes=[{}], edges=[]), "", record(id="a", smiles="C")])
-    graphs = iter_graph_file(data.encode("utf-8"))
-    assert next(graphs).id == "a"
+    blocks = iter_graph_file(data.encode("utf-8"))
+    assert next(blocks).ids == ["a"]
     with pytest.raises(GraphFileSemanticError, match="line 3: duplicate graph id 'a'"):
-        next(graphs)
+        next(blocks)
 
 
 def test_label_and_smiles_fields():
@@ -145,3 +151,87 @@ def test_label_csv_repeated_id():
                          ("id,label\ng1,1\ng2,0\ng1,1\n", "line 4: id 'g1' repeats line 2")):
         with pytest.raises(GraphFileSemanticError, match=f"^{needle}$"):
             parse_label_csv(rows, {"g1", "g2"})
+
+
+# faults that the one-character corruptions may miss, each on line 2 of a file
+EXTRA_FAULTS = [
+    '{"id": "g", "nodes": [{}, {}], "edges": [[0, true]]}',
+    '{"id": "g", "nodes": [{}, {}, {}], "edges": [[0, 1], [1, 0]]}',
+    '{"id": "g", "nodes": [{}, {}, {}], "edges": [[0, 1], [2, 2]]}',
+    '{"id": "g", "nodes": [{}, {}], "edges": [[0, 1.0]]}',
+    '{"id": "g", "nodes": [{}, {}], "edges": [[-1, 0]]}',
+    '{"id": "g", "nodes": [{}, {}], "edges": [[0, 2]]}',
+    '{"id": "g", "nodes": [{}, {}], "edges": [[0, 99999999999999999999999]]}',
+    '{"id": "g", "nodes": [{}, {}], "edges": [[0, 1, 1]]}',
+    '{"id": "g", "nodes": [{}, {}], "edges": [[0, 1], [1]]}',
+    '{"id": "g", "nodes": [{}, {}], "edges": [0, 1]}',
+    '{"id": "g", "nodes": [{}, {}], "edges": [{"0": 1, "1": 0}]}',
+    '{"id": "g", "nodes": [{}, {}], "edges": null}',
+    '{"id": "g", "nodes": [{}, {"text": 5}], "edges": []}',
+    '{"id": "g", "nodes": [{}, 1], "edges": []}',
+    '{"id": "g", "nodes": [{}], "edges": [], "label": true}',
+    '{"id": "g", "nodes": [{}], "edges": [], "smiles": 5}',
+    '{"id": "g", "smiles": 5}',
+    '{"id": "", "smiles": "C"}',
+    '{"id": 5, "smiles": "C"}',
+    '["g"]',
+    '{"id": "ok", "smiles": "C"}',
+    '{"id": "g", "smiles": "CCCC"}',
+    '{"id": "g", "nodes": [{}, {}, {}, {}], "edges": [[0, 9]]}',
+    '{"id": "g", "nodes": [{}, {}, {}], "edges": [[2, 0], [0, 1]], "label": 1}',
+    '{"id": "g", "nodes": [{}, {}], "edges": [[1, 1]], "label": true}',
+    '{"id": "g", "nodes": [{}, {}, {}], "edges": [[0, 1], [1, 0], [2, 2]]}',
+    '{"id": "g", "nodes": [{}, {}, {}, {}], "edges": [[0, 1], [1, 0]]}',
+    '{"id": "g", "nodes": [{}, {}, {}, {}], "edges": [[3, 3], [0, 9]]}',
+    '{"id": "g", "nodes": [{}, {}], "edges": [[2, 0]]}',
+    '{"id": "g", "nodes": [{}, {}, {}], "edges": [[0, 1], [2, 2], [0, 0]]}',
+]
+
+
+def _outcome(read, text: str, size_cap: int):
+    """The graphs read, or the class and message of the error raised."""
+    try:
+        return read(text, size_cap)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("read_block", [1, 2, ingest.READ_BLOCK])
+def test_block_ingest_matches_the_record_parser(monkeypatch, read_block):
+    """Every corruption of line 2 that the one-character tests of test_cli
+    make, and the faults above: the blocks give the Graphs of the
+    record-by-record parser, or its error class (hence exit code) and
+    message, with a bad line before or after the fault as well."""
+    from test_cli import MUTANT_CHARS, VALID_RECORDS
+
+    monkeypatch.setattr(ingest, "READ_BLOCK", read_block)
+    mutants = set(EXTRA_FAULTS)
+    for kind in sorted(VALID_RECORDS):
+        line = json.dumps(VALID_RECORDS[kind])
+        rng = np.random.default_rng(17)
+        mutants.update(line[:k] + line[k + 1:] for k in range(len(line)))
+        for k, ch in zip(rng.integers(len(line), size=80), rng.choice(MUTANT_CHARS, size=80)):
+            mutants.add(line[:k] + ch + line[k + 1:])
+    first = record(id="ok", smiles="CCO")
+    later = record(id="later", nodes=[{}, {}], edges=[[1, 1]])
+    for mutant in sorted(mutants):
+        for text in (f"{first}\n{mutant}\n", f"{first}\n{mutant}\n{later}\n", f"{first}\n{mutant}\n{{bad\n"):
+            for size_cap in (3, 100):
+                assert _outcome(parse_graph_file, text, size_cap) == _outcome(
+                    oracle.read_graph_file, text, size_cap), (mutant, text, size_cap)
+
+
+def test_block_arrays_hold_each_graphs_edges():
+    """A block's edge rows are each graph's Graph edges, (i, j) with i < j,
+    ascending, and its adjacency stack is adjacency_stack's."""
+    data = "\n".join([record(id="a", nodes=[{}, {}, {}], edges=[[2, 0], [1, 0]]),
+                      record(id="b", smiles="C1CC1O"),
+                      record(id="c", nodes=[{}, {}, {}], edges=[])])
+    (block,) = iter_graph_file(data)
+    graphs = oracle.read_graph_file(data)
+    assert block.graphs() == graphs
+    assert block.sizes.tolist() == [3, 4, 3] and block.edge_starts.tolist() == [0, 2, 6, 6]
+    assert block.edges[:2].tolist() == [[0, 1], [0, 2]]
+    positions = np.array([0, 2, 0])
+    assert block.adjacency(positions).tobytes() == adjacency_stack([graphs[p] for p in positions]).tobytes()
+    assert GraphBlock.of(graphs).edges.tobytes() == block.edges.tobytes()

@@ -20,6 +20,8 @@ from sogtok.metrics import (
 )
 from sogtok.model import Codebook
 
+import oracle
+
 
 def test_parse_negative_precedence():
     assert parse_answer("The molecule is not approved.").value == "Negative"
@@ -259,3 +261,26 @@ def test_export_embeddings_formats_like_fstring(tmp_path):
         f"g{i},{i % 7}," + ",".join(f"{x:.9g}" for x in row) for i, row in enumerate(rows)
     ]
     assert path.read_text() == "\n".join(expected) + "\n"
+
+
+def test_scaffold_consistency_equals_per_member_loop():
+    """Random tokens and buckets, singletons among them: the counted pairs
+    give the report of the one-dict-per-bucket loop, and both
+    refuse buckets that all have fewer than two members."""
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        # few distinct tokens, or tokens of a large codebook with gaps between them
+        high = int(rng.choice([rng.integers(1, 9), 4096]))
+        tokens = rng.integers(0, high, size=n).tolist()
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, int(rng.integers(0, n))), replace=False))
+        order = rng.permutation(n)
+        buckets = [part.tolist() for part in np.split(order, cuts)]
+        shuffles, seed = int(rng.integers(1, 6)), int(rng.integers(100))
+        if all(len(b) < 2 for b in buckets):
+            for fn in (scaffold_consistency, oracle.scaffold_consistency):
+                with pytest.raises(ValidationError, match="no scaffold bucket has two or more members"):
+                    fn(tokens, buckets, shuffles, seed)
+            continue
+        assert scaffold_consistency(tokens, buckets, shuffles, seed) == oracle.scaffold_consistency(
+            tokens, buckets, shuffles, seed)

@@ -6,20 +6,22 @@ import ast
 import gc
 import json
 import re
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sogtok import cli, train
+from sogtok import cli, ingest, train
 from sogtok.attributes import HashingEmbedder
 from sogtok.cli import main
 from sogtok.graph import Graph
-from sogtok.ingest import iter_graph_file, parse_graph_file
+from sogtok.ingest import READ_BLOCK, GraphBlock, iter_graph_file
 from sogtok.model import load_checkpoint
 from sogtok.synthetic import scaffold_smiles_set
-from sogtok.train import READ_BLOCK, assign_tokens, node_tokens
+from sogtok.train import assign_tokens, node_tokens
 
 SMILES = [s for _, s in scaffold_smiles_set()]
 
@@ -102,14 +104,16 @@ def _peak_bytes(argv: list[str]) -> int:
 
 
 def _held_bytes(data) -> int:
-    """What holding every parsed graph of the file takes."""
+    """What holding every parsed block of the file takes: what a stage that
+    kept each block it read would hold."""
     text = data.read_text(encoding="utf-8")
     gc.collect()
     tracemalloc.start()
     try:
-        graphs = parse_graph_file(text)
-        held = tracemalloc.get_traced_memory()[0]
-        del graphs
+        start = tracemalloc.get_traced_memory()[0]
+        blocks = list(iter_graph_file(text))
+        held = tracemalloc.get_traced_memory()[0] - start
+        del blocks
     finally:
         tracemalloc.stop()
     return held
@@ -117,9 +121,10 @@ def _held_bytes(data) -> int:
 
 @pytest.mark.parametrize("stage", ["tokenize", "gen-corpus"])
 def test_peak_memory_grows_with_outputs_not_parsed_graphs(model, tmp_path, stage):
-    """From N to 4N graphs, the peak grows by less than half of what holding
-    the 3N added parsed graphs takes. N spans two blocks, so that both runs
-    hold a finished block while the next one is parsed. An untraced run
+    """From N to 4N graphs, the peak grows by less than what holding the
+    blocks of the 3N added graphs takes, which a stage that kept every block
+    would add to the growth of its outputs. N spans two blocks, so that both
+    runs hold a finished block while the next one is parsed. An untraced run
     first does the one-off work of a first call, such as lazy imports."""
     n = 2 * READ_BLOCK
     peaks, held = [], []
@@ -138,14 +143,14 @@ def test_peak_memory_grows_with_outputs_not_parsed_graphs(model, tmp_path, stage
                 continue
             peaks.append(_peak_bytes(argv))
         held.append(_held_bytes(data))
-    assert peaks[1] - peaks[0] < 0.5 * (held[1] - held[0]), (peaks, held)
+    assert peaks[1] - peaks[0] < held[1] - held[0], (peaks, held)
 
 
 READ_PATHS = {
-    "graph": lambda graphs, model, embedder: assign_tokens(graphs, model, embedder),
+    "graph": lambda blocks, model, embedder: assign_tokens(blocks, model, embedder),
     # hops that reach the whole molecule: each ego-graph is as large as its graph
-    "node": lambda graphs, model, embedder: node_tokens(((g, 0) for g in graphs), model, 64,
-                                                        embedder),
+    "node": lambda blocks, model, embedder: node_tokens(
+        ((b, np.arange(len(b)), np.zeros(len(b), dtype=np.intp)) for b in blocks), model, 64, embedder),
 }
 
 
@@ -153,10 +158,10 @@ READ_PATHS = {
 def test_next_block_is_prepared_without_the_previous_one(model, tmp_path, monkeypatch, level):
     """Graph- and node-level tokenize, measured as each block is prepared: it
     holds what it held at the previous block plus that block's outputs, not
-    that block's graphs, attribute maps or rows as well. A first untraced run
+    that block's parsed arrays, rankings or rows as well. A first untraced run
     fills the embedder's cache, so the traced run grows only by what it keeps."""
     block, blocks = 64, 5
-    monkeypatch.setattr(train, "READ_BLOCK", block)
+    monkeypatch.setattr(ingest, "READ_BLOCK", block)
     data = tmp_path / "data.jsonl"
     _molecules(data, block)
     records = [json.loads(line) for line in data.read_text().splitlines()]
@@ -170,13 +175,13 @@ def test_next_block_is_prepared_without_the_previous_one(model, tmp_path, monkey
     read(iter_graph_file(text), loaded, embedder)
 
     held = []
-    prepare = train.prepare_graphs
+    prepare = train.prepare_block
 
     def traced_prepare(*args, **kwargs):
         held.append(tracemalloc.get_traced_memory()[0])
         return prepare(*args, **kwargs)
 
-    monkeypatch.setattr(train, "prepare_graphs", traced_prepare)
+    monkeypatch.setattr(train, "prepare_block", traced_prepare)
     gc.collect()
     tracemalloc.start()
     try:
@@ -186,22 +191,30 @@ def test_next_block_is_prepared_without_the_previous_one(model, tmp_path, monkey
     finally:
         tracemalloc.stop()
     assert len(out) == block * blocks and len(held) == blocks
-    block_graphs = _held_bytes(data) / blocks
-    growth = [b - a for a, b in zip(held, held[1:])]
-    # the slack covers small allocator caches, a fraction of one block's graphs
-    assert max(growth) < outputs / blocks + 0.25 * block_graphs, (growth, outputs, block_graphs)
+    block_bytes = _held_bytes(data) / blocks
+    # the reader keeps every id read, to refuse a repeated one; its set's table
+    # grows in jumps, as this set of the same ids added in the same order does
+    ids, id_bytes = set(), []
+    for i in range(block * blocks):
+        ids.add(f"m{i:05d}")
+        if (i + 1) % block == 0:
+            id_bytes.append(sys.getsizeof(ids))
+    growth = [b - a - (d - c) for a, b, c, d in zip(held, held[1:], id_bytes, id_bytes[1:])]
+    # the slack covers small allocator caches, a fraction of one parsed block
+    assert max(growth) < outputs / blocks + 0.25 * block_bytes, (growth, outputs, block_bytes)
 
 
 def _graphs_alive(prefix: str) -> int:
-    """Graphs alive whose ids start with prefix."""
+    """Graphs, and graphs of parsed blocks, alive whose ids start with prefix."""
     gc.collect()
-    return sum(1 for o in gc.get_objects() if isinstance(o, Graph) and o.id.startswith(prefix))
+    return sum(1 for o in gc.get_objects() if isinstance(o, Graph) and o.id.startswith(prefix)) + sum(
+        sum(gid.startswith(prefix) for gid in o.ids) for o in gc.get_objects() if isinstance(o, GraphBlock))
 
 
 def test_no_parsed_graph_outlives_the_read(model, tmp_path, monkeypatch):
-    """train holds its prepared buckets, not the graphs, once k-means starts;
-    gen-prompts holds each graph's id, text, label and tokens, not the graph,
-    once it renders its first prompt."""
+    """train holds its prepared buckets, not the parsed blocks, once k-means
+    starts; gen-prompts holds each graph's id, text, label and tokens, not
+    its block, once it renders its first prompt."""
     data = tmp_path / "data.jsonl"
     data.write_text("".join(json.dumps({"id": f"alive{i}", "smiles": SMILES[i % len(SMILES)],
                                         "label": i % 2}) + "\n" for i in range(40)))
@@ -249,7 +262,7 @@ def test_outputs_do_not_depend_on_the_block_size(model, tmp_path, monkeypatch, s
     labels.write_text("".join(f"m{i:05d},{1 - i % 2}\n" for i in range(0, 40, 3)))
     outputs = []
     for block in (READ_BLOCK, 7):
-        monkeypatch.setattr(train, "READ_BLOCK", block)
+        monkeypatch.setattr(ingest, "READ_BLOCK", block)
         out = tmp_path / f"out{block}"
         argv = _stage_argv(stage, data, model, out, tmp_path)
         assert main(argv + (["--labels", str(labels)] if stage == "gen-prompts" else [])) == 0

@@ -5,7 +5,7 @@ import pytest
 
 from sogtok.attributes import HashingEmbedder, ImportanceStrategy
 from sogtok.errors import EmptyDataset, ValidationError
-from sogtok.graph import permute
+from sogtok.ingest import graph_blocks
 from sogtok.model import load_checkpoint, nearest, save_checkpoint
 from sogtok.synthetic import (
     cycle_graph,
@@ -32,6 +32,7 @@ from sogtok.train import (
 
 from conftest import make_graph
 import oracle
+from oracle import permute
 
 SMALL = dict(k=4, warmup_epochs=2, joint_epochs=3, seed=5, d_s=16, d=8, d_r=4)
 
@@ -41,7 +42,7 @@ def tiny_model():
     graphs = [cycle_graph(n, f"c{n}") for n in (4, 5, 6)] + [
         star_graph(n, f"s{n}") for n in (4, 5, 6)
     ]
-    model, logs = train(graphs, TrainConfig(**SMALL))
+    model, logs = train(graph_blocks(graphs), TrainConfig(**SMALL))
     return model, logs, graphs
 
 
@@ -57,7 +58,7 @@ def test_token_surface_roundtrip():
 
 def test_train_rejects_empty():
     with pytest.raises(EmptyDataset):
-        train([], TrainConfig(**SMALL))
+        train(graph_blocks([]), TrainConfig(**SMALL))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -70,7 +71,7 @@ def test_divergence_aborts_with_nonfinite_loss():
         k=4, warmup_epochs=6, joint_epochs=0, seed=1, lr_warmup=1e150, d_s=16, d=8, d_r=4
     )
     with pytest.raises(NonFiniteLoss) as err:
-        train(graphs, cfg)
+        train(graph_blocks(graphs), cfg)
     assert err.value.epoch >= 1
 
 
@@ -92,7 +93,7 @@ def test_full_batch_divergence_differentiates_no_non_finite_state(monkeypatch):
     graphs = [cycle_graph(5, "c5"), star_graph(5, "s5")]
     cfg = TrainConfig(k=4, warmup_epochs=6, joint_epochs=0, seed=1, lr_warmup=1e150, d_s=16, d=8, d_r=4)
     with pytest.raises(NonFiniteLoss):
-        train(graphs, cfg)
+        train(graph_blocks(graphs), cfg)
     assert finite and all(finite)
 
 
@@ -132,8 +133,8 @@ def test_config_rejects_non_finite_or_non_positive_rate(name, value):
 def test_zero_epochs_returns_initialization():
     graphs = [cycle_graph(5, "c5")]
     cfg = TrainConfig(k=4, warmup_epochs=0, joint_epochs=0, seed=9, d_s=16, d=8, d_r=4)
-    m1, logs1 = train(graphs, cfg)
-    m2, _ = train(graphs, cfg)
+    m1, logs1 = train(graph_blocks(graphs), cfg)
+    m2, _ = train(graph_blocks(graphs), cfg)
     assert np.array_equal(m1.enc.w1, m2.enc.w1)
     assert np.array_equal(m1.codebook.entries, m2.codebook.entries)
     assert len(logs1) == 1  # closing evaluation row only
@@ -144,7 +145,7 @@ def test_codebook_untouched_during_warmup(tmp_path):
     cfg = TrainConfig(k=4, warmup_epochs=3, joint_epochs=0, seed=9, d_s=16, d=8, d_r=4)
     out = tmp_path / "ck"
     out.mkdir()
-    train(graphs, cfg, checkpoint_dir=str(out))
+    train(graph_blocks(graphs), cfg, checkpoint_dir=str(out))
     first = load_checkpoint(out / "ckpt_epoch_000.sogtok")
     last = load_checkpoint(out / "ckpt_epoch_002.sogtok")
     assert np.array_equal(first.codebook.entries, last.codebook.entries)
@@ -154,8 +155,8 @@ def test_codebook_untouched_during_warmup(tmp_path):
 def test_training_is_bit_reproducible(tmp_path):
     graphs = family_dataset(per_family=4, seed=3)
     cfg = TrainConfig(k=4, warmup_epochs=2, joint_epochs=2, seed=11, d_s=16, d=8, d_r=4)
-    m1, logs1 = train(graphs, cfg)
-    m2, logs2 = train(graphs, cfg)
+    m1, logs1 = train(graph_blocks(graphs), cfg)
+    m2, logs2 = train(graph_blocks(graphs), cfg)
     save_checkpoint(m1, tmp_path / "a.sogtok")
     save_checkpoint(m2, tmp_path / "b.sogtok")
     assert (tmp_path / "a.sogtok").read_bytes() == (tmp_path / "b.sogtok").read_bytes()
@@ -335,6 +336,11 @@ def _mixed_sizes(count, seed):
     return graphs
 
 
+def _train_blocks(graphs, cfg, checkpoint_dir=None):
+    """train() of in-memory graphs, READ_BLOCK at a time."""
+    return train(graph_blocks(graphs), cfg, checkpoint_dir=checkpoint_dir)
+
+
 def _artifacts(trainer, graphs, cfg, out):
     out.mkdir()
     model, logs = trainer(graphs, cfg, checkpoint_dir=str(out))
@@ -365,7 +371,7 @@ def test_train_matches_per_graph_oracle(case, tmp_path):
     settings = dict(warmup_epochs=2, joint_epochs=3, seed=5, d_s=16, d=8, d_r=4, lr_gcn=2e-3,
                     lr_codebook=1e-2) | ORACLE_CASES[case]
     cfg = TrainConfig(**settings)
-    assert _artifacts(train, graphs, cfg, tmp_path / "blocked") == _artifacts(
+    assert _artifacts(_train_blocks, graphs, cfg, tmp_path / "blocked") == _artifacts(
         oracle.train, graphs, cfg, tmp_path / "per_graph"
     )
 
@@ -377,7 +383,7 @@ def test_train_matches_oracle_when_k_exceeds_rows(global_share, tmp_path):
               make_graph(3, [], gid="c"), make_graph(4, [(0, 1), (1, 2), (2, 3)], gid="d")]
     cfg = TrainConfig(k=32, warmup_epochs=2, joint_epochs=2, seed=3, d_s=16, d=8, d_r=4,
                       batch_size=3, global_share=global_share)
-    assert _artifacts(train, graphs, cfg, tmp_path / "blocked") == _artifacts(
+    assert _artifacts(_train_blocks, graphs, cfg, tmp_path / "blocked") == _artifacts(
         oracle.train, graphs, cfg, tmp_path / "per_graph"
     )
 
@@ -386,13 +392,13 @@ def test_train_matches_oracle_with_split_buckets(monkeypatch, tmp_path):
     """With one node count spread over several buckets, a minibatch still sums
     its gradients by node count in order of first appearance, then by dataset
     position, as the per-graph loop does."""
-    import sogtok.attributes as attributes
+    import sogtok.graph as graph_module
 
-    monkeypatch.setattr(attributes, "_BUCKET_CELLS", 64)  # 8-node graphs one per bucket, 5-node two
+    monkeypatch.setattr(graph_module, "_BUCKET_CELLS", 64)  # 8-node graphs one per bucket, 5-node two
     graphs = _mixed_sizes(41, seed=0)
     cfg = TrainConfig(k=16, warmup_epochs=2, joint_epochs=3, seed=5, d_s=16, d=8, d_r=4,
                       lr_gcn=2e-3, lr_codebook=1e-2, batch_size=32)
-    assert _artifacts(train, graphs, cfg, tmp_path / "blocked") == _artifacts(
+    assert _artifacts(_train_blocks, graphs, cfg, tmp_path / "blocked") == _artifacts(
         oracle.train, graphs, cfg, tmp_path / "per_graph"
     )
 
@@ -404,17 +410,17 @@ def test_train_matches_oracle_across_read_blocks(monkeypatch, tmp_path, batch_si
     buckets of several blocks, and with 64 bucket cells 8-node graphs also
     take one bucket each within a block. Training still writes the bytes of
     the per-graph loop."""
-    import sogtok.attributes as attributes
-    import sogtok.train as train_module
+    import sogtok.graph as graph_module
+    import sogtok.ingest as ingest
 
-    monkeypatch.setattr(train_module, "READ_BLOCK", 7)
+    monkeypatch.setattr(ingest, "READ_BLOCK", 7)
     graphs = _mixed_sizes(41, seed=0)
     if bucket_cells is not None:
-        monkeypatch.setattr(attributes, "_BUCKET_CELLS", bucket_cells)
+        monkeypatch.setattr(graph_module, "_BUCKET_CELLS", bucket_cells)
         assert any(sum(g.n == 8 for g in graphs[i : i + 7]) > 1 for i in range(0, 41, 7))
     cfg = TrainConfig(k=16, warmup_epochs=2, joint_epochs=3, seed=5, d_s=16, d=8, d_r=4,
                       lr_gcn=2e-3, lr_codebook=1e-2, batch_size=batch_size)
-    assert _artifacts(train, iter(graphs), cfg, tmp_path / "blocked") == _artifacts(
+    assert _artifacts(_train_blocks, iter(graphs), cfg, tmp_path / "blocked") == _artifacts(
         oracle.train, graphs, cfg, tmp_path / "per_graph"
     )
 
@@ -445,7 +451,7 @@ def test_minibatch_blocks_split_only_between_node_counts(monkeypatch):
     monkeypatch.setattr(train_module, "backward", counted_backward)
     monkeypatch.setattr(train_module.Adam, "step", step_then_count)
     graphs = _mixed_sizes(41, seed=0)
-    train(graphs, TrainConfig(k=16, warmup_epochs=1, joint_epochs=1, seed=5, d_s=16, d=8, d_r=4,
+    train(graph_blocks(graphs), TrainConfig(k=16, warmup_epochs=1, joint_epochs=1, seed=5, d_s=16, d=8, d_r=4,
                               batch_size=32))
     assert [len(b) for b in batches] == [32, 9, 32, 9]
     assert calls[-1] == 0  # the closing evaluation differentiates nothing
@@ -470,7 +476,7 @@ def test_full_batch_epoch_walks_the_graphs_once(monkeypatch, batch_size):
 
     monkeypatch.setattr(train_module, "forward", counted_forward)
     graphs = _mixed_sizes(41, seed=0)
-    train(graphs, TrainConfig(k=8, warmup_epochs=2, joint_epochs=3, seed=5, d_s=16, d=8, d_r=4,
+    train(graph_blocks(graphs), TrainConfig(k=8, warmup_epochs=2, joint_epochs=3, seed=5, d_s=16, d=8, d_r=4,
                               lr_gcn=2e-3, lr_codebook=1e-2, batch_size=batch_size))
     n = len(graphs)
     assert passed[0] == 5 * (n if batch_size is None else 2 * n) + n
@@ -495,7 +501,7 @@ def _epoch_memory(graphs, cfg) -> int:
         mp.setattr(train_module, "prepare_graphs", prepare_then_mark)
         tracemalloc.start()
         try:
-            train(graphs, cfg)
+            train(graph_blocks(graphs), cfg)
             return tracemalloc.get_traced_memory()[1] - after_prepare[0]
         finally:
             tracemalloc.stop()
@@ -518,15 +524,16 @@ def test_training_epoch_memory_is_bounded_by_a_block():
 def test_encoded_blocks_rows_equal_per_graph_encode(tiny_model, monkeypatch, include_global, take):
     """Stacked encode calls yield the bytes of encoding every graph alone,
     across block boundaries and with buckets split into several stacks."""
+    import sogtok.ingest as ingest
     import sogtok.train as train_module
     from sogtok.model import encode
 
     model, _, _ = tiny_model
-    monkeypatch.setattr(train_module, "READ_BLOCK", 7)
+    monkeypatch.setattr(ingest, "READ_BLOCK", 7)
     monkeypatch.setattr(train_module, "TRAIN_BLOCK", 2)
     graphs = _mixed_sizes(23, seed=4)
     embedder = HashingEmbedder(dim=model.d_s)
-    blocks = list(encoded_blocks(graphs, model, lambda b: (b.rows, b.tokens), embedder,
+    blocks = list(encoded_blocks(graph_blocks(graphs), model, lambda b: (b.rows, b.tokens), embedder,
                                  include_global, take))
     got = np.vstack([rows for rows, _ in blocks])
     want = np.vstack([
