@@ -7,14 +7,14 @@ global node carries a fixed attribute string of its own.
 
 Graphs are ranked in buckets of equal node counts, from each bucket's
 (B, n, n) boolean adjacency stack. The encoder reads only each node's index
-into its bucket's distinct strings (attribute_buckets); the full per-node
-maps (ranked_maps) are built from the same rankings where they are read.
+into its bucket's distinct strings (attribute_buckets); no stage builds the
+full per-node maps (attribute_maps), which are for in-memory graphs.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -230,12 +230,16 @@ def attribute_buckets(block, strategy: ImportanceStrategy) -> Iterator[tuple[_Ra
         yield r, *_attribute_index(r)
 
 
-def ranked_maps(ranked: Iterable[_Ranked], count: int) -> list[StructuralAttributeMap]:
-    """The attribute map of each of count graphs, from the rankings of the
-    buckets that hold them."""
-    maps: list[StructuralAttributeMap | None] = [None] * count
-    for r in ranked:
-        index, names = _attribute_index(r)
+def attribute_maps(graphs: list[Graph], strategy: ImportanceStrategy) -> list[StructuralAttributeMap]:
+    """Anchor, hop labels and within-hop ranks for every node of every graph.
+
+    The anchor is the first node by importance (descending), then by the
+    sorted multiset of its neighbours' degrees (descending, a longer multiset
+    with an equal prefix first), then by index. Every other node is numbered
+    within its BFS hop from the anchor, or among the unreachable nodes, in
+    the same order."""
+    maps: list[StructuralAttributeMap | None] = [None] * len(graphs)
+    for r, index, names in attribute_buckets(GraphBlock.of(graphs), strategy):
         for pos, row, hops, ranks, idx in zip(
             r.positions.tolist(), r.order.tolist(), r.hop.tolist(), r.rank.tolist(), index.tolist()
         ):
@@ -246,17 +250,6 @@ def ranked_maps(ranked: Iterable[_Ranked], count: int) -> list[StructuralAttribu
                 attribute_of=tuple([names[i] for i in idx]),
             )
     return maps
-
-
-def attribute_maps(graphs: list[Graph], strategy: ImportanceStrategy) -> list[StructuralAttributeMap]:
-    """Anchor, hop labels and within-hop ranks for every node of every graph.
-
-    The anchor is the first node by importance (descending), then by the
-    sorted multiset of its neighbours' degrees (descending, a longer multiset
-    with an equal prefix first), then by index. Every other node is numbered
-    within its BFS hop from the anchor, or among the unreachable nodes, in
-    the same order."""
-    return ranked_maps(_ranked_buckets(GraphBlock.of(graphs), strategy), len(graphs))
 
 
 def assign_attributes(g: Graph, strategy: ImportanceStrategy) -> StructuralAttributeMap:

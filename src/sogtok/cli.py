@@ -27,10 +27,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attributes import STRATEGY_KINDS, HashingEmbedder, ImportanceStrategy, load_embedding_table, ranked_maps
+from .attributes import STRATEGY_KINDS, HashingEmbedder, ImportanceStrategy, load_embedding_table
 from .corpus import (
     KINDS,
     SimilarityThresholds,
+    check_pair_budget,
     gen_descmatch_records,
     gen_knn_records,
     gen_simjudge_records,
@@ -61,7 +62,7 @@ from .metrics import (
 )
 from .model import TokenizerModel, load_checkpoint, save_checkpoint
 from .prompts import BALANCE_POLICIES, balance_split, load_template, render_prompt, write_prompt_files
-from .scaffold import group_scaffolds, murcko_scaffold
+from .scaffold import group_scaffolds, scaffold_adjacencies
 from .train import (
     GLOBAL_ROW,
     TrainConfig,
@@ -207,23 +208,26 @@ def cmd_tokenize(cfg: dict, manifest: dict) -> None:
 def cmd_gen_corpus(cfg: dict, manifest: dict) -> None:
     seed = cfg["seed"]
     model = load_checkpoint(cfg["checkpoint"])
-    blocks = _stream_graphs(cfg["data"], cfg["size_cap"])
-    embedder = _make_embedder(model, cfg["embed_table"])
     kinds = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]
     for kind in kinds:
         if kind not in KINDS:
             raise ValidationError(f"unknown corpus kind {kind!r}")
-    records = []
+    # the settings and the knn records need only the flags and the
+    # checkpoint, so a bad one is reported before the data file is read
+    records = gen_knn_records(model.codebook, k=cfg["knn_k"]) if "knn" in kinds else []
+    if "simjudge" in kinds:
+        thresholds = SimilarityThresholds(tau_pos=cfg["tau_pos"], tau_neg=cfg["tau_neg"])
+        budget = cfg["pairs"] if cfg["pairs"] is not None else 4 * model.k
+        check_pair_budget(budget)
+    blocks = _stream_graphs(cfg["data"], cfg["size_cap"])
+    embedder = _make_embedder(model, cfg["embed_table"])
     ids, tokens, global_rows = [], [], []
     if "simjudge" in kinds or "descmatch" in kinds:
         # one embedding per graph gives its token and its simjudge row;
         # descmatch names a graph's nodes from the rankings that the encoder
         # read. A block is dropped once its records are made
         def kept(b):
-            block_records = []
-            if "descmatch" in kinds:
-                block_records = gen_descmatch_records(b.block.graphs(), dict(zip(b.block.ids, b.tokens)),
-                                                      ranked_maps(b.ranked, len(b.block)))
+            block_records = gen_descmatch_records(b.block, b.tokens, b.ranked) if "descmatch" in kinds else []
             return b.block.ids, b.tokens, b.rows, block_records
 
         for block_ids, block_tokens, rows, block_records in encoded_blocks(
@@ -236,14 +240,10 @@ def cmd_gen_corpus(cfg: dict, manifest: dict) -> None:
     else:
         for _ in blocks:  # the data file is checked whatever the kinds
             pass
-    if "knn" in kinds:
-        records.extend(gen_knn_records(model.codebook, k=cfg["knn_k"]))
     if "simjudge" in kinds:
         _require_graphs(len(ids), cfg["data"])
         embeddings = np.vstack(global_rows)
         del global_rows  # not held during the pair scan
-        thresholds = SimilarityThresholds(tau_pos=cfg["tau_pos"], tau_neg=cfg["tau_neg"])
-        budget = cfg["pairs"] if cfg["pairs"] is not None else 4 * model.k
         records.extend(
             gen_simjudge_records(
                 ids=ids,
@@ -387,7 +387,7 @@ def cmd_stats(cfg: dict, manifest: dict) -> None:
     m = min(cfg["corr_first"], model.k)
     sims, zero_rows = codebook_correlation(model.codebook, m)
     # one pass: each block's embedding gives its embeddings.csv rows and the
-    # tokens that the permutation and scaffold checks read, and its graphs
+    # tokens that the permutation and scaffold checks read, and its stacks
     # give their relabelled copies and scaffolds before they are dropped
     rng = np.random.default_rng(seed)
     tokens, scaffolds, hits = [], [], 0
@@ -396,7 +396,7 @@ def cmd_stats(cfg: dict, manifest: dict) -> None:
         nonlocal hits
         tokens.extend(b.tokens)
         hits += permutation_hits(model, b.block, b.tokens, cfg["trials"], rng, embedder)
-        scaffolds.extend(map(murcko_scaffold, b.block.graphs()))
+        scaffolds.extend(scaffold_adjacencies(b.ranked))
         return zip(b.block.ids, b.tokens, b.rows)
 
     def embedding_rows():

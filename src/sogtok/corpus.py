@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attributes import StructuralAttributeMap
+from .attributes import _Ranked
 from .errors import (
     DegenerateCodebook,
     GraphTooLargeForDescription,
     ValidationError,
 )
-from .graph import Graph
+from .ingest import GraphBlock
 from .manifest import atomic_write
 from .model import Codebook
 from .train import TOKEN_RE, token_text
@@ -99,7 +99,7 @@ def gen_knn_records(cb: Codebook, k: int = 5) -> list[QARecord]:
         raise DegenerateCodebook("all codebook entries have zero norm")
     if zero_rows:
         warnings.warn(f"excluding {len(zero_rows)} zero-norm codebook entries from knn corpus")
-    usable = np.setdiff1d(np.arange(cb.k), zero_rows)
+    usable = np.delete(np.arange(cb.k), zero_rows)  # np.setdiff1d would import numpy.ma
     keys = -sims[np.ix_(usable, usable)]
     np.fill_diagonal(keys, np.inf)  # an entry is never its own neighbour
     # a stable sort keeps the lower index first among equal keys
@@ -191,6 +191,12 @@ class _Reservoir:
         return self.rng.permutation(self.items[: self.seen])
 
 
+def check_pair_budget(budget: int) -> None:
+    """ValidationError unless a simjudge pair budget can hold a pair of each class."""
+    if budget < 2:
+        raise ValidationError("pair budget must be >= 2")
+
+
 def gen_simjudge_records(
     ids: list[str],
     tokens: list[int],
@@ -212,8 +218,7 @@ def gen_simjudge_records(
     n = len(ids)
     if n != len(tokens) or n != embeddings.shape[0]:
         raise ValidationError("ids, tokens, and embeddings must align")
-    if budget < 2:
-        raise ValidationError("pair budget must be >= 2")
+    check_pair_budget(budget)
     rng = np.random.default_rng(seed)
     share = budget / 2.0
     pairs = n * (n - 1) // 2  # no reservoir outgrows the pairs, whatever the budget
@@ -266,69 +271,53 @@ def node_names(count: int) -> list[str]:
 MAX_NAMED_NODES = 26 + 26 * 26
 
 
-def naming_order(attrs: StructuralAttributeMap) -> list[int]:
-    """Nodes in attribute-rank order: anchor, then hop by hop in rank order,
-    unreachable nodes last."""
-    inf = float("inf")
-    return sorted(
-        range(len(attrs.hop_of)),
-        key=lambda v: (
-            attrs.hop_of[v] if attrs.hop_of[v] is not None else inf,
-            attrs.rank_of[v],
-        ),
-    )
-
-
-def describe_graph(g: Graph, attrs: StructuralAttributeMap) -> tuple[str, dict[str, int]]:
-    """Edge-list description plus the name->original-index mapping, naming
-    the nodes in the naming_order() of g's attribute map attrs."""
-    if g.n > MAX_NAMED_NODES:
+def describe_graph(gid: str, n: int, pairs: list[tuple[int, int]]) -> str:
+    """The question of graph gid, of n nodes, whose edges join the nodes at
+    the places pairs (a, b) of its naming order, a < b, ascending; the node
+    at place q is named node_names()[q]."""
+    if n > MAX_NAMED_NODES:
         raise GraphTooLargeForDescription(
-            f"graph {g.id!r} has {g.n} nodes; naming supports {MAX_NAMED_NODES}"
+            f"graph {gid!r} has {n} nodes; naming supports {MAX_NAMED_NODES}"
         )
-    order = naming_order(attrs)
-    names = node_names(g.n)
-    name_of = {node: names[pos] for pos, node in enumerate(order)}
-    pos_of = {node: pos for pos, node in enumerate(order)}
-    if not g.edges:
-        noun = "node" if g.n == 1 else "nodes"
-        body = f"a graph of {g.n} {noun} with no edges"
+    if not pairs:
+        body = f"a graph of {n} {'node' if n == 1 else 'nodes'} with no edges"
     else:
-        ordered_edges = sorted(
-            (
-                (min(pos_of[i], pos_of[j]), max(pos_of[i], pos_of[j]))
-                for i, j in g.edges
-            )
-        )
-        clauses = [
-            f"node {names[a]} and node {names[b]} is connected" for a, b in ordered_edges
-        ]
-        body = "; ".join(clauses)
-    question = f"Here is the target graph: {body}. The corresponding graph structural token is:"
-    return question, {name: node for node, name in name_of.items()}
+        names = node_names(n)
+        body = "; ".join(f"node {names[a]} and node {names[b]} is connected" for a, b in pairs)
+    return f"Here is the target graph: {body}. The corresponding graph structural token is:"
 
 
 def gen_descmatch_records(
-    graphs: list[Graph], tokens: dict[str, int], attrs: list[StructuralAttributeMap]
+    block: GraphBlock, tokens: list[int], ranked: list[_Ranked]
 ) -> list[QARecord]:
-    """One record per graph: its description and its token; attrs holds the
-    graphs' attribute maps."""
-    if len(attrs) != len(graphs):
-        raise ValidationError(f"{len(attrs)} attribute maps for {len(graphs)} graphs")
-    records = []
-    for g, graph_attrs in zip(graphs, attrs):
-        if g.id not in tokens:
-            raise ValidationError(f"graph {g.id!r} has no graph token")
-        question, _ = describe_graph(g, graph_attrs)
-        records.append(
-            QARecord(
-                kind="descmatch",
-                question=question,
-                answer=token_text(tokens[g.id]),
-                provenance=f"graph:{g.id}",
-            )
+    """One record per graph of block: its description (describe_graph) and
+    its token, tokens[k] for graph k. The naming order of a graph's nodes
+    comes from ranked, the rankings of the block's stacks: the anchor, then
+    hop by hop in rank order, unreachable nodes last."""
+    if len(tokens) != len(block) or sum(len(r.positions) for r in ranked) != len(block):
+        raise ValidationError(f"tokens and rankings must cover the block's {len(block)} graphs")
+    starts = np.concatenate(([0], np.cumsum(block.sizes)))  # each graph's first node, flat
+    place = np.empty(starts[-1], dtype=np.intp)  # each node's place in its graph's naming order
+    for r in ranked:
+        b, n = r.hop.shape
+        hop = np.where(r.hop < 0, n, r.hop)  # unreachable nodes after the last hop
+        named = np.lexsort((r.rank.ravel(), hop.ravel(), np.repeat(np.arange(b), n)))
+        place[np.repeat(starts[r.positions], n) + named % n] = np.tile(np.arange(n), b)
+    counts = np.diff(block.edge_starts)
+    ends = place[block.edges + np.repeat(starts[:-1], counts)[:, None]]
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    order = np.lexsort((hi, lo, np.repeat(np.arange(len(block)), counts)))
+    pairs = list(zip(lo[order].tolist(), hi[order].tolist()))
+    edge_starts = block.edge_starts.tolist()
+    return [
+        QARecord(
+            kind="descmatch",
+            question=describe_graph(gid, n, pairs[edge_starts[k] : edge_starts[k + 1]]),
+            answer=token_text(token),
+            provenance=f"graph:{gid}",
         )
-    return records
+        for k, (gid, n, token) in enumerate(zip(block.ids, block.sizes.tolist(), tokens))
+    ]
 
 
 def corpus_lines(records: list[QARecord]) -> list[str]:

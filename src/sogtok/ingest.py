@@ -2,8 +2,8 @@
 
 Two formats:
   * graph file: one JSON object per line with fields id, nodes, edges,
-    optional label, optional smiles, read into GraphBlocks of READ_BLOCK
-    graphs as flat arrays
+    optional label, optional smiles; the stages read it as GraphBlocks of
+    READ_BLOCK graphs, flat arrays of node counts and edges (iter_graph_file)
   * label CSV: ``id,label`` rows, whose labels replace the graphs' own by id
 """
 
@@ -108,20 +108,18 @@ READ_BLOCK = 512
 
 @dataclass(frozen=True, eq=False)
 class GraphBlock:
-    """Up to READ_BLOCK graphs as flat arrays, in file order. Graph k has
-    sizes[k] nodes, whose texts follow graph k - 1's in node_texts, and the
-    edges edges[edge_starts[k] : edge_starts[k + 1]], each (i, j) with i < j,
-    ascending: the edges of its Graph. The ranking reads only adjacency
-    stacks (adjacency, buckets); graphs() builds the Graph views."""
+    """Up to READ_BLOCK graphs as flat arrays, in file order: graph k has
+    sizes[k] nodes and the edges edges[edge_starts[k] : edge_starts[k + 1]],
+    each (i, j) with i < j, ascending, the edges of its Graph. Every stage
+    reads a block's adjacency stacks (adjacency, buckets); node texts are not
+    kept."""
 
     ids: list[str]
     labels: list[int | None]
     texts: list[str | None]  # each graph's SMILES text, if any
     sizes: np.ndarray  # (B,) node counts
-    node_texts: list[str | None]
     edges: np.ndarray  # (E, 2)
     edge_starts: np.ndarray  # (B + 1,)
-    records: dict[str | None, NodeRecord]  # one NodeRecord per node text, shared by a file's blocks
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -146,22 +144,13 @@ class GraphBlock:
         for positions in size_buckets(self.sizes):
             yield positions, self.adjacency(positions)
 
-    def graphs(self) -> list[Graph]:
-        """Each graph as a Graph, for the code that reads a graph whole."""
-        nodes = node_records(self.node_texts, self.records)
-        edges = list(zip(*self.edges.T.tolist()))
-        node_starts, starts = np.cumsum([0, *self.sizes.tolist()]).tolist(), self.edge_starts.tolist()
-        return [Graph(id=gid, nodes=nodes[node_starts[k] : node_starts[k + 1]],
-                      edges=tuple(edges[starts[k] : starts[k + 1]]), label=label, graph_text=text)
-                for k, (gid, label, text) in enumerate(zip(self.ids, self.labels, self.texts))]
-
     @classmethod
     def of(cls, graphs: list[Graph]) -> GraphBlock:
         """The block of in-memory graphs."""
         rows = _Rows()
         for g in graphs:
-            rows.add(g.id, g.label, g.graph_text, [nd.text for nd in g.nodes], g.edges)
-        return rows.block({})
+            rows.add(g.id, g.label, g.graph_text, g.nodes, g.edges)
+        return rows.block()
 
 
 class _Rows:
@@ -169,25 +158,23 @@ class _Rows:
     in one flat list rather than a tuple per edge."""
 
     def __init__(self):
-        self.ids, self.labels, self.texts, self.sizes, self.node_texts = [], [], [], [], []
+        self.ids, self.labels, self.texts, self.sizes = [], [], [], []
         self.ends: list[int] = []
         self.edge_starts = [0]
 
-    def add(self, gid: str, label: int | None, text: str | None, node_texts: list[str | None],
-            edges) -> None:
-        """One graph's fields, as parse_graph_record() returns them."""
+    def add(self, gid: str, label: int | None, text: str | None, nodes, edges) -> None:
+        """One graph's fields, as parse_graph_record() returns them; only its nodes' count is kept."""
         self.ids.append(gid)
         self.labels.append(label)
         self.texts.append(text)
-        self.sizes.append(len(node_texts))
-        self.node_texts.extend(node_texts)
+        self.sizes.append(len(nodes))
         self.ends.extend(chain.from_iterable(edges))
         self.edge_starts.append(len(self.ends) // 2)
 
-    def block(self, records: dict[str | None, NodeRecord]) -> GraphBlock:
+    def block(self) -> GraphBlock:
         return GraphBlock(self.ids, self.labels, self.texts, np.array(self.sizes, dtype=np.intp),
-                          self.node_texts, np.array(self.ends, dtype=np.intp).reshape(-1, 2),
-                          np.array(self.edge_starts, dtype=np.intp), records)
+                          np.array(self.ends, dtype=np.intp).reshape(-1, 2),
+                          np.array(self.edge_starts, dtype=np.intp))
 
 
 def graph_blocks(graphs: Iterable[Graph]) -> Iterator[GraphBlock]:
@@ -198,12 +185,11 @@ def graph_blocks(graphs: Iterable[Graph]) -> Iterator[GraphBlock]:
         yield GraphBlock.of(chunk)
 
 
-def iter_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> Iterator[GraphBlock]:
-    """One GraphBlock per READ_BLOCK non-empty lines, yielded as its last
-    line is parsed, so a reader holds only the blocks it keeps. Each record
-    is checked as its line is read (parse_graph_record), its id against the
-    ids before it. Reports line/column on JSON failures and on bytes that
-    are not UTF-8."""
+def _records(data: bytes | str, size_cap: int) -> Iterator[tuple]:
+    """The fields of the record of each non-empty line (parse_graph_record),
+    in file order. Each record is checked as its line is read, its id
+    against the ids before it. Reports line/column on JSON failures and on
+    bytes that are not UTF-8."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -216,8 +202,6 @@ def iter_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> Iter
     else:
         text = data
     seen_ids: set[str] = set()
-    records: dict[str | None, NodeRecord] = {}
-    rows = _Rows()
     for line_no, line in enumerate(_lines(text), start=1):
         if not line.strip():
             continue
@@ -229,17 +213,31 @@ def iter_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> Iter
         if fields[0] in seen_ids:
             raise GraphFileSemanticError(line_no, f"duplicate graph id {fields[0]!r}")
         seen_ids.add(fields[0])
+        yield fields
+
+
+def iter_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> Iterator[GraphBlock]:
+    """One GraphBlock per READ_BLOCK records (_records), yielded as its last
+    line is parsed, so a reader holds only the blocks it keeps."""
+    records = _records(data, size_cap)
+    del data  # records holds the one copy
+    rows = _Rows()
+    for fields in records:
         rows.add(*fields)
         if len(rows.ids) == READ_BLOCK:
-            block, rows = rows.block(records), _Rows()  # the rows go before the block is used
+            block, rows = rows.block(), _Rows()  # the rows go before the block is used
             yield block
     if rows.ids:
-        yield rows.block(records)
+        yield rows.block()
 
 
 def parse_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> list[Graph]:
-    """Every graph of iter_graph_file() at once; no stage reads its data so."""
-    return [g for block in iter_graph_file(data, size_cap) for g in block.graphs()]
+    """Every graph of a graph file at once, as Graphs (_records); nodes of
+    equal text share one NodeRecord. No stage reads its data so."""
+    records: dict[str | None, NodeRecord] = {}
+    return [Graph(id=gid, nodes=node_records(texts, records), edges=tuple(edges), label=label,
+                  graph_text=text)
+            for gid, label, text, texts, edges in _records(data, size_cap)]
 
 
 def write_graph_file(graphs: list[Graph], path) -> None:

@@ -1,7 +1,9 @@
 """Ring-systems-plus-linkers skeleton extraction and scaffold grouping.
 
 The scaffold of a graph is its 2-core: iteratively delete nodes of degree
-<= 1 until none remain. Grouping is exact at every size. The scaffolds of
+<= 1 until none remain, for a whole adjacency stack at once (two_core).
+Scaffolds are read and grouped as boolean adjacency matrices, their nodes
+in index order. Grouping is exact at every size. The scaffolds of
 one node count are colour-refined together from their degrees
 (graph.refine_colours), and a scaffold's key is its node count with its
 histogram of stable colours, which isomorphic scaffolds share (it also fixes
@@ -20,33 +22,44 @@ from .graph import Graph, refine_colours
 from .ingest import GraphBlock
 
 
+def two_core(a: np.ndarray) -> np.ndarray:
+    """The nodes of each graph's 2-core, (B, n) bool, from a (B, n, n)
+    boolean adjacency stack: each round drops every node left with at most
+    one neighbour left, until a round drops none (Seidman's k-core, k = 2)."""
+    alive = np.ones(a.shape[:2], dtype=bool)
+    while (drop := alive & ((a & alive[:, None, :]).sum(axis=2) <= 1)).any():
+        alive &= ~drop
+    return alive
+
+
 def murcko_scaffold(g: Graph) -> Graph | None:
-    """Iteratively prune degree-<=1 nodes; return the surviving induced
-    subgraph. Acyclic graphs yield None, the empty scaffold."""
-    alive = set(range(g.n))
-    adj = [set(nbrs) for nbrs in g.neighbors()]
-    while True:
-        prune = [v for v in alive if len(adj[v]) <= 1]
-        if not prune:
-            break
-        for v in prune:
-            for u in adj[v]:
-                adj[u].discard(v)
-            adj[v].clear()
-            alive.discard(v)
-    if not alive:
+    """The induced subgraph on g's 2-core (two_core), its nodes in index
+    order. Acyclic graphs yield None, the empty scaffold."""
+    alive = two_core(GraphBlock.of([g]).adjacency(np.zeros(1, dtype=np.intp)))[0]
+    if not alive.any():
         return None
-    order = sorted(alive)
-    mapping = {old: new for new, old in enumerate(order)}
-    nodes = tuple(g.nodes[v] for v in order)
-    edges = tuple((mapping[i], mapping[j]) for i, j in g.edges if i in alive and j in alive)
+    new, keep = (np.cumsum(alive) - 1).tolist(), alive.tolist()
+    nodes = tuple(nd for nd, k in zip(g.nodes, keep) if k)
+    edges = tuple((new[i], new[j]) for i, j in g.edges if keep[i] and keep[j])
     return Graph(id=f"{g.id}#scaffold", nodes=nodes, edges=edges, graph_text=g.graph_text)
+
+
+def scaffold_adjacencies(ranked) -> list[np.ndarray | None]:
+    """The (m, m) boolean adjacency of each graph's scaffold, None if empty,
+    in block order, from the rankings of a block's stacks (each with its
+    positions and (B, n, n) stack)."""
+    out: list[np.ndarray | None] = [None] * sum(len(r.positions) for r in ranked)
+    for r in ranked:
+        for pos, a, alive in zip(r.positions.tolist(), r.adjacency, two_core(r.adjacency)):
+            if alive.any():
+                out[pos] = a[np.ix_(alive, alive)]
+    return out
 
 
 class _Coloured(NamedTuple):
     """What the isomorphism check reads of one graph."""
 
-    edges: tuple[tuple[int, int], ...]
+    cells: bytes  # the adjacency matrix's bytes
     colour: list[int]  # stable colour per node
     adj: list[set[int]]
 
@@ -60,7 +73,7 @@ def _isomorphic(a: _Coloured, b: _Coloured) -> bool:
     parent's image; every candidate must have the node's colour and the
     images of its mapped neighbours as its only mapped neighbours.
     """
-    if a.edges == b.edges:  # one labelled graph: the identity maps it onto itself
+    if a.cells == b.cells:  # one labelled graph: the identity maps it onto itself
         return True
     n = len(a.colour)
     of_colour: dict[int, list[int]] = {}
@@ -107,9 +120,10 @@ def _isomorphic(a: _Coloured, b: _Coloured) -> bool:
     return False
 
 
-def group_scaffolds(scaffolds: list[Graph | None]) -> list[list[int]]:
-    """Group scaffold indices into isomorphism classes; the empty scaffolds
-    form one group.
+def group_scaffolds(scaffolds: list[np.ndarray | None]) -> list[list[int]]:
+    """Group scaffold indices into isomorphism classes, each scaffold given
+    as its (n, n) boolean adjacency; the empty scaffolds (None) form one
+    group.
 
     Within a key, each scaffold joins the first representative it is
     isomorphic to, so the representatives are pairwise non-isomorphic.
@@ -118,12 +132,11 @@ def group_scaffolds(scaffolds: list[Graph | None]) -> list[list[int]]:
     member.
     """
     by_n: dict[int, list[int]] = {}  # node count 0: the empty scaffolds
-    for idx, g in enumerate(scaffolds):
-        by_n.setdefault(0 if g is None else g.n, []).append(idx)
+    for idx, a in enumerate(scaffolds):
+        by_n.setdefault(0 if a is None else len(a), []).append(idx)
     listed = [("EMPTY", by_n.pop(0))] if 0 in by_n else []
     for n, members in by_n.items():
-        graphs = [scaffolds[i] for i in members]
-        a = GraphBlock.of(graphs).adjacency(np.arange(len(graphs)))
+        a = np.stack([scaffolds[i] for i in members])
         deg = a.sum(axis=2)
         colours = refine_colours(a, deg)
         by_key: dict[bytes, list[int]] = {}
@@ -134,8 +147,10 @@ def group_scaffolds(scaffolds: list[Graph | None]) -> list[list[int]]:
             text = f"n{n}|m{degs.sum() // 2}|deg[{','.join(map(str, degs.tolist()))}]"
             reps: list[tuple[_Coloured, list[int]]] = []
             for row in rows:
-                g = graphs[row]
-                coloured = _Coloured(g.edges, colours[row].tolist(), [set(nb) for nb in g.neighbors()])
+                adj: list[set[int]] = [set() for _ in range(n)]
+                for i, j in zip(*(ends.tolist() for ends in np.nonzero(a[row]))):
+                    adj[i].add(j)
+                coloured = _Coloured(a[row].tobytes(), colours[row].tolist(), adj)
                 for rep, bucket in reps:
                     if _isomorphic(coloured, rep):
                         bucket.append(members[row])

@@ -9,10 +9,12 @@ only connectivity is retained.
 `scan_smiles` reads a string in one left-to-right pass (the grammar needs no
 lookahead beyond the two-letter atoms and %nn labels) and keeps its state
 in local variables: atom symbols, aromatic flags and a ``{(i, j): order}``
-bond dict with i < j. Ingest builds a graph straight from that scan: nodes
-are `node_records(symbols, records)`, which shares one frozen `NodeRecord`
-per distinct symbol across every graph of a file, and edges are the sorted
-bond keys. `parse_smiles` wraps the same scan in `Atom`/`Bond` objects.
+bond dict with i < j. Ingest takes a record's fields straight from that
+scan: its symbols and the sorted bond keys as edges. A block keeps only the
+symbols' count; `ingest.parse_graph_file` makes them the nodes of a `Graph`
+with `node_records(symbols, records)`, which shares one frozen `NodeRecord`
+per distinct symbol across every graph of a file. `parse_smiles` wraps the
+same scan in `Atom`/`Bond` objects.
 """
 
 from __future__ import annotations

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from sogtok.attributes import ImportanceStrategy, attribute_buckets
 from sogtok.corpus import QARecord
 from sogtok.graph import Graph, NodeRecord
+from sogtok.ingest import GraphBlock
 
 
 def make_graph(n, edges, gid="g", label=None, text=None):
@@ -17,6 +19,21 @@ def make_graph(n, edges, gid="g", label=None, text=None):
         label=label,
         graph_text=text,
     )
+
+
+def read_arrays(graphs, strategy=ImportanceStrategy()):
+    """In-memory graphs as the read path hands them to descmatch and
+    scaffolds: their block and the rankings of its stacks
+    (train.EncodedBlock's block and ranked)."""
+    block = GraphBlock.of(graphs)
+    return block, [r for r, *_ in attribute_buckets(block, strategy)]
+
+
+def scaffold_arrays(scaffolds):
+    """Scaffold Graphs as group_scaffolds reads them: each one's (n, n)
+    boolean adjacency, None for the empty scaffold."""
+    return [None if g is None else GraphBlock.of([g]).adjacency(np.zeros(1, dtype=np.intp))[0]
+            for g in scaffolds]
 
 
 @pytest.fixture

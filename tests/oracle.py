@@ -28,6 +28,7 @@ from sogtok.attributes import (
     hop_attribute,
     importance_scores,
 )
+from sogtok.corpus import node_names
 from sogtok.errors import (
     GraphFileSemanticError,
     GraphFileSyntaxError,
@@ -558,6 +559,29 @@ def brute_force_isomorphic(g1: Graph, g2: Graph) -> bool:
     )
 
 
+def murcko_scaffold(g: Graph) -> Graph | None:
+    """Iteratively prune degree-<=1 nodes, as sets; return the surviving
+    induced subgraph, its nodes in index order. Acyclic graphs yield None."""
+    alive = set(range(g.n))
+    adj = [set(nbrs) for nbrs in g.neighbors()]
+    while True:
+        prune = [v for v in alive if len(adj[v]) <= 1]
+        if not prune:
+            break
+        for v in prune:
+            for u in adj[v]:
+                adj[u].discard(v)
+            adj[v].clear()
+            alive.discard(v)
+    if not alive:
+        return None
+    order = sorted(alive)
+    mapping = {old: new for new, old in enumerate(order)}
+    nodes = tuple(g.nodes[v] for v in order)
+    edges = tuple((mapping[i], mapping[j]) for i, j in g.edges if i in alive and j in alive)
+    return Graph(id=f"{g.id}#scaffold", nodes=nodes, edges=edges, graph_text=g.graph_text)
+
+
 def scaffold_order_text(g: Graph | None) -> str:
     """The text that group_scaffolds lists its groups by."""
     if g is None:
@@ -582,6 +606,31 @@ def group_scaffolds(scaffolds: list[Graph | None], isomorphic=are_isomorphic) ->
         else:
             reps.append([i])
     return sorted(reps, key=lambda b: (scaffold_order_text(scaffolds[b[0]]), b[0]))
+
+
+def naming_order(attrs: StructuralAttributeMap) -> list[int]:
+    """Nodes in attribute-rank order: anchor, then hop by hop in rank order,
+    unreachable nodes last."""
+    inf = float("inf")
+    return sorted(
+        range(len(attrs.hop_of)),
+        key=lambda v: (attrs.hop_of[v] if attrs.hop_of[v] is not None else inf, attrs.rank_of[v]),
+    )
+
+
+def describe_graph(g: Graph, attrs: StructuralAttributeMap) -> tuple[str, dict[str, int]]:
+    """The descmatch question of g, naming its nodes in the naming_order() of
+    its attribute map attrs, and the name -> node index map."""
+    order = naming_order(attrs)
+    names = node_names(g.n)
+    pos_of = {node: pos for pos, node in enumerate(order)}
+    if not g.edges:
+        body = f"a graph of {g.n} {'node' if g.n == 1 else 'nodes'} with no edges"
+    else:
+        pairs = sorted((min(pos_of[i], pos_of[j]), max(pos_of[i], pos_of[j])) for i, j in g.edges)
+        body = "; ".join(f"node {names[a]} and node {names[b]} is connected" for a, b in pairs)
+    question = f"Here is the target graph: {body}. The corresponding graph structural token is:"
+    return question, {names[pos]: node for pos, node in enumerate(order)}
 
 
 def parse_graph_record(

@@ -21,7 +21,6 @@ from sogtok.corpus import (
     gen_descmatch_records,
     gen_knn_records,
     gen_simjudge_records,
-    describe_graph,
 )
 from sogtok.graph import Graph, NodeRecord
 from sogtok.ingest import graph_blocks, write_graph_file
@@ -48,7 +47,8 @@ from sogtok.train import (
     train,
 )
 
-from conftest import parse_description
+import oracle
+from conftest import parse_description, read_arrays, scaffold_arrays
 from test_model import finite_difference_check
 from test_prompts import GOLDEN_DIR, MOLECULE_TASKS
 from test_smiles import CORPUS as SMILES_CORPUS
@@ -172,7 +172,7 @@ def test_05_scaffold_consistency(scaffold_setup):
     graphs, model, train_elapsed = scaffold_setup
     t0 = time.monotonic()
     scaffolds = [murcko_scaffold(g) for g in graphs]
-    buckets = group_scaffolds(scaffolds)
+    buckets = group_scaffolds(scaffold_arrays(scaffolds))
     assert len(buckets) == 10 and all(len(b) == 20 for b in buckets)
     tokens = [assign_token(g, model, EMBEDDER).graph_token for g in graphs]
     rep = scaffold_consistency(tokens, buckets, shuffles=100, seed=7)
@@ -239,12 +239,14 @@ def test_06_corpus_fidelity(family_setup, scaffold_setup):
 
     graph_tokens = {g.id: assign_token(g, model, EMBEDDER).graph_token for g in graphs}
     attrs = attribute_maps(graphs, model.strategy)
-    desc_records = gen_descmatch_records(graphs, graph_tokens, attrs)
+    block, ranked = read_arrays(graphs, model.strategy)
+    desc_records = gen_descmatch_records(block, [graph_tokens[g.id] for g in graphs], ranked)
     records.extend(desc_records)
     by_id = {g.id: (g, a) for g, a in zip(graphs, attrs)}
     for r in desc_records:
         g, graph_attrs = by_id[r.provenance[len("graph:") :]]
-        _, name_map = describe_graph(g, graph_attrs)
+        question, name_map = oracle.describe_graph(g, graph_attrs)
+        assert r.question == question
         _, pairs = parse_description(r.question)
         recovered = {tuple(sorted((name_map[a], name_map[b]))) for a, b in pairs}
         assert recovered == set(g.edges), f"descmatch round-trip failed for {g.id}"

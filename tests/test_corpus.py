@@ -12,7 +12,6 @@ from sogtok.corpus import (
     QARecord,
     SimilarityThresholds,
     corpus_lines,
-    describe_graph,
     gen_descmatch_records,
     gen_knn_records,
     gen_simjudge_records,
@@ -23,7 +22,8 @@ from sogtok.corpus import (
 from sogtok.errors import DegenerateCodebook, ValidationError
 from sogtok.model import Codebook
 
-from conftest import make_graph, parse_description, read_corpus
+import oracle
+from conftest import make_graph, parse_description, read_arrays, read_corpus
 
 
 def test_thresholds_validation():
@@ -359,7 +359,13 @@ def test_node_names_sequence():
 
 
 def _describe(g):
-    return describe_graph(g, attribute_maps([g], ImportanceStrategy())[0])
+    """g's descmatch question, checked against the reference's, and the
+    reference's name -> node map."""
+    block, ranked = read_arrays([g])
+    (record,) = gen_descmatch_records(block, [0], ranked)
+    question, name_map = oracle.describe_graph(g, attribute_maps([g], ImportanceStrategy())[0])
+    assert record.question == question
+    return question, name_map
 
 
 def test_describe_star():
@@ -389,13 +395,14 @@ def test_description_roundtrip():
 
 def test_descmatch_records():
     g = make_graph(3, [(0, 1), (0, 2)], gid="star")
-    tokens = {"star": 7}
-    records = gen_descmatch_records([g], tokens, attribute_maps([g], ImportanceStrategy()))
+    block, ranked = read_arrays([g])
+    records = gen_descmatch_records(block, [7], ranked)
     assert records[0].answer == "<SOG_7>"
     assert records[0].provenance == "graph:star"
     other = make_graph(2, [(0, 1)], gid="other")
+    block, ranked = read_arrays([other])
     with pytest.raises(ValidationError):
-        gen_descmatch_records([other], tokens, attribute_maps([other], ImportanceStrategy()))
+        gen_descmatch_records(block, [], ranked)  # no token for the graph
 
 
 def test_descmatch_uses_given_attribute_maps():
@@ -404,15 +411,33 @@ def test_descmatch_uses_given_attribute_maps():
         make_graph(6, [(0, 1), (1, 2), (3, 4)], gid="split"),
         make_graph(3, [], gid="bare"),
     ]
-    tokens = {g.id: i for i, g in enumerate(graphs)}
-    attrs = attribute_maps(graphs, ImportanceStrategy("random", seed=1))
-    records = gen_descmatch_records(graphs, tokens, attrs)
+    strategy = ImportanceStrategy("random", seed=1)
+    block, ranked = read_arrays(graphs, strategy)
+    records = gen_descmatch_records(block, list(range(len(graphs))), ranked)
+    attrs = attribute_maps(graphs, strategy)
     for g, graph_attrs, record in zip(graphs, attrs, records):
-        question, name_map = describe_graph(g, graph_attrs)
+        question, name_map = oracle.describe_graph(g, graph_attrs)
         assert record.question == question
         assert name_map["A"] == graph_attrs.anchor
     with pytest.raises(ValidationError):
-        gen_descmatch_records(graphs, tokens, attrs[:2])
+        gen_descmatch_records(block, list(range(len(graphs))), ranked[:2])
+
+
+def test_descmatch_matches_reference_on_many_sizes():
+    """One block of graphs of many sizes, several per stack, some with
+    unreachable nodes: every question is the per-graph reference's."""
+    rng = np.random.default_rng(4)
+    graphs = []
+    for k in range(60):
+        n = int(rng.integers(1, 30))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 2.5 / n]
+        graphs.append(make_graph(n, pairs, gid=f"g{k}"))
+    strategy = ImportanceStrategy()
+    block, ranked = read_arrays(graphs, strategy)
+    records = gen_descmatch_records(block, list(range(60)), ranked)
+    for g, attrs, record in zip(graphs, attribute_maps(graphs, strategy), records):
+        assert record.question == oracle.describe_graph(g, attrs)[0]
+        assert record.provenance == f"graph:{g.id}"
 
 
 def test_corpus_write_grouped_and_deterministic(tmp_path):

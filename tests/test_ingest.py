@@ -229,9 +229,12 @@ def test_block_arrays_hold_each_graphs_edges():
                       record(id="c", nodes=[{}, {}, {}], edges=[])])
     (block,) = iter_graph_file(data)
     graphs = oracle.read_graph_file(data)
-    assert block.graphs() == graphs
+    want = GraphBlock.of(graphs)
+    assert (block.ids, block.labels, block.texts) == (want.ids, want.labels, want.texts)
+    assert all(getattr(block, name).tobytes() == getattr(want, name).tobytes()
+               for name in ("sizes", "edges", "edge_starts"))
     assert block.sizes.tolist() == [3, 4, 3] and block.edge_starts.tolist() == [0, 2, 6, 6]
     assert block.edges[:2].tolist() == [[0, 1], [0, 2]]
     positions = np.array([0, 2, 0])
     assert block.adjacency(positions).tobytes() == adjacency_stack([graphs[p] for p in positions]).tobytes()
-    assert GraphBlock.of(graphs).edges.tobytes() == block.edges.tobytes()
+    assert parse_graph_file(data) == graphs

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sogtok.graph import refine_colours
-from sogtok.scaffold import group_scaffolds, murcko_scaffold
+from sogtok.scaffold import group_scaffolds, murcko_scaffold, scaffold_adjacencies
 from sogtok.smiles import parse_smiles, to_graph
 
 import oracle
 from oracle import adjacency_stack, are_isomorphic, brute_force_isomorphic, permute
-from conftest import make_graph, small_graphs
+from conftest import make_graph, read_arrays, scaffold_arrays, small_graphs
 
 
 def scaffold_of(smiles):
@@ -49,6 +49,17 @@ def test_scaffold_idempotent_and_min_degree(g):
     assert again.n == sc.n and again.edges == sc.edges
 
 
+@given(st.lists(small_graphs(min_nodes=4, max_nodes=4), min_size=1, max_size=5), small_graphs(min_nodes=2))
+def test_two_core_matches_set_pruning(same_size, g):
+    """murcko_scaffold and the scaffold adjacencies of a block's stacks are
+    the set-pruning reference's scaffold."""
+    assert murcko_scaffold(g) == oracle.murcko_scaffold(g)
+    graphs = [g, *same_size]
+    want = scaffold_arrays([oracle.murcko_scaffold(h) for h in graphs])
+    got = scaffold_adjacencies(read_arrays(graphs)[1])
+    assert [None if a is None else a.tolist() for a in got] == [None if a is None else a.tolist() for a in want]
+
+
 @given(small_graphs(min_nodes=1), st.integers(0, 2**32 - 1))
 def test_colour_key_relabeling_invariant(g, seed):
     perm = np.random.default_rng(seed).permutation(g.n).tolist()
@@ -56,7 +67,7 @@ def test_colour_key_relabeling_invariant(g, seed):
     a = adjacency_stack(pair)
     colours = refine_colours(a, a.sum(axis=2))
     assert (colours[1][perm] == colours[0]).all()
-    assert group_scaffolds(pair) == [[0, 1]]
+    assert group_scaffolds(scaffold_arrays(pair)) == [[0, 1]]
 
 
 def test_isomorphic_rings_match():
@@ -82,7 +93,7 @@ def test_isomorphism_under_relabeling(g, seed):
 def test_grouping_separates_topologies():
     smiles = ["C1CC1", "C1CC1C", "C1CCC1", "CC1CCC1", "CCO", "CCC"]
     scaffolds = [scaffold_of(s) for s in smiles]
-    groups = group_scaffolds(scaffolds)
+    groups = group_scaffolds(scaffold_arrays(scaffolds))
     sizes = sorted(len(g) for g in groups)
     assert sizes == [2, 2, 2]  # triangles, squares, empties
 
@@ -127,7 +138,7 @@ def test_same_key_pairs_are_not_isomorphic(a, b):
     assert not are_isomorphic(a, b)
     if a.n <= 8:
         assert not brute_force_isomorphic(a, b)
-    assert group_scaffolds([a, b, a]) == [[0, 2], [1]]
+    assert group_scaffolds(scaffold_arrays([a, b, a])) == [[0, 2], [1]]
 
 
 def _random_graph(rng, n, p):
@@ -147,7 +158,7 @@ def test_grouping_matches_pairwise_rule():
     scaffolds = graphs + [scaffold_of(s) for s in ("CCO", "C1CC1CC", "CC1CCC1", "c1ccc2ccccc2c1")]
     order = rng.permutation(len(scaffolds))
     scaffolds = [scaffolds[k] for k in order]
-    groups = group_scaffolds(scaffolds)
+    groups = group_scaffolds(scaffold_arrays(scaffolds))
     assert groups == oracle.group_scaffolds(scaffolds)
     assert sum(map(len, groups)) == len(scaffolds)
     # some groups share their order text, so their first members order them
@@ -198,7 +209,7 @@ def test_theta_pair_of_26_nodes_is_split():
     assert a.n == b.n == 26 and sorted(a.degrees()) == sorted(b.degrees())
     assert not are_isomorphic(a, b)
     rng = np.random.default_rng(26)
-    assert group_scaffolds([a, b, _relabelled(b, rng), _relabelled(a, rng)]) == [[0, 3], [1, 2]]
+    assert group_scaffolds(scaffold_arrays([a, b, _relabelled(b, rng), _relabelled(a, rng)])) == [[0, 3], [1, 2]]
 
 
 def test_prism_and_moebius_ladder_of_60_nodes_are_split_quickly():
@@ -208,8 +219,9 @@ def test_prism_and_moebius_ladder_of_60_nodes_are_split_quickly():
     # every node of both has one stable colour, so only the exact check splits them
     a = adjacency_stack(scaffolds)
     assert (refine_colours(a, a.sum(axis=2)) == 0).all()
+    arrays = scaffold_arrays(scaffolds)
     start = time.perf_counter()
-    groups = group_scaffolds(scaffolds)
+    groups = group_scaffolds(arrays)
     elapsed = time.perf_counter() - start
     assert groups == [[0, 3, 4], [1, 2]]
     assert elapsed < 1.0, f"grouping took {elapsed:.2f} s"
@@ -243,7 +255,7 @@ def test_grouping_matches_networkx_on_equal_key_graphs():
         # no isolated nodes here, so the edge lists give the whole graphs
         return x.n == y.n and nx.is_isomorphic(nx.Graph(list(x.edges)), nx.Graph(list(y.edges)))
 
-    groups = group_scaffolds(graphs)
+    groups = group_scaffolds(scaffold_arrays(graphs))
     assert groups == oracle.group_scaffolds(graphs, isomorphic=nx_isomorphic)
     # both outcomes occur: copies grouped, and equal-key graphs split
     assert len(groups) < len(graphs) and len(groups) > len(graphs) // 3
@@ -255,7 +267,7 @@ def test_grouping_matches_brute_force_on_every_five_node_graph():
         make_graph(5, [e for k, e in enumerate(pairs) if mask >> k & 1], gid=f"m{mask}")
         for mask in range(1 << len(pairs))
     ]
-    groups = group_scaffolds(graphs)
+    groups = group_scaffolds(scaffold_arrays(graphs))
     assert len(groups) == 34  # the graphs on five nodes up to isomorphism
     for grp in groups:
         assert all(brute_force_isomorphic(graphs[grp[0]], graphs[i]) for i in grp)
@@ -277,6 +289,6 @@ def test_grouping_matches_brute_force_up_to_eight_nodes():
     ]
     graphs = bases + [_relabelled(g, rng) for g in bases]
     graphs = [graphs[k] for k in rng.permutation(len(graphs))]
-    groups = group_scaffolds(graphs)
+    groups = group_scaffolds(scaffold_arrays(graphs))
     assert groups == oracle.group_scaffolds(graphs, isomorphic=brute_force_isomorphic)
     assert len(groups) <= len(bases)  # every graph joined its copy
