@@ -8,15 +8,19 @@ not bonded yet and both have fewer than four bonds. Each atom is C, N or O
 
     PYTHONPATH=src python3 scripts/make_molecule_graphs.py --count 41127 --seed 3 --out hiv_like.jsonl
 
-The same count and seed give the same bytes.
+With --smiles the same graphs are written as {"id", "smiles"} records
+instead (dfs_smiles), so that SMILES ingest reads diverse molecules. The same
+count and seed give the same bytes.
 """
 
 import argparse
+import json
 
 import numpy as np
 
 from sogtok.graph import Graph, NodeRecord
 from sogtok.ingest import write_graph_file
+from sogtok.manifest import atomic_write
 
 MAX_BONDS = 4
 ATOMS = [NodeRecord(text=s) for s in ("C", "N", "O")]
@@ -47,15 +51,62 @@ def molecule_graph(rng: np.random.Generator, gid: str) -> Graph:
     return Graph(id=gid, nodes=tuple(ATOMS[a] for a in atoms), edges=tuple(sorted(edges)))
 
 
+def dfs_smiles(g: Graph) -> str:
+    """g as a SMILES string of single bonds: its atoms in depth-first
+    preorder from node 0, neighbours in index order, so atom k of the string
+    is the k-th node visited. Tree edges are chain bonds, each child but
+    the last in a branch; every other edge is a ring closure, labelled at
+    its earlier atom with the smallest free label (1-9, then %10-%99)."""
+    adj = [sorted(nbrs) for nbrs in g.neighbors()]
+    place: dict[int, int] = {}  # preorder number of each node visited
+    children: list[list[int]] = [[] for _ in range(g.n)]
+
+    def walk(v: int) -> None:
+        place[v] = len(place)
+        for w in adj[v]:
+            if w not in place:
+                children[v].append(w)
+                walk(w)
+
+    walk(0)
+    out, labels, free = [], {}, list(range(99, 0, -1))
+
+    def visit(v: int) -> None:
+        out.append(g.nodes[v].text)
+        rings = [w for w in adj[v] if w not in children[v] and v not in children[w]]
+        for w in sorted(rings, key=place.get):
+            if place[w] < place[v]:  # close the ring opened at w
+                label = labels.pop((w, v))
+                free.append(label)
+            else:
+                label = labels[v, w] = free.pop()
+            out.append(str(label) if label < 10 else f"%{label}")
+        for w in children[v][:-1]:
+            out.append("(")
+            visit(w)
+            out.append(")")
+        if children[v]:
+            visit(children[v][-1])
+
+    visit(0)
+    return "".join(out)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", required=True)
     ap.add_argument("--count", type=int, default=41127)
     ap.add_argument("--seed", type=int, default=3)
+    ap.add_argument("--smiles", action="store_true", help="write SMILES records (dfs_smiles)")
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
     width = len(str(args.count))
-    write_graph_file([molecule_graph(rng, f"mol{k:0{width}d}") for k in range(args.count)], args.out)
+    graphs = [molecule_graph(rng, f"mol{k:0{width}d}") for k in range(args.count)]
+    if args.smiles:
+        with atomic_write(args.out) as fh:
+            fh.writelines(json.dumps({"id": g.id, "smiles": dfs_smiles(g)}) + "\n" for g in graphs)
+    else:
+        write_graph_file(graphs, args.out)
     print(f"wrote {args.count} graphs -> {args.out}")
 
 

@@ -141,36 +141,31 @@ class _Ranked(NamedTuple):
     order: np.ndarray  # (B, n): nodes by importance desc, key desc, index asc
     hop: np.ndarray  # (B, n): hops from the anchor, order[:, 0]; -1 if unreachable
     rank: np.ndarray  # (B, n): 1-based within the node's hop or the unreachable pool; anchor 0
-    tie: np.ndarray  # (B, n): equal for the nodes of a graph that only the index tells apart
 
 
-def _rank_bucket(a: np.ndarray, positions: np.ndarray, strategy: ImportanceStrategy) -> _Ranked:
-    """The ranking of the graphs of a (B, n, n) boolean adjacency stack."""
+def _sort_keys(a: np.ndarray, strategy: ImportanceStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's negated importance (B * n,) and secondary key (B * n, n)
+    in a (B, n, n) boolean adjacency stack. The key is the node's neighbour
+    degrees, sorted descending. Negated and padded with 1 (every real entry
+    is <= -1), rows sort ascending in the key's descending lexicographic
+    order, where a longer multiset with an equal prefix ranks first."""
+    b, n, _ = a.shape
+    deg = a.sum(axis=2)
+    scores = deg if strategy.kind == "degree" else np.stack([importance_scores(g, strategy) for g in a])
+    key = np.sort(np.where(a, -deg[:, None, :], 1), axis=2).reshape(b * n, n)
+    return -scores.reshape(b * n), key
+
+
+def _rank_bucket(a: np.ndarray, positions: np.ndarray, keys: tuple[np.ndarray, np.ndarray]) -> _Ranked:
+    """The ranking of the graphs of a (B, n, n) boolean adjacency stack by
+    their _sort_keys."""
     b, n, _ = a.shape
     at = np.arange(b)
-    deg = a.sum(axis=2)
-    if strategy.kind == "degree":
-        scores = deg
-    else:
-        scores = np.stack([importance_scores(graph, strategy) for graph in a])
-    # Secondary key: the node's neighbour degrees, sorted descending. Negated
-    # and padded with 1 (every real entry is <= -1), rows sort ascending in
-    # the key's descending lexicographic order, where a longer multiset with
-    # an equal prefix ranks first.
-    key = np.sort(np.where(a, -deg[:, None, :], 1), axis=2).reshape(b * n, n)
-    neg_score = -scores.reshape(b * n)
-    graph = np.repeat(at, n)
-    flat_order = np.lexsort((np.tile(np.arange(n), b), *key.T[::-1], neg_score, graph))
+    neg_score, key = keys
+    flat_order = np.lexsort((np.tile(np.arange(n), b), *key.T[::-1], neg_score, np.repeat(at, n)))
     order = flat_order.reshape(b, n) - (at * n)[:, None]
     place = np.empty((b, n), dtype=np.intp)
     place[at[:, None], order] = np.arange(n)
-
-    s_key, s_score, s_graph = key[flat_order], neg_score[flat_order], graph[flat_order]
-    new_class = np.ones(b * n, dtype=bool)
-    new_class[1:] = ((s_graph[1:] != s_graph[:-1]) | (s_score[1:] != s_score[:-1])
-                     | (s_key[1:] != s_key[:-1]).any(axis=1))
-    tie = np.empty(b * n, dtype=np.intp)
-    tie[flat_order] = np.cumsum(new_class)
 
     # BFS from the anchor, one boolean frontier product per hop
     anchor = order[:, 0]
@@ -189,13 +184,13 @@ def _rank_bucket(a: np.ndarray, positions: np.ndarray, strategy: ImportanceStrat
     ahead = (hop[:, :, None] == hop[:, None, :]) & (place[:, None, :] < place[:, :, None])
     rank = ahead.sum(axis=2) + 1
     rank[at, anchor] = 0
-    return _Ranked(positions, a, order, hop, rank, tie.reshape(b, n))
+    return _Ranked(positions, a, order, hop, rank)
 
 
 def _ranked_buckets(block, strategy: ImportanceStrategy) -> Iterator[_Ranked]:
     """The ranking of each of a block's adjacency stacks (block.buckets())."""
     for positions, a in block.buckets():
-        yield _rank_bucket(a, positions, strategy)
+        yield _rank_bucket(a, positions, _sort_keys(a, strategy))
 
 
 def _attribute_string(hop: int, rank: int) -> str:
@@ -261,8 +256,12 @@ def has_strict_ranking(g: Graph, strategy: ImportanceStrategy) -> bool:
     """True when anchor choice and every within-hop ranking are decided
     without falling back to node indices."""
     at = np.zeros(1, dtype=np.intp)
-    r = _rank_bucket(GraphBlock.of([g]).adjacency(at), at, strategy)
-    tie, hop, order = r.tie[0], r.hop[0], r.order[0]
+    a = GraphBlock.of([g]).adjacency(at)
+    keys = _sort_keys(a, strategy)
+    r = _rank_bucket(a, at, keys)
+    hop, order = r.hop[0], r.order[0]
+    # equal for the nodes that only the index tells apart
+    tie = np.unique(np.column_stack(keys), axis=0, return_inverse=True)[1].reshape(-1)
     if g.n > 1 and tie[order[0]] == tie[order[1]]:
         return False
     # the disconnected pool is ranked too; tied isolated nodes break strictness

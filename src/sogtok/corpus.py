@@ -143,7 +143,8 @@ def qualifying_pairs(
         width = n - start
         stop = start + max(1, _SIMJUDGE_CELLS // width)
         sims = normed[start:stop] @ normed[start:].T
-        sims[np.tri(*sims.shape, dtype=bool)] = np.nan  # j <= i
+        rows = len(sims)
+        sims[:, :rows][np.tri(rows, dtype=bool)] = np.nan  # j <= i, all in the leading square
         masks = (sims > thresholds.tau_pos, sims < thresholds.tau_neg)
         del sims
         flats = []

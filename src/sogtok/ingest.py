@@ -3,7 +3,11 @@
 Two formats:
   * graph file: one JSON object per line with fields id, nodes, edges,
     optional label, optional smiles; the stages read it as GraphBlocks of
-    READ_BLOCK graphs, flat arrays of node counts and edges (iter_graph_file)
+    READ_BLOCK graphs, flat arrays of node counts and edges (iter_graph_file).
+    A block of SMILES records is scanned at once (smiles.scan_block); a block
+    with a nodes+edges record or any fault is read record by record
+    (parse_graph_record, whose SMILES records go through smiles.scan_smiles),
+    which raises the error of its first faulty line
   * label CSV: ``id,label`` rows, whose labels replace the graphs' own by id
 """
 
@@ -22,7 +26,7 @@ import numpy as np
 from .errors import GraphFileSemanticError, GraphFileSyntaxError, SmilesError
 from .graph import DEFAULT_SIZE_CAP, Graph, NodeRecord, size_buckets
 from .manifest import atomic_write
-from .smiles import node_records, scan_smiles
+from .smiles import node_records, scan_block, scan_smiles
 
 
 def parse_graph_record(
@@ -185,26 +189,27 @@ def graph_blocks(graphs: Iterable[Graph]) -> Iterator[GraphBlock]:
         yield GraphBlock.of(chunk)
 
 
-def _records(data: bytes | str, size_cap: int) -> Iterator[tuple]:
-    """The fields of the record of each non-empty line (parse_graph_record),
-    in file order. Each record is checked as its line is read, its id
-    against the ids before it. Reports line/column on JSON failures and on
-    bytes that are not UTF-8."""
+def _numbered_lines(data: bytes | str) -> Iterator[tuple[int, str]]:
+    """Each non-blank line of a graph file, with its number. Reports the
+    line and column of a byte that is not UTF-8."""
     if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8")
+            data = data.decode("utf-8")  # the decoded text is the one copy held
         except UnicodeDecodeError as exc:
             # the lines before the bad byte decode; the sentinel makes the
             # last one the bad byte's line, its length the bad byte's column
             lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
             raise GraphFileSyntaxError(len(lines), len(lines[-1]), "not UTF-8 text") from None
-        del data  # the decoded text is the one copy held
-    else:
-        text = data
-    seen_ids: set[str] = set()
-    for line_no, line in enumerate(_lines(text), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in enumerate(_lines(data), start=1):
+        if line.strip():
+            yield line_no, line
+
+
+def _records(lines: Iterable[tuple[int, str]], seen_ids: set[str], size_cap: int) -> Iterator[tuple]:
+    """The fields of the record of each numbered line (parse_graph_record),
+    in file order. Each record is checked as its line is read, its id
+    against seen_ids, which gains it. Reports line/column on JSON failures."""
+    for line_no, line in lines:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -216,19 +221,52 @@ def _records(data: bytes | str, size_cap: int) -> Iterator[tuple]:
         yield fields
 
 
+def _scanned_block(lines: list[tuple[int, str]], seen_ids: set[str], size_cap: int) -> GraphBlock | None:
+    """The block of the numbered lines when all of them are SMILES records
+    without a fault, their SMILES strings scanned at once (smiles.scan_block);
+    their ids join seen_ids. None at any other record or any fault: _records
+    then reads the lines and names the fault."""
+    ids, labels, smiles = [], [], []
+    try:
+        for _, line in lines:
+            obj = json.loads(line)
+            if not (isinstance(obj, dict) and "nodes" not in obj and isinstance(obj.get("smiles"), str)):
+                return None
+            gid, label = obj.get("id"), obj.get("label")
+            if not (isinstance(gid, str) and gid and (label is None or type(label) is int)):
+                return None
+            ids.append(gid)
+            labels.append(label)
+            smiles.append(obj["smiles"])
+    except (ValueError, RecursionError):
+        return None
+    if len(set(ids)) < len(ids) or not seen_ids.isdisjoint(ids):
+        return None
+    sizes, edges, starts, ok = scan_block(smiles)
+    if not ok.all() or (sizes > size_cap).any():
+        return None
+    seen_ids.update(ids)
+    return GraphBlock(ids, labels, smiles, sizes, edges, starts)
+
+
 def iter_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> Iterator[GraphBlock]:
-    """One GraphBlock per READ_BLOCK records (_records), yielded as its last
-    line is parsed, so a reader holds only the blocks it keeps."""
-    records = _records(data, size_cap)
-    del data  # records holds the one copy
-    rows = _Rows()
-    for fields in records:
-        rows.add(*fields)
-        if len(rows.ids) == READ_BLOCK:
-            block, rows = rows.block(), _Rows()  # the rows go before the block is used
-            yield block
-    if rows.ids:
-        yield rows.block()
+    """One GraphBlock per READ_BLOCK records, yielded as its last line is
+    parsed, so a reader holds only the blocks it keeps. A block of SMILES
+    records is read by _scanned_block; a block with a nodes+edges record or
+    any fault is read by _records, record by record, which raises the first
+    fault's error."""
+    lines = _numbered_lines(data)
+    del data  # lines holds the one copy
+    seen_ids: set[str] = set()
+    while chunk := list(islice(lines, READ_BLOCK)):
+        block = _scanned_block(chunk, seen_ids, size_cap)
+        if block is None:
+            rows = _Rows()
+            for fields in _records(chunk, seen_ids, size_cap):
+                rows.add(*fields)
+            block = rows.block()
+        del chunk
+        yield block
 
 
 def parse_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> list[Graph]:
@@ -237,7 +275,7 @@ def parse_graph_file(data: bytes | str, size_cap: int = DEFAULT_SIZE_CAP) -> lis
     records: dict[str | None, NodeRecord] = {}
     return [Graph(id=gid, nodes=node_records(texts, records), edges=tuple(edges), label=label,
                   graph_text=text)
-            for gid, label, text, texts, edges in _records(data, size_cap)]
+            for gid, label, text, texts, edges in _records(_numbered_lines(data), set(), size_cap)]
 
 
 def write_graph_file(graphs: list[Graph], path) -> None:

@@ -5,6 +5,7 @@ import pytest
 
 from sogtok import ingest
 from sogtok.errors import GraphFileSemanticError, GraphFileSyntaxError, ValidationError
+from sogtok.smiles import scan_smiles
 from sogtok.ingest import (
     GraphBlock,
     _lines,
@@ -196,12 +197,42 @@ def _outcome(read, text: str, size_cap: int):
         return type(exc), str(exc)
 
 
+def _fields(block: GraphBlock) -> tuple:
+    return (block.ids, block.labels, block.texts,
+            *((a.dtype, a.shape, a.tobytes()) for a in (block.sizes, block.edges, block.edge_starts)))
+
+
+def _read_blocks(text: str, size_cap: int) -> list:
+    """The blocks iter_graph_file yields, then the class and message of the error it raises."""
+    out = []
+    try:
+        for block in iter_graph_file(text, size_cap):
+            out.append(_fields(block))
+    except ValidationError as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def _oracle_blocks(text: str, size_cap: int) -> list:
+    """The blocks and error _read_blocks should give: the oracle's graphs in
+    blocks of READ_BLOCK, and before a faulty line only the full blocks."""
+    try:
+        graphs, error = oracle.read_graph_file(text, size_cap), []
+    except ValidationError as exc:
+        graphs = oracle.read_graph_file("\n".join(text.splitlines()[: exc.line - 1]), size_cap)
+        graphs, error = graphs[: len(graphs) - len(graphs) % ingest.READ_BLOCK], [(type(exc), str(exc))]
+    step = ingest.READ_BLOCK
+    return [_fields(GraphBlock.of(graphs[k : k + step])) for k in range(0, len(graphs), step)] + error
+
+
 @pytest.mark.parametrize("read_block", [1, 2, ingest.READ_BLOCK])
 def test_block_ingest_matches_the_record_parser(monkeypatch, read_block):
     """Every corruption of line 2 that the one-character tests of test_cli
-    make, and the faults above: the blocks give the Graphs of the
-    record-by-record parser, or its error class (hence exit code) and
-    message, with a bad line before or after the fault as well."""
+    make, and the faults above, with a bad line before or after the fault as
+    well: parse_graph_file gives the Graphs of the record-by-record parser,
+    or its error class (hence exit code) and message, and iter_graph_file
+    yields the blocks of those Graphs up to the faulty line's block, then
+    the same error."""
     from test_cli import MUTANT_CHARS, VALID_RECORDS
 
     monkeypatch.setattr(ingest, "READ_BLOCK", read_block)
@@ -219,6 +250,7 @@ def test_block_ingest_matches_the_record_parser(monkeypatch, read_block):
             for size_cap in (3, 100):
                 assert _outcome(parse_graph_file, text, size_cap) == _outcome(
                     oracle.read_graph_file, text, size_cap), (mutant, text, size_cap)
+                assert _read_blocks(text, size_cap) == _oracle_blocks(text, size_cap), (mutant, text, size_cap)
 
 
 def test_block_arrays_hold_each_graphs_edges():
@@ -238,3 +270,32 @@ def test_block_arrays_hold_each_graphs_edges():
     positions = np.array([0, 2, 0])
     assert block.adjacency(positions).tobytes() == adjacency_stack([graphs[p] for p in positions]).tobytes()
     assert parse_graph_file(data) == graphs
+
+
+def test_valid_blocks_are_read_without_scan_smiles(monkeypatch):
+    """Blocks of valid SMILES records are read without scan_smiles and give
+    the record parser's graphs; a block that also holds nodes+edges records
+    is read record by record and gives them too. A block with a faulty
+    SMILES record is read again record by record, and scan_smiles names the
+    fault."""
+    smiles = ["CCO", "c1ccccc1", "C(C)(C)C", "[NH4+]", "C%12CC%12", "O"]
+    text = "\n".join(record(id=f"s{k}", smiles=s, label=k % 2) for k, s in enumerate(smiles))
+    calls = []
+    monkeypatch.setattr(ingest, "scan_smiles", lambda s: calls.append(s) or scan_smiles(s))
+    for read_block in (1, 4, 512):
+        monkeypatch.setattr(ingest, "READ_BLOCK", read_block)
+        assert _read_blocks(text, 100) == _oracle_blocks(text, 100)
+    assert calls == []
+    lines = text.splitlines()
+    lines[2:2] = [record(id="n0", nodes=[{}, {"text": "x"}, {}], edges=[[2, 0], [1, 0]], smiles="CC"),
+                  record(id="n1", nodes=[{}], edges=[])]
+    lines.append(record(id="n2", nodes=[{}, {}], edges=[[0, 1]], label=1))
+    mixed = "\n".join(lines)
+    for read_block in (3, 4, 512):
+        monkeypatch.setattr(ingest, "READ_BLOCK", read_block)
+        assert _read_blocks(mixed, 100) == _oracle_blocks(mixed, 100)
+    calls.clear()
+    faulty = mixed + "\n" + record(id="bad", smiles="C1CC")
+    assert _read_blocks(faulty, 100)[-1] == (
+        GraphFileSemanticError, "line 10: bad smiles: ring-closure label 1 opened but never closed")
+    assert calls == smiles + ["C1CC"]

@@ -5,7 +5,7 @@ import pytest
 import oracle
 from sogtok.errors import SmilesError, UnbalancedBranch, UnclosedRing, UnsupportedToken
 from sogtok.ingest import parse_graph_file
-from sogtok.smiles import AROMATIC, DOUBLE, SINGLE, TRIPLE, parse_smiles, to_graph
+from sogtok.smiles import AROMATIC, DOUBLE, SINGLE, TRIPLE, parse_smiles, scan_block, to_graph
 
 # hand-verified corpus: (smiles, atoms, bonds, independent rings)
 CORPUS = [
@@ -187,19 +187,56 @@ def _outcome(parse, s):
     return [(a.symbol, a.aromatic) for a in m.atoms], [(b.i, b.j, b.order) for b in m.bonds]
 
 
-def test_parser_matches_reference_parser():
+def _differential_cases() -> list[str]:
+    """The corpus, the edge cases and 60,000 seeded random strings."""
     rng = random.Random(20260)
     cases = [s for s, *_ in CORPUS] + EDGE_CASES
     for _ in range(30_000):
         cases.append("".join(rng.choices(DIFF_ALPHABET, k=rng.randint(0, 16))))
     for _ in range(30_000):
         cases.append("".join(rng.choices(GRAMMAR_TOKENS, k=rng.randint(1, 12))))
+    return cases
+
+
+def test_parser_matches_reference_parser():
     parsed = 0
-    for s in cases:
+    for s in _differential_cases():
         expected = _outcome(oracle.parse_smiles, s)
         assert _outcome(parse_smiles, s) == expected, s
         parsed += isinstance(expected[0], list)
     assert parsed > 5_000  # both outcomes are well covered
+
+
+NESTED = "C" + "(C" * 500 + ")" * 500  # a 500-level nested branch
+
+
+def test_block_scanner_matches_reference_parser():
+    """scan_block on the differential cases and deep branches, shuffled
+    into blocks of 1 (1,000 strings), 3 (6,000), 64 and 512 (all) that mix
+    accepted and rejected ones: each string is accepted when the reference
+    parser accepts it, with its atom count and edges. Like scan_smiles, and
+    unlike the reference, it rejects digits and letters that are not ASCII."""
+    deep = [NESTED, NESTED + ")", "(" + NESTED + ")", "C" + "(" * 500 + "C" + ")" * 500,
+            "C1" + "(C" * 300 + "1" + ")" * 300]
+    cases = _differential_cases() + deep
+    expected = []
+    for s in cases:
+        atoms, bonds = _outcome(oracle.parse_smiles, s)
+        expected.append((len(atoms), [[i, j] for i, j, _ in bonds]) if isinstance(atoms, list) else None)
+    assert expected[-5][0] == 501 and sum(e is not None for e in expected) > 5_000
+    rng = random.Random(7)
+    order = list(range(len(cases)))
+    for size, count in ((1, 1_000), (3, 6_000), (64, len(order)), (512, len(order))):
+        rng.shuffle(order)
+        for start in range(0, count, size):
+            chunk = order[start : start + size]
+            sizes, edges, starts, ok = (a.tolist() for a in scan_block([cases[k] for k in chunk]))
+            for r, k in enumerate(chunk):
+                got = (sizes[r], edges[starts[r] : starts[r + 1]]) if ok[r] else None
+                assert got == expected[k], cases[k]
+    assert not scan_block(["C²", "C١CC١", "C%²²", "[é]", "[²C]", "C[٣C]C", "CC\u00e9"])[3].any()
+    sizes, edges, starts, ok = scan_block([])
+    assert (sizes.shape, edges.shape, starts.tolist(), ok.shape) == ((0,), (0, 2), [0], (0,))
 
 
 @pytest.mark.parametrize("smiles,position,token", [
