@@ -1,12 +1,13 @@
 """Command-line entry point.
 
 Subcommands: train, tokenize, gen-corpus, gen-prompts, eval, stats.
-Every run writes one manifest, with the sha256 of each input file it was
-given; --from-manifest replays a previous run's resolved configuration and
-reproduces its outputs byte-for-byte; it takes no other flag but --out.
-Every artifact is written atomically.
+Every run reads each input file once and writes one manifest, with the
+sha256 of the bytes it read from each; --from-manifest replays a previous
+run's resolved configuration and reproduces its outputs byte-for-byte; it
+takes no other flag but --out. Every artifact is written atomically.
 Each setting is declared once, in SETTINGS; its flag is --<name with
-dashes>, and replayed values are checked against the declaration.
+dashes>, and replayed values are checked against the declaration. A run
+imports only the modules of its subcommand and declares only its flags.
 
 Exit codes: 0 success, 1 I/O failure, 2 config/validation error,
 3 numerical failure.
@@ -17,83 +18,51 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib
 import json
 import math
 import sys
-from collections.abc import Iterator
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
-from .attributes import STRATEGY_KINDS, HashingEmbedder, ImportanceStrategy, load_embedding_table
-from .corpus import (
-    KINDS,
-    SimilarityThresholds,
-    check_pair_budget,
-    gen_descmatch_records,
-    gen_knn_records,
-    gen_simjudge_records,
-    write_corpus,
-)
 from .errors import (
     EmptyDataset,
     NumericalError,
     SogtokError,
     ValidationError,
 )
-from .graph import DEFAULT_SIZE_CAP
-from .ingest import GraphBlock, iter_graph_file, parse_label_csv
-from .manifest import atomic_write, build_manifest, read_manifest, write_manifest
-from .metrics import (
-    NEGATIVE_DEFAULT,
-    POSITIVE_DEFAULT,
-    UNKNOWN_CLASS,
-    accuracy_and_f1,
-    auc_roc,
-    codebook_correlation,
-    export_embeddings,
-    format_csv_matrix,
-    parse_answer,
-    permutation_hits,
-    scaffold_consistency,
-    score_from_parse,
-)
-from .model import TokenizerModel, load_checkpoint, save_checkpoint
-from .prompts import BALANCE_POLICIES, balance_split, load_template, render_prompt, write_prompt_files
-from .scaffold import group_scaffolds, scaffold_adjacencies
-from .train import (
-    GLOBAL_ROW,
-    TrainConfig,
-    assign_tokens,
-    encoded_blocks,
-    format_token_table,
-    format_training_log,
-    node_tokens,
-    token_text,
-    train,
-)
+from .manifest import atomic_write, build_manifest, decode_json, read_manifest, write_manifest
+
+# Each cmd_* takes the resolved config, the manifest and the bytes of each
+# input file the run was given, by setting name; it takes each input out of
+# that dict as it reads it, so the stage holds the one copy. It imports the
+# modules it calls when it runs.
 
 
-def _stream_graphs(path, size_cap: int) -> Iterator[GraphBlock]:
-    """The graphs of a data file in blocks, parsed as they are read: every stage's one reader."""
-    return iter_graph_file(Path(path).read_bytes(), size_cap=size_cap)
+def _stream_graphs(inputs: dict, size_cap: int):
+    """The graphs of the data file in blocks, parsed as they are read: every stage's one reader."""
+    from .ingest import iter_graph_file
+
+    return iter_graph_file(inputs.pop("data"), size_cap=size_cap)
 
 
-def _read_text(path) -> str:
-    """An input file's UTF-8 text; ValidationError naming the file when its
-    bytes are not UTF-8."""
+def _text(cfg: dict, inputs: dict, name: str) -> str:
+    """The UTF-8 text of the input file of setting name; ValidationError
+    naming the file when its bytes are not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return inputs.pop(name).decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+        raise ValidationError(f"{cfg[name]}: not UTF-8 text at byte {exc.start}") from None
 
 
-def _make_embedder(model: TokenizerModel, embed_table_path):
-    if embed_table_path is None:
+def _make_embedder(model, cfg: dict, inputs: dict):
+    from .attributes import HashingEmbedder, load_embedding_table
+
+    if cfg["embed_table"] is None:
         return HashingEmbedder(dim=model.d_s)
-    return load_embedding_table(_read_text(embed_table_path), dim=model.d_s)
+    return load_embedding_table(_text(cfg, inputs, "embed_table"), dim=model.d_s)
 
 
 def _require_graphs(count: int, data) -> None:
@@ -126,7 +95,11 @@ class _Counted:
         return self.count
 
 
-def cmd_train(cfg: dict, manifest: dict) -> None:
+def cmd_train(cfg: dict, manifest: dict, inputs: dict) -> None:
+    from .attributes import ImportanceStrategy
+    from .model import save_checkpoint
+    from .train import TrainConfig, format_training_log, train
+
     tc = TrainConfig(  # the other settings of train are named as the fields they set
         joint_epochs=cfg["epochs"],
         strategy=ImportanceStrategy(kind=cfg["anchor"], seed=cfg["anchor_seed"]),
@@ -135,7 +108,7 @@ def cmd_train(cfg: dict, manifest: dict) -> None:
                                         "batch_size", "global_share")},
     )
     out = Path(cfg["out"])
-    graphs = _Counted(_stream_graphs(cfg["data"], cfg["size_cap"]))
+    graphs = _Counted(_stream_graphs(inputs, cfg["size_cap"]))
     model, logs = train(graphs, tc, checkpoint_dir=str(out))
     model.manifest = _embeddable(manifest)
     save_checkpoint(model, out / "model.sogtok")
@@ -144,11 +117,11 @@ def cmd_train(cfg: dict, manifest: dict) -> None:
     print(f"trained K={tc.k} model on {len(graphs)} graphs -> {out / 'model.sogtok'}")
 
 
-def _read_node_list(path) -> list[tuple[str, int]]:
+def _read_node_list(text: str) -> list[tuple[str, int]]:
     """'graph_id index' pairs; an index is ASCII decimal digits only, so
     neither '1_0' nor a non-ASCII digit reads as a number."""
     out = []
-    for line_no, line in enumerate(_read_text(path).splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         fields = line.split()
@@ -156,22 +129,30 @@ def _read_node_list(path) -> list[tuple[str, int]]:
             raise ValidationError(
                 f"node list line {line_no}: expected 'graph_id index', got {line.strip()!r}"
             )
-        out.append((fields[0], int(fields[1])))
+        try:
+            out.append((fields[0], int(fields[1])))
+        except ValueError:  # more digits than int() converts
+            raise ValidationError(f"node list line {line_no}: index has {len(fields[1])} digits") from None
     return out
 
 
-def cmd_tokenize(cfg: dict, manifest: dict) -> None:
+def cmd_tokenize(cfg: dict, manifest: dict, inputs: dict) -> None:
+    import numpy as np
+
+    from .model import load_checkpoint
+    from .train import assign_tokens, format_token_table, node_tokens, token_text
+
     if cfg["nodes"] is not None and not cfg["node_level"]:
         raise ValidationError("--nodes requires --node-level")
-    model = load_checkpoint(cfg["checkpoint"])
-    blocks = _stream_graphs(cfg["data"], cfg["size_cap"])
-    embedder = _make_embedder(model, cfg["embed_table"])
+    model = load_checkpoint(inputs.pop("checkpoint"))
+    blocks = _stream_graphs(inputs, cfg["size_cap"])
+    embedder = _make_embedder(model, cfg, inputs)
     out = Path(cfg["out"])
     if cfg["node_level"]:
         listed = None  # graph id -> its listed centers, in list order
         if cfg["nodes"]:
             listed = {}
-            for gid, v in _read_node_list(cfg["nodes"]):
+            for gid, v in _read_node_list(_text(cfg, inputs, "nodes")):
                 listed.setdefault(gid, []).append(v)
         fed = []  # the (id, center) of each token, in the order fed
 
@@ -205,9 +186,23 @@ def cmd_tokenize(cfg: dict, manifest: dict) -> None:
     print(f"wrote {written}")
 
 
-def cmd_gen_corpus(cfg: dict, manifest: dict) -> None:
+def cmd_gen_corpus(cfg: dict, manifest: dict, inputs: dict) -> None:
+    import numpy as np
+
+    from .corpus import (
+        KINDS,
+        SimilarityThresholds,
+        check_pair_budget,
+        gen_descmatch_records,
+        gen_knn_records,
+        gen_simjudge_records,
+        write_corpus,
+    )
+    from .model import load_checkpoint
+    from .train import GLOBAL_ROW, encoded_blocks
+
     seed = cfg["seed"]
-    model = load_checkpoint(cfg["checkpoint"])
+    model = load_checkpoint(inputs.pop("checkpoint"))
     kinds = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]
     for kind in kinds:
         if kind not in KINDS:
@@ -219,8 +214,8 @@ def cmd_gen_corpus(cfg: dict, manifest: dict) -> None:
         thresholds = SimilarityThresholds(tau_pos=cfg["tau_pos"], tau_neg=cfg["tau_neg"])
         budget = cfg["pairs"] if cfg["pairs"] is not None else 4 * model.k
         check_pair_budget(budget)
-    blocks = _stream_graphs(cfg["data"], cfg["size_cap"])
-    embedder = _make_embedder(model, cfg["embed_table"])
+    blocks = _stream_graphs(inputs, cfg["size_cap"])
+    embedder = _make_embedder(model, cfg, inputs)
     ids, tokens, global_rows = [], [], []
     if "simjudge" in kinds or "descmatch" in kinds:
         # one embedding per graph gives its token and its simjudge row;
@@ -260,6 +255,8 @@ def cmd_gen_corpus(cfg: dict, manifest: dict) -> None:
 
 
 def _assign_splits(ids: list[str], ratio: str, seed: int) -> dict[str, str]:
+    import numpy as np
+
     try:
         parts = [float(x) for x in ratio.split(":")]
     except ValueError:
@@ -277,11 +274,16 @@ def _assign_splits(ids: list[str], ratio: str, seed: int) -> dict[str, str]:
     return {ids[idx]: name for idx, name in zip(order, names)}
 
 
-def cmd_gen_prompts(cfg: dict, manifest: dict) -> None:
+def cmd_gen_prompts(cfg: dict, manifest: dict, inputs: dict) -> None:
+    from .ingest import parse_label_csv
+    from .model import load_checkpoint
+    from .prompts import balance_split, load_template, render_prompt, write_prompt_files
+    from .train import assign_tokens, format_token_table
+
     seed = cfg["seed"]
-    model = load_checkpoint(cfg["checkpoint"])
-    blocks = _stream_graphs(cfg["data"], cfg["size_cap"])
-    embedder = _make_embedder(model, cfg["embed_table"])
+    model = load_checkpoint(inputs.pop("checkpoint"))
+    blocks = _stream_graphs(inputs, cfg["size_cap"])
+    embedder = _make_embedder(model, cfg, inputs)
     tmpl = load_template(cfg["task"])
     fed = []  # each graph's text and label, in file order; table_rows holds its id and tokens
 
@@ -292,7 +294,7 @@ def cmd_gen_prompts(cfg: dict, manifest: dict) -> None:
 
     table_rows = assign_tokens(noted(), model, embedder)
     ids = [a.graph_id for a in table_rows]
-    labels = parse_label_csv(_read_text(cfg["labels"]), set(ids)) if cfg["labels"] else {}
+    labels = parse_label_csv(_text(cfg, inputs, "labels"), set(ids)) if cfg["labels"] else {}
     split_of = _assign_splits(ids, cfg["split_ratio"], seed)
     records = [
         render_prompt(tmpl, a.graph_id, text, labels.get(a.graph_id, label), a.graph_token,
@@ -315,13 +317,13 @@ def cmd_gen_prompts(cfg: dict, manifest: dict) -> None:
     print(f"wrote prompt files {counts} -> {out}")
 
 
-def _load_responses(path) -> list[dict]:
+def _load_responses(text: str) -> list[dict]:
     rows = []
-    for line_no, line in enumerate(_read_text(path).splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = decode_json(line)
         except ValueError as exc:
             raise ValidationError(f"response line {line_no}: not valid JSON ({exc})") from exc
         if not isinstance(obj, dict) or not isinstance(obj.get("text"), str) or "id" not in obj:
@@ -338,6 +340,8 @@ def _load_responses(path) -> list[dict]:
 
 
 def _phrase_sets(tmpl) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    from .metrics import NEGATIVE_DEFAULT, POSITIVE_DEFAULT
+
     pos, neg = POSITIVE_DEFAULT, NEGATIVE_DEFAULT
     if tmpl is not None:
         if tmpl.positive and tmpl.positive.lower() not in pos:
@@ -347,9 +351,12 @@ def _phrase_sets(tmpl) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return pos, neg
 
 
-def cmd_eval(cfg: dict, manifest: dict) -> None:
-    responses = _load_responses(cfg["responses"])
-    labels_by_id = {gid: label for block in _stream_graphs(cfg["data"], cfg["size_cap"])
+def cmd_eval(cfg: dict, manifest: dict, inputs: dict) -> None:
+    from .metrics import UNKNOWN_CLASS, accuracy_and_f1, auc_roc, parse_answer, score_from_parse
+    from .prompts import load_template
+
+    responses = _load_responses(_text(cfg, inputs, "responses"))
+    labels_by_id = {gid: label for block in _stream_graphs(inputs, cfg["size_cap"])
                     for gid, label in zip(block.ids, block.labels)}
     tmpl = load_template(cfg["task"]) if cfg["task"] else None
     pos_set, neg_set = _phrase_sets(tmpl)
@@ -378,11 +385,24 @@ def cmd_eval(cfg: dict, manifest: dict) -> None:
     print(f"auc={auc:.4f} accuracy={report.accuracy:.4f} micro_f1={report.micro_f1:.4f}")
 
 
-def cmd_stats(cfg: dict, manifest: dict) -> None:
+def cmd_stats(cfg: dict, manifest: dict, inputs: dict) -> None:
+    import numpy as np
+
+    from .metrics import (
+        codebook_correlation,
+        export_embeddings,
+        format_csv_matrix,
+        permutation_hits,
+        scaffold_consistency,
+    )
+    from .model import load_checkpoint
+    from .scaffold import group_scaffolds, scaffold_adjacencies
+    from .train import GLOBAL_ROW, encoded_blocks
+
     seed = cfg["seed"]
-    model = load_checkpoint(cfg["checkpoint"])
-    blocks = _stream_graphs(cfg["data"], cfg["size_cap"])
-    embedder = _make_embedder(model, cfg["embed_table"])
+    model = load_checkpoint(inputs.pop("checkpoint"))
+    blocks = _stream_graphs(inputs, cfg["size_cap"])
+    embedder = _make_embedder(model, cfg, inputs)
     out = Path(cfg["out"])
     m = min(cfg["corr_first"], model.k)
     sims, zero_rows = codebook_correlation(model.codebook, m)
@@ -437,28 +457,45 @@ class Setting(NamedTuple):
     name: str
     type: type = str
     default: object = None
-    choices: tuple | None = None
+    choices: tuple | Declared | None = None
     help: str | None = None
 
 
-_tc = TrainConfig()  # the train defaults are declared in train.py only
+class Declared(NamedTuple):
+    """A default or choices tuple declared in the module that uses it, read
+    only when a subcommand that takes its setting is parsed or replayed, so
+    a run imports only the modules of its subcommand."""
+
+    module: str
+    attr: str  # dotted from the module; a dataclass field's default is its class attribute
+
+    def read(self):
+        return attrgetter(self.attr)(importlib.import_module(f".{self.module}", __package__))
+
+
+def _train_default(field: str) -> Declared:
+    return Declared("train", f"TrainConfig.{field}")  # the train defaults are declared in train.py only
+
 
 SETTINGS = {s.name: s for s in (
     Setting("data"), Setting("checkpoint"), Setting("responses"), Setting("embed_table"),
     Setting("out", help="output directory"),
-    Setting("size_cap", int, DEFAULT_SIZE_CAP, help="max nodes per graph"),
+    Setting("size_cap", int, Declared("graph", "DEFAULT_SIZE_CAP"), help="max nodes per graph"),
     Setting("jobs", int, 1, help="ignored by every subcommand; accepted so that existing command lines run"),
     Setting("seed", int),
     # train
-    Setting("k", int, _tc.k), Setting("beta", float, _tc.beta),
-    Setting("anchor", str, _tc.strategy.kind, STRATEGY_KINDS),
-    Setting("anchor_seed", int, _tc.strategy.seed),
-    Setting("warmup_epochs", int, _tc.warmup_epochs), Setting("epochs", int, _tc.joint_epochs),
-    Setting("lr_warmup", float, _tc.lr_warmup), Setting("lr_gcn", float, _tc.lr_gcn),
-    Setting("lr_codebook", float, _tc.lr_codebook),
-    Setting("d_s", int, _tc.d_s), Setting("d_h", int, _tc.d_h),
-    Setting("d", int, _tc.d), Setting("d_r", int, _tc.d_r),
-    Setting("batch_size", int, _tc.batch_size), Setting("global_share", float, _tc.global_share),
+    Setting("k", int, _train_default("k")), Setting("beta", float, _train_default("beta")),
+    Setting("anchor", str, Declared("attributes", "ImportanceStrategy.kind"),
+            Declared("attributes", "STRATEGY_KINDS")),
+    Setting("anchor_seed", int, Declared("attributes", "ImportanceStrategy.seed")),
+    Setting("warmup_epochs", int, _train_default("warmup_epochs")),
+    Setting("epochs", int, _train_default("joint_epochs")),
+    Setting("lr_warmup", float, _train_default("lr_warmup")), Setting("lr_gcn", float, _train_default("lr_gcn")),
+    Setting("lr_codebook", float, _train_default("lr_codebook")),
+    Setting("d_s", int, _train_default("d_s")), Setting("d_h", int, _train_default("d_h")),
+    Setting("d", int, _train_default("d")), Setting("d_r", int, _train_default("d_r")),
+    Setting("batch_size", int, _train_default("batch_size")),
+    Setting("global_share", float, _train_default("global_share")),
     # tokenize
     Setting("node_level", bool, False), Setting("hops", int, 2),
     Setting("nodes", help="node list file: 'graph_id index' per line"),
@@ -467,12 +504,13 @@ SETTINGS = {s.name: s for s in (
     Setting("tau_pos", float, 0.8), Setting("tau_neg", float, 0.2), Setting("pairs", int),
     # gen-prompts and eval
     Setting("task"), Setting("labels", help="optional id,label CSV to join"),
-    Setting("balance", str, "none", BALANCE_POLICIES), Setting("split_ratio", str, "8:1:1"),
+    Setting("balance", str, "none", Declared("prompts", "BALANCE_POLICIES")),
+    Setting("split_ratio", str, "8:1:1"),
     # stats
     Setting("corr_first", int, 50), Setting("trials", int, 10),
 )}
 
-# the settings that name an input file; a run checksums each one it is given
+# the settings that name an input file; a run reads and checksums each one it is given
 INPUT_SETTINGS = ("data", "checkpoint", "responses", "embed_table", "nodes", "labels")
 
 # subcommand -> (handler, help, required settings, other settings); every
@@ -507,8 +545,11 @@ COMMANDS = {
 
 
 def _settings(command: str) -> list[Setting]:
+    """The settings of command, each default and choices tuple read."""
     *_, required, other = COMMANDS[command]
-    return [SETTINGS[name] for name in (*required, *other, "out", "size_cap", "jobs")]
+    settings = [SETTINGS[name] for name in (*required, *other, "out", "size_cap", "jobs")]
+    return [s._replace(**{key: value.read() for key, value in s._asdict().items() if isinstance(value, Declared)})
+            for s in settings]
 
 
 def _fits(setting: Setting, value) -> bool:
@@ -557,21 +598,45 @@ def _resolve(args) -> dict:
     return cfg
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sogtok", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, *_) in COMMANDS.items():
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which declares its flags when it first parses,
+    so a run declares only the flags of the subcommand it runs."""
+
+    def __init__(self, *args, command: str, **kwargs):
         # no defaults: the namespace holds only the flags given, and
         # _resolve fills in the table's defaults
-        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
-        for s in _settings(command):
-            flag = "--" + s.name.replace("_", "-")
-            if s.type is bool:
-                p.add_argument(flag, action="store_true", help=s.help)
-            else:
-                p.add_argument(flag, type=s.type, choices=s.choices, help=s.help)
-        p.add_argument("--from-manifest", help="replay a previous run's manifest")
+        super().__init__(*args, argument_default=argparse.SUPPRESS, **kwargs)
+        self.command, self.declared = command, False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if not self.declared:
+            self.declared = True
+            for s in _settings(self.command):
+                flag = "--" + s.name.replace("_", "-")
+                if s.type is bool:
+                    self.add_argument(flag, action="store_true", help=s.help)
+                else:
+                    self.add_argument(flag, type=s.type, choices=s.choices, help=s.help)
+            self.add_argument("--from-manifest", help="replay a previous run's manifest")
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="sogtok", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for command, (_, help_text, *_) in COMMANDS.items():
+        sub.add_parser(command, help=help_text, command=command)
     return parser
+
+
+def _read_input(path) -> bytes:
+    """An input file's bytes, read in 1 MiB chunks. The chunks are for speed:
+    freeing the last, empty 1 MiB read raises glibc malloc's mmap threshold
+    to 1 MiB, so a stage's NumPy temporaries under 1 MiB reuse heap pages
+    instead of faulting in a new mapping each (pipeline-2k `stats`: 7.6k
+    minor page faults against 16.8k with one read of the whole file)."""
+    with open(path, "rb") as fh:
+        return b"".join(iter(lambda: fh.read(1 << 20), b""))
 
 
 def main(argv=None) -> int:
@@ -586,12 +651,14 @@ def main(argv=None) -> int:
         for key in ("seed", "anchor_seed"):  # NumPy generators take no negative seed
             if cfg.get(key) is not None and cfg[key] < 0:
                 raise ValidationError(f"--{key.replace('_', '-')} must be >= 0, got {cfg[key]}")
-        inputs = {name: cfg[name] for name in INPUT_SETTINGS if cfg.get(name) is not None}
+        # each input file is read once, here: its checksum is of the bytes the stage reads
+        inputs = {name: _read_input(cfg[name])
+                  for name in sorted(INPUT_SETTINGS) if cfg.get(name) is not None}
         manifest = build_manifest(args.command, cfg, cfg.get("seed"), inputs)
         out = Path(cfg["out"])
         made_out = not out.exists()
         out.mkdir(parents=True, exist_ok=True)
-        handler(cfg, manifest)
+        handler(cfg, manifest, inputs)
         write_manifest(manifest, out / "manifest.json")
         return 0
     except NumericalError as exc:

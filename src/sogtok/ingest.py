@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import GraphFileSemanticError, GraphFileSyntaxError, SmilesError
 from .graph import DEFAULT_SIZE_CAP, Graph, NodeRecord, size_buckets
-from .manifest import atomic_write
+from .manifest import atomic_write, decode_json
 from .smiles import node_records, scan_block, scan_smiles
 
 
@@ -208,12 +208,15 @@ def _numbered_lines(data: bytes | str) -> Iterator[tuple[int, str]]:
 def _records(lines: Iterable[tuple[int, str]], seen_ids: set[str], size_cap: int) -> Iterator[tuple]:
     """The fields of the record of each numbered line (parse_graph_record),
     in file order. Each record is checked as its line is read, its id
-    against seen_ids, which gains it. Reports line/column on JSON failures."""
+    against seen_ids, which gains it. Reports line/column on JSON syntax
+    faults, and the line on JSON that Python does not decode."""
     for line_no, line in lines:
         try:
-            obj = json.loads(line)
+            obj = decode_json(line)
         except json.JSONDecodeError as exc:
             raise GraphFileSyntaxError(line_no, exc.colno, exc.msg) from exc
+        except ValueError as exc:
+            raise GraphFileSemanticError(line_no, str(exc)) from None
         fields = parse_graph_record(obj, line_no, size_cap)
         if fields[0] in seen_ids:
             raise GraphFileSemanticError(line_no, f"duplicate graph id {fields[0]!r}")
@@ -229,7 +232,7 @@ def _scanned_block(lines: list[tuple[int, str]], seen_ids: set[str], size_cap: i
     ids, labels, smiles = [], [], []
     try:
         for _, line in lines:
-            obj = json.loads(line)
+            obj = decode_json(line)
             if not (isinstance(obj, dict) and "nodes" not in obj and isinstance(obj.get("smiles"), str)):
                 return None
             gid, label = obj.get("id"), obj.get("label")
@@ -238,7 +241,7 @@ def _scanned_block(lines: list[tuple[int, str]], seen_ids: set[str], size_cap: i
             ids.append(gid)
             labels.append(label)
             smiles.append(obj["smiles"])
-    except (ValueError, RecursionError):
+    except ValueError:
         return None
     if len(set(ids)) < len(ids) or not seen_ids.isdisjoint(ids):
         return None

@@ -3,7 +3,8 @@
 The manifest is the replay unit: full materialized config, seed and input
 checksums; re-running a subcommand from a manifest reproduces every output
 byte-for-byte. Timestamps live only here, never in output artifacts.
-Every artifact, the manifest included, is written through `atomic_write`.
+Every artifact, the manifest included, is written through `atomic_write`,
+and every JSON text read goes through `decode_json`.
 """
 
 from __future__ import annotations
@@ -20,12 +21,19 @@ from .errors import ValidationError
 TOOL_VERSION = "0.1.0"
 
 
-def file_checksum(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def decode_json(text: str):
+    """json.loads(text), raising ValueError for every text it does not
+    decode: json.JSONDecodeError at a syntax fault, a plain ValueError when
+    the nesting is too deep for the decoder or an integer has more digits
+    than int() converts (sys.get_int_max_str_digits)."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("nested too deeply to decode") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise ValueError("an integer has too many digits to decode") from None
 
 
 @contextmanager
@@ -45,13 +53,14 @@ def atomic_write(path, binary: bool = False):
 
 
 def build_manifest(command: str, config: dict, seed: int | None, inputs: dict) -> dict:
-    """inputs maps a setting name to the file it names; each file is
-    checksummed under that name, so the record does not depend on paths."""
+    """inputs maps a setting name to the bytes read from the file it names;
+    they are checksummed under that name, so the record does not depend on
+    paths."""
     return {
         "command": command,
         "config": config,
         "seed": seed,
-        "input_checksums": {name: file_checksum(path) for name, path in sorted(inputs.items())},
+        "input_checksums": {name: hashlib.sha256(data).hexdigest() for name, data in sorted(inputs.items())},
         "tool_version": TOOL_VERSION,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
@@ -66,7 +75,7 @@ def write_manifest(manifest: dict, path) -> None:
 def read_manifest(path) -> dict:
     """A manifest object with a string `command` and an object `config`."""
     try:
-        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+        manifest = decode_json(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValidationError(f"manifest {path}: not valid JSON ({exc})") from None
     if not isinstance(manifest, dict):

@@ -13,17 +13,18 @@ import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import ingest
-from .corpus import cosine_matrix
 from .errors import DegenerateLabels, LengthMismatch, ValidationError
 from .graph import Graph, permuted_adjacency, size_buckets
 from .ingest import GraphBlock, graph_blocks
 from .manifest import atomic_write
-from .model import Codebook, TokenizerModel
-from .train import GLOBAL_ROW, StackBlock, encoded_blocks
+
+if TYPE_CHECKING:  # the model stack is imported by the analyses that run it, so eval loads none of it
+    from .model import Codebook, TokenizerModel
 
 POSITIVE_DEFAULT = ("yes", "true", "active", "approved")
 NEGATIVE_DEFAULT = ("no", "false", "inactive", "rejected", "not approved")
@@ -154,6 +155,8 @@ def permutation_hits(
     rng graph by graph. A copy's adjacency is its graph's, indexed
     (graph.permuted_adjacency), and the copies are drawn, made and encoded
     READ_BLOCK at a time."""
+    from .train import GLOBAL_ROW, StackBlock, encoded_blocks
+
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     owners = np.repeat(np.arange(len(block)), trials)
@@ -181,6 +184,8 @@ def permutation_consistency(
     embedder=None,
 ) -> float:
     """Fraction of (graph, random relabeling) pairs whose token survives."""
+    from .train import GLOBAL_ROW, encoded_blocks
+
     rng = np.random.default_rng(seed)
 
     def block_hits(b) -> int:
@@ -240,6 +245,8 @@ def codebook_correlation(cb: Codebook, first_m: int) -> tuple[np.ndarray, list[i
     Rows with zero norm get zero similarity everywhere (including their
     diagonal) and are reported by index.
     """
+    from .corpus import cosine_matrix
+
     if first_m < 1 or first_m > cb.k:
         raise ValidationError(f"first_m must be in [1, K]; got {first_m}")
     sims, zero_rows = cosine_matrix(cb.entries[:first_m])

@@ -22,6 +22,7 @@ forming them again.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import struct
@@ -32,7 +33,7 @@ import numpy as np
 
 from .attributes import ImportanceStrategy
 from .errors import CheckpointError, DimensionMismatch, ValidationError
-from .manifest import atomic_write
+from .manifest import atomic_write, decode_json
 
 CHECKPOINT_MAGIC = b"SOGTOK1"
 CHECKPOINT_VERSION = 1
@@ -448,8 +449,8 @@ def _read_header(fh) -> dict:
     if len(length) != 4 or len(blob) != hlen:
         raise CheckpointError("truncated checkpoint header")
     try:
-        header = json.loads(blob.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        header = decode_json(blob.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and decode_json's
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError("checkpoint header is not a JSON object")
@@ -466,8 +467,9 @@ def _read_header(fh) -> dict:
     return header
 
 
-def load_checkpoint(path) -> TokenizerModel:
-    with open(path, "rb") as fh:
+def load_checkpoint(source) -> TokenizerModel:
+    """The model of a checkpoint, given as a path or as its bytes."""
+    with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
         header = _read_header(fh)
         d_s, d_h, d, d_r, k = (header[key] for key in CHECKPOINT_DIMS)
 

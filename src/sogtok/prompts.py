@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import MissingText, UnknownTask, ValidationError
 from .manifest import atomic_write
-from .train import token_text
 
 BALANCE_POLICIES = ("none", "1:1", "1:5")
 SPLITS = ("train", "valid", "test")
@@ -98,6 +97,8 @@ def render_prompt(
     split: str = "train",
 ) -> PromptRecord:
     """Byte-exact slot substitution; the body text is otherwise untouched."""
+    from .train import token_text  # here, so that eval, which reads templates, loads no model stack
+
     body = tmpl.body
     if "{{SMILES}}" in body:
         if text is None:

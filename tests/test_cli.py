@@ -400,6 +400,52 @@ def test_node_list_non_integer_index_exit_2(dataset, trained, tmp_path):
     _assert_validation_exit(proc, "node list line 2")
 
 
+DEEP = "[" * 200_000 + "]" * 200_000  # deeper than the JSON decoder recurses
+LONG_INT = "9" * 5000  # more digits than int() converts
+
+
+@pytest.mark.parametrize("case", ["label-digits", "data-depth", "responses-depth", "node-index-digits",
+                                  "manifest-depth", "checkpoint-depth"])
+def test_json_python_refuses_exits_2(dataset, trained, tmp_path, case):
+    """An input whose JSON Python refuses to decode, or a node index with
+    more digits than int() converts, exits 2 with one error line that names
+    its line or file, and leaves no --out directory."""
+    good = json.dumps({"id": "m0", "smiles": "CCO", "label": 1})
+    data = tmp_path / "data.jsonl"
+    data.write_text(good + "\n" + {"label-digits": '{"id": "m1", "smiles": "CC", "label": %s}' % LONG_INT,
+                                   "data-depth": DEEP}.get(case, good.replace("m0", "m1")) + "\n")
+    out = tmp_path / "out"
+    checkpoint = trained / "model.sogtok"
+    if case == "checkpoint-depth":
+        blob = DEEP.encode()
+        checkpoint = tmp_path / "deep.sogtok"
+        checkpoint.write_bytes(b"SOGTOK1" + len(blob).to_bytes(4, "little") + blob)
+    tokenize = ["tokenize", "--data", data, "--checkpoint", checkpoint, "--out", out]
+    if case == "responses-depth":
+        responses = tmp_path / "responses.jsonl"
+        responses.write_text(DEEP + "\n")
+        argv, needle = ["eval", "--responses", responses, "--data", data, "--out", out], \
+            "response line 1: not valid JSON (nested too deeply to decode)"
+    elif case == "node-index-digits":
+        nodes = tmp_path / "nodes.txt"
+        nodes.write_text(f"m0 0\nm0 {LONG_INT}\n")
+        argv, needle = [*tokenize, "--node-level", "--nodes", nodes], "node list line 2: index has 5000 digits"
+    elif case == "manifest-depth":
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(DEEP)
+        argv, needle = ["tokenize", "--from-manifest", manifest, "--out", out], \
+            f"manifest {manifest}: not valid JSON (nested too deeply to decode)"
+    else:
+        argv, needle = tokenize, {
+            "label-digits": "line 2: an integer has too many digits to decode",
+            "data-depth": "line 2: nested too deeply to decode",
+            "checkpoint-depth": "unreadable checkpoint header: nested too deeply to decode",
+        }[case]
+    proc = _run_cli(*argv)
+    _assert_one_line_error(proc, needle)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("index", ["1_0", "\u0663", "+1", "-1", "\uff11"])
 def test_node_list_index_not_ascii_digits_exit_2(dataset, trained, tmp_path, capsys, index):
     """int() reads '1_0' as 10 and an Arabic-Indic three as 3; a node index

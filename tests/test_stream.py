@@ -4,11 +4,13 @@ read stages grow with their outputs, not their inputs."""
 
 import ast
 import gc
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sogtok import cli, ingest, train
+from sogtok import cli, ingest, prompts, train
 from sogtok.attributes import HashingEmbedder
 from sogtok.cli import main
 from sogtok.graph import Graph
@@ -232,7 +234,7 @@ def test_no_parsed_graph_outlives_the_read(model, tmp_path, monkeypatch):
 
     monkeypatch.setattr(train, "kmeans", counted("kmeans", train.kmeans))
     assert main(_stage_argv("train", data, None, tmp_path / "t", tmp_path)) == 0
-    monkeypatch.setattr(cli, "render_prompt", counted("render_prompt", cli.render_prompt))
+    monkeypatch.setattr(prompts, "render_prompt", counted("render_prompt", prompts.render_prompt))
     assert main(_stage_argv("gen-prompts", data, model, tmp_path / "p", tmp_path)) == 0
     assert alive == {"kmeans": 0, "render_prompt": 0}
 
@@ -243,13 +245,13 @@ def test_train_stage_dataset_counts_its_graphs(tmp_path, monkeypatch, capsys):
     benchmark's tracer reads."""
     data = tmp_path / "data.jsonl"
     _molecules(data, 30)
-    handed = []
+    handed, real = [], train.train
 
     def recorded(dataset, *args, **kwargs):
         handed.append(dataset)
-        return train.train(dataset, *args, **kwargs)
+        return real(dataset, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "train", recorded)
+    monkeypatch.setattr(train, "train", recorded)
     assert main(_stage_argv("train", data, None, tmp_path / "t", tmp_path)) == 0
     assert not isinstance(handed[0], list) and len(handed[0]) == 30
     assert "model on 30 graphs" in capsys.readouterr().out
@@ -271,6 +273,54 @@ def test_outputs_do_not_depend_on_the_block_size(model, tmp_path, monkeypatch, s
         assert main(argv + (["--labels", str(labels)] if stage == "gen-prompts" else [])) == 0
         outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
     assert outputs[0] == outputs[1] and len(outputs[0]) > 1
+
+
+def _outputs(out) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("stage", ["tokenize", "tokenize-node"])
+def test_tokens_do_not_depend_on_the_record_order(model, tmp_path, monkeypatch, stage):
+    """The records shuffled, in blocks of 64, so each block holds other
+    graphs and other stacks, give the bytes of tokens.tsv and
+    node_tokens.tsv of the file order."""
+    monkeypatch.setattr(ingest, "READ_BLOCK", 64)
+    data, shuffled = tmp_path / "data.jsonl", tmp_path / "shuffled.jsonl"
+    _molecules(data, 300)
+    lines = data.read_text().splitlines(keepends=True)
+    shuffled.write_text("".join(lines[i] for i in np.random.default_rng(5).permutation(len(lines))))
+    outputs = []
+    for path in (data, shuffled):
+        out = tmp_path / path.stem
+        assert main(_stage_argv(stage, path, model, out, tmp_path)) == 0
+        outputs.append(_outputs(out))
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 1
+
+
+def test_inputs_are_read_once_so_a_pipe_works(model, tmp_path):
+    """A data file given as a named pipe, which can be read only once, gives
+    the outputs of the regular file, and the manifest holds the sha256 of
+    the bytes the stage read. The stage runs in its own process, so a
+    second read, which would wait for a writer forever, fails the test."""
+    data, pipe = tmp_path / "data.jsonl", tmp_path / "data.fifo"
+    _molecules(data, 30)
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(data.read_bytes(),), daemon=True)
+    writer.start()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = {}
+    for path in (pipe, data):
+        out = tmp_path / path.suffix[1:]
+        proc = subprocess.run([sys.executable, "-m", "sogtok.cli",
+                               *_stage_argv("tokenize", path, model, out, tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        runs[path] = (_outputs(out), json.loads((out / "manifest.json").read_text())["input_checksums"])
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert runs[pipe] == runs[data] and runs[pipe][0]["tokens.tsv"].count(b"\n") == 31
+    assert runs[pipe][1]["data"] == hashlib.sha256(data.read_bytes()).hexdigest()
 
 
 def _calls(tree: ast.AST, name: str) -> list[str]:
@@ -326,6 +376,70 @@ def test_no_stage_imports_numpy_ma(model, tmp_path, stage):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+# Runs the CLI and prints, after it returns or exits, the sogtok modules it
+# loaded and whether NumPy was imported, as one JSON line.
+_MODULE_PROBE = ("import json, sys\nfrom sogtok.cli import main\n"
+                 "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
+                 "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'sogtok'),"
+                 " 'numpy' in sys.modules]))\nsys.exit(code)")
+
+# the sogtok modules that each stage does not load
+NOT_LOADED = {
+    "train": {"corpus", "metrics", "prompts", "scaffold"},
+    "tokenize": {"corpus", "metrics", "prompts", "scaffold"},
+    "tokenize-node": {"corpus", "metrics", "prompts", "scaffold"},
+    "gen-corpus": {"metrics", "prompts", "scaffold"},
+    "gen-prompts": {"corpus", "metrics", "scaffold"},
+    "eval": {"train", "model", "attributes", "corpus", "scaffold"},
+    "stats": {"prompts"},
+}
+
+
+def _probe_modules(argv) -> tuple[subprocess.CompletedProcess, set[str], bool]:
+    """The CLI run on argv in a fresh interpreter: the process, the sogtok
+    modules it loaded and whether it imported NumPy."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    modules, numpy = json.loads(proc.stdout.splitlines()[-1])
+    return proc, set(modules), numpy
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_each_stage_loads_only_its_modules(model, tmp_path, stage):
+    """A stage imports the modules it calls when it runs, so each one ends
+    without the modules of the other stages."""
+    data = tmp_path / "data.jsonl"
+    _molecules(data, 20)
+    proc, modules, _ = _probe_modules(_stage_argv(stage, data, model, tmp_path / "out", tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert {"sogtok.cli", "sogtok.ingest"} <= modules
+    assert not modules & {f"sogtok.{name}" for name in NOT_LOADED[stage]}
+
+
+def test_top_level_help_loads_no_numpy():
+    """`sogtok --help` lists every subcommand and loads no subcommand's
+    modules and no NumPy."""
+    proc, modules, numpy = _probe_modules(["--help"])
+    assert proc.returncode == 0, proc.stderr
+    assert modules == {"sogtok", "sogtok.cli", "sogtok.errors", "sogtok.manifest"}
+    assert not numpy
+    assert all(re.search(rf"^\s+{command}\s", proc.stdout, re.M) for command in cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_subcommand_help_lists_the_flags_of_its_settings(command, capsys):
+    """A subcommand declares its flags when it parses: its --help lists
+    exactly the flags of its settings."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--" + s.name.replace("_", "-") for s in cli._settings(command)} | {
+        "--help", "--from-manifest"}
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--tau-pos", "0.1", "--tau-neg", "0.5"], "thresholds must satisfy -1 <= tau_neg < tau_pos <= 1, got (0.5, 0.1)"),
     (["--knn-k", "999"], "k must be in [1, K); got k=999, K=8"),
@@ -337,7 +451,7 @@ def test_gen_corpus_reports_a_bad_setting_before_reading_the_data(model, tmp_pat
     the checkpoint: it is reported before a bad last data line, and no
     graph is encoded."""
     encoded = []
-    monkeypatch.setattr(cli, "encoded_blocks", lambda *args, **kwargs: encoded.append(args) or iter(()))
+    monkeypatch.setattr(train, "encoded_blocks", lambda *args, **kwargs: encoded.append(args) or iter(()))
     data = tmp_path / "data.jsonl"
     _molecules(data, 4, BAD_LAST_LINES["json"][0])
     out = tmp_path / "out"
