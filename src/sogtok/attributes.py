@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DimensionMismatch, ValidationError
 from .graph import Graph
 from .ingest import GraphBlock
+from .manifest import numbered_lines
 
 STRATEGY_KINDS = ("degree", "pagerank", "betweenness", "random")
 
@@ -336,9 +337,7 @@ def load_embedding_table(text: str, dim: int) -> TableEmbedder:
     must be finite, and each attribute string must appear on one line only."""
     table: dict[str, np.ndarray] = {}
     line_of: dict[str, int] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in numbered_lines(text):
         if "\t" not in line:
             raise ValidationError(f"embedding table line {line_no}: missing tab separator")
         key, _, values = line.partition("\t")

@@ -21,6 +21,7 @@ import hashlib
 import importlib
 import json
 import math
+import re
 import sys
 from itertools import chain
 from operator import attrgetter
@@ -33,7 +34,7 @@ from .errors import (
     SogtokError,
     ValidationError,
 )
-from .manifest import atomic_write, build_manifest, decode_json, read_manifest, write_manifest
+from .manifest import atomic_write, build_manifest, decode_json, numbered_lines, read_manifest, write_manifest
 
 # Each cmd_* takes the resolved config, the manifest and the bytes of each
 # input file the run was given, by setting name; it takes each input out of
@@ -118,13 +119,11 @@ def cmd_train(cfg: dict, manifest: dict, inputs: dict) -> None:
 
 
 def _read_node_list(text: str) -> list[tuple[str, int]]:
-    """'graph_id index' pairs; an index is ASCII decimal digits only, so
-    neither '1_0' nor a non-ASCII digit reads as a number."""
+    """'graph_id index' pairs, split at white space but U+0085, U+2028 and U+2029;
+    an index is ASCII decimal digits only, so '1_0' and non-ASCII digits are refused."""
     out = []
-    for line_no, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = line.split()
+    for line_no, line in numbered_lines(text):
+        fields = re.findall(r"[\S\x85\u2028\u2029]+", line)
         if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
             raise ValidationError(
                 f"node list line {line_no}: expected 'graph_id index', got {line.strip()!r}"
@@ -319,9 +318,7 @@ def cmd_gen_prompts(cfg: dict, manifest: dict, inputs: dict) -> None:
 
 def _load_responses(text: str) -> list[dict]:
     rows = []
-    for line_no, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
+    for line_no, line in numbered_lines(text):
         try:
             obj = decode_json(line)
         except ValueError as exc:

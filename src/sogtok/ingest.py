@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import GraphFileSemanticError, GraphFileSyntaxError, SmilesError
 from .graph import DEFAULT_SIZE_CAP, Graph, NodeRecord, size_buckets
-from .manifest import atomic_write, decode_json
+from .manifest import atomic_write, decode_json, numbered_lines
 from .smiles import node_records, scan_block, scan_smiles
 
 
@@ -90,20 +89,6 @@ def parse_graph_record(
     if fault is not None:
         raise GraphFileSemanticError(line_no, f"graph {gid!r}: {fault}")
     return gid, label, smiles, texts, edges
-
-
-# the line boundaries of str.splitlines()
-_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
-
-
-def _lines(text: str) -> Iterator[str]:
-    """text.splitlines(), one line at a time."""
-    start = 0
-    for m in _LINE_BREAK.finditer(text):
-        yield text[start : m.start()]
-        start = m.end()
-    if start < len(text):
-        yield text[start:]
 
 
 # records parsed into one block; the read path prepares, encodes and searches a block at once
@@ -190,19 +175,17 @@ def graph_blocks(graphs: Iterable[Graph]) -> Iterator[GraphBlock]:
 
 
 def _numbered_lines(data: bytes | str) -> Iterator[tuple[int, str]]:
-    """Each non-blank line of a graph file, with its number. Reports the
-    line and column of a byte that is not UTF-8."""
+    """Each non-blank line of a graph file, with its number (numbered_lines).
+    Reports the line and column of a byte that is not UTF-8."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")  # the decoded text is the one copy held
         except UnicodeDecodeError as exc:
             # the lines before the bad byte decode; the sentinel makes the
             # last one the bad byte's line, its length the bad byte's column
-            lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
-            raise GraphFileSyntaxError(len(lines), len(lines[-1]), "not UTF-8 text") from None
-    for line_no, line in enumerate(_lines(data), start=1):
-        if line.strip():
-            yield line_no, line
+            *_, (line_no, line) = numbered_lines(data[: exc.start].decode("utf-8") + "?")
+            raise GraphFileSyntaxError(line_no, len(line), "not UTF-8 text") from None
+    yield from numbered_lines(data)
 
 
 def _records(lines: Iterable[tuple[int, str]], seen_ids: set[str], size_cap: int) -> Iterator[tuple]:

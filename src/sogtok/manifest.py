@@ -4,7 +4,8 @@ The manifest is the replay unit: full materialized config, seed and input
 checksums; re-running a subcommand from a manifest reproduces every output
 byte-for-byte. Timestamps live only here, never in output artifacts.
 Every artifact, the manifest included, is written through `atomic_write`,
-and every JSON text read goes through `decode_json`.
+every JSON text read goes through `decode_json`, and every line-based input
+is read by `numbered_lines`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+from collections.abc import Iterator
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,6 +37,17 @@ def decode_json(text: str):
         raise
     except ValueError:
         raise ValueError("an integer has too many digits to decode") from None
+
+
+# a line and the break that ends it: str.splitlines()'s breaks but U+0085, U+2028 and U+2029
+_LINE = re.compile(r"([^\n\r\v\f\x1c-\x1e]*)(?:\r\n|[\n\r\v\f\x1c-\x1e]|\Z)")
+
+
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each non-blank line of text and its number: the lines of str.splitlines(),
+    but U+0085, U+2028 and U+2029, which a JSON string may hold raw (RFC 8259
+    forbids every other break there), do not end a line."""
+    return ((k, m[1]) for k, m in enumerate(_LINE.finditer(text), start=1) if m[1].strip())
 
 
 @contextmanager

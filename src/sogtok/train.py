@@ -112,10 +112,9 @@ class TrainConfig:
 @dataclass(frozen=True)
 class PreparedBucket:
     """Encoder inputs of graphs with one node count m, stacked; reused across
-    epochs."""
+    epochs. Training reads its target adjacency from anorm (train's block_pass)."""
 
     positions: np.ndarray  # the graphs' indices in their block, or in prepare_graphs()'s blocks
-    a_target: np.ndarray | None  # (B, m, m) bool adjacency, the reconstruction target; training only
     anorm: np.ndarray  # (B, m, m), of the adjacency (augmented unless include_global=False)
     x_index: np.ndarray  # (B, m): x's rows of the table, global row last
 
@@ -136,13 +135,12 @@ class StackBlock:
 
 
 def prepare_block(
-    block, strategy: ImportanceStrategy, row_of: dict[str, int], include_global: bool, target: bool
+    block, strategy: ImportanceStrategy, row_of: dict[str, int], include_global: bool
 ) -> Iterator[tuple[_Ranked, PreparedBucket]]:
     """The ranking and encoder inputs of each adjacency stack of a block. The
     virtual global node is appended unless include_global=False. A node's x
     row is the row of its attribute string in row_of, which gains an entry
-    for each string it lacks. Only training (target=True) keeps the boolean
-    adjacency as the reconstruction target."""
+    for each string it lacks."""
     for r, index, names in attribute_buckets(block, strategy):
         rows = np.array([row_of.setdefault(s, len(row_of)) for s in names], dtype=np.intp)
         b, n, _ = r.adjacency.shape
@@ -152,7 +150,7 @@ def prepare_block(
         x_index = np.zeros((b, m), dtype=np.intp)  # a global node's column keeps row 0
         x_index[:, :n] = rows[index]
         a[:, :n, n:] = a[:, n:, :n] = True  # the global node's edges, if any
-        yield r, PreparedBucket(r.positions, a if target else None, normalized_adjacency(a), x_index)
+        yield r, PreparedBucket(r.positions, normalized_adjacency(a), x_index)
 
 
 def _table(row_of: dict[str, int], embedder) -> np.ndarray:
@@ -166,7 +164,7 @@ def _table(row_of: dict[str, int], embedder) -> np.ndarray:
 
 
 def prepare_graphs(
-    blocks: Iterable[GraphBlock], strategy: ImportanceStrategy, embedder, include_global: bool = True
+    blocks: Iterable[GraphBlock], strategy: ImportanceStrategy, embedder
 ) -> tuple[np.ndarray, list[PreparedBucket]]:
     """Training's encoder inputs of the blocks' graphs, which may come
     lazily, prepared a block at a time (prepare_block): one bucket per
@@ -174,10 +172,10 @@ def prepare_graphs(
     all blocks. Each distinct attribute string is embedded once, into the
     returned table; a graph's features are x = table[x_index], so the
     buckets hold row numbers."""
-    row_of: dict[str, int] = {GLOBAL_ATTRIBUTE: 0} if include_global else {}
+    row_of: dict[str, int] = {GLOBAL_ATTRIBUTE: 0}
     prepared, first_seen, offset = [], {}, 0
     for block in blocks:
-        for _, bucket in prepare_block(block, strategy, row_of, include_global, target=True):
+        for _, bucket in prepare_block(block, strategy, row_of, include_global=True):
             first_seen.setdefault(bucket.anorm.shape[1], len(first_seen))
             prepared.append(replace(bucket, positions=bucket.positions + offset))
         offset += len(block)
@@ -255,9 +253,8 @@ def _minibatches(
 # memory, and smaller ones make more calls.
 TRAIN_BLOCK = 24
 
-# One stack of a walk: the graphs' positions and their stacked a_target (None
-# on the read path), anorm and x.
-Stack = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# One stack of a walk: the graphs' positions and their stacked anorm and x.
+Stack = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _walk(
@@ -277,9 +274,7 @@ def _walk(
         # the runs in order; np.unique(which) would import numpy.ma, ~0.5 MB
         for b in dict.fromkeys(which.tolist()):
             bucket, slots = buckets[b], block[which == b] - starts[b]
-            a_target = None if bucket.a_target is None else bucket.a_target[slots]
-            stacks.append((bucket.positions[slots], a_target, bucket.anorm[slots],
-                           table[bucket.x_index[slots]]))
+            stacks.append((bucket.positions[slots], bucket.anorm[slots], table[bucket.x_index[slots]]))
         yield stacks
 
 
@@ -346,7 +341,7 @@ def _gather_rows(
     graph order; graph i takes counts[i] rows."""
     starts = np.cumsum(counts) - counts
     rows = np.empty((counts.sum(), enc.d))
-    for at, _, anorm, x in chain.from_iterable(_walk(table, buckets)):
+    for at, anorm, x in chain.from_iterable(_walk(table, buckets)):
         h = encode(anorm, x, enc)[0][:, take]
         rows[starts[at][:, None] + np.arange(h.shape[1])] = h
     return rows
@@ -408,18 +403,24 @@ def train(
         raise EmptyDataset("training requires at least one graph")
     place = np.argsort(np.concatenate([b.positions for b in buckets]))  # each graph's, see _walk
     logs: list[EpochLog] = []
+    off: dict[int, np.ndarray] = {}  # each node count's off-diagonal mask
 
     def block_pass(stacks: list[Stack], cb: Codebook | None) -> Iterator[tuple[np.ndarray, ForwardState]]:
         """Forward state of each stack of a block; one search serves all the
         block's latent rows."""
-        encoded = [encode(anorm, x, enc) for _, _, anorm, x in stacks]
+        encoded = [encode(anorm, x, enc) for _, anorm, x in stacks]
         found = None
         if cb is not None:
             found = quantize(np.concatenate([h.reshape(-1, cfg.d) for h, _ in encoded]), cb)
         start = 0
-        for (at, a, anorm, x), (h, products) in zip(stacks, encoded):
+        for (at, anorm, x), (h, products) in zip(stacks, encoded):
             sel = None if found is None else found.part(start, h.shape)
             start += h.shape[0] * h.shape[1]
+            m = anorm.shape[-1]
+            if m not in off:
+                off[m] = ~np.eye(m, dtype=bool)
+            # the target A, exactly: anorm = D^-1/2 (A + I) D^-1/2 is >= 1/m where A + I is 1
+            a = (anorm != 0) & off[m]
             yield at, forward(a, anorm, x, enc, dec, cb, cfg.beta, encoded=(h, products), sel=sel)
 
     def evaluate(epoch: int, cb: Codebook | None) -> EpochLog:
@@ -539,7 +540,7 @@ def _encode_block(
     """use() of one block, encoded; nothing else of the block outlives the
     call, and its encoder inputs are dropped before use() runs."""
     row_of: dict[str, int] = {GLOBAL_ATTRIBUTE: 0} if include_global else {}
-    ranked, buckets = zip(*prepare_block(block, model.strategy, row_of, include_global, target=False))
+    ranked, buckets = zip(*prepare_block(block, model.strategy, row_of, include_global))
     # the rows of each graph's h[take]
     counts = np.array([len(range(n + include_global)[take]) for n in block.sizes.tolist()])
     rows = _gather_rows(_table(row_of, embedder), buckets, model.enc, counts, take)

@@ -691,12 +691,29 @@ def parse_graph_record(
         raise GraphFileSemanticError(line_no, str(exc)) from exc
 
 
+# a JSON string may hold these raw, so they do not end a line of a JSON Lines file
+JSON_STRING_BREAKS = ("\x85", "\u2028", "\u2029")
+
+
+def json_lines(text: str) -> list[str]:
+    """text.splitlines(), with each piece that one of JSON_STRING_BREAKS ends
+    joined, that character kept, to the piece after it."""
+    lines, held = [], ""
+    for piece in text.splitlines(keepends=True):
+        if piece.endswith(JSON_STRING_BREAKS):
+            held += piece
+        else:
+            lines.append(held + (piece.splitlines() or [""])[0])
+            held = ""
+    return lines + ([held] if held else [])
+
+
 def read_graph_file(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> list[Graph]:
     """The graphs of a graph file's text, one record at a time: each line
-    decoded, built into a fully checked Graph (parse_graph_record) and its
-    id checked against the ids before it."""
+    (json_lines) decoded, built into a fully checked Graph
+    (parse_graph_record) and its id checked against the ids before it."""
     graphs, seen, records = [], set(), {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(json_lines(text), start=1):
         if not line.strip():
             continue
         try:

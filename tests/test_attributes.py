@@ -243,19 +243,27 @@ def test_attribute_maps_equal_per_graph_oracle(graphs, kind):
        st.sampled_from(STRATEGY_KINDS), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_prepare_graphs_bytes_equal_per_graph_oracle(graphs, kind, include_global):
-    from sogtok.train import prepare_graphs
+    """Training's buckets (prepare_graphs) and the read path's without a
+    global node (prepare_block) hold the oracle's anorm and x, and the
+    target that training reads from anorm, where it is nonzero off the
+    diagonal, has the bytes of the oracle's adjacency."""
+    from sogtok.train import _table, prepare_block, prepare_graphs
 
     strategy = ImportanceStrategy(kind, seed=5)
     embedder = HashingEmbedder(dim=16)
-    table, buckets = prepare_graphs([GraphBlock.of(graphs)], strategy, embedder, include_global)
+    if include_global:
+        table, buckets = prepare_graphs([GraphBlock.of(graphs)], strategy, embedder)
+    else:
+        row_of = {}
+        buckets = [b for _, b in prepare_block(GraphBlock.of(graphs), strategy, row_of, include_global)]
+        table = _table(row_of, embedder)
     assert sorted(pos for bucket in buckets for pos in bucket.positions) == list(range(len(graphs)))
     for bucket in buckets:
         for i, pos in enumerate(bucket.positions):
             a_target, anorm, x = oracle.prepare_graph(graphs[pos], strategy, embedder, include_global)
             mine_x = table[bucket.x_index[i]]
-            # the target adjacency is stored as bool: as floats it has the oracle's bytes
-            mine_a = bucket.a_target[i]
-            assert mine_a.dtype == bool
+            # the target is bool: as floats it has the oracle's bytes
+            mine_a = (bucket.anorm[i] != 0) & ~np.eye(len(anorm), dtype=bool)
             for mine, theirs in ((mine_a.astype(np.float64), a_target), (bucket.anorm[i], anorm),
                                  (mine_x, x)):
                 assert mine.shape == theirs.shape and mine.dtype == theirs.dtype

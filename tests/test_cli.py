@@ -446,6 +446,33 @@ def test_json_python_refuses_exits_2(dataset, trained, tmp_path, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
+def test_ids_may_hold_json_string_characters_raw(trained, tmp_path, capsys, char):
+    """A JSON string may hold U+0085, U+2028 and U+2029 unescaped, as
+    json.dumps(..., ensure_ascii=False) writes them: a graph id that holds
+    one is read from the data file, a node list and a response file."""
+    gid = f"m{char}0"
+    rows = [{"id": gid, "smiles": "CCO", "label": 1}, {"id": "m1", "smiles": "CC", "label": 0}]
+    data, nodes, responses = tmp_path / "data.jsonl", tmp_path / "nodes.txt", tmp_path / "responses.jsonl"
+    data.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8")
+    nodes.write_text(f"{gid} 2\nm1 0\n", encoding="utf-8")
+    responses.write_text("".join(json.dumps({"id": r["id"], "text": "Yes"}, ensure_ascii=False) + "\n"
+                                 for r in rows), encoding="utf-8")
+    tokenize = ["tokenize", "--data", str(data), "--checkpoint", str(trained / "model.sogtok")]
+    assert main([*tokenize, "--out", str(tmp_path / "t")]) == 0
+    assert main([*tokenize, "--out", str(tmp_path / "n"), "--node-level", "--nodes", str(nodes)]) == 0
+    assert main(["eval", "--responses", str(responses), "--data", str(data), "--out", str(tmp_path / "e")]) == 0
+    assert capsys.readouterr().err == ""
+
+    def rows(name):  # the first two fields of each row after the header; a row ends only at "\n"
+        return [row.split("\t")[:2] for row in (tmp_path / name).read_text(encoding="utf-8").split("\n")[1:-1]]
+
+    assert [r[0] for r in rows("t/tokens.tsv")] == sorted([gid, "m1"])
+    assert sorted(rows("n/node_tokens.tsv")) == sorted([[gid, "2"], ["m1", "0"]])
+    # both answers are positive and the labels are 1 and 0: one true and one false positive
+    assert rows("e/metrics.csv") == [["unnamed,0.5,0.5,0.666666667,1,1,0,0,parsed"]]
+
+
 @pytest.mark.parametrize("index", ["1_0", "\u0663", "+1", "-1", "\uff11"])
 def test_node_list_index_not_ascii_digits_exit_2(dataset, trained, tmp_path, capsys, index):
     """int() reads '1_0' as 10 and an Arabic-Indic three as 3; a node index
@@ -1142,25 +1169,3 @@ def test_gen_corpus_ranks_each_bucket_once(demo, tmp_path, monkeypatch):
                  "--out", str(tmp_path / "c"), "--seed", "7", "--kinds", "descmatch,simjudge"]) == 0
     stacks = [len(run) for block in iter_graph_file(data.read_bytes()) for run in size_buckets(block.sizes)]
     assert calls == stacks
-
-
-def test_only_training_keeps_the_reconstruction_target(demo, tmp_path, monkeypatch):
-    """Read stages prepare anorm and x rows only; train keeps the boolean
-    adjacency that its loss reads."""
-    from sogtok import train
-
-    kept, prepare = [], train.prepare_block
-
-    def recorded(*args, **kwargs):
-        for ranked, bucket in prepare(*args, **kwargs):
-            kept.append(bucket.a_target is not None)
-            yield ranked, bucket
-
-    monkeypatch.setattr(train, "prepare_block", recorded)
-    mols, checkpoint = str(demo / "molecules.jsonl"), str(demo / "model" / "model.sogtok")
-    assert main(["tokenize", "--data", mols, "--checkpoint", checkpoint, "--out", str(tmp_path / "t")]) == 0
-    assert kept and not any(kept)
-    kept.clear()
-    assert main(["train", "--data", mols, "--out", str(tmp_path / "m"), "--k", "8", "--seed", "7",
-                 "--warmup-epochs", "0", "--epochs", "0"]) == 0
-    assert kept and all(kept)

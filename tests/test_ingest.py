@@ -5,10 +5,10 @@ import pytest
 
 from sogtok import ingest
 from sogtok.errors import GraphFileSemanticError, GraphFileSyntaxError, ValidationError
+from sogtok.manifest import numbered_lines
 from sogtok.smiles import scan_smiles
 from sogtok.ingest import (
     GraphBlock,
-    _lines,
     iter_graph_file,
     parse_graph_file,
     parse_label_csv,
@@ -72,14 +72,64 @@ def test_duplicate_id_rejected():
         parse_graph_file(data)
 
 
-def test_lines_split_as_splitlines():
-    """Every boundary of str.splitlines(), in random strings."""
+def test_lines_split_as_splitlines_but_at_json_string_characters():
+    """Every boundary of str.splitlines() but U+0085, U+2028 and U+2029, in
+    random strings, and each non-blank line's number; without those three,
+    the lines of str.splitlines()."""
+    def numbered(lines):
+        return [(k, line) for k, line in enumerate(lines, start=1) if line.strip()]
+
     alphabet = ["a", " ", "\t", "\x1f", "\u00e9", "\n", "\r", "\v", "\f", "\x1c", "\x1d",
-                "\x1e", "\x85", "\u2028", "\u2029"]
+                "\x1e", *oracle.JSON_STRING_BREAKS]
     rng = np.random.default_rng(5)
     for _ in range(3000):
         text = "".join(rng.choice(alphabet, size=rng.integers(12)))
-        assert list(_lines(text)) == text.splitlines(), repr(text)
+        assert list(numbered_lines(text)) == numbered(oracle.json_lines(text)), repr(text)
+        if not any(c in text for c in oracle.JSON_STRING_BREAKS):
+            assert list(numbered_lines(text)) == numbered(text.splitlines()), repr(text)
+    assert list(numbered_lines("a\u2028b\x85\r\n\n\u2029\nc\u2029")) == [(1, "a\u2028b\x85"), (4, "c\u2029")]
+
+
+@pytest.mark.parametrize("char", oracle.JSON_STRING_BREAKS)
+@pytest.mark.parametrize("read_block", [1, 2, ingest.READ_BLOCK])
+def test_records_may_hold_json_string_characters_raw(monkeypatch, char, read_block):
+    """A JSON string may hold U+0085, U+2028 and U+2029 unescaped, so they
+    do not end a record: SMILES and nodes+edges records that hold one raw are
+    read, and one between two records joins them into one line."""
+    monkeypatch.setattr(ingest, "READ_BLOCK", read_block)
+    rows = [{"id": f"a{char}b", "smiles": "CCO", "label": 1},
+            {"id": "n", "nodes": [{"text": f"C{char}"}, {}], "edges": [[0, 1]]},
+            {"id": f"{char}s", "smiles": "C1CC1"}]
+    text = "\n".join(json.dumps(row, ensure_ascii=False) for row in rows) + "\n"
+    assert char in text
+    graphs = parse_graph_file(text.encode("utf-8"))
+    assert [g.id for g in graphs] == [row["id"] for row in rows]
+    assert graphs == oracle.read_graph_file(text)
+    assert _read_blocks(text, 100) == _oracle_blocks(text, 100)
+    joined = text.replace("\n", char, 1)
+    with pytest.raises(GraphFileSyntaxError, match=r"line 1, column \d+: Extra data"):
+        parse_graph_file(joined)
+    assert _read_blocks(joined, 100) == _oracle_blocks(joined, 100)
+
+
+# Three lines that are each invalid alone, but that decode as three records
+# when joined by commas inside brackets, as one JSON array of a block would.
+ARRAY_ONLY_LINES = ['{"id": "a", "nodes": [{}',
+                    '{}], "edges": []}',
+                    '{"id": "b", "nodes": [{}], "edges": []}, {"id": "c", "nodes": [{}], "edges": []}']
+
+
+@pytest.mark.parametrize("read_block", [1, 2, ingest.READ_BLOCK])
+def test_each_line_is_decoded_alone(monkeypatch, read_block):
+    """A record is one line's JSON: lines that decode only as one array of a
+    block are refused at the first line's fault, as the record parser does."""
+    text = "\n".join(ARRAY_ONLY_LINES) + "\n"
+    assert len(json.loads("[" + ",".join(ARRAY_ONLY_LINES) + "]")) == 3
+    monkeypatch.setattr(ingest, "READ_BLOCK", read_block)
+    want = (GraphFileSyntaxError, "line 1, column 25: Expecting ',' delimiter")
+    assert _outcome(oracle.read_graph_file, text, 100) == want
+    assert _outcome(parse_graph_file, text, 100) == want
+    assert _read_blocks(text, 100) == _oracle_blocks(text, 100) == [want]
 
 
 def test_iter_graph_file_yields_before_a_later_fault(monkeypatch):
@@ -219,7 +269,7 @@ def _oracle_blocks(text: str, size_cap: int) -> list:
     try:
         graphs, error = oracle.read_graph_file(text, size_cap), []
     except ValidationError as exc:
-        graphs = oracle.read_graph_file("\n".join(text.splitlines()[: exc.line - 1]), size_cap)
+        graphs = oracle.read_graph_file("\n".join(oracle.json_lines(text)[: exc.line - 1]), size_cap)
         graphs, error = graphs[: len(graphs) - len(graphs) % ingest.READ_BLOCK], [(type(exc), str(exc))]
     step = ingest.READ_BLOCK
     return [_fields(GraphBlock.of(graphs[k : k + step])) for k in range(0, len(graphs), step)] + error

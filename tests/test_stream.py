@@ -204,9 +204,13 @@ def test_next_block_is_prepared_without_the_previous_one(model, tmp_path, monkey
         if (i + 1) % block == 0:
             id_bytes.append(sys.getsizeof(ids))
     growth = [b - a - (d - c) for a, b, c, d in zip(held, held[1:], id_bytes, id_bytes[1:])]
-    # the slack covers small allocator caches, a third of one parsed block
-    # (about 12 kB here; blocks hold no node texts)
-    assert max(growth) < outputs / blocks + block_bytes / 3, (growth, outputs, block_bytes)
+    # From the second block on, a block adds its outputs, within small
+    # allocator caches. A previous block held while the next is prepared shows
+    # in the first growth only, which also pays one-time allocations (NumPy's
+    # first small arrays, about 9 kB here): both slacks are absolute, so they
+    # do not grow with the block (one parsed block is about 40 kB here).
+    assert max(growth[1:]) < outputs / blocks + 4_000, (growth, outputs)
+    assert growth[0] < max(growth[1:]) + 16_000, (growth, block_bytes)
 
 
 def _graphs_alive(prefix: str) -> int:

@@ -482,6 +482,26 @@ def test_full_batch_epoch_walks_the_graphs_once(monkeypatch, batch_size):
     assert passed[0] == 5 * (n if batch_size is None else 2 * n) + n
 
 
+def test_prepared_buckets_hold_anorm_and_row_indices_only(monkeypatch, tmp_path):
+    """Training holds, per graph of a streamed set, its position, anorm and
+    the table rows of its x: no second copy of its adjacency."""
+    from dataclasses import fields
+
+    import sogtok.ingest as ingest
+    from sogtok.train import prepare_graphs
+
+    monkeypatch.setattr(ingest, "READ_BLOCK", 7)
+    ingest.write_graph_file(_mixed_sizes(41, seed=0), tmp_path / "g.jsonl")
+    blocks = ingest.iter_graph_file((tmp_path / "g.jsonl").read_bytes())
+    _, buckets = prepare_graphs(blocks, ImportanceStrategy(), HashingEmbedder(dim=16))
+    assert sorted(np.concatenate([b.positions for b in buckets]).tolist()) == list(range(41))
+    for bucket in buckets:
+        assert [f.name for f in fields(bucket)] == ["positions", "anorm", "x_index"]
+        b, m, _ = bucket.anorm.shape
+        assert bucket.anorm.dtype == np.float64 and bucket.x_index.shape == (b, m)
+        assert sum(getattr(bucket, f.name).nbytes for f in fields(bucket)) == 8 * b * (1 + m * m + m)
+
+
 def _epoch_memory(graphs, cfg) -> int:
     """Peak traced bytes that training allocates beyond its prepared inputs."""
     import tracemalloc
