@@ -16,9 +16,11 @@ neither side), and whether the median gap in the metric's better direction
 exceeds the interquartile range of BASE's runs. A gain counts when the
 change wins at least 9 of 10 pairs and the gap exceeds that range. The
 operations that failed are summed per side. Last, for each CLI stage, each
-side's median raw CPU seconds: per run the median over its passes, read from
-the run's perfbench/out/results/<workload>-seed<n>-trace0.json, then the
-median over the runs, so a gain shows the stage it came from.
+side's median raw CPU seconds and median peak RSS (MB): per run the median
+over its passes, read from the run's
+perfbench/out/results/<workload>-seed<n>-trace0.json (`cpu_s`, `rss_mb`),
+then the median over the runs, so a gain in either shows the stage it came
+from.
 """
 
 import argparse
@@ -33,9 +35,10 @@ MIN_PAIRS = 10
 SECONDS = 30  # length of every benchmark run
 
 
-def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict[str, float]]:
+def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict[str, tuple[float, float]]]:
     """The JSON object on the last line of one untraced benchmark run, and
-    each stage's median CPU seconds over the run's passes."""
+    each stage's median CPU seconds and median peak RSS over the run's
+    passes."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", "0"],
@@ -46,11 +49,12 @@ def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict[str, floa
         sys.exit(f"{root}: perfbench/run.py exited {proc.returncode}\n{proc.stderr}")
     report = json.loads((root / "perfbench" / "out" / "results" / f"{workload}-seed{seed}-trace0.json")
                         .read_text(encoding="utf-8"))
-    cpu: dict[str, list[float]] = {}
+    per_stage: dict[str, list[tuple[float, float]]] = {}
     for stages in report["passes"]:
         for stage in stages:
-            cpu.setdefault(stage["name"], []).append(stage["cpu_s"])
-    return json.loads(lines[-1]), {name: statistics.median(v) for name, v in cpu.items()}
+            per_stage.setdefault(stage["name"], []).append((stage["cpu_s"], stage["rss_mb"]))
+    return json.loads(lines[-1]), {name: tuple(statistics.median(column) for column in zip(*runs))
+                                   for name, runs in per_stage.items()}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -84,16 +88,16 @@ def main() -> int:
     sides = {"base": args.base, "change": args.change}
     values = {side: {name: [] for name in better} for side in sides}
     failed = {side: 0 for side in sides}
-    stage_cpu = {side: {} for side in sides}  # stage -> each run's median CPU seconds
+    stage_runs = {side: {} for side in sides}  # stage -> each run's median (CPU seconds, peak RSS MB)
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            result, cpu = run_once(sides[side], args.workload, args.seed)
+            result, stages = run_once(sides[side], args.workload, args.seed)
             for name in better:
                 values[side][name].append(result["metrics"][name]["value"])
             failed[side] += result["failed"]
-            for stage, seconds in cpu.items():
-                stage_cpu[side].setdefault(stage, []).append(seconds)
+            for stage, medians in stages.items():
+                stage_runs[side].setdefault(stage, []).append(medians)
         print(f"pair {i + 1:2d} ({order[0]} first): " + "  ".join(
             f"{name} {values['base'][name][-1]:.4g} -> {values['change'][name][-1]:.4g}"
             for name in better), flush=True)
@@ -109,10 +113,13 @@ def main() -> int:
               f"{cm:.4g} [{c1:.4g}, {c3:.4g}]; change wins {s['wins']}/{args.pairs}; median "
               f"gap {s['gap']:.4g} {'exceeds' if s['gap_exceeds_iqr'] else 'does not exceed'} "
               f"base IQR {s['base_iqr']:.4g}")
-    print("stage cpu_s (median of the runs' medians): base -> change")
-    for stage, base in stage_cpu["base"].items():
-        b, c = statistics.median(base), statistics.median(stage_cpu["change"].get(stage, [math.nan]))
-        print(f"  {stage:14s} {b:.4f} -> {c:.4f} ({(c - b) / b:+.1%})")
+    print("per stage, median of the runs' medians: cpu_s base -> change; rss_mb base -> change")
+    for stage, base in stage_runs["base"].items():
+        change = stage_runs["change"].get(stage, [(math.nan, math.nan)])
+        (b_cpu, b_rss), (c_cpu, c_rss) = ([statistics.median(column) for column in zip(*runs)]
+                                          for runs in (base, change))
+        print(f"  {stage:14s} cpu_s {b_cpu:.4f} -> {c_cpu:.4f} ({(c_cpu - b_cpu) / b_cpu:+.1%}); "
+              f"rss_mb {b_rss:.2f} -> {c_rss:.2f} ({(c_rss - b_rss) / b_rss:+.1%})")
     return 0
 
 

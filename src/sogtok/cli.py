@@ -34,7 +34,15 @@ from .errors import (
     SogtokError,
     ValidationError,
 )
-from .manifest import atomic_write, build_manifest, decode_json, numbered_lines, read_manifest, write_manifest
+from .manifest import (
+    DEFAULT_SIZE_CAP,
+    atomic_write,
+    build_manifest,
+    decode_json,
+    numbered_lines,
+    read_manifest,
+    write_manifest,
+)
 
 # Each cmd_* takes the resolved config, the manifest and the bytes of each
 # input file the run was given, by setting name; it takes each input out of
@@ -67,6 +75,7 @@ def _make_embedder(model, cfg: dict, inputs: dict):
 
 
 def _require_graphs(count: int, data) -> None:
+    """EmptyDataset unless the data file held a graph: every stage refuses an empty one."""
     if not count:
         raise EmptyDataset(f"no graphs in {data}")
 
@@ -82,7 +91,7 @@ def _embeddable(manifest: dict) -> dict:
 
 class _Counted:
     """Blocks passed on lazily and their graphs counted: len() is the number
-    of graphs passed on, read once train() returns."""
+    of graphs passed on, read once the stage has consumed the blocks."""
 
     def __init__(self, blocks):
         self.blocks, self.count = blocks, 0
@@ -144,7 +153,7 @@ def cmd_tokenize(cfg: dict, manifest: dict, inputs: dict) -> None:
     if cfg["nodes"] is not None and not cfg["node_level"]:
         raise ValidationError("--nodes requires --node-level")
     model = load_checkpoint(inputs.pop("checkpoint"))
-    blocks = _stream_graphs(inputs, cfg["size_cap"])
+    blocks = _Counted(_stream_graphs(inputs, cfg["size_cap"]))
     embedder = _make_embedder(model, cfg, inputs)
     out = Path(cfg["out"])
     if cfg["node_level"]:
@@ -168,6 +177,7 @@ def cmd_tokenize(cfg: dict, manifest: dict, inputs: dict) -> None:
                 yield block, np.array(owners, dtype=np.intp), np.array(picked, dtype=np.intp)
 
         tokens = node_tokens(centers(), model, hops=cfg["hops"], embedder=embedder)
+        _require_graphs(len(blocks), cfg["data"])
         found = {gid for gid, _ in fed}
         for gid in listed or ():
             if gid not in found:
@@ -179,7 +189,9 @@ def cmd_tokenize(cfg: dict, manifest: dict, inputs: dict) -> None:
         lines = ["id\tnode\ttoken"] + [f"{gid}\t{v}\t{surface}" for gid, v, surface in rows]
         written, text = out / "node_tokens.tsv", "\n".join(lines) + "\n"
     else:
-        written, text = out / "tokens.tsv", format_token_table(assign_tokens(blocks, model, embedder))
+        assignments = assign_tokens(blocks, model, embedder)
+        _require_graphs(len(blocks), cfg["data"])
+        written, text = out / "tokens.tsv", format_token_table(assignments)
     with atomic_write(written) as fh:
         fh.write(text)
     print(f"wrote {written}")
@@ -213,7 +225,7 @@ def cmd_gen_corpus(cfg: dict, manifest: dict, inputs: dict) -> None:
         thresholds = SimilarityThresholds(tau_pos=cfg["tau_pos"], tau_neg=cfg["tau_neg"])
         budget = cfg["pairs"] if cfg["pairs"] is not None else 4 * model.k
         check_pair_budget(budget)
-    blocks = _stream_graphs(inputs, cfg["size_cap"])
+    blocks = _Counted(_stream_graphs(inputs, cfg["size_cap"]))
     embedder = _make_embedder(model, cfg, inputs)
     ids, tokens, global_rows = [], [], []
     if "simjudge" in kinds or "descmatch" in kinds:
@@ -234,8 +246,8 @@ def cmd_gen_corpus(cfg: dict, manifest: dict, inputs: dict) -> None:
     else:
         for _ in blocks:  # the data file is checked whatever the kinds
             pass
+    _require_graphs(len(blocks), cfg["data"])
     if "simjudge" in kinds:
-        _require_graphs(len(ids), cfg["data"])
         embeddings = np.vstack(global_rows)
         del global_rows  # not held during the pair scan
         records.extend(
@@ -292,6 +304,7 @@ def cmd_gen_prompts(cfg: dict, manifest: dict, inputs: dict) -> None:
             yield block
 
     table_rows = assign_tokens(noted(), model, embedder)
+    _require_graphs(len(table_rows), cfg["data"])
     ids = [a.graph_id for a in table_rows]
     labels = parse_label_csv(_text(cfg, inputs, "labels"), set(ids)) if cfg["labels"] else {}
     split_of = _assign_splits(ids, cfg["split_ratio"], seed)
@@ -355,6 +368,7 @@ def cmd_eval(cfg: dict, manifest: dict, inputs: dict) -> None:
     responses = _load_responses(_text(cfg, inputs, "responses"))
     labels_by_id = {gid: label for block in _stream_graphs(inputs, cfg["size_cap"])
                     for gid, label in zip(block.ids, block.labels)}
+    _require_graphs(len(labels_by_id), cfg["data"])
     tmpl = load_template(cfg["task"]) if cfg["task"] else None
     pos_set, neg_set = _phrase_sets(tmpl)
     preds, labels, scores = [], [], []
@@ -477,7 +491,7 @@ def _train_default(field: str) -> Declared:
 SETTINGS = {s.name: s for s in (
     Setting("data"), Setting("checkpoint"), Setting("responses"), Setting("embed_table"),
     Setting("out", help="output directory"),
-    Setting("size_cap", int, Declared("graph", "DEFAULT_SIZE_CAP"), help="max nodes per graph"),
+    Setting("size_cap", int, DEFAULT_SIZE_CAP, help="max nodes per graph"),
     Setting("jobs", int, 1, help="ignored by every subcommand; accepted so that existing command lines run"),
     Setting("seed", int),
     # train

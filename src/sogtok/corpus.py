@@ -74,13 +74,14 @@ def _number_word(k: int) -> str:
     return _NUMBER_WORDS.get(k, str(k))
 
 
-def _unit_rows(entries: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Rows scaled to unit norm (zero rows stay zero) and the zero-norm row
+def _unit_rows(entries: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, list[int]]:
+    """Rows scaled to unit norm (zero rows stay zero), written to out if
+    given (entries itself scales them in place), and the zero-norm row
     indices."""
     norms = np.linalg.norm(entries, axis=1)
     zero_rows = [int(i) for i in np.flatnonzero(norms == 0.0)]
     safe = np.where(norms == 0.0, 1.0, norms)
-    return entries / safe[:, None], zero_rows
+    return np.divide(entries, safe[:, None], out=out), zero_rows
 
 
 def cosine_matrix(entries: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -134,9 +135,11 @@ def qualifying_pairs(
     Block [start, stop) multiplies only against the columns start:, so it
     holds at most _SIMJUDGE_CELLS cosines (one row if a row is longer). The
     blocks run in row order and each block's indices ascend: the order of a
-    double loop over i < j.
+    double loop over i < j. The rows are scaled to unit norm in place, so the
+    scan holds no second copy of them; a caller that reads embeddings
+    afterwards passes a copy.
     """
-    normed, _ = _unit_rows(embeddings)
+    normed, _ = _unit_rows(embeddings, out=embeddings)
     n = len(normed)
     start = 0
     while start < n:
@@ -214,7 +217,8 @@ def gen_simjudge_records(
     of half the budget and the two classes' counts (the positives round a
     half pair with round()), so each class's picks are a uniform sample of it. Memory holds one row block and the reservoirs,
     never the qualifying pairs. Shortfall produces a warning and partial
-    output, never an exception.
+    output, never an exception. The scan scales the rows of embeddings to
+    unit norm in place.
     """
     n = len(ids)
     if n != len(tokens) or n != embeddings.shape[0]:

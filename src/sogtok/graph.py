@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import NodeOutOfRange, ValidationError
 
-DEFAULT_SIZE_CAP = 512
 _BUCKET_CELLS = 1 << 20  # B x n x n cells per stack: bounds the stacked arrays for large graphs
 
 

@@ -23,8 +23,8 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import GraphFileSemanticError, GraphFileSyntaxError, SmilesError
-from .graph import DEFAULT_SIZE_CAP, Graph, NodeRecord, size_buckets
-from .manifest import atomic_write, decode_json, numbered_lines
+from .graph import Graph, NodeRecord, size_buckets
+from .manifest import DEFAULT_SIZE_CAP, atomic_write, decode_json, numbered_lines
 from .smiles import node_records, scan_block, scan_smiles
 
 

@@ -5,7 +5,8 @@ checksums; re-running a subcommand from a manifest reproduces every output
 byte-for-byte. Timestamps live only here, never in output artifacts.
 Every artifact, the manifest included, is written through `atomic_write`,
 every JSON text read goes through `decode_json`, and every line-based input
-is read by `numbered_lines`.
+is read by `numbered_lines`. The default size cap of a graph file's records
+is declared here too, so that the CLI reads it without loading NumPy.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 from .errors import ValidationError
 
 TOOL_VERSION = "0.1.0"
+DEFAULT_SIZE_CAP = 512  # most nodes a graph file's record may have, unless --size-cap says otherwise
 
 
 def decode_json(text: str):

@@ -17,7 +17,16 @@ A forward pass computes only what backward() reads: its state's loss is
 computed on first read, so a pass that only differentiates never computes
 it. backward() reads the products Anorm . X and Anorm . relu(z1) that the
 encoder formed, the same expressions in the same association, instead of
-forming them again.
+forming them again, and forms q - h once for both the encoder's commitment
+gradient and the codebook's update rows.
+
+Adam steps one parameter array with one learning rate or one per element.
+Training packs a phase's parameters (W1, W2, Wd, and the codebook in the
+joint phase) into one buffer, so a step is one pass of elementwise
+operations over all of them, byte for byte the steps of one Adam per array.
+backward() writes each graph's W1, W2 and Wd gradients into one row laid
+out as that buffer begins, so a graph's dense gradients are added to a
+minibatch's sum in one operation.
 """
 
 from __future__ import annotations
@@ -114,9 +123,15 @@ class LossBreakdown:
         return self.reconstruction + self.update + self.beta * self.commitment
 
 
-def _transposed(a: np.ndarray) -> np.ndarray:
-    """The matrix transpose of a graph's array, or of each one in a stack."""
-    return np.swapaxes(a, -1, -2)
+def views(buffer: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive parts of buffer's last axis, from its start, each a view
+    shaped like buffer's leading axes followed by one of shapes."""
+    lead, out, start = buffer.shape[:-1], [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(buffer[..., start : start + size].reshape(lead + shape))
+        start += size
+    return out
 
 
 def normalized_adjacency(a: np.ndarray) -> np.ndarray:
@@ -183,28 +198,31 @@ def nearest(rows: np.ndarray, entries: np.ndarray, chunk: int = 256) -> np.ndarr
     # more than tol above the best gives j a strictly larger broadcast
     # distance than the best column, so j is neither the argmin nor a tie.
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
-    max_entry_sq = entry_sq.max(initial=0.0)
+    # each row's M, tol and finiteness, for every chunk at once; non-finite
+    # values only send rows to the fallback, which warns as before
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.einsum("ij,ij->i", rows, rows) + entry_sq.max(initial=0.0)
+        tol = 8 * (d + 2) * (eps * scale + tiny)
+        finite = np.isfinite(4.0 * scale)
+    at = np.arange(min(chunk, n))
     for start in range(0, n, chunk):
         block = rows[start : start + chunk]
-        # non-finite values only send rows to the fallback, which warns as before
+        part, here = slice(start, start + len(block)), at[: len(block)]
         with np.errstate(over="ignore", invalid="ignore"):
-            row_sq = np.einsum("ij,ij->i", block, block)
             ranked = block @ neg2_entries_t
             ranked += entry_sq
-            at = np.arange(len(block))
             best = ranked.argmin(axis=1)
-            lowest = ranked[at, best]
-            ranked[at, best] = np.inf
-            gap = ranked[at, ranked.argmin(axis=1)] - lowest
-            ranked[at, best] = lowest
-            scale = row_sq + max_entry_sq
-            tol = 8 * (d + 2) * (eps * scale + tiny)
-            finite = np.isfinite(4.0 * scale)
-            unsettled = np.flatnonzero(~((gap > tol) & finite))
-            candidate = ranked[unsettled] - lowest[unsettled, None] <= tol[unsettled, None]
-            candidate[~finite[unsettled]] = True
-        indices[start : start + len(block)] = best
+            lowest = ranked[here, best]
+            ranked[here, best] = np.inf
+            gap = ranked[here, ranked.argmin(axis=1)] - lowest
+            unsettled = np.flatnonzero(~((gap > tol[part]) & finite[part]))
+        indices[part] = best
         if len(unsettled):
+            ranked[here, best] = lowest
+            rows_tol, rows_finite = tol[start + unsettled], finite[start + unsettled]
+            with np.errstate(over="ignore", invalid="ignore"):
+                candidate = ranked[unsettled] - lowest[unsettled, None] <= rows_tol[:, None]
+            candidate[~rows_finite] = True
             # the broadcast distance of every (row, candidate) pair, in pieces
             # of at most one chunk's worth of floats; other columns stay inf,
             # so argmin picks the lowest candidate index among equals
@@ -237,7 +255,7 @@ def decode_and_reconstruct(
             f"quantized dim {quantized.shape[-1]} != decoder input {dec.wd.shape[0]}"
         )
     xhat = quantized @ dec.wd
-    return xhat, xhat @ _transposed(xhat)
+    return xhat, xhat @ xhat.swapaxes(-1, -2)
 
 
 def compute_loss(
@@ -282,7 +300,8 @@ class ForwardState:
 class Gradients:
     """Gradients of one graph, or of each graph of a stack (leading axis b)."""
 
-    w1: np.ndarray
+    dense: np.ndarray  # W1's, W2's and Wd's laid end to end on the last axis
+    w1: np.ndarray  # views of dense
     w2: np.ndarray
     wd: np.ndarray
     # The codebook learns only from the update term: each latent row adds
@@ -322,65 +341,70 @@ def backward(state: ForwardState, enc: EncoderParams, dec: DecoderParams) -> Gra
     beta = state.beta
     diff = state.a_rec - state.a_target
     dxhat = 4.0 * diff @ state.xhat
+    dense = np.empty(state.h.shape[:-2] + (enc.w1.size + enc.w2.size + dec.wd.size,))
+    dw1, dw2, dwd = views(dense, [enc.w1.shape, enc.w2.shape, dec.wd.shape])
 
     if state.sel is None:
         # warm-up: plain autoencoder, decoder reads h directly
-        dwd = _transposed(state.h) @ dxhat
+        np.matmul(state.h.swapaxes(-1, -2), dxhat, out=dwd)
         dh = dxhat @ dec.wd.T
         entry_rows = indices = None
     else:
-        dwd = _transposed(state.sel.quantized) @ dxhat
-        dq_recon = dxhat @ dec.wd.T
-        # straight-through: the reconstruction gradient at q passes to h
-        dh = 2.0 * beta * (state.h - state.sel.quantized) + dq_recon
-        entry_rows, indices = 2.0 * (state.sel.quantized - state.h), state.sel.indices
+        q = state.sel.quantized
+        np.matmul(q.swapaxes(-1, -2), dxhat, out=dwd)
+        gap = q - state.h
+        # straight-through: the reconstruction gradient at q passes to h. The
+        # commitment term adds 2β(h − q), which is exactly −(2β·(q − h))
+        dh = dxhat @ dec.wd.T - 2.0 * beta * gap
+        entry_rows, indices = 2.0 * gap, state.sel.indices
 
-    dw2 = _transposed(state.s2) @ dh
+    np.matmul(state.s2.swapaxes(-1, -2), dh, out=dw2)
     dz2 = (state.anorm @ dh) @ enc.w2.T
     dz1 = dz2 * (state.z1 > 0.0)
-    dw1 = _transposed(state.ax) @ dz1
-    return Gradients(w1=dw1, w2=dw2, wd=dwd, entry_rows=entry_rows, indices=indices)
+    np.matmul(state.ax.swapaxes(-1, -2), dz1, out=dw1)
+    return Gradients(dense=dense, w1=dw1, w2=dw2, wd=dwd, entry_rows=entry_rows, indices=indices)
 
 
 class Adam:
-    """Bias-corrected Adam with one learning rate per parameter group."""
+    """Bias-corrected Adam over one parameter array, with one learning rate,
+    or one per element (an array of the parameters' shape). Every operation
+    is elementwise, so one Adam over arrays packed into one buffer, with each
+    array's rate at its elements, steps each array to the bytes of an Adam of
+    its own."""
 
-    def __init__(self, lrs: dict[str, float], b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
-        self.lrs = dict(lrs)
+    def __init__(self, lr: float | np.ndarray, b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
+        self.lr = lr
         self.b1 = b1
         self.b2 = b2
         self.eps = eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """Update parameter arrays, and the moments, in place:
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        """Update the parameters p, and the moments, in place:
         m = b1·m + (1 − b1)·g, v = b2·v + (1 − b2)·g·g and
         p −= lr·(m / c1) / (√(v / c2) + eps), each operation in that order."""
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        for name, p in params.items():
-            g = grads[name]
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
-            m, v = self.m[name], self.v[name]
-            scratch = np.multiply(g, 1.0 - self.b1)
-            m *= self.b1
-            m += scratch
-            np.multiply(g, 1.0 - self.b2, out=scratch)
-            scratch *= g
-            v *= self.b2
-            v += scratch
-            np.divide(m, c1, out=scratch)
-            scratch *= self.lrs[name]
-            denom = v / c2
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            scratch /= denom
-            p -= scratch
+        if self.m is None:
+            self.m, self.v = np.zeros_like(p), np.zeros_like(p)
+        m, v = self.m, self.v
+        scratch = np.multiply(g, 1.0 - self.b1)
+        m *= self.b1
+        m += scratch
+        np.multiply(g, 1.0 - self.b2, out=scratch)
+        scratch *= g
+        v *= self.b2
+        v += scratch
+        np.divide(m, c1, out=scratch)
+        scratch *= self.lr
+        denom = v / c2
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        scratch /= denom
+        p -= scratch
 
 
 @dataclass

@@ -53,6 +53,7 @@ from .model import (
     normalized_adjacency,
     quantize,
     save_checkpoint,
+    views,
 )
 
 # A structural token is the index k of a codebook entry; <SOG_k> is its one
@@ -264,16 +265,23 @@ def _walk(
     of at most TRAIN_BLOCK. The declared order is the buckets' positions
     concatenated: node counts in order of first appearance, then position
     within a node count; a graph's place is its index in that order. Each run
-    of a block's graphs in one bucket is one stack."""
+    of a block's graphs in one bucket is one stack. A stack of slots in one
+    unbroken range, as every stack of a walk over all graphs is, takes its
+    positions and anorm as views of the bucket's."""
     starts = np.cumsum([0] + [len(b.positions) for b in buckets])
+    offsets = starts.tolist()
     places = np.arange(starts[-1]) if places is None else np.sort(places)
     for i in range(0, len(places), TRAIN_BLOCK):
         block = places[i : i + TRAIN_BLOCK]
         which = np.searchsorted(starts, block, side="right") - 1
+        # places ascend, so each bucket's places are one run [lo, hi) of the block
+        cuts = [0, *(np.flatnonzero(which[1:] != which[:-1]) + 1).tolist(), len(block)]
+        owner, place = which.tolist(), block.tolist()
         stacks = []
-        # the runs in order; np.unique(which) would import numpy.ma, ~0.5 MB
-        for b in dict.fromkeys(which.tolist()):
-            bucket, slots = buckets[b], block[which == b] - starts[b]
+        for lo, hi in zip(cuts, cuts[1:]):
+            bucket, offset = buckets[owner[lo]], offsets[owner[lo]]
+            first, last = place[lo] - offset, place[hi - 1] - offset
+            slots = slice(first, last + 1) if last - first == hi - lo - 1 else block[lo:hi] - offset
             stacks.append((bucket.positions[slots], bucket.anorm[slots], table[bucket.x_index[slots]]))
         yield stacks
 
@@ -308,12 +316,14 @@ class _Tally:
     def add(self, at: np.ndarray, state: ForwardState) -> bool:
         """Record a stack's graphs; False when a total loss is not finite. The
         loss terms are sums of squares, so the mean is then not finite either."""
-        self.losses[at, 0] = state.loss.reconstruction
-        self.losses[at, 1] = state.loss.update
-        self.losses[at, 2] = state.loss.total
+        loss = state.loss
+        total = loss.total
+        self.losses[at, 0] = loss.reconstruction
+        self.losses[at, 1] = loss.update
+        self.losses[at, 2] = total
         if state.sel is not None:
             self.used[state.sel.indices] = True
-        return bool(np.isfinite(self.losses[at, 2]).all())
+        return bool(np.isfinite(total).all())
 
     def log(self, epoch: int, quantized: bool) -> EpochLog:
         """The epoch's log; NonFiniteLoss when the mean total loss is not finite."""
@@ -385,10 +395,11 @@ def train(
     logged losses in dataset order, a minibatch's gradients in the declared
     order, the dense ones as soon as a stack's backward pass returns and the
     codebook's once per block (_add_entry_rows). So every sum has the bytes of
-    a loop over single graphs in those orders. An epoch logs the loss of the
-    parameters it starts with: a full-batch epoch takes it from its update
-    walk, which is evaluation's walk at those parameters, and a minibatch
-    epoch evaluates first."""
+    a loop over single graphs in those orders. Each phase holds its
+    parameters in one buffer and steps it with one Adam (phase). An epoch
+    logs the loss of the parameters it starts with: a full-batch epoch takes
+    it from its update walk, which is evaluation's walk at those parameters,
+    and a minibatch epoch evaluates first."""
     if embedder is None:
         embedder = HashingEmbedder(dim=cfg.d_s)
     if embedder.dim != cfg.d_s:
@@ -403,7 +414,7 @@ def train(
         raise EmptyDataset("training requires at least one graph")
     place = np.argsort(np.concatenate([b.positions for b in buckets]))  # each graph's, see _walk
     logs: list[EpochLog] = []
-    off: dict[int, np.ndarray] = {}  # each node count's off-diagonal mask
+    floor: dict[int, np.ndarray] = {}  # each node count's (m, m) array: inf on the diagonal, 0 off it
 
     def block_pass(stacks: list[Stack], cb: Codebook | None) -> Iterator[tuple[np.ndarray, ForwardState]]:
         """Forward state of each stack of a block; one search serves all the
@@ -417,10 +428,11 @@ def train(
             sel = None if found is None else found.part(start, h.shape)
             start += h.shape[0] * h.shape[1]
             m = anorm.shape[-1]
-            if m not in off:
-                off[m] = ~np.eye(m, dtype=bool)
-            # the target A, exactly: anorm = D^-1/2 (A + I) D^-1/2 is >= 1/m where A + I is 1
-            a = (anorm != 0) & off[m]
+            if m not in floor:
+                floor[m] = np.where(np.eye(m, dtype=bool), np.inf, 0.0)
+            # the target A, exactly: anorm = D^-1/2 (A + I) D^-1/2 is >= 1/m
+            # where A + I is 1 and 0 elsewhere, and no diagonal entry is an edge
+            a = anorm > floor[m]
             yield at, forward(a, anorm, x, enc, dec, cb, cfg.beta, encoded=(h, products), sel=sel)
 
     def evaluate(epoch: int, cb: Codebook | None) -> EpochLog:
@@ -431,39 +443,48 @@ def train(
                 walked.add(at, state)
         return walked.log(epoch, cb is not None)
 
-    def epoch_pass(epoch: int, cb: Codebook | None, opt: Adam, params: dict) -> EpochLog:
+    def epoch_pass(epoch: int, cb: Codebook | None, opt: Adam, params: np.ndarray) -> EpochLog:
         """The log of the parameters the epoch starts with, then one Adam step
-        per minibatch. One batch of the whole dataset walks the blocks that
-        evaluation walks, at the same parameters, so its own forward states
-        give the log, checked before the step."""
+        of the phase's parameter buffer params per minibatch, by a gradient
+        buffer of the same layout: W1's, W2's and Wd's gradients, the layout
+        of backward()'s dense rows, then the codebook's in the joint phase.
+        One batch of the whole dataset walks the blocks that evaluation walks,
+        at the same parameters, so its own forward states give the log,
+        checked before the step."""
         batches = _minibatches(len(place), cfg.batch_size, rng)
         walked = _Tally(len(place), cfg.k) if len(batches) == 1 else None
         log = evaluate(epoch, cb) if walked is None else None
-        dense = [name for name in params if name != "codebook"]
+        grad = np.empty_like(params)
+        dense, entry_sums = grad[:dense_size], grad[dense_size:].reshape(-1, cfg.d)
         for batch in batches:
-            sums = {name: np.zeros_like(p) for name, p in params.items()}
+            grad.fill(0.0)
             for stacks in _walk(table, buckets, place[batch]):
                 entry_keys, entry_rows = [], []  # the block's update-term rows
                 for at, state in block_pass(stacks, cb):
                     if walked is not None and not walked.add(at, state):
                         continue  # the log raises NonFiniteLoss before the step
                     grads = backward(state, enc, dec)
-                    for name in dense:
-                        for graph_grad in getattr(grads, name):
-                            sums[name] += graph_grad
+                    for graph_grad in grads.dense:
+                        dense += graph_grad
                     if grads.entry_rows is not None:
                         # a graph's place numbers it in walk order
                         entry_keys.append((place[at][:, None] * cfg.k + grads.indices).ravel())
                         entry_rows.append(grads.entry_rows.reshape(-1, cfg.d))
                 if entry_keys:
-                    _add_entry_rows(sums["codebook"], np.concatenate(entry_keys),
-                                    np.concatenate(entry_rows))
+                    _add_entry_rows(entry_sums, np.concatenate(entry_keys), np.concatenate(entry_rows))
             if walked is not None:
                 log = walked.log(epoch, cb is not None)
-            for total in sums.values():
-                total *= 1.0 / len(batch)
-            opt.step(params, sums)
+            grad *= 1.0 / len(batch)
+            opt.step(params, grad)
         return log
+
+    def phase(arrays: list[np.ndarray], lrs: list[float]) -> tuple[list[np.ndarray], Adam, np.ndarray]:
+        """One buffer holding copies of the phase's parameter arrays one after
+        another, views of it that take the arrays' places, and one Adam that
+        steps it with each array's rate at its elements."""
+        params = np.concatenate([a.ravel() for a in arrays])
+        rates = np.repeat(lrs, [a.size for a in arrays])
+        return views(params, [a.shape for a in arrays]), Adam(rates), params
 
     def snapshot(epoch: int, cb: Codebook | None) -> None:
         if checkpoint_dir is None:
@@ -481,12 +502,13 @@ def train(
     # each epoch logs the loss of its entry parameters, then updates;
     # a closing row records the final model
     epoch = 0
-    warm_opt = Adam({"w1": cfg.lr_warmup, "w2": cfg.lr_warmup, "wd": cfg.lr_warmup})
-    warm_params = {"w1": enc.w1, "w2": enc.w2, "wd": dec.wd}
+    dense_size = enc.w1.size + enc.w2.size + dec.wd.size
+    (enc.w1, enc.w2, dec.wd), warm_opt, warm_params = phase([enc.w1, enc.w2, dec.wd], [cfg.lr_warmup] * 3)
     for _ in range(cfg.warmup_epochs):
         logs.append(epoch_pass(epoch, None, warm_opt, warm_params))
         snapshot(epoch, None)
         epoch += 1
+    del warm_opt  # its moments and rates; the parameters stay in enc and dec
 
     if cfg.warmup_epochs > 0:
         # every latent row, graph by graph, global row last; held only
@@ -494,11 +516,10 @@ def train(
         sizes = np.concatenate([[b.anorm.shape[1]] * len(b.positions) for b in buckets])[place]
         entries = _kmeans_entries(_gather_rows(table, buckets, enc, sizes, slice(None)), sizes, cfg, rng)
 
-    cb = Codebook(entries=entries)
-    joint_opt = Adam(
-        {"w1": cfg.lr_gcn, "w2": cfg.lr_gcn, "wd": cfg.lr_gcn, "codebook": cfg.lr_codebook}
+    (enc.w1, enc.w2, dec.wd, entries), joint_opt, joint_params = phase(
+        [enc.w1, enc.w2, dec.wd, entries], [cfg.lr_gcn] * 3 + [cfg.lr_codebook]
     )
-    joint_params = {"w1": enc.w1, "w2": enc.w2, "wd": dec.wd, "codebook": cb.entries}
+    cb = Codebook(entries=entries)
     for _ in range(cfg.joint_epochs):
         logs.append(epoch_pass(epoch, cb, joint_opt, joint_params))
         snapshot(epoch, cb)

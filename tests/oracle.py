@@ -41,13 +41,13 @@ from sogtok.errors import (
     UnsupportedToken,
 )
 from sogtok.graph import (
-    DEFAULT_SIZE_CAP,
     Graph,
     NodeRecord,
     augment_with_global_node,
     bfs_hops,
     build_adjacency,
 )
+from sogtok.manifest import DEFAULT_SIZE_CAP
 from sogtok.metrics import ScaffoldConsistencyReport
 from sogtok.model import (
     Adam,
@@ -238,7 +238,8 @@ def train(dataset: list[Graph], cfg, checkpoint_dir=None, embedder=None):
             dead_entries=cfg.k - len(selected) if cb is not None else cfg.k,
         )
 
-    def update_pass(cb, opt, params):
+    def update_pass(cb, opts, params):
+        """One Adam per parameter array, each stepped on its own gradient."""
         for batch in _minibatches(len(prepared), cfg.batch_size, rng):
             sums = {name: np.zeros_like(p) for name, p in params.items()}
             for idx in sorted(batch, key=lambda i: (first_seen[dataset[i].n], i)):
@@ -248,7 +249,8 @@ def train(dataset: list[Graph], cfg, checkpoint_dir=None, embedder=None):
                 for name, total in sums.items():
                     total += codebook_gradient(grads, cfg.k) if name == "codebook" else getattr(grads, name)
             factor = 1.0 / len(batch)
-            opt.step(params, {name: total * factor for name, total in sums.items()})
+            for name, total in sums.items():
+                opts[name].step(params[name], total * factor)
 
     def snapshot(epoch, cb):
         if checkpoint_dir is None:
@@ -264,7 +266,7 @@ def train(dataset: list[Graph], cfg, checkpoint_dir=None, embedder=None):
         save_checkpoint(model, f"{checkpoint_dir}/ckpt_epoch_{epoch:03d}.sogtok")
 
     epoch = 0
-    warm_opt = Adam({"w1": cfg.lr_warmup, "w2": cfg.lr_warmup, "wd": cfg.lr_warmup})
+    warm_opt = {name: Adam(cfg.lr_warmup) for name in ("w1", "w2", "wd")}
     warm_params = {"w1": enc.w1, "w2": enc.w2, "wd": dec.wd}
     for _ in range(cfg.warmup_epochs):
         logs.append(evaluate(epoch, None))
@@ -291,9 +293,8 @@ def train(dataset: list[Graph], cfg, checkpoint_dir=None, embedder=None):
             )
 
     cb = Codebook(entries=entries)
-    joint_opt = Adam(
-        {"w1": cfg.lr_gcn, "w2": cfg.lr_gcn, "wd": cfg.lr_gcn, "codebook": cfg.lr_codebook}
-    )
+    joint_opt = {"w1": Adam(cfg.lr_gcn), "w2": Adam(cfg.lr_gcn), "wd": Adam(cfg.lr_gcn),
+                 "codebook": Adam(cfg.lr_codebook)}
     joint_params = {"w1": enc.w1, "w2": enc.w2, "wd": dec.wd, "codebook": cb.entries}
     for _ in range(cfg.joint_epochs):
         logs.append(evaluate(epoch, cb))

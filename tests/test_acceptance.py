@@ -220,7 +220,7 @@ def test_06_corpus_fidelity(family_setup, scaffold_setup):
     tokens = [assign_token(g, model, EMBEDDER).graph_token for g in graphs]
     thresholds = SimilarityThresholds(tau_pos=0.8, tau_neg=0.2)
     sim_records = gen_simjudge_records(
-        ids=[g.id for g in graphs], tokens=tokens, embeddings=embeddings,
+        ids=[g.id for g in graphs], tokens=tokens, embeddings=embeddings.copy(),
         thresholds=thresholds, budget=300, seed=5,
     )
     assert len(sim_records) >= 200

@@ -816,13 +816,20 @@ def test_node_list_center_out_of_range_exit_2(dataset, trained, tmp_path):
     assert not (tmp_path / "t").exists()
 
 
-@pytest.mark.parametrize("command", [["stats"], ["gen-corpus", "--kinds", "simjudge"]])
+@pytest.mark.parametrize("command", [
+    ["stats", "--seed", "1"], ["gen-corpus", "--seed", "1", "--kinds", "simjudge"],
+    ["gen-corpus", "--seed", "1", "--kinds", "knn"], ["tokenize"], ["tokenize", "--node-level"],
+    ["gen-prompts", "--seed", "1", "--task", "BBBP_p_np"],
+])
 def test_empty_data_exit_2(trained, tmp_path, command):
+    """Every stage that reads a checkpoint refuses an empty data file alike,
+    and leaves no output directory."""
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     proc = _run_cli(*command, "--data", empty, "--checkpoint", trained / "model.sogtok",
-                    "--out", tmp_path / "o", "--seed", "1")
-    _assert_one_line_error(proc, "no graphs in")
+                    "--out", tmp_path / "o")
+    _assert_one_line_error(proc, f"no graphs in {empty}")
+    assert not (tmp_path / "o").exists()
 
 
 def test_embed_table_non_numeric_exit_2(dataset, trained, tmp_path):

@@ -9,7 +9,8 @@ tokenize node list and a tokenize embedding table. Mutations, each where it
 fits the input's format: truncation at three offsets, one byte set to 0xFF,
 U+0085, U+2028 and U+2029 between the first two lines and inside a string
 of the first line, a line nested 100,000 deep, an integer of 5,000
-digits, NaN, and an empty file.
+digits, NaN, and an empty file. An empty data file exits 2 under every
+subcommand.
 """
 
 import json
@@ -156,6 +157,8 @@ def test_input_contract(inputs, tmp_path, capsys, kind, mutation, command):
     out = tmp_path / "out"
     code = main([*_argv(command, files), "--out", str(out)])
     err = capsys.readouterr().err
+    if (kind, mutation) == ("data", "empty"):  # every stage refuses an empty data file
+        assert code == 2, err
     if code == 0:
         assert err == ""
         assert ARTIFACTS[command] | {"manifest.json"} <= {p.name for p in out.iterdir()}

@@ -149,7 +149,7 @@ def test_simjudge_balanced_and_consistent():
     ids = [f"g{i}" for i in range(n)]
     tokens = [i % 8 for i in range(n)]
     th = SimilarityThresholds(0.5, -0.2)
-    records = gen_simjudge_records(ids, tokens, emb, th, budget=20, seed=3)
+    records = gen_simjudge_records(ids, tokens, emb.copy(), th, budget=20, seed=3)  # the scan scales rows in place
     pos = [r for r in records if r.answer == "similar"]
     neg = [r for r in records if r.answer == "dissimilar"]
     assert len(pos) == len(neg) > 0
@@ -210,7 +210,7 @@ def test_simjudge_equals_double_loop(n, thresholds, monkeypatch):
     # the scan finds the double loop's pairs in its order, in blocks of any size
     for cells in (corpus_module._SIMJUDGE_CELLS, 64):
         monkeypatch.setattr(corpus_module, "_SIMJUDGE_CELLS", cells)
-        blocks = list(qualifying_pairs(emb, th))
+        blocks = list(qualifying_pairs(emb.copy(), th))
         assert [int(f) for pos, _ in blocks for f in pos] == want_pos
         assert [int(f) for _, neg in blocks for f in neg] == want_neg
     with warnings.catch_warnings():
@@ -232,6 +232,14 @@ def test_simjudge_equals_double_loop(n, thresholds, monkeypatch):
         assert {r.answer for r in got} == {"similar", "dissimilar"}
 
 
+def test_simjudge_scan_scales_the_rows_in_place():
+    """The pair scan holds no second copy of the rows: it scales the
+    caller's array to unit rows, and a zero row stays zero."""
+    emb = np.array([[3.0, 4.0], [0.0, 0.0], [0.0, 2.0]])
+    list(qualifying_pairs(emb, SimilarityThresholds(0.8, 0.2)))
+    assert emb.tolist() == [[0.6, 0.8], [0.0, 0.0], [0.0, 1.0]]
+
+
 def test_simjudge_same_seed_same_picks(monkeypatch):
     rng = np.random.default_rng(11)
     n = 400
@@ -240,7 +248,7 @@ def test_simjudge_same_seed_same_picks(monkeypatch):
     tokens = [i % 5 for i in range(n)]
     th = SimilarityThresholds(0.3, -0.3)
     monkeypatch.setattr(corpus_module, "_SIMJUDGE_CELLS", 4096)  # 40 row blocks
-    runs = [gen_simjudge_records(ids, tokens, emb, th, budget=64, seed=seed)
+    runs = [gen_simjudge_records(ids, tokens, emb.copy(), th, budget=64, seed=seed)
             for seed in (5, 5, 6)]
     assert runs[0] == runs[1]
     assert len(runs[0]) == 64
@@ -266,7 +274,7 @@ def test_simjudge_picks_uniform_across_seeds(monkeypatch, cluster, budget, want)
     seeds = 1500
     counts = Counter()
     for seed in range(seeds):
-        records = gen_simjudge_records(ids, [0] * n, emb, th, budget=budget, seed=seed)
+        records = gen_simjudge_records(ids, [0] * n, emb.copy(), th, budget=budget, seed=seed)
         picked = _picked_pairs(records, ids)
         assert (len(picked["similar"]), len(picked["dissimilar"])) == want
         counts.update(picked["similar"] + picked["dissimilar"])

@@ -524,6 +524,8 @@ def test_stacked_warmup_backward_matches_single_graphs():
         single = backward(one, enc, dec)
         for name in ("w1", "w2", "wd"):
             assert getattr(grads, name)[i].tobytes() == getattr(single, name).tobytes()
+        # a graph's dense row: its W1, W2 and Wd gradients end to end, as training's buffer lays them out
+        assert grads.dense[i].tobytes() == b"".join(getattr(single, name).tobytes() for name in ("w1", "w2", "wd"))
 
 
 def test_backward_warmup_pure_autoencoder():
@@ -586,10 +588,10 @@ def test_unselected_entry_zero_gradient():
 
 
 def test_adam_first_step_sign():
-    adam = Adam({"p": 0.1})
+    adam = Adam(0.1)
     p = np.array([1.0, -1.0, 0.5])
     g = np.array([0.3, -0.2, 0.0])
-    adam.step({"p": p}, {"p": g})
+    adam.step(p, g)
     # bias-corrected first step is ~ -lr * sign(g)
     assert p[0] == pytest.approx(1.0 - 0.1, abs=1e-6)
     assert p[1] == pytest.approx(-1.0 + 0.1, abs=1e-6)
@@ -597,26 +599,26 @@ def test_adam_first_step_sign():
 
 
 def test_adam_zero_gradient_identity():
-    adam = Adam({"p": 0.1})
+    adam = Adam(0.1)
     p = np.array([2.0, 3.0])
-    adam.step({"p": p}, {"p": np.zeros(2)})
+    adam.step(p, np.zeros(2))
     assert np.array_equal(p, [2.0, 3.0])
 
 
 def test_adam_constant_gradient_monotone():
-    adam = Adam({"p": 0.05})
+    adam = Adam(0.05)
     p = np.array([0.0])
     hist = []
     for _ in range(5):
-        adam.step({"p": p}, {"p": np.array([1.0])})
+        adam.step(p, np.array([1.0]))
         hist.append(p[0])
     assert all(b < a for a, b in zip(hist, hist[1:]))
 
 
 def test_adam_lr_zero_identity():
-    adam = Adam({"p": 0.0})
+    adam = Adam(0.0)
     p = np.array([1.5])
-    adam.step({"p": p}, {"p": np.array([7.0])})
+    adam.step(p, np.array([7.0]))
     assert p[0] == 1.5
 
 

@@ -432,6 +432,18 @@ def test_top_level_help_loads_no_numpy():
     assert all(re.search(rf"^\s+{command}\s", proc.stdout, re.M) for command in cli.COMMANDS)
 
 
+@pytest.mark.parametrize("command", ["eval", "tokenize", "gen-corpus", "stats"])
+def test_subcommand_help_loads_no_numpy(command):
+    """A subcommand whose settings declare no default or choices in a NumPy
+    module (the size cap is declared in manifest) prints its --help without
+    loading NumPy."""
+    proc, modules, numpy = _probe_modules([command, "--help"])
+    assert proc.returncode == 0, proc.stderr
+    assert "--size-cap" in proc.stdout
+    assert modules == {"sogtok", "sogtok.cli", "sogtok.errors", "sogtok.manifest"}
+    assert not numpy
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_subcommand_help_lists_the_flags_of_its_settings(command, capsys):
     """A subcommand declares its flags when it parses: its --help lists

@@ -482,6 +482,54 @@ def test_full_batch_epoch_walks_the_graphs_once(monkeypatch, batch_size):
     assert passed[0] == 5 * (n if batch_size is None else 2 * n) + n
 
 
+def test_each_phase_steps_one_parameter_buffer(monkeypatch):
+    """A phase's parameters are views of one float64 buffer, and each
+    minibatch makes one Adam step on all of it: W1, W2 and Wd in warm-up, and
+    the codebook's entries too in the joint phase."""
+    import sogtok.train as train_module
+
+    step, stepped = train_module.Adam.step, []
+
+    def recorded_step(self, p, g):
+        stepped.append((p, g))
+        return step(self, p, g)
+
+    monkeypatch.setattr(train_module.Adam, "step", recorded_step)
+    cfg = TrainConfig(k=16, warmup_epochs=2, joint_epochs=3, seed=5, d_s=16, d=8, d_r=4, batch_size=32)
+    model, _ = train(graph_blocks(_mixed_sizes(41, seed=0)), cfg)
+    assert len(stepped) == (2 + 3) * 2  # two minibatches of 41 graphs per epoch
+    warm, joint = stepped[0][0], stepped[-1][0]
+    dense = 16 * 16 + 16 * 8 + 8 * 4
+    assert warm.shape == (dense,) and joint.shape == (dense + 16 * 8,)
+    assert all(p is warm for p, _ in stepped[:4]) and all(p is joint for p, _ in stepped[4:])
+    assert all(g.shape == p.shape for p, g in stepped)
+    for param in (model.enc.w1, model.enc.w2, model.dec.wd, model.codebook.entries):
+        assert param.base is joint
+
+
+def test_declared_order_walk_views_its_buckets():
+    """A walk over every graph takes each stack's positions and anorm as
+    views of its bucket's; a stack of slots with a gap gathers copies of the
+    same rows."""
+    from sogtok.train import _walk, prepare_graphs
+
+    table, buckets = prepare_graphs(graph_blocks(_mixed_sizes(41, seed=0)), ImportanceStrategy(),
+                                    HashingEmbedder(dim=16))
+    starts = np.cumsum([0] + [len(b.positions) for b in buckets])
+    bucket_of = {int(p): b for b in buckets for p in b.positions}
+    stacks = [stack for block in _walk(table, buckets) for stack in block]
+    assert sum(len(at) for at, _, _ in stacks) == 41
+    for at, anorm, x in stacks:
+        bucket = bucket_of[int(at[0])]
+        assert np.shares_memory(anorm, bucket.anorm) and np.shares_memory(at, bucket.positions)
+    every_other = np.arange(0, starts[-1], 2)
+    for at, anorm, x in (stack for block in _walk(table, buckets, every_other) for stack in block):
+        bucket = bucket_of[int(at[0])]
+        slots = np.flatnonzero(np.isin(bucket.positions, at))
+        assert np.array_equal(anorm, bucket.anorm[slots]) and np.array_equal(x, table[bucket.x_index[slots]])
+        assert len(at) == 1 or not np.shares_memory(anorm, bucket.anorm)
+
+
 def test_prepared_buckets_hold_anorm_and_row_indices_only(monkeypatch, tmp_path):
     """Training holds, per graph of a streamed set, its position, anorm and
     the table rows of its x: no second copy of its adjacency."""
