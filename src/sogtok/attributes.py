@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .graph import Graph
+from .graph import Graph, hop_distances
 from .ingest import GraphBlock
 from .manifest import numbered_lines
 
@@ -168,19 +168,8 @@ def _rank_bucket(a: np.ndarray, positions: np.ndarray, keys: tuple[np.ndarray, n
     place = np.empty((b, n), dtype=np.intp)
     place[at[:, None], order] = np.arange(n)
 
-    # BFS from the anchor, one boolean frontier product per hop
     anchor = order[:, 0]
-    hop = np.full((b, n), -1)
-    hop[at, anchor] = 0
-    frontier = hop == 0
-    reached = frontier.copy()
-    step = 0
-    while frontier.any():
-        step += 1
-        frontier = (a & frontier[:, :, None]).any(axis=1) & ~reached
-        hop[frontier] = step
-        reached |= frontier
-
+    hop = hop_distances(a, anchor)
     # rank within the pool of nodes at the same hop (-1: unreachable)
     ahead = (hop[:, :, None] == hop[:, None, :]) & (place[:, None, :] < place[:, :, None])
     rank = ahead.sum(axis=2) + 1

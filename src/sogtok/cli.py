@@ -215,6 +215,8 @@ def cmd_gen_corpus(cfg: dict, manifest: dict, inputs: dict) -> None:
     seed = cfg["seed"]
     model = load_checkpoint(inputs.pop("checkpoint"))
     kinds = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]
+    if not kinds:
+        raise ValidationError(f"no corpus kind in --kinds {cfg['kinds']!r}")
     for kind in kinds:
         if kind not in KINDS:
             raise ValidationError(f"unknown corpus kind {kind!r}")

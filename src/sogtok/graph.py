@@ -143,25 +143,34 @@ def permuted_adjacency(a: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return a[np.arange(len(a))[:, None, None], old[:, :, None], old[:, None, :]]
 
 
+def hop_distances(a: np.ndarray, sources: np.ndarray, limit: int | None = None) -> np.ndarray:
+    """Hops from sources[k] to each node of graph a[k] of a (B, n, n) boolean
+    stack, -1 for a node not reached (within `limit` hops, when given): one
+    boolean frontier product per hop, for every graph at once."""
+    b, n, _ = a.shape
+    hop = np.full((b, n), -1)
+    hop[np.arange(b), sources] = 0
+    reached = hop == 0
+    frontier, step = reached, 0
+    while step != limit and frontier.any():
+        step += 1
+        frontier = (a & frontier[:, :, None]).any(axis=1) & ~reached
+        hop[frontier] = step
+        reached |= frontier
+    return hop
+
+
 def ego_stacks(a: np.ndarray, centers: np.ndarray, hops: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The ego-graph of centers[k] in graph a[k] of a (B, n, n) boolean stack,
     in ego_graph()'s node order: the center, then the other nodes within
-    `hops` of it in index order. Hop distances come from one boolean frontier
-    product per hop, for every center at once. Yields, per ego-graph size m in
-    order of first appearance, the indices k of the ego-graphs of that size
-    and their (len(k), m, m) adjacency."""
+    `hops` of it in index order (hop_distances, for every center at once).
+    Yields, per ego-graph size m in order of first appearance, the indices k
+    of the ego-graphs of that size and their (len(k), m, m) adjacency."""
     if hops < 0:
         raise ValidationError("hops must be >= 0")
     b, n, _ = a.shape
     at = np.arange(b)
-    reached = np.zeros((b, n), dtype=bool)
-    reached[at, centers] = True
-    frontier = reached
-    for _ in range(hops):
-        frontier = (a & frontier[:, :, None]).any(axis=1) & ~reached
-        if not frontier.any():
-            break
-        reached = reached | frontier
+    reached = hop_distances(a, centers, hops) >= 0
     key = np.where(reached, np.arange(n), n)  # kept nodes by index, the others last
     key[at, centers] = -1
     order = np.argsort(key, axis=1, kind="stable")

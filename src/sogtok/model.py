@@ -7,11 +7,13 @@ reconstruction gradient reaches the encoder straight through the
 quantization, the codebook learns only from the update term, and the
 commitment term pulls encoder outputs toward their entries.
 
-The encoder, forward and backward passes take one graph ((m, m) adjacency,
+The encoder and the backward pass take one graph ((m, m) adjacency,
 (m, d_s) features) or a stack of graphs with the same node count ((b, m, m),
 (b, m, d_s)); a stack's results carry the same leading axis b. Each slice of
 a stacked result has the bytes of the same call on that graph alone: the
-products run per slice and every sum runs within one graph.
+products run per slice and every sum runs within one graph. forward() takes
+a block of them, searches all its latent rows at once and reads each loss
+target from the normalized adjacency.
 
 A forward pass computes only what backward() reads: its state's loss is
 computed on first read, so a pass that only differentiates never computes
@@ -35,8 +37,9 @@ import io
 import json
 import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -100,14 +103,6 @@ class QuantizedSelection:
     indices: np.ndarray  # (n,), or one per latent row of a stack
     quantized: np.ndarray  # n x d, rows are codebook entries
 
-    def part(self, start: int, shape: tuple[int, ...]) -> QuantizedSelection:
-        """The selection of the latent rows of shape `shape` that begin at row
-        start of this flat selection: views, shaped like those rows."""
-        stop = start + math.prod(shape[:-1])
-        return QuantizedSelection(
-            self.indices[start:stop].reshape(shape[:-1]), self.quantized[start:stop].reshape(shape)
-        )
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -140,6 +135,17 @@ def normalized_adjacency(a: np.ndarray) -> np.ndarray:
     a_hat = a + np.eye(a.shape[-1])
     inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=-1))
     return a_hat * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+
+
+@cache
+def _diagonal_floor(m: int) -> np.ndarray:
+    """(m, m): inf on the diagonal, 0 off it. The adjacency A of anorm =
+    normalized_adjacency(A) is exactly anorm > floor: D^{-1/2} (A + I) D^{-1/2}
+    is at least 1/m where A + I is 1, 0 elsewhere, and no diagonal entry is an
+    edge. Read-only, since every caller shares it."""
+    floor = np.diag(np.full(m, np.inf))
+    floor.flags.writeable = False
+    return floor
 
 
 def encode(
@@ -280,7 +286,7 @@ class ForwardState:
     """Everything backward() needs, captured during the forward pass, and the
     loss, computed on first read."""
 
-    a_target: np.ndarray
+    a_target: np.ndarray  # the adjacency A of anorm, bool
     anorm: np.ndarray
     ax: np.ndarray  # Anorm . X
     z1: np.ndarray  # pre-activation of the first layer
@@ -312,27 +318,34 @@ class Gradients:
 
 
 def forward(
-    a_target: np.ndarray,
-    anorm: np.ndarray,
-    x: np.ndarray,
+    stacks: list[tuple[np.ndarray, np.ndarray]],
     enc: EncoderParams,
     dec: DecoderParams,
     cb: Codebook | None,
     beta: float,
-    encoded: tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
-    sel: QuantizedSelection | None = None,
-) -> ForwardState:
-    """Full pass on anorm = normalized_adjacency(a_target), of one graph or of
-    a stack. With cb=None (warm-up pretraining) the decoder reads h itself and
-    the quantization terms are zero. A caller that searched the rows of
-    several stacks at once passes each stack's encode() result as encoded and
-    its part of that search as sel, so the pass neither encodes nor searches
-    again."""
-    h, products = encode(anorm, x, enc) if encoded is None else encoded
-    if sel is None and cb is not None:
-        sel = quantize(h.reshape(-1, h.shape[-1]), cb).part(0, h.shape)
-    xhat, a_rec = decode_and_reconstruct(h if sel is None else sel.quantized, dec)
-    return ForwardState(a_target, anorm, *products, h, sel, xhat, a_rec, beta)
+) -> Iterator[ForwardState]:
+    """Full pass of a block: the state of each (anorm, x) of stacks, in order,
+    where each pair is one graph or a stack of graphs and anorm is
+    normalized_adjacency(A). The loss target A is read from anorm. One
+    quantize() call searches the latent rows of every stack, and each stack
+    takes its rows of that search. With cb=None (warm-up pretraining) nothing
+    is searched, the decoder reads h itself and the quantization terms are
+    zero. Lazy: the first state encodes and searches the whole block, and each
+    state decodes its own stack, so a caller that is done with a state before
+    it takes the next holds one stack's decoder output at a time."""
+    encoded = [encode(anorm, x, enc) for anorm, x in stacks]
+    if cb is not None:
+        found = quantize(np.concatenate([h.reshape(-1, h.shape[-1]) for h, _ in encoded]), cb)
+    start, sel = 0, None
+    for (anorm, _), (h, products) in zip(stacks, encoded):
+        if cb is not None:
+            rows = slice(start, start + h.size // h.shape[-1])
+            sel = QuantizedSelection(found.indices[rows].reshape(h.shape[:-1]),
+                                     found.quantized[rows].reshape(h.shape))
+            start = rows.stop
+        xhat, a_rec = decode_and_reconstruct(h if sel is None else sel.quantized, dec)
+        a_target = anorm > _diagonal_floor(anorm.shape[-1])
+        yield ForwardState(a_target, anorm, *products, h, sel, xhat, a_rec, beta)
 
 
 def backward(state: ForwardState, enc: EncoderParams, dec: DecoderParams) -> Gradients:
@@ -497,16 +510,19 @@ def load_checkpoint(source) -> TokenizerModel:
         header = _read_header(fh)
         d_s, d_h, d, d_r, k = (header[key] for key in CHECKPOINT_DIMS)
 
-        def read_block(rows: int, cols: int) -> np.ndarray:
+        def read_block(name: str, rows: int, cols: int) -> np.ndarray:
             raw = fh.read(rows * cols * 8)
             if len(raw) != rows * cols * 8:
                 raise CheckpointError("truncated checkpoint")
-            return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+            block = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
+            if not np.isfinite(block).all():
+                raise CheckpointError(f"checkpoint {name} has non-finite values")
+            return block.copy()
 
-        w1 = read_block(d_s, d_h)
-        w2 = read_block(d_h, d)
-        wd = read_block(d, d_r)
-        entries = read_block(k, d)
+        w1 = read_block("W1", d_s, d_h)
+        w2 = read_block("W2", d_h, d)
+        wd = read_block("Wd", d, d_r)
+        entries = read_block("codebook", k, d)
     strategy = ImportanceStrategy(
         kind=header["strategy"]["kind"], seed=header["strategy"]["seed"]
     )

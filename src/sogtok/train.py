@@ -51,7 +51,6 @@ from .model import (
     init_params,
     nearest,
     normalized_adjacency,
-    quantize,
     save_checkpoint,
     views,
 )
@@ -113,7 +112,7 @@ class TrainConfig:
 @dataclass(frozen=True)
 class PreparedBucket:
     """Encoder inputs of graphs with one node count m, stacked; reused across
-    epochs. Training reads its target adjacency from anorm (train's block_pass)."""
+    epochs. model.forward reads the loss target from anorm."""
 
     positions: np.ndarray  # the graphs' indices in their block, or in prepare_graphs()'s blocks
     anorm: np.ndarray  # (B, m, m), of the adjacency (augmented unless include_global=False)
@@ -248,10 +247,11 @@ def _minibatches(
 
 # Graphs encoded, searched and differentiated at once in training, and encoded
 # at once on the read path. A walk takes its graphs in the declared order (see
-# _walk), so a block splits into one stack, a forward and a backward call, per
-# size bucket it spans. A stack's per-graph gradients live until they are
-# summed (72 KB per graph at d_s = d_h = d = 64), so larger blocks raise peak
-# memory, and smaller ones make more calls.
+# _walk), so a block splits into one stack per size bucket it spans; in
+# training a block is one forward call, and each stack one backward call. A
+# stack's per-graph gradients live until they are summed (72 KB per graph at
+# d_s = d_h = d = 64), so larger blocks raise peak memory, and smaller ones
+# make more calls.
 TRAIN_BLOCK = 24
 
 # One stack of a walk: the graphs' positions and their stacked anorm and x.
@@ -389,12 +389,13 @@ def train(
     and node counts from the buckets.
     Evaluation, each minibatch of an update pass and the k-means gather are
     walks in the declared order (_walk): blocks of at most TRAIN_BLOCK graphs,
-    one stack per size bucket a block spans, each stack one forward and one
-    backward pass, and all latent rows of a block go through one quantize()
-    call. Per-graph losses and gradients are added up one graph at a time: the
-    logged losses in dataset order, a minibatch's gradients in the declared
-    order, the dense ones as soon as a stack's backward pass returns and the
-    codebook's once per block (_add_entry_rows). So every sum has the bytes of
+    one stack per size bucket a block spans. Evaluation and the update pass
+    make one forward() call per block, which searches all of its latent rows
+    at once, and the update pass one backward pass per stack. Per-graph
+    losses and gradients are added up one graph at a time: the logged losses
+    in dataset order, a minibatch's gradients in the declared order, the
+    dense ones as soon as a stack's backward pass returns and the codebook's
+    once per block (_add_entry_rows). So every sum has the bytes of
     a loop over single graphs in those orders. Each phase holds its
     parameters in one buffer and steps it with one Adam (phase). An epoch
     logs the loss of the parameters it starts with: a full-batch epoch takes
@@ -414,32 +415,13 @@ def train(
         raise EmptyDataset("training requires at least one graph")
     place = np.argsort(np.concatenate([b.positions for b in buckets]))  # each graph's, see _walk
     logs: list[EpochLog] = []
-    floor: dict[int, np.ndarray] = {}  # each node count's (m, m) array: inf on the diagonal, 0 off it
-
-    def block_pass(stacks: list[Stack], cb: Codebook | None) -> Iterator[tuple[np.ndarray, ForwardState]]:
-        """Forward state of each stack of a block; one search serves all the
-        block's latent rows."""
-        encoded = [encode(anorm, x, enc) for _, anorm, x in stacks]
-        found = None
-        if cb is not None:
-            found = quantize(np.concatenate([h.reshape(-1, cfg.d) for h, _ in encoded]), cb)
-        start = 0
-        for (at, anorm, x), (h, products) in zip(stacks, encoded):
-            sel = None if found is None else found.part(start, h.shape)
-            start += h.shape[0] * h.shape[1]
-            m = anorm.shape[-1]
-            if m not in floor:
-                floor[m] = np.where(np.eye(m, dtype=bool), np.inf, 0.0)
-            # the target A, exactly: anorm = D^-1/2 (A + I) D^-1/2 is >= 1/m
-            # where A + I is 1 and 0 elsewhere, and no diagonal entry is an edge
-            a = anorm > floor[m]
-            yield at, forward(a, anorm, x, enc, dec, cb, cfg.beta, encoded=(h, products), sel=sel)
 
     def evaluate(epoch: int, cb: Codebook | None) -> EpochLog:
         """Log of the current parameters over every graph."""
         walked = _Tally(len(place), cfg.k)
         for stacks in _walk(table, buckets):
-            for at, state in block_pass(stacks, cb):
+            states = forward([(anorm, x) for _, anorm, x in stacks], enc, dec, cb, cfg.beta)
+            for (at, _, _), state in zip(stacks, states):
                 walked.add(at, state)
         return walked.log(epoch, cb is not None)
 
@@ -460,7 +442,8 @@ def train(
             grad.fill(0.0)
             for stacks in _walk(table, buckets, place[batch]):
                 entry_keys, entry_rows = [], []  # the block's update-term rows
-                for at, state in block_pass(stacks, cb):
+                states = forward([(anorm, x) for _, anorm, x in stacks], enc, dec, cb, cfg.beta)
+                for (at, _, _), state in zip(stacks, states):
                     if walked is not None and not walked.add(at, state):
                         continue  # the log raises NonFiniteLoss before the step
                     grads = backward(state, enc, dec)

@@ -220,8 +220,8 @@ def train(dataset: list[Graph], cfg, checkpoint_dir=None, embedder=None):
     def evaluate(epoch, cb):
         sums = np.zeros(3)  # recon, gap, total
         selected: set[int] = set()
-        for a_target, anorm, x in prepared:
-            state = forward(a_target, anorm, x, enc, dec, cb, cfg.beta)
+        for _, anorm, x in prepared:
+            state = next(forward([(anorm, x)], enc, dec, cb, cfg.beta))
             sums += (state.loss.reconstruction, state.loss.update, state.loss.total)
             if state.sel is not None:
                 selected.update(state.sel.indices.tolist())
@@ -243,8 +243,8 @@ def train(dataset: list[Graph], cfg, checkpoint_dir=None, embedder=None):
         for batch in _minibatches(len(prepared), cfg.batch_size, rng):
             sums = {name: np.zeros_like(p) for name, p in params.items()}
             for idx in sorted(batch, key=lambda i: (first_seen[dataset[i].n], i)):
-                a_target, anorm, x = prepared[idx]
-                state = forward(a_target, anorm, x, enc, dec, cb, cfg.beta)
+                _, anorm, x = prepared[idx]
+                state = next(forward([(anorm, x)], enc, dec, cb, cfg.beta))
                 grads = backward(state, enc, dec)
                 for name, total in sums.items():
                     total += codebook_gradient(grads, cfg.k) if name == "codebook" else getattr(grads, name)

@@ -832,6 +832,19 @@ def test_empty_data_exit_2(trained, tmp_path, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kinds", [",", "", " , "])
+def test_gen_corpus_empty_kinds_exit_2(trained, tmp_path, kinds):
+    """A --kinds list without a kind is refused as an unknown kind is, before
+    the data file is read (this one is not valid JSON), and leaves no output
+    directory."""
+    data = tmp_path / "data.jsonl"
+    data.write_text("not json\n")
+    proc = _run_cli("gen-corpus", "--data", data, "--checkpoint", trained / "model.sogtok",
+                    "--out", tmp_path / "o", "--seed", "1", "--kinds", kinds)
+    _assert_one_line_error(proc, f"no corpus kind in --kinds {kinds!r}")
+    assert not (tmp_path / "o").exists()
+
+
 def test_embed_table_non_numeric_exit_2(dataset, trained, tmp_path):
     table = tmp_path / "table.tsv"
     table.write_text("anchor node\t" + ",".join(["0.5"] * 15 + ["x"]) + "\n")

@@ -11,14 +11,20 @@ U+0085, U+2028 and U+2029 between the first two lines and inside a string
 of the first line, a line nested 100,000 deep, an integer of 5,000
 digits, NaN, and an empty file. An empty data file exits 2 under every
 subcommand.
+
+The checkpoint, under the four subcommands that load one: truncation at
+three offsets, and inf or NaN as the first value of each weight block. Every
+checkpoint mutant exits 2.
 """
 
 import json
 import re
+import struct
 
 import pytest
 
 from sogtok.cli import main
+from sogtok.model import CHECKPOINT_MAGIC
 
 ROWS = [
     {"id": "m0", "smiles": "CCO", "label": 1},
@@ -56,6 +62,7 @@ READERS = {
     "responses": ("eval",),
     "nodes": ("tokenize-nodes",),
     "embed_table": ("tokenize-table",),
+    "checkpoint": ("tokenize", "gen-corpus", "gen-prompts", "stats"),
 }
 # the text that holds the first number of each JSON or node-list input
 NUMBER = {"data": '"label": 1', "responses": '"score": 0.0', "nodes": "m0 1"}
@@ -105,6 +112,25 @@ def _mutants(kind: str, text: str) -> dict[str, bytes]:
     return out
 
 
+CHECKPOINT_BLOCKS = ("W1", "W2", "Wd", "codebook")
+CHECKPOINT_MUTATIONS = ("cut-3", "cut-half", "cut-end-3",
+                        *(f"{value}-{block}" for block in CHECKPOINT_BLOCKS for value in ("inf", "nan")))
+
+
+def _checkpoint_mutants(raw: bytes) -> dict[str, bytes]:
+    """Each CHECKPOINT_MUTATIONS of a checkpoint's bytes, by name."""
+    out = {"cut-3": raw[:3], "cut-half": raw[: len(raw) // 2], "cut-end-3": raw[:-3]}
+    start = len(CHECKPOINT_MAGIC) + 4
+    end = start + struct.unpack("<I", raw[start - 4 : start])[0]
+    dims = json.loads(raw[start:end])
+    d_s, d_h, d, d_r, k = (dims[key] for key in ("d_s", "d_h", "d", "d_r", "K"))
+    for block, size in zip(CHECKPOINT_BLOCKS, (d_s * d_h, d_h * d, d * d_r, k * d)):
+        for value in ("inf", "nan"):
+            out[f"{value}-{block}"] = raw[:end] + struct.pack("<d", float(value)) + raw[end + 8 :]
+        end += 8 * size
+    return out
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """The good file of each input, and a checkpoint trained on the data."""
@@ -137,7 +163,7 @@ def _argv(command: str, files: dict) -> list[str]:
 
 CASES = [(kind, mutation, command)
          for kind, commands in READERS.items()
-         for mutation in _mutants(kind, GOOD[kind])
+         for mutation in (CHECKPOINT_MUTATIONS if kind == "checkpoint" else _mutants(kind, GOOD[kind]))
          for command in commands]
 
 
@@ -152,12 +178,16 @@ def test_every_good_input_runs(inputs, tmp_path):
 @pytest.mark.parametrize("kind, mutation, command", CASES)
 def test_input_contract(inputs, tmp_path, capsys, kind, mutation, command):
     mutant = tmp_path / inputs[kind].name
-    mutant.write_bytes(_mutants(kind, GOOD[kind])[mutation])
+    if kind == "checkpoint":
+        mutant.write_bytes(_checkpoint_mutants(inputs[kind].read_bytes())[mutation])
+    else:
+        mutant.write_bytes(_mutants(kind, GOOD[kind])[mutation])
     files = dict(inputs, **{kind: mutant})
     out = tmp_path / "out"
     code = main([*_argv(command, files), "--out", str(out)])
     err = capsys.readouterr().err
-    if (kind, mutation) == ("data", "empty"):  # every stage refuses an empty data file
+    # every stage refuses an empty data file and a damaged checkpoint
+    if (kind, mutation) == ("data", "empty") or kind == "checkpoint":
         assert code == 2, err
     if code == 0:
         assert err == ""

@@ -14,6 +14,7 @@ from sogtok.graph import (
     build_adjacency,
     ego_graph,
     ego_stacks,
+    hop_distances,
     permuted_adjacency,
     refine_colours,
 )
@@ -209,6 +210,24 @@ def test_ego_stacks_equal_ego_graph_adjacency(hops):
         for k, (owner, center) in enumerate(zip(owners.tolist(), centers.tolist())):
             want = adjacency_stack([ego_graph(graphs[owner], center, hops)[0]])[0]
             assert got[k].shape == want.shape and got[k].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("limit", [None, 0, 1, 2])
+def test_hop_distances_equal_bfs_hops(limit):
+    """From every source of random graphs: bfs_hops's distances, -1 for a
+    node it does not reach or that lies beyond the limit."""
+    rng = np.random.default_rng(11)
+    for n in range(1, 11):
+        graphs = [g for g in _random_graphs(rng, 40, n) if g.n == n]
+        if not graphs:
+            continue
+        owners = np.repeat(np.arange(len(graphs)), n)
+        sources = np.tile(np.arange(n), len(graphs))
+        got = hop_distances(adjacency_stack(graphs)[owners], sources, limit).tolist()
+        for row, owner, source in zip(got, owners.tolist(), sources.tolist()):
+            want = [-1 if h is None or (limit is not None and h > limit) else h
+                    for h in bfs_hops(graphs[owner], source)]
+            assert row == want
 
 
 def test_ego_stacks_reject_negative_hops(path3):

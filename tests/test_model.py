@@ -51,6 +51,64 @@ def test_normalized_adjacency_disconnected():
     assert np.array_equal(normalized_adjacency(np.zeros((2, 2))), np.eye(2))
 
 
+def test_forward_target_is_the_adjacency():
+    """forward() reads each loss target from anorm: it is the adjacency
+    exactly, for random graphs, a stack, one node, isolated nodes and complete
+    graphs (every entry 1/m), up to 513 nodes."""
+    rng = np.random.default_rng(41)
+    isolated = random_symmetric_adjacency(8, rng, p=0.6)
+    isolated[[2, 5]] = isolated[:, [2, 5]] = 0.0
+    graphs = [random_symmetric_adjacency(n, rng, p) for n, p in ((5, 0.4), (9, 0.8), (12, 0.15))]
+    graphs += [
+        np.stack([random_symmetric_adjacency(7, rng) for _ in range(4)]),
+        np.zeros((1, 1)),
+        isolated,
+        np.ones((6, 6)) - np.eye(6),
+        random_symmetric_adjacency(513, rng, p=0.02),
+        np.ones((513, 513)) - np.eye(513),
+    ]
+    enc, dec = init_params(3, 3, 2, 2, rng)
+    stacks = [(normalized_adjacency(a), rng.normal(size=(*a.shape[:-1], 3))) for a in graphs]
+    for cb in (None, Codebook(entries=rng.normal(size=(4, 2)))):
+        states = list(forward(stacks, enc, dec, cb, 0.25))
+        assert len(states) == len(graphs)
+        for a, state in zip(graphs, states):
+            assert state.a_target.dtype == bool
+            assert np.array_equal(state.a_target, a != 0)
+
+
+def test_forward_searches_a_block_once(monkeypatch):
+    """One quantize() call, made for the first state, takes every latent row
+    of a block, stack by stack; each stack's selection has the bytes of a
+    search of its rows alone, shaped like them. Warm-up searches nothing."""
+    import sogtok.model as model_module
+
+    rng = np.random.default_rng(47)
+    stacks = []
+    for b, n in ((3, 5), (1, 4), (2, 7)):
+        a = np.stack([random_symmetric_adjacency(n, rng) for _ in range(b)])
+        stacks.append((normalized_adjacency(a), rng.normal(size=(b, n, 6))))
+    enc, dec = init_params(6, 6, 4, 3, rng)
+    cb = Codebook(entries=rng.normal(size=(5, 4)))
+    search, searched = model_module.quantize, []
+
+    def counted(h, cb):
+        searched.append(len(h))
+        return search(h, cb)
+
+    monkeypatch.setattr(model_module, "quantize", counted)
+    assert all(state.sel is None for state in forward(stacks, enc, dec, None, 0.25))
+    assert searched == []
+    states = forward(stacks, enc, dec, cb, 0.25)
+    first = next(states)
+    assert searched == [3 * 5 + 4 + 2 * 7]  # the first state searched the whole block
+    for state in [first, *states]:
+        own = search(state.h.reshape(-1, 4), cb)
+        assert state.sel.indices.shape == state.h.shape[:-1]
+        assert state.sel.indices.tobytes() == own.indices.tobytes()
+        assert state.sel.quantized.tobytes() == own.quantized.reshape(state.h.shape).tobytes()
+
+
 def test_encode_zero_features():
     rng = np.random.default_rng(0)
     enc, _ = init_params(4, 4, 3, 2, rng)
@@ -403,7 +461,7 @@ def _gradient_instance(seed, n=6, d_s=8, d_h=8, d=4, d_r=4, k=4, beta=0.25, stac
         x = rng.normal(size=(stack, n, d_s))
     enc, dec = init_params(d_s, d_h, d, d_r, rng)
     cb = Codebook(entries=rng.normal(size=(k, d)))
-    state = forward(a, normalized_adjacency(a), x, enc, dec, cb, beta)
+    state = next(forward([(normalized_adjacency(a), x)], enc, dec, cb, beta))
     if np.abs(state.z1).min() < 1e-3:
         return None
     return a, x, enc, dec, cb, state
@@ -417,7 +475,7 @@ def _max_rel_error(analytic, fd):
 def _assert_slices_match_single_graphs(a, x, enc, dec, cb, state, grads):
     """Each slice of a stacked pass has the bytes of the pass on its graph alone."""
     for i in range(len(a)):
-        one = forward(a[i], normalized_adjacency(a[i]), x[i], enc, dec, cb, state.loss.beta)
+        one = next(forward([(normalized_adjacency(a[i]), x[i])], enc, dec, cb, state.loss.beta))
         mine = (state.h[i], state.sel.indices[i], state.a_rec[i], state.loss.total[i])
         for got, want in zip(mine, (one.h, one.sel.indices, one.a_rec, one.loss.total)):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -515,11 +573,11 @@ def test_stacked_warmup_backward_matches_single_graphs():
     a = np.stack([random_symmetric_adjacency(5, rng) for _ in range(4)])
     x = rng.normal(size=(4, 5, 6))
     enc, dec = init_params(6, 6, 4, 3, rng)
-    state = forward(a, normalized_adjacency(a), x, enc, dec, None, 0.25)
+    state = next(forward([(normalized_adjacency(a), x)], enc, dec, None, 0.25))
     grads = backward(state, enc, dec)
     assert oracle.codebook_gradient(grads, 0) is None
     for i in range(4):
-        one = forward(a[i], normalized_adjacency(a[i]), x[i], enc, dec, None, 0.25)
+        one = next(forward([(normalized_adjacency(a[i]), x[i])], enc, dec, None, 0.25))
         assert state.loss.reconstruction[i] == one.loss.reconstruction
         single = backward(one, enc, dec)
         for name in ("w1", "w2", "wd"):
@@ -533,7 +591,7 @@ def test_backward_warmup_pure_autoencoder():
     a = random_symmetric_adjacency(6, rng)
     x = rng.normal(size=(6, 8))
     enc, dec = init_params(8, 8, 4, 3, rng)
-    state = forward(a, normalized_adjacency(a), x, enc, dec, None, 0.25)
+    state = next(forward([(normalized_adjacency(a), x)], enc, dec, None, 0.25))
     assert np.abs(state.z1).min() > 1e-3
     grads = backward(state, enc, dec)
     assert oracle.codebook_gradient(grads, 0) is None
@@ -568,7 +626,7 @@ def test_zero_loss_zero_gradients():
     dec = DecoderParams(wd=np.zeros((2, 2)))
     cb = Codebook(entries=np.vstack([np.zeros(2), np.ones(2)]))
     a = np.zeros((3, 3))
-    state = forward(a, normalized_adjacency(a), np.zeros((3, 2)), enc, dec, cb, 0.25)
+    state = next(forward([(normalized_adjacency(a), np.zeros((3, 2)))], enc, dec, cb, 0.25))
     assert state.loss.total == 0.0
     grads = backward(state, enc, dec)
     assert not grads.w1.any() and not grads.w2.any() and not grads.wd.any()
@@ -581,7 +639,7 @@ def test_unselected_entry_zero_gradient():
     a = random_symmetric_adjacency(5, rng)
     x = rng.normal(size=(5, 6))
     enc, dec = init_params(6, 6, 4, 3, rng)
-    state = forward(a, normalized_adjacency(a), x, enc, dec, cb, 0.25)
+    state = next(forward([(normalized_adjacency(a), x)], enc, dec, cb, 0.25))
     assert 3 not in state.sel.indices
     grads = backward(state, enc, dec)
     assert not oracle.codebook_gradient(grads, cb.k)[3].any()
@@ -752,6 +810,21 @@ def test_checkpoint_bad_header_values(tmp_path):
     for key, value in (("K", -1), ("d", "2"), ("strategy", {"kind": "degree"})):
         path.write_bytes(_with_header(json.dumps({**header, key: value}).encode(), payload))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_checkpoint_non_finite_block(tmp_path, value):
+    """A non-finite weight in any of the four blocks is refused, by name."""
+    blob = _small_checkpoint(tmp_path)
+    _, payload = _split_checkpoint(blob)
+    arrays = len(blob) - len(payload)
+    path = tmp_path / "nonfinite.sogtok"
+    # the blocks of the 2 x 2 x 2 x 2 x 2 checkpoint, four floats each
+    for block, name in enumerate(("W1", "W2", "Wd", "codebook")):
+        at = arrays + 8 * (4 * block + 3)
+        path.write_bytes(blob[:at] + struct.pack("<d", value) + blob[at + 8 :])
+        with pytest.raises(CheckpointError, match=f"checkpoint {name} has non-finite values"):
             load_checkpoint(path)
 
 

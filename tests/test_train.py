@@ -470,9 +470,9 @@ def test_full_batch_epoch_walks_the_graphs_once(monkeypatch, batch_size):
 
     forward, passed = train_module.forward, [0]
 
-    def counted_forward(a_target, *args, **kwargs):
-        passed[0] += len(a_target)  # a stack of graphs
-        return forward(a_target, *args, **kwargs)
+    def counted_forward(stacks, *args, **kwargs):
+        passed[0] += sum(len(anorm) for anorm, _ in stacks)  # each a stack of graphs
+        return forward(stacks, *args, **kwargs)
 
     monkeypatch.setattr(train_module, "forward", counted_forward)
     graphs = _mixed_sizes(41, seed=0)
